@@ -6,9 +6,12 @@ themselves in the sample).  This walkthrough builds those quantities by
 hand on graphs small enough to check on paper.
 """
 
+import numpy as np
+
 from netsize import (
     MultiGraph,
     Multiset,
+    RdsConfig,
     free_ends,
     free_neighborhood,
     harmonic_mean_degree,
@@ -17,6 +20,7 @@ from netsize import (
     mean_degree,
     mintersect,
     msum,
+    rds_capture,
 )
 
 # --- multiset algebra ------------------------------------------------------
@@ -55,3 +59,10 @@ in_sample = matches(cycle, range(4), referrals)
 print("pooled free ends <R> =", pooled.cardinality())
 print("in-sample matches <M> =", in_sample.cardinality())
 print("the one non-referral edge (2,3) is seen from both ends")
+
+# --- the same counts, as the estimators take them from a captured sample ------
+
+cfg = RdsConfig(target_size=4, num_seeds=1, recruit_law=((2, 1.0),), seeds=(0,))
+sample = rds_capture(cycle, cfg, np.random.default_rng(3))
+print("\nreferral capture of the 4-cycle, forest", list(sample.forest.edges))
+print("sample.counts: <R> =", sample.counts.free, "| <M> =", sample.counts.matches)

@@ -57,7 +57,7 @@ for omega in (10**9, 256_000, 32_000, 2_000):
     hs = hashed_view(sample, codes)
     r2 = estimate_n2_hashed(hs, omega)
     r3 = estimate_n3_hashed(hs, omega)
-    raw_matches = hs.match_bag.cardinality()
+    raw_matches = hs.counts.matches
     corrected = m_hat(hs, n, omega)
     print(f"  |codes|={omega:>10}: observed matches {raw_matches:>5} "
           f"(expected true mass at n'={n}: {corrected:6.1f})  "

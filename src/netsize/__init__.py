@@ -63,7 +63,7 @@ from .hashing import (
 )
 from .ingest import EdgeListSpec, clustering_stats, load_edge_list, write_edge_list
 from .multiset import Multiset, mdiff, mintersect, msum
-from .sampling import RdsConfig, RdsSample, as_sample_view, rds_capture, uniform_sample
+from .sampling import RdsConfig, Sample, as_sample_view, rds_capture, uniform_sample
 
 __all__ = [
     "__version__",
@@ -73,7 +73,7 @@ __all__ = [
     "DegreeKind", "DegreeDistribution", "Family", "GraphFamily",
     "sample_degrees", "configuration_graph", "barabasi_albert", "erdos_renyi",
     "sample_graph", "rewire_to_clustering",
-    "RdsConfig", "RdsSample", "uniform_sample", "rds_capture", "as_sample_view",
+    "RdsConfig", "Sample", "uniform_sample", "rds_capture", "as_sample_view",
     "EstimateResult", "FailureCause",
     "estimate_n1", "estimate_n1_from_view", "estimate_n2", "estimate_n3",
     "HashMode", "HashSpace", "HashedSample", "telefunken_encode", "assign_hashes",

@@ -27,9 +27,7 @@ from .hashing import (
     assign_hashes,
     estimate_n2_hashed,
     estimate_n3_hashed,
-    hashed_to_rows,
     hashed_view,
-    rows_to_hashed,
 )
 from .ingest import EdgeListSpec, clustering_stats, load_edge_list, write_edge_list
 from .sampling import (
@@ -39,7 +37,6 @@ from .sampling import (
     read_sample_dump,
     rows_to_sample,
     sample_dump_lines,
-    sample_to_rows,
     uniform_sample,
     write_sample_dump,
 )
@@ -79,52 +76,39 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     g = _load_graph(args.edges)
     rng = np.random.default_rng(args.rng_seed)
     if args.mode == "uniform":
-        view = as_sample_view(g, uniform_sample(g, args.size, rng))
-        rows = sample_to_rows(view)
-        sample = view
+        sample = as_sample_view(g, uniform_sample(g, args.size, rng))
     else:
         cfg = RdsConfig(target_size=args.size, num_seeds=args.num_seeds)
         sample = rds_capture(g, cfg, rng)
-        rows = sample_to_rows(sample)
 
     extras = {"mode": args.mode, "size": args.size, "graph": args.edges}
     if args.omega is not None:
         mode = HashMode(args.hash_mode)
         k = args.telefunken_digits
         space = HashSpace(args.omega, mode, telefunken_digits=k)
-        assignment = assign_hashes(g.n, space, rng)
-        hs = hashed_view(sample, assignment)
-        recruiter_codes = []
-        recruiter_of = dict()
-        if sample.forest is not None:
-            recruiter_of = {b: a for a, b in sample.forest.edges}
-        for u in sample.order:
-            rec = recruiter_of.get(u)
-            recruiter_codes.append(None if rec is None else int(assignment[rec]))
-        rows = hashed_to_rows(hs, recruiter_codes)
+        sample = hashed_view(sample, assign_hashes(g.n, space, rng))
         extras.update({"omega": args.omega, "hash_mode": args.hash_mode})
 
     header = _header("sample", args, extras)
     if args.out:
-        write_sample_dump(rows, args.out, header_comment=header)
+        write_sample_dump(sample, args.out, header_comment=header)
         print(header)
-        print(f"wrote {len(rows)} subjects to {args.out}")
+        print(f"wrote {sample.size} subjects to {args.out}")
     else:
-        for line in sample_dump_lines(rows, header_comment=header):
+        for line in sample_dump_lines(sample, header_comment=header):
             print(line)
     return 0
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    rows = read_sample_dump(args.sample)
+    sample = read_sample_dump(args.sample)
     name = args.estimator
     if name in ("n2psi", "n3psi"):
         if args.omega is None:
             raise ValueError("hashed estimators need --omega")
-        hs = rows_to_hashed(rows)
-        result = estimate_n2_hashed(hs, args.omega) if name == "n2psi" else estimate_n3_hashed(hs, args.omega)
+        result = estimate_n2_hashed(sample, args.omega) if name == "n2psi" else estimate_n3_hashed(sample, args.omega)
     else:
-        sample = rows_to_sample(rows)
+        sample = rows_to_sample(sample)
         if name == "n1":
             result = estimate_n1_from_view(sample)
         elif name == "n2":

@@ -78,6 +78,15 @@ class MultiGraph:
         self._check_vertex(v)
         return self._targets[self._offsets[v]:self._offsets[v + 1]]
 
+    def neighbor_lists(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Neighbor occurrences of each vertex in turn, as CSR (offsets, targets)."""
+        if len(vertices) and (vertices.min() < 0 or vertices.max() >= self.n):
+            raise ValueError(f"vertex out of range for n={self.n}")
+        counts = self._degrees[vertices]
+        offsets = np.r_[0, np.cumsum(counts)]
+        shift = np.repeat(self._offsets[vertices] - offsets[:-1], counts)
+        return offsets, self._targets[np.arange(offsets[-1]) + shift]
+
     def neighbors(self, v: int) -> Multiset:
         """Neighbor bag of v (cached; treat as read-only)."""
         bag = self._bag_cache.get(v)

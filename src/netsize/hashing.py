@@ -13,21 +13,15 @@ number contributes a (parity, low/high) bit pair, giving a 2k-bit code.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import EstimateResult, FailureCause
+from .estimators import EstimateResult, Weight, _solve_n2, _solve_n3
 from .graph import harmonic_mean
-from .multiset import Multiset, mintersect
-from .sampling import DumpRow, RdsSample
-
-BRACKET_CEILING = 1e12
-ROOT_RTOL = 1e-9
+from .sampling import Sample
 
 
 class HashMode(Enum):
@@ -95,298 +89,86 @@ def assign_hashes(n: int, space: HashSpace, rng: np.random.Generator) -> np.ndar
     raise ValueError(f"unknown hash mode {space.mode}")  # pragma: no cover
 
 
-@dataclass(frozen=True, eq=False)
-class HashedSample:
-    """The anonymized view of a referral sample: codes only, no identities."""
-
-    codes: tuple[int, ...]                 # one code per subject, sample order
-    degrees: tuple[int, ...]               # self-reported degrees
-    alter_codes: tuple[Multiset, ...]      # non-referral alter codes per subject
-    components: tuple[int, ...]            # referral component label per subject
-
-    def __post_init__(self):
-        k = len(self.codes)
-        if not (len(self.degrees) == len(self.alter_codes) == len(self.components) == k):
-            raise ValueError("per-subject columns must have equal length")
-
-    @property
-    def size(self) -> int:
-        return len(self.codes)
-
-    @cached_property
-    def subject_bag(self) -> Multiset:
-        return Multiset(self.codes)
-
-    @cached_property
-    def degrees_by_code(self) -> dict[int, tuple[int, ...]]:
-        by_code: dict[int, list[int]] = {}
-        for code, deg in zip(self.codes, self.degrees):
-            by_code.setdefault(code, []).append(deg)
-        return {code: tuple(ds) for code, ds in by_code.items()}
-
-    @cached_property
-    def match_bag(self) -> Multiset:
-        """Pooled alter codes that collide with some subject code."""
-        pooled = Multiset()
-        for bag in self.alter_codes:
-            pooled.update(mintersect(bag, self.subject_bag))
-        return pooled
-
-    @cached_property
-    def free_end_count(self) -> int:
-        return sum(bag.cardinality() for bag in self.alter_codes)
-
-    @cached_property
-    def component_labels(self) -> tuple[int, ...]:
-        seen: list[int] = []
-        for comp in self.components:
-            if comp not in seen:
-                seen.append(comp)
-        return tuple(seen)
-
-    def component_indices(self, label: int) -> list[int]:
-        return [i for i, comp in enumerate(self.components) if comp == label]
-
-    @cached_property
-    def _cross_tables(self) -> dict[int, tuple[Multiset, dict[int, tuple[int, ...]], int, float]]:
-        """Per component: cross-match bag, complement degrees by code,
-        complement size, complement mean degree."""
-        total_degree = sum(self.degrees)
-        tables = {}
-        for label in self.component_labels:
-            inside = self.component_indices(label)
-            inside_set = set(inside)
-            complement = [i for i in range(self.size) if i not in inside_set]
-            complement_bag = Multiset(self.codes[i] for i in complement)
-            by_code: dict[int, list[int]] = {}
-            for i in complement:
-                by_code.setdefault(self.codes[i], []).append(self.degrees[i])
-            cross = Multiset()
-            for i in inside:
-                cross.update(mintersect(self.alter_codes[i], complement_bag))
-            comp_degree = sum(self.degrees[i] for i in inside)
-            mean = (total_degree - comp_degree) / len(complement) if complement else 0.0
-            tables[label] = (
-                cross,
-                {c: tuple(ds) for c, ds in by_code.items()},
-                len(complement),
-                mean,
-            )
-        return tables
-
-    def cross_match_bag(self, label: int) -> Multiset:
-        return self._cross_tables[label][0]
+# The hashed view of a sample is a ``Sample`` whose codes are hash codes.
+HashedSample = Sample
 
 
-def hashed_view(sample: RdsSample, assignment: np.ndarray) -> HashedSample:
-    """Apply a code assignment to a captured sample.
+def hashed_view(sample: Sample, assignment: np.ndarray) -> Sample:
+    """Map every code column of a sample through a code assignment.
 
     The assignment must cover every subject and every reported alter.
     """
-    limit = len(assignment)
-
-    def code_of(v: int) -> int:
-        if not 0 <= v < limit:
-            raise ValueError(f"identity {v} has no assigned code")
-        return int(assignment[v])
-
-    comp_index: dict[int, int] = {}
-    codes = []
-    degrees = []
-    alter_codes = []
-    components = []
-    for u in sample.order:
-        codes.append(code_of(u))
-        degrees.append(sample.degrees[u])
-        bag = Multiset()
-        for v, count in sample.alters[u].items():
-            bag[code_of(v)] += count
-        alter_codes.append(bag)
-        comp = sample.seed_of[u]
-        components.append(comp_index.setdefault(comp, len(comp_index)))
-    return HashedSample(
-        codes=tuple(codes),
-        degrees=tuple(degrees),
-        alter_codes=tuple(alter_codes),
-        components=tuple(components),
-    )
+    assignment = np.asarray(assignment)
+    for column in (sample.codes, sample.alter_codes):
+        missing = column[(column < 0) | (column >= len(assignment))]
+        if len(missing):
+            raise ValueError(f"identity {missing[0]} has no assigned code")
+    return replace(sample, codes=assignment[sample.codes], alter_codes=assignment[sample.alter_codes])
 
 
-def collision_prob(n_prime: float, omega: int, d_tilde_s: float, d_w: int) -> float:
+def collision_prob(n_prime: float, omega: int, d_tilde_s: float, d_w):
     """Probability that a code match against a sampled subject is the true alter.
 
-    Degree-1 subjects have no free ends, so they can never be the match
-    (the formula's limit as d_w -> 1).
+    ``d_w`` is one subject degree or an array of them.  Degree-1 subjects
+    have no free ends, so they can never be the match (the formula's limit
+    as d_w -> 1).
     """
-    if d_w <= 1:
-        return 0.0
-    return 1.0 / ((n_prime - 1.0) / omega * d_tilde_s / (d_w - 1.0) + 1.0)
+    d_w = np.asarray(d_w, dtype=float)
+    live = d_w > 1
+    prob = np.zeros(d_w.shape)
+    prob[live] = 1.0 / ((n_prime - 1.0) / omega * d_tilde_s / (d_w[live] - 1.0) + 1.0)
+    return prob if prob.ndim else float(prob)
 
 
-def _match_mass(
-    match_bag: Multiset,
-    degrees_by_code: dict[int, tuple[int, ...]],
-    n_prime: float,
-    omega: int,
-    d_tilde_s: float,
-) -> float:
-    total = 0.0
-    for code, multiplicity in match_bag.items():
-        per_code = 0.0
-        for d_w in degrees_by_code.get(code, ()):
-            per_code += collision_prob(n_prime, omega, d_tilde_s, d_w)
-        total += multiplicity * per_code
-    return total
+def _collision_weight(omega: int) -> Weight:
+    return lambda n_prime, d_tilde_s, degrees: collision_prob(n_prime, omega, d_tilde_s, degrees)
 
 
-def m_hat(hs: HashedSample, n_prime: float, omega: int) -> float:
+def _true_mass(hs: Sample, mass: np.ndarray, n_prime: float, omega: int) -> float:
+    d_tilde = harmonic_mean(hs.degrees.tolist())
+    return float(mass @ collision_prob(n_prime, omega, d_tilde, hs.counts.mass_degrees))
+
+
+def m_hat(hs: Sample, n_prime: float, omega: int) -> float:
     """Expected true-match mass among all observed code matches."""
-    d_tilde = harmonic_mean(hs.degrees)
-    return _match_mass(hs.match_bag, hs.degrees_by_code, n_prime, omega, d_tilde)
+    return _true_mass(hs, hs.counts.match_mass, n_prime, omega)
 
 
-def x_hat(hs: HashedSample, component_label: int, n_prime: float, omega: int) -> float:
+def x_hat(hs: Sample, component_label: int, n_prime: float, omega: int) -> float:
     """Expected true cross-component match mass for one referral component."""
-    d_tilde = harmonic_mean(hs.degrees)
-    cross, by_code, _, _ = hs._cross_tables[component_label]
-    return _match_mass(cross, by_code, n_prime, omega, d_tilde)
+    index = np.flatnonzero(hs.counts.labels == component_label)
+    if not len(index):
+        raise ValueError(f"no referral component labelled {component_label}")
+    return _true_mass(hs, hs.counts.cross_mass[index[0]], n_prime, omega)
 
 
-def _solve_fixed_point(f: Callable[[float], float], sample_size: int) -> Optional[float]:
-    """Unique root of f(x) = x above the sample size, if a bracket exists.
-
-    f is increasing in x, so g(x) = f(x) - x crosses zero at most once in
-    the bracket; the upper bound doubles from 10x the sample size until the
-    sign changes or the search ceiling is hit.
-    """
-
-    def g(x: float) -> float:
-        y = f(x) - x
-        return y
-
-    lo = float(max(sample_size, 1))
-    g_lo = g(lo)
-    if not math.isfinite(g_lo):
-        return None
-    if g_lo == 0.0:
-        return lo
-    hi = 10.0 * max(sample_size, 1)
-    while True:
-        if hi > BRACKET_CEILING:
-            return None
-        g_hi = g(hi)
-        if not math.isfinite(g_hi):
-            return None
-        if (g_hi > 0) != (g_lo > 0):
-            break
-        hi *= 2.0
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= ROOT_RTOL * max(mid, 1.0):
-            return mid
-        g_mid = g(mid)
-        if g_mid == 0.0:
-            return mid
-        if (g_mid > 0) == (g_lo > 0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _degree_stats(hs: HashedSample) -> Optional[tuple[float, float]]:
-    if any(d <= 0 for d in hs.degrees):
-        return None
-    mean = sum(hs.degrees) / hs.size
-    if mean <= 1.0:
-        return None
-    return mean, harmonic_mean(hs.degrees)
-
-
-def estimate_n2_hashed(hs: HashedSample, omega: int) -> EstimateResult:
+def estimate_n2_hashed(hs: Sample, omega: int) -> EstimateResult:
     """Collision-corrected referral estimator on hashed data.
 
     Solves n' = [(d(S)-1)/d~(S)] * |S| * <R> / m_hat(n').
     """
-    if hs.size == 0:
-        raise ValueError("cannot estimate from an empty sample")
-    stats = _degree_stats(hs)
-    if stats is None:
-        return EstimateResult.failure(FailureCause.DEGENERATE_DEGREES)
-    mean_deg, harm_deg = stats
-    if hs.match_bag.cardinality() == 0:
-        return EstimateResult.failure(FailureCause.ZERO_MATCHES)
-    numerator = (mean_deg - 1.0) / harm_deg * hs.size * hs.free_end_count
-    bag, by_code = hs.match_bag, hs.degrees_by_code
-
-    def f(n_prime: float) -> float:
-        mass = _match_mass(bag, by_code, n_prime, omega, harm_deg)
-        return numerator / mass if mass > 0 else math.inf
-
-    root = _solve_fixed_point(f, hs.size)
-    if root is None or not math.isfinite(root) or root <= 0:
-        return EstimateResult.failure(FailureCause.NO_ROOT)
-    return EstimateResult.success(root)
+    return _solve_n2(hs, _collision_weight(omega))
 
 
-def estimate_n3_hashed(hs: HashedSample, omega: int) -> EstimateResult:
+def estimate_n3_hashed(hs: Sample, omega: int) -> EstimateResult:
     """Collision-corrected cross-component estimator on hashed data."""
-    labels = hs.component_labels
-    if len(labels) <= 1:
-        raise ValueError("cross-seed estimation needs more than one referral component")
-    stats = _degree_stats(hs)
-    if stats is None:
-        return EstimateResult.failure(FailureCause.DEGENERATE_DEGREES)
-    _, harm_deg = stats
-
-    tables = hs._cross_tables
-    total_cross = sum(tables[label][0].cardinality() for label in labels)
-    if total_cross == 0:
-        return EstimateResult.failure(FailureCause.ZERO_CROSS_MATCHES)
-
-    numerator = 0.0
-    for label in labels:
-        inside = hs.component_indices(label)
-        comp_free = sum(hs.alter_codes[i].cardinality() for i in inside)
-        _, _, comp_size, comp_mean = tables[label]
-        numerator += (comp_mean - 1.0) / harm_deg * comp_size * comp_free
-
-    def f(n_prime: float) -> float:
-        mass = 0.0
-        for label in labels:
-            cross, by_code, _, _ = tables[label]
-            mass += _match_mass(cross, by_code, n_prime, omega, harm_deg)
-        return numerator / mass if mass > 0 else math.inf
-
-    root = _solve_fixed_point(f, hs.size)
-    if root is None or not math.isfinite(root) or root <= 0:
-        return EstimateResult.failure(FailureCause.NO_ROOT)
-    return EstimateResult.success(root)
+    return _solve_n3(hs, _collision_weight(omega))
 
 
 # ---------------------------------------------------------------------------
 # dump adapters (same CSV layout as plaintext samples)
 
-def hashed_to_rows(hs: HashedSample, recruiter_codes: Sequence[Optional[int]] | None = None) -> list[DumpRow]:
-    if recruiter_codes is None:
-        recruiter_codes = [None] * hs.size
-    return [
-        DumpRow(
-            subject_code=hs.codes[i],
-            recruiter_code=recruiter_codes[i],
-            component_id=hs.components[i],
-            reported_degree=hs.degrees[i],
-            alter_codes=hs.alter_codes[i],
-        )
-        for i in range(hs.size)
-    ]
+def hashed_to_rows(hs: Sample, recruiter_codes: Sequence[Optional[int]] | None = None) -> Sample:
+    """The hashed sample itself, ready for ``write_sample_dump``.
+
+    Kept because ``perfbench/workloads.py`` calls it; ``recruiter_codes``, when
+    given, must agree with the sample's own recruiter column.
+    """
+    if recruiter_codes is not None and list(recruiter_codes) != hs.recruiter_codes:
+        raise ValueError("recruiter codes disagree with the sample's recruiters")
+    return hs
 
 
-def rows_to_hashed(rows: Sequence[DumpRow]) -> HashedSample:
-    return HashedSample(
-        codes=tuple(row.subject_code for row in rows),
-        degrees=tuple(row.reported_degree for row in rows),
-        alter_codes=tuple(row.alter_codes for row in rows),
-        components=tuple(row.component_id for row in rows),
-    )
+def rows_to_hashed(rows: Sample) -> Sample:
+    """The sample itself; kept because ``perfbench/workloads.py`` calls it."""
+    return rows

@@ -47,7 +47,7 @@ def test_n2_regular_graph_prefactor():
     cfg = RdsConfig(target_size=6, num_seeds=1, recruit_law=((2, 1.0),), seeds=(0,))
     sample = rds_capture(g, cfg, np.random.default_rng(1))
     res = estimate_n2(sample)
-    free = sum(sample.alters[v].cardinality() for v in sample.order)
+    free = sum(len(sample.alters(i)) for i in range(sample.size))
     matched = free  # whole ring sampled: every free alter is in-sample
     assert res.value == pytest.approx((2 - 1) / 2 * 6 * free / matched)
 
@@ -78,7 +78,7 @@ def _forced_two_seed_sample():
 def test_n3_cycle_two_seed_trace():
     # numerator (1/2*1*2) + (1/2*3*2) = 4, denominator 2 + 2 = 4
     sample = _forced_two_seed_sample()
-    assert len(sample.components()) == 2
+    assert len(sample.forest.seeds) == 2
     assert estimate_n3(sample).value == 1.0
 
 
@@ -101,7 +101,9 @@ def test_n3_symmetric_components():
     g = MultiGraph(8, edges)
     cfg = RdsConfig(target_size=8, num_seeds=2, recruit_law=((3, 1.0),), seeds=(1, 5))
     sample = rds_capture(g, cfg, np.random.default_rng(2))
-    comps = sample.components()
+    comps: dict[int, list[int]] = {}
+    for v, seed in sample.forest.seed_of.items():
+        comps.setdefault(seed, []).append(v)
     if set(map(tuple, map(sorted, comps.values()))) == {(0, 1, 2, 3), (4, 5, 6, 7)}:
         # both seed terms identical by symmetry
         res = estimate_n3(sample)
@@ -115,6 +117,15 @@ def test_estimate_result_exclusivity():
         EstimateResult(value=2.0, failure_cause=FailureCause.NO_ROOT)
     with pytest.raises(ValueError):
         EstimateResult()
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_estimate_result_success_rejects_non_finite_or_non_positive(value):
+    from netsize.estimators import EstimateResult
+
+    with pytest.raises(ValueError):
+        EstimateResult.success(value)
+    assert EstimateResult.success(2).value == 2.0
 
 
 def test_n2_median_tracks_population_small():
@@ -148,3 +159,13 @@ def test_clustering_depresses_n2_but_not_n3():
     med3 = sorted(v3)[len(v3) // 2]
     assert med2 < med3 <= 1.2 * n
     assert med2 < 0.9 * n
+
+
+def test_n3_zero_numerator_is_a_failure_not_a_zero_estimate():
+    # subject 0 reports subject 1, but both other components have mean degree 1
+    from netsize.hashing import estimate_n3_hashed
+    from netsize.sampling import Sample
+
+    sample = Sample(codes=(0, 1, 2), degrees=(5, 1, 1), alter_codes=([1], [], []), components=(0, 1, 2))
+    assert estimate_n3(sample).failure_cause is FailureCause.DEGENERATE_DEGREES
+    assert estimate_n3_hashed(sample, 10**9).failure_cause is FailureCause.NO_ROOT

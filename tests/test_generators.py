@@ -195,3 +195,11 @@ def test_average_clustering_brute_force_small():
         adj[v].add(u)
     # triangle 0-1-2 plus pendant 3: locals are 1, 1, 1/3, 0
     assert average_clustering(adj) == pytest.approx((1 + 1 + 1 / 3 + 0) / 4)
+
+
+def test_rewire_state_annotations_resolve():
+    from typing import get_type_hints
+
+    from netsize.generators import _RewireState
+
+    assert set(get_type_hints(_RewireState.__init__)) == {"n", "edges"}

@@ -96,16 +96,23 @@ def test_hashed_view_injective_equals_plaintext():
     sample = _cycle_sample()
     assignment = assign_hashes(4, HashSpace(10**6, HashMode.INJECTIVE), np.random.default_rng(0))
     hs = hashed_view(sample, assignment)
-    assert hs.match_bag.cardinality() == 2  # plaintext hand trace
-    assert hs.free_end_count == 2
-    assert hs.subject_bag.cardinality() == 4
+    assert hs.counts.matches == 2  # plaintext hand trace
+    assert hs.counts.free == 2
+    assert hs.counts.comp_size.sum() == 4
 
 
 def test_hashed_view_single_code_all_match():
     g = sample_graph(Family.CONFIG_POISSON, 5.0, 100, np.random.default_rng(1))
     sample = rds_capture(g, RdsConfig(target_size=30), np.random.default_rng(2))
     hs = hashed_view(sample, assign_hashes(100, HashSpace(1), np.random.default_rng(0)))
-    assert hs.match_bag.cardinality() == hs.free_end_count
+    assert hs.counts.matches == hs.counts.free
+
+
+def test_hashed_to_rows_rejects_other_recruiters():
+    hs = hashed_view(_cycle_sample(), np.arange(4))
+    assert hashed_to_rows(hs, hs.recruiter_codes) is hs
+    with pytest.raises(ValueError):
+        hashed_to_rows(hs, [None] * hs.size)
 
 
 def test_hashed_view_missing_assignment():
@@ -203,8 +210,8 @@ def test_x_hat_injective_matches_plaintext_cross_counts():
     sample = rds_capture(CYCLE4, cfg, np.random.default_rng(5))
     assignment = assign_hashes(4, HashSpace(10**9, HashMode.INJECTIVE), np.random.default_rng(0))
     hs = hashed_view(sample, assignment)
-    for label in hs.component_labels:
-        assert hs.cross_match_bag(label).cardinality() == 2  # plaintext hand trace
+    for label, cross in zip(hs.counts.labels, hs.counts.cross):
+        assert cross == 2  # plaintext hand trace
         assert x_hat(hs, label, 4.0, 10**9) == pytest.approx(2.0, rel=1e-6)
 
 
@@ -233,10 +240,9 @@ def test_hashed_dump_round_trip(tmp_path):
     path = tmp_path / "hashed.csv"
     write_sample_dump(hashed_to_rows(hs), path)
     back = rows_to_hashed(read_sample_dump(path))
-    assert back.codes == hs.codes
-    assert back.degrees == hs.degrees
-    assert back.components == hs.components
-    assert all(a == b for a, b in zip(back.alter_codes, hs.alter_codes))
+    for column in ("codes", "degrees", "components", "alter_codes", "alter_offsets"):
+        assert np.array_equal(getattr(back, column), getattr(hs, column)), column
+    assert back.recruiter_codes == hs.recruiter_codes
     # estimates agree on the round-tripped view
     a = estimate_n2_hashed(hs, 4096)
     b = estimate_n2_hashed(back, 4096)

@@ -6,6 +6,7 @@ from netsize.graph import MultiGraph, harmonic_mean
 from netsize.multiset import Multiset
 from netsize.sampling import (
     RdsConfig,
+    Sample,
     as_sample_view,
     rds_capture,
     read_sample_dump,
@@ -42,8 +43,8 @@ def test_rds_forced_single_seed_trace():
     sample = rds_capture(CYCLE4, cfg, np.random.default_rng(3))
     assert sample.order in ((0, 1, 3, 2), (0, 3, 1, 2))
     assert len(sample.forest.edges) == 3
-    assert sample.seeds == (0,)
-    assert all(sample.seed_of[v] == 0 for v in sample.order)
+    assert sample.forest.seeds == (0,)
+    assert all(sample.forest.seed_of[v] == 0 for v in sample.order)
 
 
 def test_rds_isolated_graph_pure_reseeding():
@@ -52,8 +53,8 @@ def test_rds_isolated_graph_pure_reseeding():
     sample = rds_capture(g, cfg, np.random.default_rng(0))
     assert sample.size == 3
     assert len(sample.forest.edges) == 0
-    assert len(sample.seeds) == 3  # third vertex entered via reseed
-    assert all(sample.seed_of[v] == v for v in sample.order)
+    assert len(sample.forest.seeds) == 3  # third vertex entered via reseed
+    assert all(sample.forest.seed_of[v] == v for v in sample.order)
 
 
 def test_rds_forest_identity_and_no_repeats():
@@ -62,12 +63,12 @@ def test_rds_forest_identity_and_no_repeats():
     for seed in range(5):
         sample = rds_capture(g, cfg, np.random.default_rng(seed))
         assert len(set(sample.order)) == len(sample.order)
-        assert len(sample.forest.edges) == sample.size - len(sample.seeds)
+        assert len(sample.forest.edges) == sample.size - len(sample.forest.seeds)
         # components partition the sample; recruiters stay in their component
-        comps = sample.components()
-        assert sum(len(c) for c in comps.values()) == sample.size
+        assert sample.counts.comp_size.sum() == sample.size
+        assert len(sample.counts.labels) == len(sample.forest.seeds)
         for recruiter, recruit in sample.forest.edges:
-            assert sample.seed_of[recruiter] == sample.seed_of[recruit]
+            assert sample.forest.seed_of[recruiter] == sample.forest.seed_of[recruit]
 
 
 def test_rds_alter_bags_exclude_referral_ties():
@@ -77,8 +78,8 @@ def test_rds_alter_bags_exclude_referral_ties():
     for a, b in sample.forest.edges:
         tree_degree[a] += 1
         tree_degree[b] += 1
-    for v in sample.order:
-        assert sample.alters[v].cardinality() == sample.degrees[v] - tree_degree[v]
+    for i, v in enumerate(sample.order):
+        assert len(sample.alters(i)) == sample.degrees[i] - tree_degree[v]
 
 
 def test_rds_overshoot_bounded():
@@ -118,7 +119,7 @@ def test_harmonic_degree_assumption_on_configuration_graph():
     ratios = []
     for seed in range(100):
         sample = rds_capture(g, cfg, np.random.default_rng(seed))
-        harm = harmonic_mean(sample.degrees[v] for v in sample.order)
+        harm = harmonic_mean(sample.degrees.tolist())
         ratios.append(harm / pop_mean)
     med = sorted(ratios)[len(ratios) // 2]
     assert abs(med - 1.0) < 0.10
@@ -130,7 +131,7 @@ def test_sample_view_wraps_uniform_sample():
     view = as_sample_view(g, subjects)
     assert view.order == subjects
     assert len(view.forest.edges) == 0
-    assert all(view.alters[v].cardinality() == g.degree(v) for v in subjects)
+    assert all(len(view.alters(i)) == g.degree(v) for i, v in enumerate(subjects))
 
 
 def test_dump_round_trip(tmp_path):
@@ -140,8 +141,42 @@ def test_dump_round_trip(tmp_path):
     write_sample_dump(sample_to_rows(sample), path, header_comment="round trip")
     back = rows_to_sample(read_sample_dump(path))
     assert back.order == sample.order
-    assert back.degrees == sample.degrees
-    assert back.seed_of == sample.seed_of
-    assert all(back.alters[v] == sample.alters[v] for v in sample.order)
-    assert back.forest is not None
+    for column in ("degrees", "components", "recruiters", "alter_codes", "alter_offsets"):
+        assert np.array_equal(getattr(back, column), getattr(sample, column)), column
+    assert back.forest.seed_of == sample.forest.seed_of
     assert sorted(back.forest.edges) == sorted(sample.forest.edges)
+
+
+def test_rows_to_sample_rejects_duplicate_codes():
+    hashed = Sample(codes=(4, 4), degrees=(1, 1), alter_codes=((4,), (4,)), components=(0, 1))
+    with pytest.raises(ValueError, match="duplicate"):
+        rows_to_sample(hashed)
+
+
+DUMP_HEADER = "# a comment\nsubject_code,recruiter_code,component_id,reported_degree,alter_codes\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    ("5,SEED,0,2,7;8\n6,SEED,0,x,5\n", "non-integer"),
+    ("5,SEED,0,2,7;8\n6,SEED,0,2,5;y\n", "non-integer"),
+    ("5,SEED,0,2,7;8\n6,SEED,0,-1,\n", "negative reported degree"),
+    ("5,SEED,0,2,7;8\n6,SEED,0,1,5;7\n", "exceed the reported degree"),
+    ("5,SEED,0,2,7;8\n6,9,0,2,5\n", "not an earlier subject"),
+    ("5,SEED,0,2,7;8\n6,5,1,2,5\n", "not an earlier subject"),
+    ("5,6,0,2,7;8\n6,SEED,0,2,5\n", "not an earlier subject"),
+])
+def test_dump_reader_rejects_malformed_rows(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(DUMP_HEADER + body)
+    bad_line = 4 if body.startswith("5,SEED") else 3
+    with pytest.raises(ValueError, match=f"{path}:{bad_line}: .*{message}"):
+        read_sample_dump(path)
+
+
+def test_dump_reader_links_recruiters_by_code(tmp_path):
+    path = tmp_path / "ok.csv"
+    path.write_text(DUMP_HEADER + "5,SEED,3,2,7\n6,5,3,2,5\n7,SEED,1,1,\n8,6,3,3,5;6\n")
+    sample = read_sample_dump(path)
+    assert sample.recruiters.tolist() == [-1, 0, -1, 1]
+    assert sample.recruiter_codes == [None, 5, None, 6]
+    assert sample.counts.labels.tolist() == [3, 1]
