@@ -50,12 +50,6 @@ def _header(command: str, args: argparse.Namespace, extras: dict) -> str:
     return f"netsize {__version__} | {command} | {params}"
 
 
-def _load_graph(path: str, directed: bool = False):
-    spec = EdgeListSpec(path=path, directed=directed)
-    g, _, _ = load_edge_list(spec)
-    return g
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     family = FAMILY_TOKENS[args.family]
     rng = np.random.default_rng(args.rng_seed)
@@ -73,7 +67,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    g = _load_graph(args.edges)
+    g, _, _ = load_edge_list(EdgeListSpec(args.edges))
     rng = np.random.default_rng(args.rng_seed)
     if args.mode == "uniform":
         sample = as_sample_view(g, uniform_sample(g, args.size, rng))
@@ -225,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--edges", required=True)
-        p.add_argument("--directed", action="store_true", help="symmetrize directed input")
+        p.add_argument("--directed", action="store_true",
+                       help="read lines as arcs; keep one edge per pair joined either way")
         p.add_argument("--dedupe", action="store_true", help="collapse duplicate edges")
         p.add_argument("--drop-loops", action="store_true", help="remove self-loops")
         p.add_argument("--filter", type=str, default=None, help="file of node ids to keep")

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .graph import MultiGraph
+from .graph import MultiGraph, mean_local_clustering, triangle_counts
 
 
 class DegreeKind(Enum):
@@ -232,147 +232,123 @@ def sample_graph(family: Family, lam: float, n: int, rng: np.random.Generator) -
     raise ValueError(f"unknown family {family}")
 
 
-def average_clustering(adj_sets: Sequence[set[int]]) -> float:
+def average_clustering(neighbor_sets: Sequence[set[int]]) -> float:
     """Mean local clustering over all vertices (degree < 2 contributes 0)."""
-    n = len(adj_sets)
-    if n == 0:
-        return 0.0
-    total = 0.0
-    for v in range(n):
-        nbrs = adj_sets[v]
-        d = len(nbrs)
-        if d < 2:
-            continue
-        links = 0
-        for w in nbrs:
-            links += sum(1 for x in adj_sets[w] if x > w and x in nbrs)
-        total += links / (d * (d - 1) / 2.0)
-    return total / n
+    edges = [(u, w) for u, nbrs in enumerate(neighbor_sets) for w in nbrs if u < w]
+    degrees = np.array([len(nbrs) for nbrs in neighbor_sets], dtype=np.int64)
+    return mean_local_clustering(degrees, triangle_counts(len(neighbor_sets), edges))
 
 
-def _common_count(adj_set: Sequence[set[int]], u: int, v: int) -> int:
-    a, b = (u, v) if len(adj_set[u]) <= len(adj_set[v]) else (v, u)
-    return sum(1 for x in adj_set[a] if x in adj_set[b])
+_MAX_SWAPS = 500_000    # accepted swaps before rewiring gives up
+_CHECK_EVERY = 1000     # accepted swaps between two clustering checks
 
 
 class _RewireState:
-    """Simple-graph adjacency with per-vertex triangle counts kept current."""
+    """Simple-graph adjacency with per-vertex triangle counts kept current.
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        self.adj_set: list[set[int]] = [set() for _ in range(n)]
-        self.adj_list: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if u != v and v not in self.adj_set[u]:
-                self._insert(u, v)
-        self.tri = [0] * n
-        for v in range(n):
-            nbrs = self.adj_set[v]
-            self.tri[v] = sum(
-                sum(1 for x in self.adj_set[w] if x in nbrs) for w in nbrs
-            ) // 2
+    Row v is ``slots[start[v]:start[v] + fill[v]]``, a fixed-width run of one
+    flat list.  Its width is v's simple degree, which no swap changes: each
+    endpoint loses one neighbor and gains one.  Removal moves the row's last
+    neighbor into the freed slot and insertion appends, so between swaps
+    every row is full.
+    """
 
-    def _insert(self, u: int, v: int) -> None:
-        self.adj_set[u].add(v)
-        self.adj_set[v].add(u)
-        self.adj_list[u].append(v)
-        self.adj_list[v].append(u)
+    def __init__(self, n: int, edges: np.ndarray):
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        keys = np.minimum(edges[:, 0], edges[:, 1]) * n + np.maximum(edges[:, 0], edges[:, 1])
+        simple = edges[np.sort(np.unique(keys, return_index=True)[1])]  # first copies, in order
+        ends = simple.ravel()
+        self.degrees = np.bincount(ends, minlength=n)
+        self.start = (np.cumsum(self.degrees) - self.degrees).tolist()
+        self.fill = self.degrees.tolist()
+        # each row lists its neighbors in the order of the edges that brought them
+        self.slots = simple[:, ::-1].ravel()[np.argsort(ends, kind="stable")].tolist()
+        self.tri = triangle_counts(n, simple).tolist()
 
-    def _unlink(self, u: int, v: int) -> None:
-        self.adj_set[u].discard(v)
-        self.adj_set[v].discard(u)
-        for a, b in ((u, v), (v, u)):
-            lst = self.adj_list[a]
-            idx = lst.index(b)
-            lst[idx] = lst[-1]
-            lst.pop()
+    def row(self, v: int) -> list[int]:
+        first = self.start[v]
+        return self.slots[first:first + self.fill[v]]
 
-    def remove_edge(self, u: int, v: int) -> None:
-        a, b = (u, v) if len(self.adj_set[u]) <= len(self.adj_set[v]) else (v, u)
-        for x in self.adj_set[a]:
-            if x in self.adj_set[b]:
-                self.tri[x] -= 1
-                self.tri[u] -= 1
-                self.tri[v] -= 1
-        self._unlink(u, v)
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self.row(u)
 
-    def add_edge(self, u: int, v: int) -> None:
-        a, b = (u, v) if len(self.adj_set[u]) <= len(self.adj_set[v]) else (v, u)
-        for x in self.adj_set[a]:
-            if x in self.adj_set[b]:
-                self.tri[x] += 1
-                self.tri[u] += 1
-                self.tri[v] += 1
-        self._insert(u, v)
+    def common(self, u: int, v: int) -> set[int]:
+        return set(self.row(u)).intersection(self.row(v))
+
+    def swap(self, v: int, a: int, w: int, b: int) -> None:
+        """Replace the edges (v, a) and (w, b) by (v, w) and (a, b)."""
+        slots, start, fill, tri = self.slots, self.start, self.fill, self.tri
+        for x, y, step in ((v, a, -1), (w, b, -1), (v, w, 1), (a, b, 1)):
+            common = self.common(x, y)
+            for z in common:
+                tri[z] += step
+            tri[x] += step * len(common)
+            tri[y] += step * len(common)
+            for p, q in ((x, y), (y, x)):
+                end = start[p] + fill[p]
+                if step < 0:
+                    # the row's last neighbor fills the freed slot
+                    slots[slots.index(q, start[p], end)] = slots[end - 1]
+                else:
+                    slots[end] = q
+                fill[p] += step
 
     def mean_clustering(self) -> float:
-        total = 0.0
-        for v, t in enumerate(self.tri):
-            d = len(self.adj_set[v])
-            if d >= 2:
-                total += t / (d * (d - 1) / 2.0)
-        return total / len(self.tri) if self.tri else 0.0
+        return mean_local_clustering(self.degrees, self.tri)
+
+    def edge_array(self) -> np.ndarray:
+        """Every edge once as (u, v) with u < v, in sorted order."""
+        pairs = np.stack([np.repeat(np.arange(len(self.degrees)), self.degrees), self.slots], axis=1)
+        pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+        return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
-def rewire_to_clustering(
-    g: MultiGraph,
-    target: float,
-    rng: np.random.Generator,
-    max_swaps: int = 500_000,
-    check_every: int = 1000,
-) -> MultiGraph:
+def rewire_to_clustering(g: MultiGraph, target: float, rng: np.random.Generator) -> MultiGraph:
     """Degree-preserving triangle-closing rewiring until mean clustering >= target.
 
     Loops and parallel edges are dropped first (small degree perturbation on
     the random multigraphs this is meant for).  Each accepted move swaps the
     pair of edges (v, a), (w, b) for (v, w), (a, b) where v, w share the
     neighbor u, closing the triangle u-v-w while keeping every degree fixed
-    and the graph simple.
+    and the graph simple.  The result lists its edges as sorted (u, v), u < v.
     """
     n = g.n
-    state = _RewireState(n, ((int(u), int(v)) for u, v in g.edge_array))
-    adj_set, adj_list = state.adj_set, state.adj_list
+    state = _RewireState(n, g.edge_array)
 
-    eligible = [v for v in range(n) if len(adj_set[v]) >= 2]
+    eligible = np.flatnonzero(state.degrees >= 2).tolist()
     if not eligible:
         raise ValueError("graph has no vertex with two distinct neighbors")
 
-    swaps = 0
-    attempts = 0
-    next_check = 0
-    max_attempts = max_swaps * 20
+    swaps = attempts = next_check = 0
+    max_attempts = _MAX_SWAPS * 20
     while attempts < max_attempts:
         if swaps >= next_check:
             if state.mean_clustering() >= target:
                 break
-            next_check = swaps + check_every
-        if swaps >= max_swaps:
+            next_check = swaps + _CHECK_EVERY
+        if swaps >= _MAX_SWAPS:
             break
         attempts += 1
         u = eligible[int(rng.integers(len(eligible)))]
-        nbrs = adj_list[u]
+        nbrs = state.row(u)
         i = int(rng.integers(len(nbrs)))
         j = int(rng.integers(len(nbrs) - 1))
         if j >= i:
             j += 1
         v, w = nbrs[i], nbrs[j]
-        if w in adj_set[v]:
+        if state.has_edge(v, w):
             continue
-        a_opts = adj_list[v]
-        b_opts = adj_list[w]
-        a = a_opts[int(rng.integers(len(a_opts)))]
-        b = b_opts[int(rng.integers(len(b_opts)))]
-        if a in (u, w) or b in (u, v) or a == b or b in adj_set[a]:
+        a = state.row(v)[int(rng.integers(state.fill[v]))]
+        b = state.row(w)[int(rng.integers(state.fill[w]))]
+        if a in (u, w) or b in (u, v) or a == b or state.has_edge(a, b):
             continue
         # only accept moves that create more triangles than they destroy
-        gain = _common_count(adj_set, v, w) + _common_count(adj_set, a, b)
-        loss = _common_count(adj_set, v, a) + _common_count(adj_set, w, b)
+        gain = len(state.common(v, w)) + len(state.common(a, b))
+        loss = len(state.common(v, a)) + len(state.common(w, b))
         if gain + 1 <= loss:
             continue
-        state.remove_edge(v, a)
-        state.remove_edge(w, b)
-        state.add_edge(v, w)
-        state.add_edge(a, b)
+        state.swap(v, a, w, b)
         swaps += 1
 
-    edges = [(u, v) for u in range(n) for v in adj_set[u] if u < v]
-    return MultiGraph(n, edges)
+    return MultiGraph(n, state.edge_array())

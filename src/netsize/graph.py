@@ -96,6 +96,58 @@ class MultiGraph:
         return bag
 
 
+_WEDGE_BLOCK = 1 << 20  # wedges checked per numpy batch, to bound memory
+
+
+def triangle_counts(n: int, edges: np.ndarray) -> np.ndarray:
+    """Triangles through each vertex of a simple graph on 0..n-1.
+
+    The forward algorithm of Schank & Wagner ("Finding, counting and listing
+    all triangles in large graphs", WEA 2005): orient each edge from its lower
+    (degree, id) end to its higher one, pair up the out-neighbors of every
+    vertex, and look each pair's closing edge up among the sorted edge keys.
+    Each triangle is found once, from its lowest end.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    u, v = edges[:, 0], edges[:, 1]
+    keys = np.minimum(u, v) * n + np.maximum(u, v)
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]  # later copies of a pair
+    first_fault = np.r_[np.flatnonzero(u == v), repeats, len(u)].min()
+    if first_fault < len(u):
+        if u[first_fault] == v[first_fault]:
+            raise ValueError("clustering statistics need a loop-free graph")
+        raise ValueError("clustering statistics need a graph without parallel edges")
+
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(np.bincount(edges.ravel(), minlength=n), kind="stable")] = np.arange(n)
+    keys = np.sort(np.minimum(rank[u], rank[v]) * n + np.maximum(rank[u], rank[v]))
+    low, high = np.divmod(keys, n)
+    # a rank's out-neighbors form one ascending run of `keys`; each position
+    # opens one wedge with every later position of its run
+    later = np.searchsorted(low, low, side="right") - np.arange(len(keys)) - 1
+    before = np.cumsum(later) - later
+    bounds = np.r_[np.searchsorted(before, np.arange(0, later.sum(), _WEDGE_BLOCK)), len(keys)]
+    by_rank = np.zeros(n, dtype=np.int64)
+    for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        count = later[start:stop]
+        first = np.repeat(np.arange(start, stop), count)
+        second = first + 1 + np.arange(len(first)) - np.repeat(before[start:stop] - before[start], count)
+        closing = high[first] * n + high[second]
+        hit = keys[np.minimum(np.searchsorted(keys, closing), len(keys) - 1)] == closing
+        by_rank += np.bincount(np.r_[low[first[hit]], high[first[hit]], high[second[hit]]], minlength=n)
+    return by_rank[rank]
+
+
+def mean_local_clustering(degrees: np.ndarray, triangles: np.ndarray) -> float:
+    """Mean over all vertices of triangles / (d choose 2); degree < 2 contributes 0."""
+    degrees = np.asarray(degrees, dtype=np.int64)
+    wide = degrees >= 2
+    local = np.asarray(triangles)[wide] / (degrees[wide] * (degrees[wide] - 1) / 2.0)
+    # cumsum adds in vertex order, one float at a time; np.sum would add pairwise
+    return float(np.cumsum(local)[-1]) / len(degrees) if len(local) else 0.0
+
+
 def mean_degree(g: MultiGraph, vertices: Iterable[int]) -> float:
     """Arithmetic mean degree over a non-empty vertex collection."""
     total = 0

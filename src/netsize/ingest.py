@@ -14,13 +14,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .graph import MultiGraph
+import numpy as np
+
+from .graph import MultiGraph, mean_local_clustering, triangle_counts
 
 
 @dataclass(frozen=True)
 class EdgeListSpec:
     path: str | Path
-    directed: bool = False          # treat lines as arcs and symmetrize
+    directed: bool = False          # lines are arcs; one edge per pair joined either way
     node_filter: Optional[str | Path] = None
     dedupe: bool = False
     drop_loops: bool = False
@@ -59,14 +61,20 @@ def _read_filter(path: str | Path) -> set[int]:
     return keep
 
 
+_LOWEST_ID, _HIGHEST_ID = -(1 << 63), (1 << 63) - 1  # the int64 range
+
+
 def load_edge_list(spec: EdgeListSpec) -> tuple[MultiGraph, dict[int, int], IngestReport]:
     """Load, clean, and relabel an edge list.
 
     Returns the graph, the original-id -> new-id map, and a report of what
-    was read and dropped.
+    was read and dropped.  Endpoints must fit in a signed 64-bit integer.
+    With ``directed``, lines are arcs and the graph keeps one edge for each
+    pair joined in either direction, so duplicates are collapsed as well.
     """
     keep = _read_filter(spec.node_filter) if spec.node_filter is not None else None
-    raw_edges: list[tuple[int, int]] = []
+    us: list[int] = []
+    vs: list[int] = []
     lines_read = 0
     loops_dropped = 0
     filtered_out = 0
@@ -82,37 +90,33 @@ def load_edge_list(spec: EdgeListSpec) -> tuple[MultiGraph, dict[int, int], Inge
                 u, v = int(tokens[0]), int(tokens[1])
             except ValueError as exc:
                 raise ValueError(f"{spec.path}:{lineno}: non-integer endpoint in {stripped!r}") from exc
+            if not (_LOWEST_ID <= u <= _HIGHEST_ID and _LOWEST_ID <= v <= _HIGHEST_ID):
+                raise ValueError(f"{spec.path}:{lineno}: endpoint out of the 64-bit range in {stripped!r}")
             lines_read += 1
             if keep is not None and (u not in keep or v not in keep):
                 filtered_out += 1
                 continue
-            if u == v:
-                if spec.drop_loops:
-                    loops_dropped += 1
-                    continue
-                raw_edges.append((u, v))
-            else:
-                # orientation is meaningless once undirected
-                raw_edges.append((u, v) if u < v else (v, u))
-
-    duplicates = 0
-    if spec.dedupe:
-        unique = sorted(set(raw_edges))
-        duplicates = len(raw_edges) - len(unique)
-        raw_edges = unique
-    if not raw_edges:
+            if u == v and spec.drop_loops:
+                loops_dropped += 1
+                continue
+            us.append(u)
+            vs.append(v)
+    if not us:
         raise ValueError(f"{spec.path}: no edges survived ingestion")
 
-    ids = sorted({u for e in raw_edges for u in e})
-    id_map = {orig: new for new, orig in enumerate(ids)}
-    edges = [(id_map[u], id_map[v]) for u, v in raw_edges]
-    g = MultiGraph(len(ids), edges)
+    a, b = np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+    del us, vs
+    pairs = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)  # orientation is meaningless
+    unique = np.unique(pairs, axis=0) if spec.dedupe or spec.directed else pairs
+    ids, relabeled = np.unique(unique.ravel(), return_inverse=True)
+    id_map = dict(zip(ids.tolist(), range(len(ids))))
+    g = MultiGraph(len(ids), relabeled.reshape(-1, 2))
     report = IngestReport(
         lines_read=lines_read,
         nodes=g.n,
         edges=g.num_edges,
         loops_dropped=loops_dropped,
-        duplicates_collapsed=duplicates,
+        duplicates_collapsed=len(pairs) - len(unique),
         filtered_out=filtered_out,
     )
     return g, id_map, report
@@ -127,45 +131,15 @@ def write_edge_list(g: MultiGraph, path: str | Path, comments: list[str] | None 
             fh.write(f"{u} {v}\n")
 
 
-def _require_simple(g: MultiGraph) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    for u, v in g.edge_array:
-        u, v = int(u), int(v)
-        if u == v:
-            raise ValueError("clustering statistics need a loop-free graph")
-        if v in adj[u]:
-            raise ValueError("clustering statistics need a graph without parallel edges")
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
-
-
 def clustering_stats(g: MultiGraph) -> tuple[float, float]:
     """(average local clustering coefficient, transitivity) of a simple graph.
 
     Vertices of degree < 2 contribute 0 to the average.  Transitivity is
     3 * triangles / connected triples.
     """
-    adj = _require_simple(g)
-    twice_triangles = [0] * g.n
-    for u, v in g.edge_array:
-        u, v = int(u), int(v)
-        a, b = (adj[u], adj[v]) if len(adj[u]) <= len(adj[v]) else (adj[v], adj[u])
-        common = sum(1 for w in a if w in b)
-        twice_triangles[u] += common
-        twice_triangles[v] += common
-
-    local_sum = 0.0
-    triples = 0
-    triangle_ends = 0
-    for v in range(g.n):
-        d = len(adj[v])
-        if d >= 2:
-            local_sum += twice_triangles[v] / (d * (d - 1))
-            triples += d * (d - 1) // 2
-        triangle_ends += twice_triangles[v]
-    avg_clustering = local_sum / g.n if g.n else 0.0
-    # each triangle contributes 2 to three vertices' counters
-    triangles = triangle_ends // 6
-    transitivity = 3.0 * triangles / triples if triples else 0.0
-    return avg_clustering, transitivity
+    triangles = triangle_counts(g.n, g.edge_array)
+    degrees = g.degrees()
+    triples = int((degrees * (degrees - 1) // 2).sum())
+    # every triangle is counted at each of its three corners
+    transitivity = float(triangles.sum()) / triples if triples else 0.0
+    return mean_local_clustering(degrees, triangles), transitivity

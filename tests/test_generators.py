@@ -1,8 +1,12 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from netsize import generators
 from netsize.generators import (
     DegreeDistribution,
     DegreeKind,
@@ -17,6 +21,7 @@ from netsize.generators import (
     sample_degrees,
     sample_graph,
 )
+from netsize.graph import MultiGraph, triangle_counts
 
 
 def test_poisson_lam1_degenerate():
@@ -203,3 +208,66 @@ def test_rewire_state_annotations_resolve():
     from netsize.generators import _RewireState
 
     assert set(get_type_hints(_RewireState.__init__)) == {"n", "edges"}
+
+
+@st.composite
+def multigraphs(draw):
+    """A small multigraph with loops and parallel edges."""
+    n = draw(st.integers(2, 12))
+    vertex = st.integers(0, n - 1)
+    return MultiGraph(n, draw(st.lists(st.tuples(vertex, vertex), max_size=40)))
+
+
+def _simple_view(g):
+    return {(min(u, v), max(u, v)) for u, v in g.edge_array.tolist() if u != v}
+
+
+def _degrees(n, pairs):
+    degrees = [0] * n
+    for u, v in pairs:
+        degrees[u] += 1
+        degrees[v] += 1
+    return degrees
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=multigraphs(), seed=st.integers(0, 2**32 - 1))
+def test_rewire_keeps_degrees_and_triangle_counts(g, seed):
+    if not any(d >= 2 for d in _degrees(g.n, _simple_view(g))):
+        return
+    states = []
+
+    class Recorded(generators._RewireState):
+        def __init__(self, n, edges):
+            super().__init__(n, edges)
+            states.append(self)
+
+    with mock.patch.object(generators, "_RewireState", Recorded), \
+            mock.patch.object(generators, "_MAX_SWAPS", 50):
+        rewired = rewire_to_clustering(g, 1.0, np.random.default_rng(seed))
+    edges = [tuple(e) for e in rewired.edge_array.tolist()]
+    assert edges == sorted(set(edges)) and all(u < v for u, v in edges)
+    assert rewired.degrees().tolist() == _degrees(g.n, _simple_view(g))
+    assert states[0].tri == triangle_counts(g.n, rewired.edge_array).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=multigraphs(), seed=st.integers(0, 2**32 - 1))
+def test_rewire_state_keeps_triangles_current(g, seed):
+    state = generators._RewireState(g.n, g.edge_array)
+    pairs = _simple_view(g)
+    degrees = _degrees(g.n, pairs)
+    rng = np.random.default_rng(seed)
+    for _ in range(20 if pairs else 0):
+        edges = sorted(pairs)
+        (v, a), (w, b) = (edges[i] for i in rng.integers(len(edges), size=2))
+        if rng.random() < 0.5:
+            v, a = a, v
+        if len({v, a, w, b}) < 4 or {(min(v, w), max(v, w)), (min(a, b), max(a, b))} & pairs:
+            continue
+        state.swap(v, a, w, b)
+        pairs -= {(min(v, a), max(v, a)), (min(w, b), max(w, b))}
+        pairs |= {(min(v, w), max(v, w)), (min(a, b), max(a, b))}
+    assert {(u, x) for u in range(g.n) for x in state.row(u) if u < x} == pairs
+    assert [len(state.row(u)) for u in range(g.n)] == degrees
+    assert state.tri == triangle_counts(g.n, sorted(pairs)).tolist()

@@ -1,11 +1,20 @@
 import itertools
+import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from netsize.generators import Family, sample_graph
-from netsize.graph import MultiGraph
+from netsize import graph
+from netsize.generators import Family, average_clustering, sample_graph
+from netsize.graph import MultiGraph, triangle_counts
 from netsize.ingest import EdgeListSpec, clustering_stats, load_edge_list, write_edge_list
+
+SETTINGS = settings(max_examples=150, deadline=None)
 
 
 def _write(tmp_path, text, name="edges.txt"):
@@ -20,6 +29,54 @@ def test_symmetrize_dedupe_collapses_reciprocal(tmp_path):
     assert g.n == 2 and g.num_edges == 1
     assert report.duplicates_collapsed == 1
     assert id_map == {0: 0, 1: 1}
+
+
+def test_directed_collapses_reciprocal_arcs(tmp_path):
+    path = _write(tmp_path, "0 1\n1 0\n")
+    g, _, report = load_edge_list(EdgeListSpec(path, directed=True))
+    assert g.num_edges == 1
+    assert report.duplicates_collapsed == 1
+
+
+def test_undirected_keeps_reciprocal_lines_as_parallel_edges(tmp_path):
+    path = _write(tmp_path, "0 1\n1 0\n")
+    g, _, report = load_edge_list(EdgeListSpec(path))
+    assert g.edge_array.tolist() == [[0, 1], [0, 1]]
+    assert report.duplicates_collapsed == 0
+
+
+def test_endpoint_beyond_int64_reports_line(tmp_path):
+    path = _write(tmp_path, f"0 1\n1 {2**63}\n")
+    with pytest.raises(ValueError, match=r":2: endpoint out of the 64-bit range"):
+        load_edge_list(EdgeListSpec(path))
+    g, id_map, _ = load_edge_list(EdgeListSpec(_write(tmp_path, f"{-2**63} {2**63 - 1}\n", "e2.txt")))
+    assert g.edge_array.tolist() == [[0, 1]]
+    assert id_map == {-2**63: 0, 2**63 - 1: 1}
+
+
+_TOKENS = st.one_of(
+    st.integers(-2**70, 2**70).map(str),
+    st.integers(0, 5).map(str),
+    st.sampled_from(["#", "x", "1.5", "0x1", "1_0", "+3", "-0", "nan"]),
+    st.text(alphabet=" \t\r#0123456789-+_ax", max_size=5),
+)
+_LINES = st.lists(st.lists(_TOKENS, max_size=3).map(" ".join), max_size=12)
+
+
+@SETTINGS
+@given(lines=_LINES, directed=st.booleans(), dedupe=st.booleans(), drop_loops=st.booleans())
+def test_parser_fuzz_gives_graph_or_located_error(lines, directed, dedupe, drop_loops):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.txt"
+        path.write_text("\n".join(lines))
+        spec = EdgeListSpec(path, directed=directed, dedupe=dedupe, drop_loops=drop_loops)
+        try:
+            g, id_map, report = load_edge_list(spec)
+        except ValueError as exc:
+            assert re.match(re.escape(str(path)) + r"(:\d+: |: no edges survived ingestion$)", str(exc)), str(exc)
+            return
+    assert g.n == len(id_map) == len(np.unique(g.edge_array))
+    assert report.edges == g.num_edges >= 1
 
 
 def test_drop_loops(tmp_path):
@@ -93,6 +150,13 @@ def test_clustering_stats_requires_simple_graph():
         clustering_stats(MultiGraph(2, [(0, 0)]))
 
 
+def test_simple_graph_check_names_the_first_fault():
+    with pytest.raises(ValueError, match="loop-free"):
+        clustering_stats(MultiGraph(3, [(0, 0), (0, 1), (1, 0)]))
+    with pytest.raises(ValueError, match="parallel"):
+        clustering_stats(MultiGraph(3, [(0, 1), (1, 0), (2, 2)]))
+
+
 def _brute_force_stats(g: MultiGraph):
     adj = [set() for _ in range(g.n)]
     for u, v in g.edge_array.tolist():
@@ -115,6 +179,42 @@ def _brute_force_stats(g: MultiGraph):
     avg = sum(local) / g.n
     trans = 3 * triangles / triples if triples else 0.0
     return avg, trans
+
+
+@st.composite
+def simple_graphs(draw):
+    n = draw(st.integers(0, 14))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    return MultiGraph(n, [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen])
+
+
+def _complete(n):
+    return MultiGraph(n, list(itertools.combinations(range(n), 2)))
+
+
+@SETTINGS
+@given(g=simple_graphs())
+@example(g=MultiGraph(0, []))
+@example(g=MultiGraph(5, []))
+@example(g=_complete(7))
+@example(g=MultiGraph(6, [(0, v) for v in range(1, 6)]))
+def test_triangle_counter_and_clustering_match_brute_force(g):
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edge_array.tolist():
+        adj[u].add(v)
+        adj[v].add(u)
+    want = [0] * g.n
+    for a, b, c in itertools.combinations(range(g.n), 3):
+        if b in adj[a] and c in adj[a] and c in adj[b]:
+            for x in (a, b, c):
+                want[x] += 1
+    assert triangle_counts(g.n, g.edge_array).tolist() == want
+    with mock.patch.object(graph, "_WEDGE_BLOCK", 2):  # many small wedge batches
+        assert triangle_counts(g.n, g.edge_array).tolist() == want
+    avg, trans = _brute_force_stats(g) if g.n else (0.0, 0.0)
+    assert clustering_stats(g) == pytest.approx((avg, trans), abs=1e-15)
+    assert average_clustering(adj) == pytest.approx(avg, abs=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(4))
