@@ -29,7 +29,7 @@ from .hashing import (
     estimate_n3_hashed,
     hashed_view,
 )
-from .ingest import EdgeListSpec, clustering_stats, load_edge_list, write_edge_list
+from .ingest import EdgeListSpec, clustering_stats, load_edge_list, write_edge_list, write_edges
 from .sampling import (
     RdsConfig,
     as_sample_view,
@@ -61,8 +61,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         print(f"wrote {g.n} nodes / {g.num_edges} edges to {args.out}")
     else:
         sys.stdout.write(f"# {header}\n")
-        for u, v in g.edge_array:
-            sys.stdout.write(f"{u} {v}\n")
+        write_edges(g, sys.stdout)
     return 0
 
 

@@ -9,7 +9,9 @@ edges and self-loops; that is intentional and the estimators cope.
 
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -94,8 +96,7 @@ def configuration_graph(degrees: Sequence[int], rng: np.random.Generator) -> Mul
         degrees[rng.integers(len(degrees))] += 1
     stubs = np.repeat(np.arange(len(degrees), dtype=np.int64), degrees)
     rng.shuffle(stubs)
-    pairs = stubs.reshape(-1, 2)
-    return MultiGraph(len(degrees), [(int(u), int(v)) for u, v in pairs])
+    return MultiGraph(len(degrees), stubs.reshape(-1, 2))
 
 
 def barabasi_albert(lam: float, n: int, rng: np.random.Generator) -> MultiGraph:
@@ -115,74 +116,106 @@ def barabasi_albert(lam: float, n: int, rng: np.random.Generator) -> MultiGraph:
     base = math.floor(lam / 2.0)
     p_low = 1.0 + base - lam / 2.0  # P(new node adds `base` edges)
 
-    edges: list[tuple[int, int]] = []
-    # endpoint pool: sampling one entry uniformly is sampling ~ degree;
-    # mixing it with a uniform vertex pick realizes weights 1 + degree.
-    endpoints: list[int] = []
+    # ends holds every edge as two consecutive entries (u, v).  It is also
+    # the endpoint pool: one entry drawn uniformly is a vertex drawn ~ degree,
+    # and mixing that with a uniform vertex pick realizes weights 1 + degree.
+    ends = array("q")
     for u in range(m0):
         for v in range(u + 1, m0):
-            edges.append((u, v))
-            endpoints.append(u)
-            endpoints.append(v)
+            ends.extend((u, v))
 
     for i in range(m0, n):
         delta = base if rng.random() < p_low else base + 1
         delta = min(delta, i)
         picked: list[int] = []
-        chosen: set[int] = set()
-        total_weight = i + 2 * len(edges)  # sum over prior nodes of (1 + degree)
+        total_weight = i + len(ends)  # sum over prior nodes of (1 + degree)
         while len(picked) < delta:
             if rng.random() * total_weight < i:
                 w = int(rng.integers(i))
             else:
-                w = endpoints[int(rng.integers(len(endpoints)))]
-            if w not in chosen:
-                chosen.add(w)
+                w = ends[int(rng.integers(len(ends)))]
+            if w not in picked:
                 picked.append(w)
         # the pool must only reflect the graph as it stood before node i,
         # so i's endpoints enter it after all of i's picks are made
         for w in picked:
-            edges.append((i, w))
-            endpoints.append(i)
-            endpoints.append(w)
-    return MultiGraph(n, edges)
+            ends.extend((i, w))
+    return MultiGraph(n, np.frombuffer(ends, dtype=np.int64).reshape(-1, 2))
+
+
+_MAX_ER_N = (1 << 31) - 1  # keeps 2 * n**2, the largest pair-index product, inside int64
+_GAP_BLOCK = 1 << 20       # most geometric gaps drawn at once
 
 
 def erdos_renyi(lam: float, n: int, rng: np.random.Generator) -> MultiGraph:
-    """G(n, p) with p = lam / (n - 1); no self-loops."""
+    """G(n, p) with p = lam / (n - 1); no self-loops; n at most 2**31 - 1.
+
+    Pairs (i, j), i < j, are enumerated in lexicographic order and the gaps
+    between chosen pair indices are geometric (Batagelj & Brandes, "Efficient
+    generation of large random networks", PRE 71, 036113, 2005).  The gaps
+    are drawn in blocks, and the generator is left exactly where one scalar
+    draw per gap, up to the first gap past the last pair, would leave it.
+    """
     if n < 2:
         raise ValueError("need at least two vertices")
+    if n > _MAX_ER_N:
+        raise ValueError(f"Erdos-Renyi graphs need n <= {_MAX_ER_N}, got {n}")
     if lam < 0 or lam > n - 1:
         raise ValueError(f"mean degree must lie in [0, n-1], got {lam}")
     p = lam / (n - 1)
     if p == 0.0:
-        return MultiGraph(n, [])
-    total_pairs = n * (n - 1) // 2
+        return MultiGraph(n, np.empty((0, 2), dtype=np.int64))
     if p == 1.0:
-        return MultiGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        return MultiGraph(n, np.stack(np.triu_indices(n, k=1), axis=1).astype(np.int64, copy=False))
 
-    # geometric skipping over the linearized upper triangle
-    edges: list[tuple[int, int]] = []
-    t = -1
+    total_pairs = n * (n - 1) // 2
+    expected = total_pairs * p
+    block = min(int(expected + 6.0 * math.sqrt(expected)) + 64, _GAP_BLOCK)
+    chosen = []
+    t = -1  # the last chosen pair index
     while True:
-        t += int(rng.geometric(p))
-        if t >= total_pairs:
+        state = rng.bit_generator.state
+        # any gap past the last pair ends the walk, so clipping it changes no
+        # index before the end and keeps the sums up to there inside int64
+        ts = np.minimum(rng.geometric(p, size=block), total_pairs + 1)
+        np.cumsum(ts, out=ts)
+        ts += t
+        ended = ts >= total_pairs
+        if ended.any():
+            past = int(ended.argmax())
+            # rewind and redraw the gaps that one draw per gap would have taken
+            rng.bit_generator.state = state
+            rng.geometric(p, size=past + 1)
+            chosen.append(ts[:past])
             break
-        edges.append(_pair_from_index(t, n))
-    return MultiGraph(n, edges)
+        chosen.append(ts)
+        t = int(ts[-1])
+    ts = chosen[0] if len(chosen) == 1 else np.concatenate(chosen)
+    return MultiGraph(n, _pairs_from_indices(ts, n))
 
 
-def _pair_from_index(t: int, n: int) -> tuple[int, int]:
-    """Invert the lexicographic enumeration of pairs (i, j), i < j."""
-    # pairs with first coordinate < i:  i*(2n - i - 1) / 2
-    disc = (2 * n - 1) * (2 * n - 1) - 8 * (t + 1)
-    i = (2 * n - 1 - math.isqrt(disc) - 1) // 2
-    while i * (2 * n - i - 1) // 2 > t:
-        i -= 1
-    while (i + 1) * (2 * n - i - 2) // 2 <= t:
-        i += 1
-    j = i + 1 + (t - i * (2 * n - i - 1) // 2)
-    return i, j
+def _pairs_from_indices(t: np.ndarray, n: int) -> np.ndarray:
+    """Invert the lexicographic enumeration of pairs (i, j), i < j, of 0..n-1.
+
+    Returns the (len(t), 2) int64 array of the pairs with indices ``t``.
+    """
+    if n > _MAX_ER_N:
+        raise ValueError(f"pair indices need n <= {_MAX_ER_N}, got {n}")
+    t = np.asarray(t, dtype=np.int64)
+    if len(t) and (t.min() < 0 or t.max() >= n * (n - 1) // 2):
+        raise ValueError(f"pair index out of range for n={n}")
+
+    def before(i):  # pairs whose first coordinate is < i
+        return i * (2 * n - i - 1) // 2
+
+    # the real root of before(i) = t + 1, then integer fix-ups for rounding
+    disc = np.maximum((2.0 * n - 1.0) ** 2 - 8.0 * (t + 1), 0.0)
+    i = np.clip(np.floor((2.0 * n - 1.0 - np.sqrt(disc)) / 2.0), 0, n - 2).astype(np.int64)
+    while (high := before(i) > t).any():
+        i -= high
+    while (low := before(i + 1) <= t).any():
+        i += low
+    return np.stack([i, i + 1 + t - before(i)], axis=1)
 
 
 class Family(Enum):
@@ -234,8 +267,10 @@ def sample_graph(family: Family, lam: float, n: int, rng: np.random.Generator) -
 
 def average_clustering(neighbor_sets: Sequence[set[int]]) -> float:
     """Mean local clustering over all vertices (degree < 2 contributes 0)."""
-    edges = [(u, w) for u, nbrs in enumerate(neighbor_sets) for w in nbrs if u < w]
     degrees = np.array([len(nbrs) for nbrs in neighbor_sets], dtype=np.int64)
+    heads = np.fromiter(itertools.chain.from_iterable(neighbor_sets), np.int64, int(degrees.sum()))
+    tails = np.repeat(np.arange(len(neighbor_sets)), degrees)
+    edges = np.stack([tails, heads], axis=1)[tails < heads]
     return mean_local_clustering(degrees, triangle_counts(len(neighbor_sets), edges))
 
 

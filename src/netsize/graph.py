@@ -18,6 +18,7 @@ import numpy as np
 from .multiset import Multiset, mintersect
 
 Edge = tuple[int, int]
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 class MultiGraph:

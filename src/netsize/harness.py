@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -293,8 +293,12 @@ _PLAN_KEYS = {
 
 
 def parse_plan(text: str) -> ExperimentPlan:
-    """Parse a line-oriented key=value plan (lists are comma-separated)."""
+    """Parse a line-oriented key=value plan (lists are comma-separated).
+
+    A value that does not parse fails with a ``plan line N: key:`` message.
+    """
     fields: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -305,36 +309,41 @@ def parse_plan(text: str) -> ExperimentPlan:
         if key not in _PLAN_KEYS:
             raise ValueError(f"plan line {lineno}: unknown key {key!r}")
         fields[key] = value
-
-    def split(key: str) -> list[str]:
-        return [tok.strip() for tok in fields[key].split(",") if tok.strip()]
-
-    def require(key: str) -> None:
-        if key not in fields:
-            raise ValueError(f"plan is missing required key {key!r}")
+        line_of[key] = lineno
 
     for key in ("families", "lambdas", "sizes", "estimators"):
-        require(key)
+        if key not in fields:
+            raise ValueError(f"plan is missing required key {key!r}")
     if "r" not in fields and "sample_sizes" not in fields:
         raise ValueError("plan is missing required key 'r'")
 
-    families = []
-    for token in split("families"):
+    def parse(key: str, convert: Callable[[str], Any], default: Any = None) -> Any:
+        if key not in fields:
+            return default
+        try:
+            return convert(fields[key])
+        except ValueError as exc:
+            raise ValueError(f"plan line {line_of[key]}: {key}: {exc}") from None
+
+    def listed(convert: Callable[[str], Any]) -> Callable[[str], tuple]:
+        return lambda value: tuple(convert(tok.strip()) for tok in value.split(",") if tok.strip())
+
+    def family(token: str) -> Family:
         if token not in _FAMILY_TOKENS:
             raise ValueError(f"unknown family {token!r} (expected one of {sorted(_FAMILY_TOKENS)})")
-        families.append(_FAMILY_TOKENS[token])
-    r_key = "r" if "r" in fields else "sample_sizes"
+        return _FAMILY_TOKENS[token]
+
     return ExperimentPlan(
-        families=tuple(families),
-        lambdas=tuple(float(tok) for tok in split("lambdas")),
-        sizes=tuple(int(tok) for tok in split("sizes")),
-        sample_sizes=tuple(int(tok) for tok in split(r_key)),
-        estimators=tuple(split("estimators")),
-        omegas=tuple(int(tok) for tok in split("omegas")) if "omegas" in fields else (),
-        graph_replicates=int(fields.get("graph_replicates", "1")),
-        sample_replicates=int(fields.get("sample_replicates", "1")),
-        seed=int(fields.get("seed", "0")),
-        num_seeds=int(fields.get("num_seeds", "7")),
+        families=parse("families", listed(family)),
+        lambdas=parse("lambdas", listed(float)),
+        sizes=parse("sizes", listed(int)),
+        sample_sizes=parse("r" if "r" in fields else "sample_sizes", listed(int)),
+        estimators=parse("estimators", listed(str)),
+        omegas=parse("omegas", listed(int), ()),
+        graph_replicates=parse("graph_replicates", int, 1),
+        sample_replicates=parse("sample_replicates", int, 1),
+        seed=parse("seed", int, 0),
+        num_seeds=parse("num_seeds", int, 7),
     )
 
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, TextIO
 
 import numpy as np
 
-from .graph import MultiGraph, mean_local_clustering, triangle_counts
+from .graph import INT64_MAX, INT64_MIN, MultiGraph, mean_local_clustering, triangle_counts
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,6 @@ def _read_filter(path: str | Path) -> set[int]:
     return keep
 
 
-_LOWEST_ID, _HIGHEST_ID = -(1 << 63), (1 << 63) - 1  # the int64 range
-
-
 def load_edge_list(spec: EdgeListSpec) -> tuple[MultiGraph, dict[int, int], IngestReport]:
     """Load, clean, and relabel an edge list.
 
@@ -90,7 +87,7 @@ def load_edge_list(spec: EdgeListSpec) -> tuple[MultiGraph, dict[int, int], Inge
                 u, v = int(tokens[0]), int(tokens[1])
             except ValueError as exc:
                 raise ValueError(f"{spec.path}:{lineno}: non-integer endpoint in {stripped!r}") from exc
-            if not (_LOWEST_ID <= u <= _HIGHEST_ID and _LOWEST_ID <= v <= _HIGHEST_ID):
+            if not (INT64_MIN <= u <= INT64_MAX and INT64_MIN <= v <= INT64_MAX):
                 raise ValueError(f"{spec.path}:{lineno}: endpoint out of the 64-bit range in {stripped!r}")
             lines_read += 1
             if keep is not None and (u not in keep or v not in keep):
@@ -127,8 +124,17 @@ def write_edge_list(g: MultiGraph, path: str | Path, comments: list[str] | None 
     with open(path, "w") as fh:
         for comment in comments or []:
             fh.write(f"# {comment}\n")
-        for u, v in g.edge_array:
-            fh.write(f"{u} {v}\n")
+        write_edges(g, fh)
+
+
+_WRITE_BLOCK = 1 << 14  # edges formatted per write, which bounds the temporary Python ints
+
+
+def write_edges(g: MultiGraph, fh: TextIO) -> None:
+    """Write "u v" per edge to an open text file, one block of edges at a time."""
+    for first in range(0, g.num_edges, _WRITE_BLOCK):
+        block = g.edge_array[first:first + _WRITE_BLOCK]
+        fh.write("%d %d\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def clustering_stats(g: MultiGraph) -> tuple[float, float]:

@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .graph import MultiGraph, ReferralForest
+from .graph import INT64_MAX, INT64_MIN, MultiGraph, ReferralForest
 from .multiset import Multiset
 
 DEFAULT_RECRUIT_LAW = ((2, 0.9), (1, 0.1))
@@ -431,11 +431,12 @@ def write_sample_dump(sample: Sample, path, header_comment: str | None = None) -
 def read_sample_dump(path) -> Sample:
     """Read a sample dump; a malformed row fails with a ``path:line`` message.
 
-    Every field must be an integer (or ``SEED``), the reported degree must be
-    non-negative and at least the alter count, and a recruiter code must be
-    the subject code of an earlier row in the same component.
+    Every field must be a signed 64-bit integer (or ``SEED``), the reported
+    degree must be non-negative and at least the alter count, and a recruiter
+    code must be the subject code of an earlier row in the same component.
     """
     codes, recruiters, components, degrees, alters, offsets = [], [], [], [], [], [0]
+    linenos: list[int] = []
     row_of: dict[tuple[int, int], int] = {}  # (component, code) -> latest row
     header = None
     with open(path, newline="") as fh:
@@ -471,7 +472,19 @@ def read_sample_dump(path) -> Sample:
             degrees.append(degree)
             alters.extend(bag)
             offsets.append(len(alters))
+            linenos.append(lineno)
     if header is None:
         raise ValueError(f"{path}: empty sample dump")
-    return Sample(codes=codes, degrees=degrees, alter_codes=alters, components=components,
-                  recruiters=recruiters, alter_offsets=offsets)
+    try:
+        return Sample(codes=codes, degrees=degrees, alter_codes=alters, components=components,
+                      recruiters=recruiters, alter_offsets=offsets)
+    except OverflowError:
+        # the int64 columns refused a value; name the first row that holds one
+        for row, lineno in enumerate(linenos):
+            fields = [("subject code", codes[row]), ("component id", components[row]),
+                      ("reported degree", degrees[row])]
+            fields += [("alter code", code) for code in alters[offsets[row]:offsets[row + 1]]]
+            for name, value in fields:
+                if not INT64_MIN <= value <= INT64_MAX:
+                    raise ValueError(f"{path}:{lineno}: {name} {value} out of the 64-bit range") from None
+        raise

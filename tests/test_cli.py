@@ -5,9 +5,9 @@ from netsize.cli import main
 from netsize.ingest import EdgeListSpec, load_edge_list
 
 
-def _generate_edges(tmp_path, name="g.txt", n=200, lam=6.0, seed=3):
+def _generate_edges(tmp_path, name="g.txt", n=200, lam=6.0, seed=3, family="er"):
     path = tmp_path / name
-    assert main(["generate", "--family", "er", "--lambda", str(lam), "--n", str(n),
+    assert main(["generate", "--family", family, "--lambda", str(lam), "--n", str(n),
                  "--rng-seed", str(seed), "--out", str(path)]) == 0
     return path
 
@@ -18,6 +18,15 @@ def test_generate_emits_handshake_valid_graph(tmp_path, capsys):
     assert int(np.sum(g.degrees())) == 2 * g.num_edges
     out = capsys.readouterr().out
     assert "netsize" in out and "seed=3" in out
+
+
+def test_generate_stdout_lists_the_same_edges_as_out(tmp_path, capsys):
+    path = _generate_edges(tmp_path, family="ba")
+    capsys.readouterr()
+    assert main(["generate", "--family", "ba", "--lambda", "6.0", "--n", "200", "--rng-seed", "3"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("# ") and not any(line.startswith("#") for line in printed[1:])
+    assert printed[1:] == [line for line in path.read_text().splitlines() if not line.startswith("#")]
 
 
 def test_generate_deterministic(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from netsize.generators import (
     DegreeKind,
     Family,
     GraphFamily,
-    _pair_from_index,
+    _pairs_from_indices,
     average_clustering,
     barabasi_albert,
     configuration_graph,
@@ -128,10 +129,11 @@ def test_erdos_renyi_mean_degree_concentrates():
 
 
 def test_pair_index_inversion_matches_enumeration():
-    for n in (2, 3, 5, 11):
+    for n in range(2, 13):
         expected = list(itertools.combinations(range(n), 2))
-        got = [_pair_from_index(t, n) for t in range(n * (n - 1) // 2)]
-        assert got == expected
+        got = _pairs_from_indices(np.arange(n * (n - 1) // 2), n)
+        assert got.dtype == np.int64
+        assert [tuple(pair) for pair in got.tolist()] == expected
 
 
 def test_erdos_renyi_matches_bernoulli_oracle():
@@ -271,3 +273,144 @@ def test_rewire_state_keeps_triangles_current(g, seed):
     assert {(u, x) for u in range(g.n) for x in state.row(u) if u < x} == pairs
     assert [len(state.row(u)) for u in range(g.n)] == degrees
     assert state.tri == triangle_counts(g.n, sorted(pairs)).tolist()
+
+
+# Reference generators: the scalar constructions the array-native ones replace.
+# Each must give the same edge array and leave the generator in the same state.
+
+def _reference_pair_from_index(t, n):
+    disc = (2 * n - 1) * (2 * n - 1) - 8 * (t + 1)
+    i = (2 * n - 1 - math.isqrt(disc) - 1) // 2
+    while i * (2 * n - i - 1) // 2 > t:
+        i -= 1
+    while (i + 1) * (2 * n - i - 2) // 2 <= t:
+        i += 1
+    j = i + 1 + (t - i * (2 * n - i - 1) // 2)
+    return i, j
+
+
+def _reference_erdos_renyi(lam, n, rng):
+    p = lam / (n - 1)
+    if p == 0.0:
+        return MultiGraph(n, [])
+    total_pairs = n * (n - 1) // 2
+    if p == 1.0:
+        return MultiGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    edges = []
+    t = -1
+    while True:
+        t += int(rng.geometric(p))
+        if t >= total_pairs:
+            break
+        edges.append(_reference_pair_from_index(t, n))
+    return MultiGraph(n, edges)
+
+
+def _reference_configuration_graph(degrees, rng):
+    degrees = np.asarray(degrees, dtype=np.int64).copy()
+    if int(degrees.sum()) % 2 == 1:
+        degrees[rng.integers(len(degrees))] += 1
+    stubs = np.repeat(np.arange(len(degrees), dtype=np.int64), degrees)
+    rng.shuffle(stubs)
+    return MultiGraph(len(degrees), [(int(u), int(v)) for u, v in stubs.reshape(-1, 2)])
+
+
+def _reference_barabasi_albert(lam, n, rng):
+    m0 = math.ceil(lam)
+    base = math.floor(lam / 2.0)
+    p_low = 1.0 + base - lam / 2.0
+    edges = []
+    endpoints = []
+    for u in range(m0):
+        for v in range(u + 1, m0):
+            edges.append((u, v))
+            endpoints.append(u)
+            endpoints.append(v)
+    for i in range(m0, n):
+        delta = min(base if rng.random() < p_low else base + 1, i)
+        picked = []
+        chosen = set()
+        total_weight = i + 2 * len(edges)
+        while len(picked) < delta:
+            if rng.random() * total_weight < i:
+                w = int(rng.integers(i))
+            else:
+                w = endpoints[int(rng.integers(len(endpoints)))]
+            if w not in chosen:
+                chosen.add(w)
+                picked.append(w)
+        for w in picked:
+            edges.append((i, w))
+            endpoints.append(i)
+            endpoints.append(w)
+    return MultiGraph(n, edges)
+
+
+def _reference_sample_graph(family, lam, n, rng):
+    if family is Family.BARABASI_ALBERT:
+        return _reference_barabasi_albert(lam, n, rng)
+    if family is Family.ERDOS_RENYI:
+        return _reference_erdos_renyi(lam, n, rng)
+    kind = DegreeKind(family.value)
+    return _reference_configuration_graph(sample_degrees(DegreeDistribution(kind, lam), n, rng), rng)
+
+
+def _assert_same_draws(got, want, rng_got, rng_want):
+    assert got.edge_array.dtype == want.edge_array.dtype == np.int64
+    assert got.edge_array.shape == want.edge_array.shape
+    assert np.array_equal(got.edge_array, want.edge_array)
+    assert rng_got.random() == rng_want.random()
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("lam", [2.0, 3.0, 6.0, 10.0])
+@pytest.mark.parametrize("n", [12, 300, 3000])
+def test_generators_match_scalar_references(family, lam, n):
+    for seed in range(2):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_graph(family, lam, n, rng)
+        want = _reference_sample_graph(family, lam, n, reference_rng)
+        _assert_same_draws(got, want, rng, reference_rng)
+
+
+@pytest.mark.parametrize("n, lam", [(2, 1.0), (10, 9.0), (7, 0.5), (1000, 0.01), (100, 1e-4), (50, 0.0),
+                                    (40, 38.5), (100000, 3.0)])
+def test_erdos_renyi_edge_cases_match_reference(n, lam):
+    for seed in range(3):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = erdos_renyi(lam, n, rng)
+        _assert_same_draws(got, _reference_erdos_renyi(lam, n, reference_rng), rng, reference_rng)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 100])
+def test_erdos_renyi_gap_blocks_match_reference(block):
+    # many blocks per graph, and a walk that ends on a block boundary
+    with mock.patch.object(generators, "_GAP_BLOCK", block):
+        for n, lam, seed in [(60, 4.0, 0), (60, 4.0, 1), (300, 0.9, 2), (30, 28.0, 3)]:
+            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = erdos_renyi(lam, n, rng)
+            _assert_same_draws(got, _reference_erdos_renyi(lam, n, reference_rng), rng, reference_rng)
+
+
+@pytest.mark.parametrize("n", [13, 1000, 65_536, 10**6, generators._MAX_ER_N])
+def test_pairs_from_indices_match_isqrt_reference(n):
+    total = n * (n - 1) // 2
+    rng = np.random.default_rng(n)
+    rows = rng.integers(1, n - 1, size=1000)
+    row_starts = rows * (2 * n - rows - 1) // 2  # the first and last pairs of a row sit on the rounding edge
+    t = np.concatenate([rng.integers(total, size=2000), row_starts, row_starts - 1,
+                        [0, 1, n - 2, n - 1, total - 2, total - 1]])
+    want = [_reference_pair_from_index(x, n) for x in t.tolist()]
+    assert [tuple(pair) for pair in _pairs_from_indices(t, n).tolist()] == want
+    with pytest.raises(ValueError, match="out of range"):
+        _pairs_from_indices(np.array([0, total]), n)
+    with pytest.raises(ValueError, match="out of range"):
+        _pairs_from_indices(np.array([-1]), n)
+
+
+def test_erdos_renyi_rejects_sizes_beyond_int64_pair_arithmetic():
+    n = generators._MAX_ER_N + 1
+    with pytest.raises(ValueError, match="n <= "):
+        erdos_renyi(0.0, n, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="n <= "):
+        _pairs_from_indices(np.array([0]), n)

@@ -1,7 +1,13 @@
+import re
+import traceback
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netsize.estimators import EstimateResult, FailureCause
+from netsize import harness
 from netsize.generators import Family
 from netsize.harness import (
     ExperimentPlan,
@@ -183,6 +189,51 @@ def test_parse_plan_errors():
         parse_plan("families = er\nlambdas = 3\nsizes = 100\nestimators = n1")  # missing r
     with pytest.raises(ValueError):
         parse_plan("families = marslink\nlambdas = 3\nsizes = 100\nr = 10\nestimators = n1")
+
+
+_VALID_PLAN = "families = er\nlambdas = 3\nsizes = 100\nr = 10\nestimators = n1\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("lambdas = x", "plan line 6: lambdas: could not convert string to float: 'x'"),
+    ("sizes = 1e3", "plan line 6: sizes: invalid literal for int"),
+    ("graph_replicates = two", "plan line 6: graph_replicates: invalid literal for int"),
+    ("seed =", "plan line 6: seed: invalid literal for int"),
+    ("omegas = 2000, 3.5", "plan line 6: omegas: invalid literal for int"),
+    ("families = er, marslink", "plan line 6: families: unknown family 'marslink'"),
+])
+def test_parse_plan_names_the_line_of_a_bad_value(line, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        parse_plan(_VALID_PLAN + line)
+
+
+_PLAN_VALUES = st.one_of(
+    st.lists(st.one_of(
+        st.integers(-5, 2**70).map(str),
+        st.sampled_from(["er", "poisson", "ba", "n1", "n2", "n3psi", "3.5", "1e3", "x", "nan", "-inf"]),
+        st.text(alphabet=" ,.-+_e0123456789", max_size=4),
+    ), max_size=3).map(", ".join),
+    st.text(max_size=6),
+)
+_PLAN_LINES = st.lists(st.one_of(
+    st.tuples(st.sampled_from(sorted(harness._PLAN_KEYS) + ["bogus"]), _PLAN_VALUES).map(" = ".join),
+    st.text(alphabet="=#, \tab1", max_size=6),
+), max_size=14)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines=_PLAN_LINES, valid_first=st.booleans())
+def test_parse_plan_fuzz_gives_plan_or_located_error(lines, valid_first):
+    text = (_VALID_PLAN if valid_first else "") + "\n".join(lines)
+    try:
+        plan = parse_plan(text)
+    except ValueError as exc:
+        # a value that does not parse names its line; the rest is plan-wide
+        located = re.match(r"plan line \d+: |plan is missing required key ", str(exc))
+        frames = traceback.extract_tb(exc.__traceback__)
+        assert located or frames[-1].name == "__post_init__", str(exc)
+        return
+    assert isinstance(plan, ExperimentPlan)
 
 
 def test_raw_csv_layout():

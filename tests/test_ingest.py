@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netsize import graph
+from netsize import graph, ingest
 from netsize.generators import Family, average_clustering, sample_graph
 from netsize.graph import MultiGraph, triangle_counts
 from netsize.ingest import EdgeListSpec, clustering_stats, load_edge_list, write_edge_list
@@ -118,6 +118,17 @@ def test_empty_graph_rejected(tmp_path):
     path = _write(tmp_path, "# nothing\n")
     with pytest.raises(ValueError):
         load_edge_list(EdgeListSpec(path))
+
+
+@pytest.mark.parametrize("block", [1, 3, 1 << 14])
+def test_write_edge_list_formats_each_edge_once_in_order(tmp_path, block):
+    g = sample_graph(Family.CONFIG_POISSON, 5.0, 120, np.random.default_rng(0))
+    path, empty = tmp_path / "g.txt", tmp_path / "empty.txt"
+    with mock.patch.object(ingest, "_WRITE_BLOCK", block):
+        write_edge_list(g, path, comments=["a", "b"])
+        write_edge_list(MultiGraph(3, []), empty)
+    assert path.read_text() == "# a\n# b\n" + "".join(f"{u} {v}\n" for u, v in g.edge_array)
+    assert empty.read_text() == ""
 
 
 def test_round_trip_generated_graph(tmp_path):

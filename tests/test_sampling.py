@@ -1,5 +1,11 @@
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netsize.generators import Family, sample_graph
 from netsize.graph import MultiGraph, harmonic_mean
@@ -164,6 +170,10 @@ DUMP_HEADER = "# a comment\nsubject_code,recruiter_code,component_id,reported_de
     ("5,SEED,0,2,7;8\n6,9,0,2,5\n", "not an earlier subject"),
     ("5,SEED,0,2,7;8\n6,5,1,2,5\n", "not an earlier subject"),
     ("5,6,0,2,7;8\n6,SEED,0,2,5\n", "not an earlier subject"),
+    (f"5,SEED,0,2,7;8\n{2**63},SEED,0,1,5\n", f"subject code {2**63} out of the 64-bit range"),
+    (f"5,SEED,0,2,7;8\n6,SEED,0,{2**63},5\n", f"reported degree {2**63} out of the 64-bit range"),
+    (f"5,SEED,0,2,7;8\n6,SEED,0,2,5;{2**63}\n", f"alter code {2**63} out of the 64-bit range"),
+    (f"5,SEED,0,2,7;8\n6,SEED,0,2,{-2**63 - 1}\n", f"alter code {-2**63 - 1} out of the 64-bit range"),
 ])
 def test_dump_reader_rejects_malformed_rows(tmp_path, body, message):
     path = tmp_path / "bad.csv"
@@ -171,6 +181,44 @@ def test_dump_reader_rejects_malformed_rows(tmp_path, body, message):
     bad_line = 4 if body.startswith("5,SEED") else 3
     with pytest.raises(ValueError, match=f"{path}:{bad_line}: .*{message}"):
         read_sample_dump(path)
+
+
+def test_dump_reader_accepts_the_whole_int64_range(tmp_path):
+    low, high = -2**63, 2**63 - 1
+    path = tmp_path / "wide.csv"
+    path.write_text(DUMP_HEADER + f"{low},SEED,{high},{high},{low};{high}\n{high},{low},{high},1,\n")
+    sample = read_sample_dump(path)
+    assert sample.codes.tolist() == [low, high]
+    assert sample.alter_codes.tolist() == [low, high]
+    assert sample.recruiters.tolist() == [-1, 0]
+
+
+_INT64_EDGES = st.sampled_from([2**63 - 1, 2**63, -2**63, -2**63 - 1, 2**64])
+_DUMP_INTS = st.one_of(st.integers(0, 4), st.integers(-2**64, 2**64), _INT64_EDGES).map(str)
+_DUMP_DEGREES = st.one_of(st.integers(0, 4), st.integers(0, 2**64), _INT64_EDGES).map(str)
+_DUMP_TOKENS = st.one_of(_DUMP_INTS, st.sampled_from(["SEED", "", "x", "1.5", "+2", "1_0", " 3"]))
+_DUMP_ROWS = st.one_of(
+    # integer rows of the right shape, so that the range and linkage checks are reached
+    st.tuples(_DUMP_INTS, st.one_of(st.just("SEED"), _DUMP_INTS), _DUMP_INTS, _DUMP_DEGREES,
+              st.lists(_DUMP_INTS, max_size=3).map(";".join)).map(",".join),
+    st.lists(_DUMP_TOKENS, max_size=6).map(",".join),
+    st.text(alphabet=",;#\r 0123456789SEDx-", max_size=12),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=st.lists(_DUMP_ROWS, max_size=8), header=st.sampled_from([True, True, True, False]))
+def test_dump_reader_fuzz_gives_sample_or_located_error(rows, header):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.csv"
+        path.write_text((DUMP_HEADER if header else "") + "\n".join(rows))
+        try:
+            sample = read_sample_dump(path)
+        except ValueError as exc:
+            assert re.match(re.escape(str(path)) + r"(:\d+: |: unexpected dump columns |: empty sample dump$)",
+                            str(exc)), str(exc)
+            return
+    assert sample.size == len(sample.degrees) == len(sample.alter_offsets) - 1
 
 
 def test_dump_reader_links_recruiters_by_code(tmp_path):
