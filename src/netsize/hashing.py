@@ -121,6 +121,8 @@ def collision_prob(n_prime: float, omega: int, d_tilde_s: float, d_w):
 
 
 def _collision_weight(omega: int) -> Weight:
+    if omega < 1:
+        raise ValueError(f"the code space size omega must be at least 1, got {omega}")
     return lambda n_prime, d_tilde_s, degrees: collision_prob(n_prime, omega, d_tilde_s, degrees)
 
 

@@ -434,9 +434,112 @@ def read_sample_dump(path) -> Sample:
     Every field must be a signed 64-bit integer (or ``SEED``), the reported
     degree must be non-negative and at least the alter count, and a recruiter
     code must be the subject code of an earlier row in the same component.
+    A dump as ``write_sample_dump`` writes it is parsed in numpy; any other
+    text, and every malformed row, goes through the line scan.
     """
+    with open(path, "rb") as fh:
+        sample = _parse_dump(fh.read())
+    return _scan_sample_dump(path) if sample is None else sample
+
+
+_HEADER = ",".join(DUMP_COLUMNS).encode()
+_COMMA, _SEMI, _NEWLINE, _MINUS, _ZERO = b",;\n-0"
+_MAX_DIGITS = 18  # any 18-digit value fits in int64
+_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
+
+
+def _parse_dump(data: bytes) -> Optional[Sample]:
+    """The sample in ``data``, or None unless every row is in the writer's grammar.
+
+    The grammar: ``#`` lines, the exact header, then rows of ``-?[0-9]{1,18}``
+    fields (``SEED`` for a seed's recruiter) with ``;``-joined alters and
+    ``\n`` line ends, whose degrees cover their alters and whose recruiters
+    link.  Anything else, valid or not, is left to the line scan, which also
+    words every error.
+    """
+    if b"\r" in data:
+        return None
+    start = 0
+    while data.startswith(b"#", start):
+        start = data.find(b"\n", start) + 1
+        if start == 0:
+            return None
+    if not data[:start].isascii() or not data.startswith(_HEADER + b"\n", start):
+        return None
+    body = data[start + len(_HEADER) + 1:]
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    if b",," in body:  # an empty field; after the swap below, empty means SEED
+        return None
+    buf = np.frombuffer(body.replace(b",SEED,", b",,"), dtype=np.uint8)
+    sep = (buf == _COMMA) | (buf == _SEMI) | (buf == _NEWLINE)
+    minus = buf == _MINUS
+    if not (sep | minus | (buf - _ZERO < 10)).all():
+        return None
+    # each field is a token that ends at a separator; row i's fields are tokens first[i] + 0..3
+    ends = np.flatnonzero(sep)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    kind = buf[ends]
+    last = np.flatnonzero(kind == _NEWLINE)
+    first = np.concatenate(([0], last[:-1] + 1))
+    if (last - first < 4).any():
+        return None
+    fields = first + np.arange(4)[:, None]
+    if np.count_nonzero(kind == _COMMA) != fields.size or (kind[fields] != _COMMA).any():
+        return None
+    # with no minus but those that open a token, every other byte of a token
+    # is a digit; a lone minus has fewer digits than signs
+    negative = buf[starts] == _MINUS
+    digits = ends - starts - negative
+    width = int(digits.max())
+    if width > _MAX_DIGITS or np.count_nonzero(minus) != np.count_nonzero(negative) \
+            or (digits < negative).any() or (digits[fields[[0, 2, 3]]] == 0).any():
+        return None
+    # row j holds every token's j-th digit from the right, 0 past its first digit
+    place = np.arange(width)[:, None]
+    by_place = buf[ends - 1 - place] - np.uint8(_ZERO)
+    by_place *= place < digits
+    values = _POW10[:width] @ by_place
+    values[negative] *= -1
+    alter = digits > 0
+    alter[fields] = False
+    offsets = np.concatenate(([0], alter.cumsum()[last]))
+    codes, recruiter_codes, components, degrees = values[fields]
+    if (degrees < np.diff(offsets)).any():
+        return None
+    recruiters = _link_recruiters(codes, components, recruiter_codes, digits[fields[1]] > 0)
+    if recruiters is None:
+        return None
+    return Sample(codes=codes, degrees=degrees, alter_codes=values[alter], components=components,
+                  recruiters=recruiters, alter_offsets=offsets)
+
+
+def _link_recruiters(codes, components, recruiter_codes, recruited) -> Optional[np.ndarray]:
+    """Row of each recruiter: the latest earlier row of the same component
+    with that subject code (-1 for a seed), or None if one has no such row."""
+    k = len(codes)
+    query = np.flatnonzero(recruited)
+    # one entry per subject and per recruiter; at equal rows a query sorts
+    # before the row's own subject, so it only sees strictly earlier rows
+    comp = np.concatenate((components, components[query]))
+    code = np.concatenate((codes, recruiter_codes[query]))
+    when = np.concatenate((2 * np.arange(k) + 1, 2 * query))
+    order = np.lexsort((when, code, comp))
+    is_subject = order < k
+    latest = np.maximum.accumulate(np.where(is_subject, np.arange(len(order)), -1))
+    at = np.flatnonzero(~is_subject)
+    found, asked = order[latest[at]], order[at]
+    if not ((latest[at] >= 0) & (comp[found] == comp[asked]) & (code[found] == code[asked])).all():
+        return None
+    recruiters = np.full(k, -1)
+    recruiters[query[asked - k]] = found
+    return recruiters
+
+
+def _scan_sample_dump(path) -> Sample:
+    """The line-by-line reader: the reference for ``_parse_dump`` and the
+    source of every error message."""
     codes, recruiters, components, degrees, alters, offsets = [], [], [], [], [], [0]
-    linenos: list[int] = []
     row_of: dict[tuple[int, int], int] = {}  # (component, code) -> latest row
     header = None
     with open(path, newline="") as fh:
@@ -458,6 +561,10 @@ def read_sample_dump(path) -> Sample:
                 bag = [int(tok) for tok in record[4].split(";") if tok != ""]
             except ValueError:
                 raise ValueError(f"{where}: non-integer field in {line.strip()!r}") from None
+            fields = [("subject code", code), ("component id", comp), ("reported degree", degree)]
+            for name, value in fields + [("alter code", c) for c in bag]:
+                if not INT64_MIN <= value <= INT64_MAX:
+                    raise ValueError(f"{where}: {name} {value} out of the 64-bit range")
             if degree < 0:
                 raise ValueError(f"{where}: negative reported degree {degree}")
             if len(bag) > degree:
@@ -472,19 +579,7 @@ def read_sample_dump(path) -> Sample:
             degrees.append(degree)
             alters.extend(bag)
             offsets.append(len(alters))
-            linenos.append(lineno)
     if header is None:
         raise ValueError(f"{path}: empty sample dump")
-    try:
-        return Sample(codes=codes, degrees=degrees, alter_codes=alters, components=components,
-                      recruiters=recruiters, alter_offsets=offsets)
-    except OverflowError:
-        # the int64 columns refused a value; name the first row that holds one
-        for row, lineno in enumerate(linenos):
-            fields = [("subject code", codes[row]), ("component id", components[row]),
-                      ("reported degree", degrees[row])]
-            fields += [("alter code", code) for code in alters[offsets[row]:offsets[row + 1]]]
-            for name, value in fields:
-                if not INT64_MIN <= value <= INT64_MAX:
-                    raise ValueError(f"{path}:{lineno}: {name} {value} out of the 64-bit range") from None
-        raise
+    return Sample(codes=codes, degrees=degrees, alter_codes=alters, components=components,
+                  recruiters=recruiters, alter_offsets=offsets)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from netsize import cli
 from netsize.cli import main
 from netsize.ingest import EdgeListSpec, load_edge_list
 
@@ -70,6 +76,20 @@ def test_estimate_hashed_requires_omega(tmp_path, capsys):
     assert main(["estimate", "--estimator", "n2psi", "--sample", str(dump)]) == 1
 
 
+@pytest.mark.parametrize("omega", ["0", "-5"])
+def test_estimate_rejects_omega_below_one(tmp_path, capsys, omega):
+    edges = _generate_edges(tmp_path)
+    dump = tmp_path / "h.csv"
+    assert main(["sample", "--edges", str(edges), "--size", "40", "--omega", "64",
+                 "--rng-seed", "2", "--out", str(dump)]) == 0
+    capsys.readouterr()
+    for name in ("n2psi", "n3psi"):
+        assert main(["estimate", "--estimator", name, "--omega", omega, "--sample", str(dump)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the code space size omega must be at least 1, got {omega}\n"
+
+
 def test_uniform_sample_estimate_n1(tmp_path, capsys):
     edges = _generate_edges(tmp_path, n=400, lam=9.0)
     dump = tmp_path / "u.csv"
@@ -129,3 +149,52 @@ def test_bad_flags_exit_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--family", "weird", "--lambda", "3", "--n", "10"])
     assert exc.value.code != 0
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def _python(argv, cwd=None):
+    """A fresh interpreter with netsize on its path: (exit code, stdout, stderr)."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, *argv], cwd=cwd, env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _run_here(args, capsys):
+    """The same call through this process's ``main`` and its one parser."""
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_on_first_call_not_at_import():
+    probe = "import netsize.cli as c; print(c._parser.cache_info().currsize)"
+    assert _python(["-c", probe]) == (0, "0\n", "")
+    assert cli._parser() is cli._parser()
+
+
+def test_reused_parser_prints_what_fresh_processes_print(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _generate_edges(tmp_path, name="g.txt", n=300, lam=8.0)
+    assert main(["sample", "--edges", "g.txt", "--size", "80", "--rng-seed", "1", "--out", "p.csv"]) == 0
+    assert main(["sample", "--edges", "g.txt", "--size", "80", "--omega", "4096",
+                 "--rng-seed", "1", "--out", "h.csv"]) == 0
+    capsys.readouterr()
+    calls = [
+        ["estimate", "--estimator", "n2psi", "--omega", "4096", "--rng-seed", "5", "--sample", "h.csv"],
+        ["estimate", "--estimator", "n2", "--sample", "p.csv"],
+        ["estimate", "--estimator", "n3psi", "--sample", "h.csv"],
+        ["estimate", "--estimator", "n9", "--sample", "p.csv"],
+        ["estimate", "--estimator", "n3psi", "--omega", "0", "--sample", "h.csv"],
+        ["generate", "--family", "ba", "--lambda", "4", "--n", "30", "--rng-seed", "2"],
+        ["estimate", "--estimator", "n1", "--sample", "p.csv"],
+    ]
+    here = [_run_here(args, capsys) for args in calls]
+    assert [code for code, _, _ in here] == [0, 0, 1, 2, 1, 0, 0]
+    assert "omega=None" in here[1][1] and "seed=None" in here[1][1]
+    assert here == [_python(["-m", "netsize", *args], cwd=tmp_path) for args in calls]

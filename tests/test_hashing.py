@@ -165,6 +165,14 @@ def test_n2_hashed_closed_form_root():
     assert res.value == pytest.approx(6.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("omega", [0, -5])
+def test_hashed_estimators_reject_omega_below_one(omega):
+    hs = _single_match_sample()
+    for solve in (estimate_n2_hashed, estimate_n3_hashed):
+        with pytest.raises(ValueError, match=f"omega must be at least 1, got {omega}"):
+            solve(hs, omega)
+
+
 def test_n2_hashed_zero_matches():
     hs = HashedSample(codes=(1, 2), degrees=(3, 3),
                       alter_codes=(Multiset([7]), Multiset([8])), components=(0, 0))

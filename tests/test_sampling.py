@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from netsize.generators import Family, sample_graph
 from netsize.graph import MultiGraph, harmonic_mean
 from netsize.multiset import Multiset
+from netsize import sampling
+from netsize.hashing import HashSpace, assign_hashes, hashed_view
 from netsize.sampling import (
     RdsConfig,
     Sample,
@@ -228,3 +230,110 @@ def test_dump_reader_links_recruiters_by_code(tmp_path):
     assert sample.recruiters.tolist() == [-1, 0, -1, 1]
     assert sample.recruiter_codes == [None, 5, None, 6]
     assert sample.counts.labels.tolist() == [3, 1]
+
+
+_INT64 = st.integers(-2**63, 2**63 - 1)
+_WIDE = st.integers(-10**18 + 1, 10**18 - 1)  # at most 18 digits
+_JUNK = ["+2", "1_0", " 3", "-0", "007", "-", "1-2", "--3", "", ",", "1,2", "SEED", "x", "\r",
+         str(2**63), str(2**63 - 1), str(-2**63), str(-2**63 - 1),
+         "9" * 18, "-" + "9" * 18, "1" + "0" * 18, "0" * 18 + "5"]
+
+
+@st.composite
+def _random_samples(draw):
+    """A ``Sample`` with distinct codes, or with codes from a tiny space that
+    collide inside and across components."""
+    k = draw(st.integers(0, 9))
+    hashed = draw(st.booleans())
+    pool = st.integers(0, 3) if hashed else st.one_of(st.integers(0, 40), _WIDE, _INT64)
+    codes = draw(st.lists(pool, min_size=k, max_size=k, unique=not hashed))
+    components = draw(st.lists(st.one_of(st.integers(0, 2), _WIDE, _INT64), min_size=k, max_size=k))
+    recruiters = []
+    for i, comp in enumerate(components):
+        earlier = [j for j in range(i) if components[j] == comp]
+        recruiters.append(draw(st.sampled_from([-1] + earlier)))
+    bags = [draw(st.lists(st.one_of(pool, _WIDE), max_size=4)) for _ in range(k)]
+    degrees = [len(bag) + draw(st.one_of(st.integers(0, 2), _WIDE.map(abs))) for bag in bags]
+    return Sample(codes=codes, degrees=degrees, components=components, recruiters=recruiters,
+                  alter_codes=[code for bag in bags for code in bag],
+                  alter_offsets=np.cumsum([0] + [len(bag) for bag in bags]))
+
+
+@st.composite
+def _dump_texts(draw):
+    """What ``write_sample_dump`` writes for a random sample, then edited: comment
+    lines, empty fields and alter tokens, blank lines, junk tokens, CRLF, a lone CR,
+    no final newline."""
+    lines = sampling.sample_dump_lines(draw(_random_samples()), draw(st.sampled_from([None, "c", "c\rd"])))
+    head = lines.index(",".join(sampling.DUMP_COLUMNS)) + 1
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        at = draw(st.integers(head, len(lines)))
+        edit = draw(st.sampled_from(["token", "token", "empty field", "empty alter", "insert"]))
+        if edit == "insert" or at == len(lines):
+            lines.insert(at, draw(st.sampled_from(["", "# note", "  ", "\r"])))
+            continue
+        fields = lines[at].split(",")
+        field = draw(st.integers(0, len(fields) - 1))
+        if edit == "empty field":
+            fields[field] = ""
+        elif edit == "empty alter":
+            fields[-1] = draw(st.sampled_from([";", ";;"])).join([fields[-1], ""])
+        else:
+            tokens = fields[field].split(";")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_JUNK))
+            fields[field] = ";".join(tokens)
+        lines[at] = ",".join(fields)
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    return text.replace("\n", "\r\n") if draw(st.integers(0, 9)) == 0 else text
+
+
+_COLUMNS = ("codes", "degrees", "components", "recruiters", "alter_codes", "alter_offsets")
+
+
+def _read_outcome(reader, path):
+    try:
+        sample = reader(path)
+    except ValueError as exc:
+        return str(exc)
+    return [(name, getattr(sample, name).dtype, getattr(sample, name).tolist()) for name in _COLUMNS]
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=_dump_texts())
+def test_dump_reader_matches_the_line_scan(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dump.csv"
+        path.write_bytes(text.encode())
+        assert _read_outcome(read_sample_dump, path) == _read_outcome(sampling._scan_sample_dump, path)
+
+
+@pytest.mark.parametrize("field", range(5))
+@pytest.mark.parametrize("junk", _JUNK)
+def test_dump_reader_matches_the_line_scan_on_each_junk_token(tmp_path, field, junk):
+    row = ["6", "5", "0", "3", "5;9"]
+    row[field] = junk + ";9" if field == 4 else junk
+    path = tmp_path / "junk.csv"
+    path.write_bytes((DUMP_HEADER + "5,SEED,0,2,7;8\n" + ",".join(row) + "\n-7,SEED,1,1,6\n").encode())
+    assert _read_outcome(read_sample_dump, path) == _read_outcome(sampling._scan_sample_dump, path)
+
+
+def test_written_dumps_read_back_without_the_line_scan(tmp_path, monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"{path} fell back to the line scan")
+
+    monkeypatch.setattr(sampling, "_scan_sample_dump", refuse)
+    g = sample_graph(Family.CONFIG_POISSON, 6.0, 2000, np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    for r in (1, 250):
+        captures = [rds_capture(g, RdsConfig(target_size=r, num_seeds=1), rng),
+                    as_sample_view(g, uniform_sample(g, r, rng))]
+        hashed = [hashed_view(s, assign_hashes(g.n, HashSpace(omega), rng))
+                  for s in captures for omega in (3, 4096)]
+        for sample in captures + hashed:
+            for comment in (None, "header"):
+                path = tmp_path / "dump.csv"
+                write_sample_dump(sample, path, header_comment=comment)
+                back = read_sample_dump(path)
+                for column in ("codes", "degrees", "components", "alter_codes", "alter_offsets"):
+                    assert np.array_equal(getattr(back, column), getattr(sample, column)), column
+                assert back.recruiter_codes == sample.recruiter_codes
