@@ -443,6 +443,7 @@ def read_sample_dump(path) -> Sample:
 
 
 _HEADER = ",".join(DUMP_COLUMNS).encode()
+_SEED_FIELD = f",{SEED_MARK},".encode()
 _COMMA, _SEMI, _NEWLINE, _MINUS, _ZERO = b",;\n-0"
 _MAX_DIGITS = 18  # any 18-digit value fits in int64
 _POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
@@ -471,7 +472,7 @@ def _parse_dump(data: bytes) -> Optional[Sample]:
         body += b"\n"
     if b",," in body:  # an empty field; after the swap below, empty means SEED
         return None
-    buf = np.frombuffer(body.replace(b",SEED,", b",,"), dtype=np.uint8)
+    buf = np.frombuffer(body.replace(_SEED_FIELD, b",,"), dtype=np.uint8)
     sep = (buf == _COMMA) | (buf == _SEMI) | (buf == _NEWLINE)
     minus = buf == _MINUS
     if not (sep | minus | (buf - _ZERO < 10)).all():

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netsize import sampling
 from netsize.generators import Family, sample_graph
 from netsize.graph import MultiGraph, harmonic_mean
-from netsize.multiset import Multiset
-from netsize import sampling
 from netsize.hashing import HashSpace, assign_hashes, hashed_view
+from netsize.multiset import Multiset
 from netsize.sampling import (
     RdsConfig,
     Sample,
@@ -277,7 +277,7 @@ def _dump_texts(draw):
         if edit == "empty field":
             fields[field] = ""
         elif edit == "empty alter":
-            fields[-1] = draw(st.sampled_from([";", ";;"])).join([fields[-1], ""])
+            fields[-1] += draw(st.sampled_from([";", ";;"]))
         else:
             tokens = fields[field].split(";")
             tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(_JUNK))
