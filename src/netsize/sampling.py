@@ -454,9 +454,9 @@ def _parse_dump(data: bytes) -> Optional[Sample]:
 
     The grammar: ``#`` lines, the exact header, then rows of ``-?[0-9]{1,18}``
     fields (``SEED`` for a seed's recruiter) with ``;``-joined alters and
-    ``\n`` line ends, whose degrees cover their alters and whose recruiters
-    link.  Anything else, valid or not, is left to the line scan, which also
-    words every error.
+    bare newline line ends, whose degrees cover their alters and whose
+    recruiters link.  Anything else, valid or not, is left to the line
+    scan, which also words every error.
     """
     if b"\r" in data:
         return None
