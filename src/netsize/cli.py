@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .estimators import estimate_n1_from_view, estimate_n2, estimate_n3
 from .generators import Family, sample_graph
-from .harness import load_plan, raw_csv_lines, run_plan, summary_csv_lines, write_csv
+from .harness import ESTIMATORS, load_plan, raw_csv_lines, run_plan, summary_csv_lines, write_csv
 from .hashing import (
     HashMode,
     HashSpace,
@@ -42,9 +42,6 @@ from .sampling import (
     write_sample_dump,
 )
 
-FAMILY_TOKENS = {fam.value: fam for fam in Family}
-
-
 def _header(command: str, args: argparse.Namespace, extras: dict) -> str:
     shown = {"seed": args.rng_seed, **extras}
     params = " ".join(f"{key}={value}" for key, value in shown.items())
@@ -52,7 +49,7 @@ def _header(command: str, args: argparse.Namespace, extras: dict) -> str:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    family = FAMILY_TOKENS[args.family]
+    family = Family(args.family)
     rng = np.random.default_rng(args.rng_seed)
     g = sample_graph(family, args.lam, args.n, rng)
     header = _header("generate", args, {"family": args.family, "lambda": args.lam, "n": args.n})
@@ -95,20 +92,15 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    sample = read_sample_dump(args.sample)
     name = args.estimator
-    if name in ("n2psi", "n3psi"):
-        if args.omega is None:
-            raise ValueError("hashed estimators need --omega")
-        result = estimate_n2_hashed(sample, args.omega) if name == "n2psi" else estimate_n3_hashed(sample, args.omega)
-    else:
-        sample = rows_to_sample(sample)
-        if name == "n1":
-            result = estimate_n1_from_view(sample)
-        elif name == "n2":
-            result = estimate_n2(sample)
-        else:
-            result = estimate_n3(sample)
+    function, reads = ESTIMATORS[name]
+    if reads == "hashed" and args.omega is None:
+        raise ValueError("hashed estimators need --omega")
+    if reads != "hashed" and args.omega is not None:
+        raise ValueError(f"{name} takes no --omega")
+    sample = read_sample_dump(args.sample)
+    estimate = globals()[function]  # by name in this module: see harness.ESTIMATORS
+    result = estimate(sample, args.omega) if reads == "hashed" else estimate(rows_to_sample(sample))
     print(_header("estimate", args, {"estimator": name, "sample": args.sample, "omega": args.omega}))
     if result.failed:
         print(f"estimator={name} estimate= failed=true cause={result.failure_cause.value}")
@@ -179,13 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, default_seed: int | None = 0) -> None:
         p.add_argument("--rng-seed", type=int, default=default_seed, help="master random seed")
-        p.add_argument("--out", type=str, default=None, help="output path")
 
     p = sub.add_parser("generate", help="emit a random graph as an edge list")
-    p.add_argument("--family", choices=sorted(FAMILY_TOKENS), required=True)
+    p.add_argument("--family", choices=sorted(fam.value for fam in Family), required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True, help="target mean degree")
     p.add_argument("--n", type=int, required=True, help="number of vertices")
     common(p)
+    p.add_argument("--out", type=str, default=None, help="output path")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("sample", help="draw a sample from an edge-list graph")
@@ -197,12 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hash-mode", choices=[m.value for m in HashMode], default="random")
     p.add_argument("--telefunken-digits", type=int, default=0)
     common(p)
+    p.add_argument("--out", type=str, default=None, help="output path")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("estimate", help="apply an estimator to a sample dump")
-    p.add_argument("--estimator", choices=("n1", "n2", "n3", "n2psi", "n3psi"), required=True)
+    p.add_argument("--estimator", choices=tuple(ESTIMATORS), required=True)
     p.add_argument("--sample", required=True, help="sample dump CSV")
-    p.add_argument("--omega", type=int, default=None, help="hash space size for hashed estimators")
+    p.add_argument("--omega", type=int, default=None, help="hash space size (n2psi and n3psi only)")
     common(p, default_seed=None)
     p.set_defaults(func=_cmd_estimate)
 
@@ -226,6 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--filter", type=str, default=None, help="file of node ids to keep")
         if name == "ingest":
             p.add_argument("--id-map", type=str, default=None, help="write original->new id map")
+            p.add_argument("--out", type=str, default=None, help="output path")
         common(p, default_seed=None)
         p.set_defaults(func=func)
     return parser

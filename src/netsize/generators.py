@@ -227,6 +227,10 @@ class Family(Enum):
     BARABASI_ALBERT = "ba"
     ERDOS_RENYI = "er"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"unknown family {value!r} (expected one of {sorted(fam.value for fam in cls)})")
+
 
 _CONFIG_KINDS = {
     Family.CONFIG_LOGNORMAL: DegreeKind.LOGNORMAL,

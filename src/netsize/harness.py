@@ -25,8 +25,18 @@ from .generators import Family, sample_graph
 from .hashing import HashMode, HashSpace, assign_hashes, estimate_n2_hashed, estimate_n3_hashed, hashed_view
 from .sampling import DEFAULT_RECRUIT_LAW, RdsConfig, as_sample_view, rds_capture, uniform_sample
 
-ESTIMATOR_NAMES = ("n1", "n2", "n3", "n2psi", "n3psi")
-HASHED_ESTIMATORS = ("n2psi", "n3psi")
+# name -> (its function's name in this module, the sample it reads: "uniform",
+# "rds", or "hashed", the capture's hashed view, which also takes ω and runs once
+# per ω).  raw.csv lists a sample's rows in this order.  Callers look the function
+# up in their own module per call, so patching one module reaches only its path.
+ESTIMATORS = {
+    "n1": ("estimate_n1_from_view", "uniform"),
+    "n2": ("estimate_n2", "rds"),
+    "n3": ("estimate_n3", "rds"),
+    "n2psi": ("estimate_n2_hashed", "hashed"),
+    "n3psi": ("estimate_n3_hashed", "hashed"),
+}
+HASHED_ESTIMATORS = tuple(name for name, (_, reads) in ESTIMATORS.items() if reads == "hashed")
 RAW_COLUMNS = (
     "family", "lambda", "n", "r", "omega", "estimator",
     "graph_idx", "sample_idx", "estimate", "failed", "failure_cause",
@@ -68,7 +78,7 @@ class ExperimentPlan:
         if not self.estimators:
             raise ValueError("at least one estimator is required")
         for name in self.estimators:
-            if name not in ESTIMATOR_NAMES:
+            if name not in ESTIMATORS:
                 raise ValueError(f"unknown estimator {name!r}")
         if self.graph_replicates < 1 or self.sample_replicates < 1:
             raise ValueError("replicate counts must be >= 1")
@@ -80,12 +90,14 @@ class ExperimentPlan:
             raise ValueError("sample sizes must be >= the seed count")
 
     def needs_rds(self) -> bool:
-        return any(name != "n1" for name in self.estimators)
+        return any(ESTIMATORS[name][1] != "uniform" for name in self.estimators)
+
+    def omegas_of(self, name: str) -> tuple:
+        """The code-space sizes an estimator runs at; ``(None,)`` for a plaintext one."""
+        return self.omegas if name in HASHED_ESTIMATORS else (None,)
 
     def run_count(self) -> int:
-        per_sample = sum(
-            len(self.omegas) if name in HASHED_ESTIMATORS else 1 for name in self.estimators
-        )
+        per_sample = sum(len(self.omegas_of(name)) for name in self.estimators)
         cells = len(self.families) * len(self.lambdas) * len(self.sizes) * len(self.sample_sizes)
         return cells * self.graph_replicates * self.sample_replicates * per_sample
 
@@ -162,37 +174,29 @@ def _graph_tasks(plan: ExperimentPlan) -> list[tuple[Family, float, int, int]]:
 def _run_graph_task(args: tuple[ExperimentPlan, Family, float, int, int]) -> list[RawRow]:
     plan, family, lam, n, graph_idx = args
     g = sample_graph(family, lam, n, derive_rng(plan.seed, "graph", family.value, lam, n, graph_idx))
+    wanted = [(name, *entry) for name, entry in ESTIMATORS.items() if name in plan.estimators]
+    reads = {kind for _, _, kind in wanted}
     rows: list[RawRow] = []
-    want = set(plan.estimators)
-    hashed_wanted = [name for name in plan.estimators if name in HASHED_ESTIMATORS]
     for r in plan.sample_sizes:
         for sample_idx in range(plan.sample_replicates):
-            if "n1" in want:
-                rng = derive_rng(plan.seed, "uniform", family.value, lam, n, graph_idx, r, sample_idx)
-                view = as_sample_view(g, uniform_sample(g, r, rng))
-                rows.append(RawRow(family.value, lam, n, r, None, "n1",
-                                   graph_idx, sample_idx, estimate_n1_from_view(view)))
+            coords = (family.value, lam, n, graph_idx, r, sample_idx)
+            samples = {}
+            if "uniform" in reads:
+                rng = derive_rng(plan.seed, "uniform", *coords)
+                samples["uniform"] = as_sample_view(g, uniform_sample(g, r, rng))
             if plan.needs_rds():
-                rng = derive_rng(plan.seed, "rds", family.value, lam, n, graph_idx, r, sample_idx)
                 cfg = RdsConfig(target_size=r, num_seeds=plan.num_seeds, recruit_law=plan.recruit_law)
-                sample = rds_capture(g, cfg, rng)
-                if "n2" in want:
-                    rows.append(RawRow(family.value, lam, n, r, None, "n2",
-                                       graph_idx, sample_idx, estimate_n2(sample)))
-                if "n3" in want:
-                    rows.append(RawRow(family.value, lam, n, r, None, "n3",
-                                       graph_idx, sample_idx, estimate_n3(sample)))
-                for omega in (plan.omegas if hashed_wanted else ()):
-                    hash_rng = derive_rng(plan.seed, "hash", family.value, lam, n,
-                                          graph_idx, r, sample_idx, omega)
+                samples["rds"] = rds_capture(g, cfg, derive_rng(plan.seed, "rds", *coords))
+            for omega in (None, *(plan.omegas if "hashed" in reads else ())):
+                if omega is not None:
+                    hash_rng = derive_rng(plan.seed, "hash", *coords, omega)
                     assignment = assign_hashes(n, HashSpace(omega, HashMode.RANDOM_FUNCTION), hash_rng)
-                    hs = hashed_view(sample, assignment)
-                    if "n2psi" in want:
-                        rows.append(RawRow(family.value, lam, n, r, omega, "n2psi",
-                                           graph_idx, sample_idx, estimate_n2_hashed(hs, omega)))
-                    if "n3psi" in want:
-                        rows.append(RawRow(family.value, lam, n, r, omega, "n3psi",
-                                           graph_idx, sample_idx, estimate_n3_hashed(hs, omega)))
+                    samples["hashed"] = hashed_view(samples["rds"], assignment)
+                for name, function, kind in wanted:
+                    if (kind == "hashed") == (omega is not None):
+                        estimate = globals()[function]
+                        result = estimate(samples[kind]) if omega is None else estimate(samples[kind], omega)
+                        rows.append(RawRow(family.value, lam, n, r, omega, name, graph_idx, sample_idx, result))
     return rows
 
 
@@ -220,8 +224,7 @@ def summarize_rows(plan: ExperimentPlan, raw: Sequence[RawRow]) -> list[SummaryR
             for n in plan.sizes:
                 for r in plan.sample_sizes:
                     for name in plan.estimators:
-                        omegas = plan.omegas if name in HASHED_ESTIMATORS else (None,)
-                        for omega in omegas:
+                        for omega in plan.omegas_of(name):
                             key = (family.value, lam, n, r, omega, name)
                             if key not in cells:
                                 continue
@@ -284,8 +287,6 @@ def write_csv(lines: Sequence[str], path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-_FAMILY_TOKENS = {fam.value: fam for fam in Family}
-
 _PLAN_KEYS = {
     "families", "lambdas", "sizes", "r", "sample_sizes", "omegas", "estimators",
     "graph_replicates", "sample_replicates", "seed", "num_seeds",
@@ -328,13 +329,8 @@ def parse_plan(text: str) -> ExperimentPlan:
     def listed(convert: Callable[[str], Any]) -> Callable[[str], tuple]:
         return lambda value: tuple(convert(tok.strip()) for tok in value.split(",") if tok.strip())
 
-    def family(token: str) -> Family:
-        if token not in _FAMILY_TOKENS:
-            raise ValueError(f"unknown family {token!r} (expected one of {sorted(_FAMILY_TOKENS)})")
-        return _FAMILY_TOKENS[token]
-
     return ExperimentPlan(
-        families=parse("families", listed(family)),
+        families=parse("families", listed(Family)),
         lambdas=parse("lambdas", listed(float)),
         sizes=parse("sizes", listed(int)),
         sample_sizes=parse("r" if "r" in fields else "sample_sizes", listed(int)),

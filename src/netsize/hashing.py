@@ -113,6 +113,7 @@ def collision_prob(n_prime: float, omega: int, d_tilde_s: float, d_w):
     have no free ends, so they can never be the match (the formula's limit
     as d_w -> 1).
     """
+    _check_omega(omega)
     d_w = np.asarray(d_w, dtype=float)
     live = d_w > 1
     prob = np.zeros(d_w.shape)
@@ -120,9 +121,13 @@ def collision_prob(n_prime: float, omega: int, d_tilde_s: float, d_w):
     return prob if prob.ndim else float(prob)
 
 
-def _collision_weight(omega: int) -> Weight:
+def _check_omega(omega: int) -> None:
     if omega < 1:
         raise ValueError(f"the code space size omega must be at least 1, got {omega}")
+
+
+def _collision_weight(omega: int) -> Weight:
+    _check_omega(omega)
     return lambda n_prime, d_tilde_s, degrees: collision_prob(n_prime, omega, d_tilde_s, degrees)
 
 

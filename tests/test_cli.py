@@ -8,6 +8,7 @@ import pytest
 
 from netsize import cli
 from netsize.cli import main
+from netsize.harness import ESTIMATORS, parse_plan, run_plan
 from netsize.ingest import EdgeListSpec, load_edge_list
 
 
@@ -88,6 +89,57 @@ def test_estimate_rejects_omega_below_one(tmp_path, capsys, omega):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: the code space size omega must be at least 1, got {omega}\n"
+
+
+@pytest.mark.parametrize("name", ["n1", "n2", "n3"])
+def test_estimate_plaintext_rejects_omega(tmp_path, capsys, name):
+    edges = _generate_edges(tmp_path)
+    dump = tmp_path / "s.csv"
+    assert main(["sample", "--edges", str(edges), "--size", "40", "--rng-seed", "2",
+                 "--out", str(dump)]) == 0
+    capsys.readouterr()
+    assert main(["estimate", "--estimator", name, "--omega", "0", "--sample", str(dump)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name} takes no --omega\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--estimator", "n2", "--sample", "s.csv", "--out", "x"],
+    ["stats", "--edges", "g.txt", "--out", "x"],
+])
+def test_estimate_and_stats_take_no_out(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out x" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def dumps(tmp_path_factory):
+    """One dump per kind of sample an estimator reads."""
+    tmp = tmp_path_factory.mktemp("dumps")
+    edges = _generate_edges(tmp, n=400, lam=8.0)
+    made = {"uniform": ["--mode", "uniform"], "rds": [], "hashed": ["--omega", "4096"]}
+    for kind, flags in made.items():
+        assert main(["sample", "--edges", str(edges), "--size", "100", "--rng-seed", "1",
+                     "--out", str(tmp / f"{kind}.csv"), *flags]) == 0
+    return tmp
+
+
+@pytest.mark.parametrize("name", list(ESTIMATORS))
+def test_every_table_estimator_runs_in_a_plan_and_on_the_command_line(dumps, capsys, name):
+    plan = parse_plan(f"families = er\nlambdas = 6\nsizes = 120\nr = 30\nestimators = {name}\n"
+                      "omegas = 4096\nsample_replicates = 2\n")
+    raw, summaries = run_plan(plan)
+    assert {row.estimator for row in raw} == {name} and len(raw) == plan.run_count() == 2
+    assert [row.estimator for row in summaries] == [name]
+
+    _, reads = ESTIMATORS[name]
+    omega = ["--omega", "4096"] if reads == "hashed" else []
+    capsys.readouterr()
+    assert main(["estimate", "--estimator", name, "--sample", str(dumps / f"{reads}.csv"), *omega]) == 0
+    assert f"estimator={name} estimate=" in capsys.readouterr().out
 
 
 def test_uniform_sample_estimate_n1(tmp_path, capsys):

@@ -105,6 +105,36 @@ def test_plan_validation():
                        sample_sizes=(200,), estimators=("n1",))
 
 
+SCRAMBLED = ExperimentPlan(
+    families=(Family.CONFIG_POISSON,),
+    lambdas=(6.0,),
+    sizes=(150,),
+    sample_sizes=(25,),
+    estimators=("n3psi", "n1", "n3", "n2psi", "n2"),
+    omegas=(500, 4096),
+    sample_replicates=2,
+    seed=3,
+)
+
+
+def test_raw_rows_follow_the_table_order_whatever_the_plan_order():
+    raw, _ = run_plan(SCRAMBLED)
+    per_sample = [("n1", None), ("n2", None), ("n3", None), ("n2psi", 500), ("n3psi", 500),
+                  ("n2psi", 4096), ("n3psi", 4096)]
+    assert [(row.estimator, row.omega) for row in raw] == per_sample * 2
+    assert [row.sample_idx for row in raw] == [0] * 7 + [1] * 7
+    assert SCRAMBLED.run_count() == len(raw)
+
+
+def test_summaries_follow_the_plan_order_with_omega_inside_each_name():
+    _, summaries = run_plan(SCRAMBLED)
+    assert [(row.estimator, row.omega) for row in summaries] == [
+        ("n3psi", 500), ("n3psi", 4096), ("n1", None), ("n3", None),
+        ("n2psi", 500), ("n2psi", 4096), ("n2", None),
+    ]
+    assert all(row.count == 2 for row in summaries)
+
+
 def test_runs_deterministic_and_order_free():
     raw1, sum1 = run_plan(TINY)
     raw2, sum2 = run_plan(TINY)

@@ -173,6 +173,20 @@ def test_hashed_estimators_reject_omega_below_one(omega):
             solve(hs, omega)
 
 
+@pytest.mark.parametrize("omega", [0, -5])
+def test_public_omega_functions_reject_omega_below_one(omega):
+    hs = _single_match_sample()
+    calls = (
+        lambda: m_hat(hs, 10.0, omega),
+        lambda: x_hat(hs, 0, 10.0, omega),
+        lambda: collision_prob(10.0, omega, 2.0, 3),
+        lambda: collision_prob(10.0, omega, 2.0, np.array([1, 3])),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"omega must be at least 1, got {omega}"):
+            call()
+
+
 def test_n2_hashed_zero_matches():
     hs = HashedSample(codes=(1, 2), degrees=(3, 3),
                       alter_codes=(Multiset([7]), Multiset([8])), components=(0, 0))
