@@ -19,21 +19,23 @@ from .multiset import Multiset, mintersect
 
 Edge = tuple[int, int]
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+MAX_VERTICES = 3_037_000_499  # isqrt(INT64_MAX): keys source * n + target fit in int64
 
 
 class MultiGraph:
-    """Immutable undirected multigraph on vertices 0..n-1.
+    """Immutable undirected multigraph on vertices 0..n-1, with n <= ``MAX_VERTICES``.
 
-    Adjacency is kept in a flat sorted array; per-vertex neighbor bags are
-    materialized on demand (samples touch only a few hundred vertices of a
-    large graph).
+    Adjacency is one flat array of neighbor rows, each sorted by target, an
+    order callers rely on; neighbor bags are materialized on demand.
     """
 
-    __slots__ = ("n", "edge_array", "_offsets", "_targets", "_degrees", "_bag_cache")
+    __slots__ = ("n", "edge_array", "_offsets", "_targets", "_degrees")
 
     def __init__(self, n: int, edges: Iterable[Edge] | np.ndarray):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
+        if n > MAX_VERTICES:
+            raise ValueError(f"multigraphs need n <= {MAX_VERTICES}, got {n}")
         self.n = n
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
@@ -45,14 +47,10 @@ class MultiGraph:
         if arr.size and (arr.min() < 0 or arr.max() >= n):
             raise ValueError(f"edge endpoint out of range for n={n}")
         self.edge_array = arr
-        sources = np.concatenate([arr[:, 0], arr[:, 1]])
-        targets = np.concatenate([arr[:, 1], arr[:, 0]])
-        order = np.argsort(sources, kind="stable")
-        self._targets = targets[order]
-        counts = np.bincount(sources, minlength=n)
-        self._offsets = np.concatenate([[0], np.cumsum(counts)])
-        self._degrees = counts
-        self._bag_cache: dict[int, Multiset] = {}
+        u, v = arr[:, 0], arr[:, 1]
+        sources, self._targets = np.divmod(np.sort(np.r_[u * n + v, v * n + u]), n)
+        self._degrees = np.bincount(sources, minlength=n)
+        self._offsets = np.r_[0, np.cumsum(self._degrees)]
 
     @property
     def num_edges(self) -> int:
@@ -75,12 +73,12 @@ class MultiGraph:
         return self._degrees
 
     def neighbor_ids(self, v: int) -> np.ndarray:
-        """Flat array of neighbor occurrences of v (a loop lists v twice)."""
+        """Neighbor occurrences of v, sorted (a loop lists v twice)."""
         self._check_vertex(v)
         return self._targets[self._offsets[v]:self._offsets[v + 1]]
 
     def neighbor_lists(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Neighbor occurrences of each vertex in turn, as CSR (offsets, targets)."""
+        """Sorted neighbor occurrences of each vertex in turn, as CSR (offsets, targets)."""
         if len(vertices) and (vertices.min() < 0 or vertices.max() >= self.n):
             raise ValueError(f"vertex out of range for n={self.n}")
         counts = self._degrees[vertices]
@@ -89,12 +87,8 @@ class MultiGraph:
         return offsets, self._targets[np.arange(offsets[-1]) + shift]
 
     def neighbors(self, v: int) -> Multiset:
-        """Neighbor bag of v (cached; treat as read-only)."""
-        bag = self._bag_cache.get(v)
-        if bag is None:
-            bag = Multiset(int(w) for w in self.neighbor_ids(v))
-            self._bag_cache[v] = bag
-        return bag
+        """A fresh neighbor bag of v."""
+        return Multiset(self.neighbor_ids(v).tolist())
 
 
 _WEDGE_BLOCK = 1 << 20  # wedges checked per numpy batch, to bound memory
@@ -206,9 +200,7 @@ def _free_bag(g: MultiGraph, u: int, removals: Multiset | None) -> Multiset:
 
 def free_neighborhood(g: MultiGraph, u: int, forest_edges: Iterable[Edge]) -> Multiset:
     """Neighbor bag of u with one occurrence removed per incident forest edge."""
-    removals = _removals_by_vertex(forest_edges).get(u)
-    bag = _free_bag(g, u, removals)
-    return Multiset(bag) if bag is g.neighbors(u) else bag
+    return _free_bag(g, u, _removals_by_vertex(forest_edges).get(u))
 
 
 def free_ends(g: MultiGraph, subjects: Iterable[int], forest_edges: Sequence[Edge]) -> Multiset:

@@ -77,6 +77,11 @@ class ExperimentPlan:
             raise ValueError("families, lambdas, sizes, and sample sizes must be non-empty")
         if not self.estimators:
             raise ValueError("at least one estimator is required")
+        for name in ("families", "lambdas", "sizes", "sample_sizes", "estimators", "omegas"):
+            values = getattr(self, name)
+            for i, value in enumerate(values):
+                if value in values[:i]:  # a family is shown by its plan name
+                    raise ValueError(f"{name} lists {getattr(value, 'value', value)!r} more than once")
         for name in self.estimators:
             if name not in ESTIMATORS:
                 raise ValueError(f"unknown estimator {name!r}")
@@ -296,7 +301,8 @@ _PLAN_KEYS = {
 def parse_plan(text: str) -> ExperimentPlan:
     """Parse a line-oriented key=value plan (lists are comma-separated).
 
-    A value that does not parse fails with a ``plan line N: key:`` message.
+    A value that does not parse, a key given twice, or both ``r`` and
+    ``sample_sizes`` fails with a ``plan line N: key:`` message.
     """
     fields: dict[str, str] = {}
     line_of: dict[str, int] = {}
@@ -309,8 +315,13 @@ def parse_plan(text: str) -> ExperimentPlan:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _PLAN_KEYS:
             raise ValueError(f"plan line {lineno}: unknown key {key!r}")
+        if key in fields:
+            raise ValueError(f"plan line {lineno}: {key}: already given on line {line_of[key]}")
         fields[key] = value
         line_of[key] = lineno
+    if "r" in fields and "sample_sizes" in fields:
+        later = max(("r", "sample_sizes"), key=line_of.__getitem__)
+        raise ValueError(f"plan line {line_of[later]}: {later}: a plan gives r or sample_sizes, not both")
 
     for key in ("families", "lambdas", "sizes", "estimators"):
         if key not in fields:

@@ -223,11 +223,11 @@ def uniform_sample(g: MultiGraph, r: int, rng: np.random.Generator) -> tuple[int
     return tuple(int(v) for v in rng.choice(g.n, size=r, replace=False))
 
 
-def _free_alters(g: MultiGraph, vertices: np.ndarray, recruiters: np.ndarray):
-    """CSR (offsets, alter ids): each subject's neighbor occurrences, sorted,
-    less one occurrence per referral edge at the subject."""
+def _plaintext_sample(g: MultiGraph, vertices: np.ndarray, components, recruiters: np.ndarray) -> Sample:
+    """The sample of ``vertices`` in discovery order.  Each subject's alters are its neighbor
+    occurrences less one per referral edge at it; ``g``'s rows are sorted, so the keys ascend."""
     offsets, targets = g.neighbor_lists(vertices)
-    keys = np.sort(np.repeat(np.arange(len(vertices)), np.diff(offsets)) * g.n + targets)
+    keys = np.repeat(np.arange(len(vertices)), np.diff(offsets)) * g.n + targets
     recruit = np.flatnonzero(recruiters >= 0)
     if len(recruit):
         rec = recruiters[recruit]
@@ -235,7 +235,9 @@ def _free_alters(g: MultiGraph, vertices: np.ndarray, recruiters: np.ndarray):
         rank = np.arange(len(keys)) - np.searchsorted(keys, keys)
         keys = keys[rank >= np.searchsorted(used, keys, "right") - np.searchsorted(used, keys)]
     rows, alters = np.divmod(keys, g.n)
-    return np.r_[0, np.cumsum(np.bincount(rows, minlength=len(vertices)))], alters
+    offsets = np.r_[0, np.cumsum(np.bincount(rows, minlength=len(vertices)))]
+    return Sample(codes=vertices, degrees=g.degrees()[vertices], alter_codes=alters,
+                  components=components, recruiters=recruiters, alter_offsets=offsets)
 
 
 def as_sample_view(g: MultiGraph, subjects: Iterable[int]) -> Sample:
@@ -247,10 +249,7 @@ def as_sample_view(g: MultiGraph, subjects: Iterable[int]) -> Sample:
     vertices = np.array([int(v) for v in subjects], dtype=np.int64)
     if len(np.unique(vertices)) != len(vertices):
         raise ValueError("subjects must be distinct")
-    recruiters = np.full(len(vertices), -1)
-    offsets, alters = _free_alters(g, vertices, recruiters)
-    return Sample(codes=vertices, degrees=g.degrees()[vertices], alter_codes=alters,
-                  components=np.arange(len(vertices)), recruiters=recruiters, alter_offsets=offsets)
+    return _plaintext_sample(g, vertices, np.arange(len(vertices)), np.full(len(vertices), -1))
 
 
 def _draw_recruit_count(law: Sequence[tuple[int, float]], rng: np.random.Generator) -> int:
@@ -263,8 +262,8 @@ def _draw_recruit_count(law: Sequence[tuple[int, float]], rng: np.random.Generat
     return law[-1][0]
 
 
-def _draw_fresh_seed(g: MultiGraph, discovered: set[int], rng: np.random.Generator) -> int:
-    """Uniform undiscovered vertex, preferring those with at least one tie.
+def _draw_fresh_seed(g: MultiGraph, row_of: list[int], rng: np.random.Generator) -> int:
+    """Uniform undiscovered vertex (``row_of[v] < 0``), preferring those with at least one tie.
 
     A seed is recruited through community contacts, so isolated vertices
     only become seeds when nothing else is left.
@@ -272,21 +271,23 @@ def _draw_fresh_seed(g: MultiGraph, discovered: set[int], rng: np.random.Generat
     # rejection is cheap while the sample is small relative to the graph
     for _ in range(64):
         v = int(rng.integers(g.n))
-        if v not in discovered and g.degree(v) > 0:
+        if row_of[v] < 0 and g.degree(v) > 0:
             return v
-    tied = [v for v in range(g.n) if v not in discovered and g.degree(v) > 0]
-    if tied:
-        return tied[int(rng.integers(len(tied)))]
-    remaining = sorted(set(range(g.n)) - discovered)
-    return remaining[int(rng.integers(len(remaining)))]
+    undiscovered = np.asarray(row_of) < 0
+    tied = np.flatnonzero(undiscovered & (g.degrees() > 0))
+    if len(tied):
+        return int(tied[int(rng.integers(len(tied)))])
+    remaining = np.flatnonzero(undiscovered)
+    return int(remaining[int(rng.integers(len(remaining)))])
 
 
 def _draw_initial_seeds(g: MultiGraph, count: int, rng: np.random.Generator) -> list[int]:
-    tied = np.flatnonzero(np.asarray(g.degrees()) > 0)
+    degrees = g.degrees()
+    tied = np.flatnonzero(degrees > 0)
     if len(tied) >= count:
         return [int(v) for v in rng.choice(tied, size=count, replace=False)]
     seeds = [int(v) for v in tied]
-    isolated = np.flatnonzero(np.asarray(g.degrees()) == 0)
+    isolated = np.flatnonzero(degrees == 0)
     extra = rng.choice(isolated, size=count - len(seeds), replace=False)
     return seeds + [int(v) for v in extra]
 
@@ -329,8 +330,9 @@ def rds_capture(
         seeds = _draw_initial_seeds(g, cfg.num_seeds, rng)
 
     order: list[int] = list(seeds)
-    discovered: set[int] = set(seeds)
-    row_of: dict[int, int] = {s: i for i, s in enumerate(seeds)}
+    row_of: list[int] = [-1] * n  # each vertex's row, -1 while undiscovered
+    for i, s in enumerate(seeds):
+        row_of[s] = i
     components: list[int] = list(range(len(seeds)))
     recruiters: list[int] = [-1] * len(seeds)
     frontier: list[int] = list(seeds)
@@ -338,10 +340,9 @@ def rds_capture(
 
     while len(order) < r:
         if not frontier:
-            fresh = _draw_fresh_seed(g, discovered, rng)
+            fresh = _draw_fresh_seed(g, row_of, rng)
             row_of[fresh] = len(order)
             order.append(fresh)
-            discovered.add(fresh)
             components.append(next_component)
             recruiters.append(-1)
             next_component += 1
@@ -352,7 +353,8 @@ def rds_capture(
         frontier[idx] = frontier[-1]
         frontier.pop()
 
-        candidates = sorted({int(w) for w in g.neighbor_ids(x)} - discovered)
+        ids = g.neighbor_ids(x).tolist()  # sorted: a repeated neighbor follows its first occurrence
+        candidates = [w for w, prev in zip(ids, [-1] + ids) if w != prev and row_of[w] < 0]
         if candidates:
             k = min(_draw_recruit_count(cfg.recruit_law, rng), len(candidates))
             if k == len(candidates):
@@ -373,16 +375,12 @@ def rds_capture(
             for v in recruits:
                 row_of[v] = len(order)
                 order.append(v)
-                discovered.add(v)
                 components.append(components[x_row])
                 recruiters.append(x_row)
                 frontier.append(v)
 
-    vertices = np.array(order, dtype=np.int64)
-    rec = np.array(recruiters, dtype=np.int64)
-    offsets, alters = _free_alters(g, vertices, rec)
-    return Sample(codes=vertices, degrees=g.degrees()[vertices], alter_codes=alters,
-                  components=components, recruiters=rec, alter_offsets=offsets)
+    return _plaintext_sample(g, np.array(order, dtype=np.int64), components,
+                             np.array(recruiters, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -67,6 +68,30 @@ def test_sample_then_estimate_hashed(tmp_path, capsys):
                  "--sample", str(dump)]) == 0
     out = capsys.readouterr().out
     assert "estimator=n2psi" in out and "failed=false" in out
+
+
+def test_sample_telefunken_takes_its_digit_count_from_omega(tmp_path, capsys):
+    edges = _generate_edges(tmp_path, n=300, lam=8.0)
+    dump = tmp_path / "t.csv"
+    assert main(["sample", "--edges", str(edges), "--size", "80", "--omega", "256",
+                 "--hash-mode", "telefunken", "--rng-seed", "1", "--out", str(dump)]) == 0
+    rows = dump.read_text().split("\n", 1)[1]  # the header names the graph's path
+    # the rows written when the four digits were passed by hand, as a separate flag
+    assert hashlib.sha256(rows.encode()).hexdigest() == \
+        "3c4b42605bc2becad1aa1aa870f706d36d68e0916c4ff1433770a44426971144"
+    with pytest.raises(SystemExit):
+        main(["sample", "--edges", str(edges), "--size", "80", "--omega", "256",
+              "--hash-mode", "telefunken", "--telefunken-digits", "4"])
+
+
+def test_sample_telefunken_rejects_omega_off_the_powers_of_four(tmp_path, capsys):
+    edges = _generate_edges(tmp_path)
+    capsys.readouterr()
+    assert main(["sample", "--edges", str(edges), "--size", "40", "--omega", "100",
+                 "--hash-mode", "telefunken", "--out", str(tmp_path / "t.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: telefunken mode needs size == 4**digits\n"
 
 
 def test_estimate_hashed_requires_omega(tmp_path, capsys):

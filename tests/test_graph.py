@@ -1,8 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netsize.generators import Family, sample_graph
 from netsize.graph import (
+    INT64_MAX,
+    MAX_VERTICES,
     MultiGraph,
     ReferralForest,
     cross_seed_matches,
@@ -30,6 +36,46 @@ def test_degree_self_loop_counts_twice():
     assert g.degree(0) == 2
     assert g.degree(1) == 0
     assert g.neighbors(0).as_sorted_items() == [(0, 2)]
+
+
+@st.composite
+def _multigraph_inputs(draw):
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=30))  # loops and repeats allowed
+    return n, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(_multigraph_inputs())
+def test_neighbor_rows_are_sorted_endpoint_occurrences(inputs):
+    n, edges = inputs
+    g = MultiGraph(n, edges)
+    assert g.edge_array.tolist() == [list(e) for e in edges]
+    ends = [u for e in edges for u in e]
+    assert g.degrees().tolist() == [ends.count(v) for v in range(n)]
+    for v in range(n):
+        row = g.neighbor_ids(v).tolist()
+        assert row == sorted(row)
+        occurrences = Counter(b for a, b in edges if a == v) + Counter(a for a, b in edges if b == v)
+        assert Counter(row) == occurrences
+        assert g.neighbors(v) == occurrences
+
+
+def test_vertex_count_bounds():
+    g = MultiGraph(0, [])
+    assert g.num_edges == 0 and len(g.degrees()) == 0
+    # the largest key, n**2 - 1, fits in int64 at MAX_VERTICES and not one above
+    assert MAX_VERTICES**2 - 1 <= INT64_MAX < (MAX_VERTICES + 1)**2 - 1
+    with pytest.raises(ValueError, match="n <= 3037000499"):
+        # the top vertex's loop key, n**2 - 1, would not fit in int64
+        MultiGraph(MAX_VERTICES + 1, [(MAX_VERTICES, MAX_VERTICES)])
+
+
+def test_neighbor_bags_are_fresh_copies():
+    bag = K3.neighbors(0)
+    bag[5] += 1
+    assert K3.neighbors(0).as_sorted_items() == [(1, 1), (2, 1)]
 
 
 def test_degree_out_of_range():

@@ -105,6 +105,21 @@ def test_plan_validation():
                        sample_sizes=(200,), estimators=("n1",))
 
 
+@pytest.mark.parametrize("field, values, shown", [
+    ("families", (Family.ERDOS_RENYI, Family.ERDOS_RENYI), "'er'"),
+    ("lambdas", (6.0, 6), "6"),
+    ("sizes", (120, 150, 120), "120"),
+    ("sample_sizes", (30, 30), "30"),
+    ("estimators", ("n2", "n2"), "'n2'"),
+    ("omegas", (500, 500), "500"),
+])
+def test_plan_rejects_a_repeated_value(field, values, shown):
+    base = dict(families=(Family.ERDOS_RENYI,), lambdas=(6.0,), sizes=(120,), sample_sizes=(30,),
+                estimators=("n2", "n2psi"), omegas=(500,))
+    with pytest.raises(ValueError, match=f"^{field} lists {re.escape(shown)}"):
+        ExperimentPlan(**{**base, field: values})
+
+
 SCRAMBLED = ExperimentPlan(
     families=(Family.CONFIG_POISSON,),
     lambdas=(6.0,),
@@ -233,8 +248,25 @@ _VALID_PLAN = "families = er\nlambdas = 3\nsizes = 100\nr = 10\nestimators = n1\
     ("families = er, marslink", "plan line 6: families: unknown family 'marslink'"),
 ])
 def test_parse_plan_names_the_line_of_a_bad_value(line, message):
+    # the valid plan's own line for the key becomes a comment, so the key is given once
+    key = line.split("=")[0].strip()
+    valid = re.sub(f"(?m)^{key} =", f"# {key} =", _VALID_PLAN)
     with pytest.raises(ValueError, match="^" + re.escape(message)):
-        parse_plan(_VALID_PLAN + line)
+        parse_plan(valid + line)
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("seed = 1\nseed = 2", "plan line 7: seed: already given on line 6"),
+    ("r = 20", "plan line 6: r: already given on line 4"),
+    ("sample_sizes = 10", "plan line 6: sample_sizes: a plan gives r or sample_sizes, not both"),
+])
+def test_parse_plan_names_the_later_line_of_a_repeated_key(lines, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        parse_plan(_VALID_PLAN + lines)
+    if "sample_sizes" in lines:  # the clash is named at the later line either way round
+        text = "sample_sizes = 10\n" + _VALID_PLAN
+        with pytest.raises(ValueError, match="^" + re.escape("plan line 5: r: a plan gives")):
+            parse_plan(text)
 
 
 _PLAN_VALUES = st.one_of(

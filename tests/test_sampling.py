@@ -118,6 +118,120 @@ def test_rds_config_validation():
         RdsConfig(target_size=5, recruit_law=((2, 0.5), (1, 0.4)))
 
 
+# The capture as it was written before MultiGraph kept its neighbor rows
+# sorted: a discovered set, a row dict, sorted set differences and a key sort.
+# It is the reference for the samples and the random stream of rds_capture.
+
+def _reference_free_alters(g, vertices, recruiters):
+    offsets, targets = g.neighbor_lists(vertices)
+    keys = np.sort(np.repeat(np.arange(len(vertices)), np.diff(offsets)) * g.n + targets)
+    recruit = np.flatnonzero(recruiters >= 0)
+    if len(recruit):
+        rec = recruiters[recruit]
+        used = np.sort(np.r_[rec * g.n + vertices[recruit], recruit * g.n + vertices[rec]])
+        rank = np.arange(len(keys)) - np.searchsorted(keys, keys)
+        keys = keys[rank >= np.searchsorted(used, keys, "right") - np.searchsorted(used, keys)]
+    rows, alters = np.divmod(keys, g.n)
+    return np.r_[0, np.cumsum(np.bincount(rows, minlength=len(vertices)))], alters
+
+
+def _reference_fresh_seed(g, discovered, rng):
+    for _ in range(64):
+        v = int(rng.integers(g.n))
+        if v not in discovered and g.degree(v) > 0:
+            return v
+    tied = [v for v in range(g.n) if v not in discovered and g.degree(v) > 0]
+    if tied:
+        return tied[int(rng.integers(len(tied)))]
+    remaining = sorted(set(range(g.n)) - discovered)
+    return remaining[int(rng.integers(len(remaining)))]
+
+
+def _reference_capture(g, cfg, rng):
+    seeds = sampling._draw_initial_seeds(g, cfg.num_seeds, rng)
+    order, discovered = list(seeds), set(seeds)
+    row_of = {s: i for i, s in enumerate(seeds)}
+    components, recruiters, frontier = list(range(len(seeds))), [-1] * len(seeds), list(seeds)
+    next_component = len(seeds)
+    while len(order) < cfg.target_size:
+        if not frontier:
+            fresh = _reference_fresh_seed(g, discovered, rng)
+            row_of[fresh] = len(order)
+            order.append(fresh)
+            discovered.add(fresh)
+            components.append(next_component)
+            recruiters.append(-1)
+            next_component += 1
+            frontier.append(fresh)
+            continue
+        idx = int(rng.integers(len(frontier)))
+        x = frontier[idx]
+        frontier[idx] = frontier[-1]
+        frontier.pop()
+        candidates = sorted({int(w) for w in g.neighbor_ids(x)} - discovered)
+        if candidates:
+            k = min(sampling._draw_recruit_count(cfg.recruit_law, rng), len(candidates))
+            if k == len(candidates):
+                recruits = candidates
+            elif k == 1:
+                recruits = [candidates[int(rng.integers(len(candidates)))]]
+            elif k == 2:
+                m = len(candidates)
+                i = int(rng.integers(m))
+                j = int(rng.integers(m - 1))
+                if j >= i:
+                    j += 1
+                recruits = [candidates[i], candidates[j]]
+            else:
+                picks = rng.choice(len(candidates), size=k, replace=False)
+                recruits = [candidates[int(i)] for i in picks]
+            x_row = row_of[x]
+            for v in recruits:
+                row_of[v] = len(order)
+                order.append(v)
+                discovered.add(v)
+                components.append(components[x_row])
+                recruiters.append(x_row)
+                frontier.append(v)
+    vertices = np.array(order, dtype=np.int64)
+    rec = np.array(recruiters, dtype=np.int64)
+    offsets, alters = _reference_free_alters(g, vertices, rec)
+    return Sample(codes=vertices, degrees=g.degrees()[vertices], alter_codes=alters,
+                  components=components, recruiters=rec, alter_offsets=offsets)
+
+
+_COLUMNS = ("codes", "degrees", "alter_codes", "components", "recruiters", "alter_offsets")
+
+
+def _assert_same_capture(g, cfg, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    sample, reference = rds_capture(g, cfg, rng), _reference_capture(g, cfg, ref_rng)
+    for name in _COLUMNS:
+        assert np.array_equal(getattr(sample, name), getattr(reference, name)), name
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("lam", [3.0, 10.0])
+def test_rds_capture_matches_the_reference(family, lam):
+    g = sample_graph(family, lam, 1500, np.random.default_rng([7, int(lam)]))
+    for r in (60, 250):
+        for seed in range(3):
+            _assert_same_capture(g, RdsConfig(target_size=r), seed)
+    subjects = uniform_sample(g, 250, np.random.default_rng(5))
+    view = as_sample_view(g, subjects)
+    offsets, alters = _reference_free_alters(g, np.array(subjects), np.full(len(subjects), -1))
+    assert np.array_equal(view.alter_offsets, offsets) and np.array_equal(view.alter_codes, alters)
+
+
+def test_rds_capture_matches_the_reference_through_both_reseed_fallbacks():
+    # six tied vertices among 200: rejection mostly misses them, and once they
+    # are all discovered every fresh seed comes from the isolated remainder
+    g = MultiGraph(200, [(0, 1), (1, 2), (2, 0), (5, 5), (7, 8), (7, 8)])
+    for seed in range(6):
+        _assert_same_capture(g, RdsConfig(target_size=200, num_seeds=1), seed)
+
+
 def test_harmonic_degree_assumption_on_configuration_graph():
     # over many referral samples the harmonic mean of sampled degrees tracks
     # the population mean degree
