@@ -64,6 +64,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    if args.hash_mode is not None and args.omega is None:
+        raise ValueError("--hash-mode needs --omega")
     g, _, _ = load_edge_list(EdgeListSpec(args.edges))
     rng = np.random.default_rng(args.rng_seed)
     if args.mode == "uniform":
@@ -74,10 +76,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
     extras = {"mode": args.mode, "size": args.size, "graph": args.edges}
     if args.omega is not None:
+        mode = HashMode(args.hash_mode or "random")
         digits = (args.omega.bit_length() - 1) // 2  # omega = 4**digits; HashSpace checks it
-        space = HashSpace(args.omega, HashMode(args.hash_mode), telefunken_digits=digits)
+        space = HashSpace(args.omega, mode, telefunken_digits=digits)
         sample = hashed_view(sample, assign_hashes(g.n, space, rng))
-        extras.update({"omega": args.omega, "hash_mode": args.hash_mode})
+        extras.update({"omega": args.omega, "hash_mode": mode.value})
 
     header = _header("sample", args, extras)
     if args.out:
@@ -185,8 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, required=True, help="target sample size")
     p.add_argument("--num-seeds", type=int, default=7)
     p.add_argument("--omega", type=int, default=None, help="hash space size (enables hashed dump)")
-    p.add_argument("--hash-mode", choices=[m.value for m in HashMode], default="random",
-                   help="telefunken takes its digit count from --omega, a power of 4")
+    p.add_argument("--hash-mode", choices=[m.value for m in HashMode], default=None,
+                   help="needs --omega (default random); telefunken takes its digit count "
+                        "from --omega, a power of 4")
     common(p)
     p.add_argument("--out", type=str, default=None, help="output path")
     p.set_defaults(func=_cmd_sample)

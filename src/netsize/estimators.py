@@ -1,16 +1,15 @@
-"""The one-step population-size estimators.
+"""The one-step population-size estimators: all of the estimator math.
 
 Each estimator is a ratio of pooled free ends to matched mass, scaled to
 undo the sampling bias: n1 for uniform samples, n2 for referral samples,
-and n3, which only counts matches across referral components.  The
-anonymous forms n2psi/n3psi (``hashing``) are n2/n3 with each observed
-match weighted by the chance w(n', d) that it is the true alter, where d is
-the degree of the subject it lands on.  Both are the fixed point
-n' = numerator / m(n') with m(n') = sum_d C_d w(n', d) over the sample's
-degree-grouped match counts; with w = 1 (plaintext) m is constant and the
-fixed point is the closed form.  Zero denominators are reported as failure
-values rather than exceptions so an experiment driver can tally failure
-rates alongside the estimates.
+and n3, which only counts matches across referral components.  n2psi/n3psi
+are n2/n3 on hash codes from a space of omega codes, with each match weighted
+by the chance ``collision_prob`` that it is the true alter.  Every estimator
+reads the sample's ``Counts`` and ends in one solve, n' = numerator / m(n'):
+m is the matched mass (a closed form) without omega, else its expected true
+mass ``true_mass``.  ``hashing`` owns code spaces and code assignment; its
+hashed entry points are thin calls into this module.  Zero denominators are
+failure values, not exceptions, so a driver can tally failure rates.
 """
 
 from __future__ import annotations
@@ -22,14 +21,11 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .graph import MultiGraph, harmonic_mean
-from .sampling import Sample, as_sample_view
+from .graph import MultiGraph
+from .sampling import Counts, Sample, as_sample_view
 
 BRACKET_CEILING = 1e12
 ROOT_RTOL = 1e-9
-
-# w(n', d~, degrees): chance that a match landing on a subject of each degree is true
-Weight = Callable[[float, float, np.ndarray], np.ndarray]
 
 
 class FailureCause(Enum):
@@ -73,7 +69,8 @@ def estimate_n1_from_view(sample: Sample) -> EstimateResult:
     counts = sample.counts
     if counts.matches == 0:
         return EstimateResult.failure(FailureCause.ZERO_MATCHES)
-    return EstimateResult.success(sample.size * counts.free / counts.matches)
+    # M itself: the degree-grouped mass counts a colliding code once per subject carrying it
+    return _fixed_point(sample.size * counts.free, np.array([counts.matches]), counts, None, sample.size)
 
 
 def estimate_n1(g: MultiGraph, subjects: Iterable[int]) -> EstimateResult:
@@ -81,15 +78,33 @@ def estimate_n1(g: MultiGraph, subjects: Iterable[int]) -> EstimateResult:
     return estimate_n1_from_view(as_sample_view(g, subjects))
 
 
-def _mean_degrees(sample: Sample) -> Optional[tuple[float, float]]:
-    """(arithmetic, harmonic) mean reported degree, or None when degenerate."""
-    degrees = sample.degrees.tolist()
-    if min(degrees) <= 0:
-        return None
-    mean = sum(degrees) / len(degrees)
-    if mean <= 1.0:
-        return None
-    return mean, harmonic_mean(degrees)
+def _check_omega(omega: Optional[int]) -> Optional[int]:
+    if omega is not None and omega < 1:
+        raise ValueError(f"the code space size omega must be at least 1, got {omega}")
+    return omega
+
+
+def collision_prob(n_prime: float, omega: int, d_tilde_s: float, d_w):
+    """Probability that a code match against a sampled subject is the true alter.
+
+    ``d_w`` is one subject degree or an array of them.  Degree-1 subjects
+    have no free ends, so they can never be the match (the formula's limit
+    as d_w -> 1).
+    """
+    _check_omega(omega)
+    d_w = np.asarray(d_w, dtype=float)
+    live = d_w > 1
+    prob = np.zeros(d_w.shape)
+    prob[live] = 1.0 / ((n_prime - 1.0) / omega * d_tilde_s / (d_w[live] - 1.0) + 1.0)
+    return prob if prob.ndim else float(prob)
+
+
+def true_mass(counts: Counts, mass: np.ndarray, n_prime: float, omega: int) -> float:
+    """Expected true mass sum_d mass_d * collision_prob(n', omega, d~, d) of
+    degree-grouped match counts (``mass`` is a row over ``counts.mass_degrees``)."""
+    if counts.harmonic_degree is None:
+        raise ValueError("harmonic mean requires strictly positive values")
+    return float(mass @ collision_prob(n_prime, omega, counts.harmonic_degree, counts.mass_degrees))
 
 
 def _solve_fixed_point(f: Callable[[float], float], sample_size: int) -> Optional[float]:
@@ -134,10 +149,10 @@ def _solve_fixed_point(f: Callable[[float], float], sample_size: int) -> Optiona
     return 0.5 * (lo + hi)
 
 
-def _fixed_point(numerator: float, mass: np.ndarray, degrees: np.ndarray,
-                 weight: Optional[Weight], harm_deg: float, size: int) -> EstimateResult:
-    """n' = numerator / m(n') with m(n') = sum_d mass_d * w(n', d); w = 1 when weight is None."""
-    if weight is None:
+def _fixed_point(numerator: float, mass: np.ndarray, counts: Counts, omega: Optional[int],
+                 size: int) -> EstimateResult:
+    """n' = numerator / m(n'): m is mass.sum() without omega, else ``true_mass``."""
+    if omega is None:
         # n3's numerator is zero when every component with free ends faces a
         # complement of mean degree 1
         value = numerator / mass.sum()
@@ -145,7 +160,7 @@ def _fixed_point(numerator: float, mass: np.ndarray, degrees: np.ndarray,
             EstimateResult.failure(FailureCause.DEGENERATE_DEGREES)
 
     def f(n_prime: float) -> float:
-        m = float(mass @ weight(n_prime, harm_deg, degrees))
+        m = true_mass(counts, mass, n_prime, omega)
         return numerator / m if m > 0 else math.inf
 
     root = _solve_fixed_point(f, size)
@@ -154,52 +169,47 @@ def _fixed_point(numerator: float, mass: np.ndarray, degrees: np.ndarray,
     return EstimateResult.success(root)
 
 
-def _solve_n2(sample: Sample, weight: Optional[Weight] = None) -> EstimateResult:
+def _solve_n2(sample: Sample, omega: Optional[int] = None) -> EstimateResult:
     """Referral estimator n' = [(d(S)-1)/d~(S)] * |S| * <R(S,F)> / m(n').
 
     m is the matched mass sum_d C_d (M itself for distinct plaintext codes)
-    when weight is None, and the expected true-match mass under ``weight``
-    for hashed codes.
+    without omega, and its expected true mass for codes from a space of
+    omega codes.
     """
+    _check_omega(omega)
     if sample.size == 0:
         raise ValueError("cannot estimate from an empty sample")
-    stats = _mean_degrees(sample)
-    if stats is None:
-        return EstimateResult.failure(FailureCause.DEGENERATE_DEGREES)
-    mean_deg, harm_deg = stats
     counts = sample.counts
+    mean, harm = counts.mean_degree, counts.harmonic_degree
+    if harm is None or mean <= 1.0:
+        return EstimateResult.failure(FailureCause.DEGENERATE_DEGREES)
     if counts.matches == 0:
         return EstimateResult.failure(FailureCause.ZERO_MATCHES)
-    numerator = (mean_deg - 1.0) / harm_deg * sample.size * counts.free
-    return _fixed_point(numerator, counts.match_mass, counts.mass_degrees, weight, harm_deg, sample.size)
+    numerator = (mean - 1.0) / harm * sample.size * counts.free
+    return _fixed_point(numerator, counts.match_mass, counts, omega, sample.size)
 
 
-def _solve_n3(sample: Sample, weight: Optional[Weight] = None) -> EstimateResult:
+def _solve_n3(sample: Sample, omega: Optional[int] = None) -> EstimateResult:
     """Cross-component estimator: discounts matches inside a referral tree.
 
     Each component contributes its free ends scaled by its complement's size
     and mean degree; the denominator is the cross-component match count X
-    (weight None) or its expected true mass under ``weight``.  Requires more
-    than one referral component; anything less is a caller error, not an
-    estimation failure.
+    (no omega) or its expected true mass.  Requires more than one referral
+    component; anything less is a caller error, not an estimation failure.
     """
+    _check_omega(omega)
     counts = sample.counts
     if len(counts.labels) <= 1:
         raise ValueError("cross-seed estimation needs more than one referral component")
-    stats = _mean_degrees(sample)
-    if stats is None:
+    if counts.harmonic_degree is None or counts.mean_degree <= 1.0:
         return EstimateResult.failure(FailureCause.DEGENERATE_DEGREES)
-    _, harm_deg = stats
     if counts.cross.sum() == 0:
         return EstimateResult.failure(FailureCause.ZERO_CROSS_MATCHES)
-    total_degree = sum(counts.comp_degree.tolist())
-    numerator = 0.0
-    for size, degree, free in zip(counts.comp_size.tolist(), counts.comp_degree.tolist(),
-                                  counts.comp_free.tolist()):
-        rest = sample.size - size
-        numerator += ((total_degree - degree) / rest - 1.0) / harm_deg * rest * free
-    mass = counts.cross_mass.sum(axis=0)
-    return _fixed_point(numerator, mass, counts.mass_degrees, weight, harm_deg, sample.size)
+    # summed in component order, one addition at a time; a Python float keeps the solve scalar
+    rest = sample.size - counts.comp_size
+    rest_mean = (counts.comp_degree.sum() - counts.comp_degree) / rest
+    numerator = float(np.cumsum((rest_mean - 1.0) / counts.harmonic_degree * rest * counts.comp_free)[-1])
+    return _fixed_point(numerator, counts.cross_mass.sum(axis=0), counts, omega, sample.size)
 
 
 def estimate_n2(sample: Sample) -> EstimateResult:

@@ -14,13 +14,14 @@ scheduled or how many workers execute it.
 from __future__ import annotations
 
 import hashlib
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .estimators import EstimateResult, estimate_n1_from_view, estimate_n2, estimate_n3
+from .estimators import EstimateResult, _check_omega, estimate_n1_from_view, estimate_n2, estimate_n3
 from .generators import Family, sample_graph
 from .hashing import HashMode, HashSpace, assign_hashes, estimate_n2_hashed, estimate_n3_hashed, hashed_view
 from .sampling import DEFAULT_RECRUIT_LAW, RdsConfig, as_sample_view, rds_capture, uniform_sample
@@ -58,6 +59,12 @@ def derive_rng(master_seed: int, *coords) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
+def _check_lambda(lam: float) -> float:
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"a mean degree must be finite and non-negative, got {lam!r}")
+    return lam
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     families: tuple[Family, ...]
@@ -85,6 +92,10 @@ class ExperimentPlan:
         for name in self.estimators:
             if name not in ESTIMATORS:
                 raise ValueError(f"unknown estimator {name!r}")
+        for lam in self.lambdas:
+            _check_lambda(lam)
+        for omega in self.omegas:
+            _check_omega(omega)
         if self.graph_replicates < 1 or self.sample_replicates < 1:
             raise ValueError("replicate counts must be >= 1")
         if any(name in HASHED_ESTIMATORS for name in self.estimators) and not self.omegas:
@@ -301,8 +312,9 @@ _PLAN_KEYS = {
 def parse_plan(text: str) -> ExperimentPlan:
     """Parse a line-oriented key=value plan (lists are comma-separated).
 
-    A value that does not parse, a key given twice, or both ``r`` and
-    ``sample_sizes`` fails with a ``plan line N: key:`` message.
+    A value that does not parse, a negative or non-finite lambda, an omega
+    below 1, a key given twice, or both ``r`` and ``sample_sizes`` fails with
+    a ``plan line N: key:`` message.
     """
     fields: dict[str, str] = {}
     line_of: dict[str, int] = {}
@@ -342,11 +354,11 @@ def parse_plan(text: str) -> ExperimentPlan:
 
     return ExperimentPlan(
         families=parse("families", listed(Family)),
-        lambdas=parse("lambdas", listed(float)),
+        lambdas=parse("lambdas", listed(lambda tok: _check_lambda(float(tok)))),
         sizes=parse("sizes", listed(int)),
         sample_sizes=parse("r" if "r" in fields else "sample_sizes", listed(int)),
         estimators=parse("estimators", listed(str)),
-        omegas=parse("omegas", listed(int), ()),
+        omegas=parse("omegas", listed(lambda tok: _check_omega(int(tok))), ()),
         graph_replicates=parse("graph_replicates", int, 1),
         sample_replicates=parse("sample_replicates", int, 1),
         seed=parse("seed", int, 0),

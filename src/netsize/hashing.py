@@ -1,11 +1,12 @@
-"""Anonymity-preserving estimation via random identity hashing.
+"""Anonymity-preserving estimation via random identity hashing: code assignment.
 
 Subjects reveal only hash codes: their own, their alters', and their degree.
-A many-to-one code space produces false matches; the expected true-match
-mass among observed code matches, as a function of a hypothesized
-population size, corrects for them.  The corrected estimators are the
-fixed points of that correction, found by bracketed bisection (the
-correction is monotone, so the bracket contains at most one root).
+This module owns the code spaces, the code assignment and the hashed view
+of a sample.  A many-to-one code space produces false matches; the
+correction for them (``collision_prob``, re-exported here, the expected
+true-match mass and the root solve) is estimator math in ``estimators``.
+``estimate_n2_hashed``/``estimate_n3_hashed``, ``m_hat`` and ``x_hat``
+stay here as thin calls into it.
 
 Includes the phone-digit codec: each of the last k digits of a phone
 number contributes a (parity, low/high) bit pair, giving a 2k-bit code.
@@ -19,8 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import EstimateResult, Weight, _solve_n2, _solve_n3
-from .graph import harmonic_mean
+from .estimators import EstimateResult, _solve_n2, _solve_n3, collision_prob, true_mass  # noqa: F401
 from .sampling import Sample
 
 
@@ -106,39 +106,9 @@ def hashed_view(sample: Sample, assignment: np.ndarray) -> Sample:
     return replace(sample, codes=assignment[sample.codes], alter_codes=assignment[sample.alter_codes])
 
 
-def collision_prob(n_prime: float, omega: int, d_tilde_s: float, d_w):
-    """Probability that a code match against a sampled subject is the true alter.
-
-    ``d_w`` is one subject degree or an array of them.  Degree-1 subjects
-    have no free ends, so they can never be the match (the formula's limit
-    as d_w -> 1).
-    """
-    _check_omega(omega)
-    d_w = np.asarray(d_w, dtype=float)
-    live = d_w > 1
-    prob = np.zeros(d_w.shape)
-    prob[live] = 1.0 / ((n_prime - 1.0) / omega * d_tilde_s / (d_w[live] - 1.0) + 1.0)
-    return prob if prob.ndim else float(prob)
-
-
-def _check_omega(omega: int) -> None:
-    if omega < 1:
-        raise ValueError(f"the code space size omega must be at least 1, got {omega}")
-
-
-def _collision_weight(omega: int) -> Weight:
-    _check_omega(omega)
-    return lambda n_prime, d_tilde_s, degrees: collision_prob(n_prime, omega, d_tilde_s, degrees)
-
-
-def _true_mass(hs: Sample, mass: np.ndarray, n_prime: float, omega: int) -> float:
-    d_tilde = harmonic_mean(hs.degrees.tolist())
-    return float(mass @ collision_prob(n_prime, omega, d_tilde, hs.counts.mass_degrees))
-
-
 def m_hat(hs: Sample, n_prime: float, omega: int) -> float:
     """Expected true-match mass among all observed code matches."""
-    return _true_mass(hs, hs.counts.match_mass, n_prime, omega)
+    return true_mass(hs.counts, hs.counts.match_mass, n_prime, omega)
 
 
 def x_hat(hs: Sample, component_label: int, n_prime: float, omega: int) -> float:
@@ -146,7 +116,7 @@ def x_hat(hs: Sample, component_label: int, n_prime: float, omega: int) -> float
     index = np.flatnonzero(hs.counts.labels == component_label)
     if not len(index):
         raise ValueError(f"no referral component labelled {component_label}")
-    return _true_mass(hs, hs.counts.cross_mass[index[0]], n_prime, omega)
+    return true_mass(hs.counts, hs.counts.cross_mass[index[0]], n_prime, omega)
 
 
 def estimate_n2_hashed(hs: Sample, omega: int) -> EstimateResult:
@@ -154,12 +124,12 @@ def estimate_n2_hashed(hs: Sample, omega: int) -> EstimateResult:
 
     Solves n' = [(d(S)-1)/d~(S)] * |S| * <R> / m_hat(n').
     """
-    return _solve_n2(hs, _collision_weight(omega))
+    return _solve_n2(hs, omega)
 
 
 def estimate_n3_hashed(hs: Sample, omega: int) -> EstimateResult:
     """Collision-corrected cross-component estimator on hashed data."""
-    return _solve_n3(hs, _collision_weight(omega))
+    return _solve_n3(hs, omega)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ class RdsConfig:
     num_seeds: int = 7
     recruit_law: tuple[tuple[int, float], ...] = DEFAULT_RECRUIT_LAW
     seeds: Optional[tuple[int, ...]] = None  # explicit seed vertices (testing/repro)
-    seed: Optional[int] = None               # rng seed when no generator is passed
 
     def __post_init__(self):
         if self.target_size < 1:
@@ -148,8 +147,9 @@ class Counts:
     A matched (subject i, code c) pair counts min(a_i(c), s(c)): a_i(c) is
     c's multiplicity among i's alters and s(c) the number of subjects coded
     c, or for X only those outside i's component.  The matched mass is also
-    grouped by the degree d of the subject it lands on, so that under a
-    true-match weight w the expected true mass is m(n') = sum_d C_d w(n', d).
+    grouped by the degree d of the subject it lands on, so that with a
+    true-match chance w the expected true mass is m(n') = sum_d C_d w(n', d).
+    With the mean reported degrees it is the one record every estimator reads.
     """
 
     labels: np.ndarray        # component labels, in order of first appearance
@@ -161,10 +161,15 @@ class Counts:
     mass_degrees: np.ndarray  # the distinct subject degrees d
     match_mass: np.ndarray    # C_d behind M
     cross_mass: np.ndarray    # C_d behind X, one row per component
+    harmonic_degree: Optional[float]  # d~, None unless every reported degree is positive
 
     @property
     def free(self) -> int:
         return int(self.comp_free.sum())
+
+    @property
+    def mean_degree(self) -> float:
+        return int(self.comp_degree.sum()) / int(self.comp_size.sum())
 
 
 def _count(s: Sample) -> Counts:
@@ -198,12 +203,14 @@ def _count(s: Sample) -> Counts:
     m_pair = np.minimum(mult, reps)
     x_pair = np.minimum(mult, outside)
     mass_degrees, degree_index = np.unique(s.degrees, return_inverse=True)
+    comp_degree = np.zeros(n_comp, dtype=np.int64)
+    np.add.at(comp_degree, comp, s.degrees)  # exact, where float bincount weights round past 2**53
     n_deg = len(mass_degrees)
     cross_key = pair_comp[pair[other]] * n_deg + degree_index[subject[other]]
     return Counts(
         labels=labels[by_first],
         comp_size=np.bincount(comp, minlength=n_comp),
-        comp_degree=np.bincount(comp, weights=s.degrees, minlength=n_comp).astype(np.int64),
+        comp_degree=comp_degree,
         comp_free=np.bincount(comp[row], minlength=n_comp),
         matches=int(m_pair.sum()),
         cross=np.bincount(pair_comp, weights=x_pair, minlength=n_comp).astype(np.int64),
@@ -211,6 +218,8 @@ def _count(s: Sample) -> Counts:
         match_mass=np.bincount(degree_index[subject], weights=m_pair[pair], minlength=n_deg),
         cross_mass=np.bincount(cross_key, weights=x_pair[pair[other]],
                                minlength=n_comp * n_deg).reshape(n_comp, n_deg),
+        # added in row order, as graph.harmonic_mean does
+        harmonic_degree=float(k / np.cumsum(1.0 / s.degrees)[-1]) if k and s.degrees.min() > 0 else None,
     )
 
 
@@ -292,11 +301,7 @@ def _draw_initial_seeds(g: MultiGraph, count: int, rng: np.random.Generator) -> 
     return seeds + [int(v) for v in extra]
 
 
-def rds_capture(
-    g: MultiGraph,
-    cfg: RdsConfig,
-    rng: Optional[np.random.Generator] = None,
-) -> Sample:
+def rds_capture(g: MultiGraph, cfg: RdsConfig, rng: np.random.Generator) -> Sample:
     """Run one referral capture until the target sample size is reached.
 
     Recruitment picks a uniform member of the current frontier, who recruits
@@ -310,8 +315,6 @@ def rds_capture(
     no tied vertex remains.  Recruits always have a tie (their recruiter),
     so samples contain zero-degree subjects only in that degenerate case.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     n = g.n
     r = cfg.target_size
     if r > n:

@@ -94,6 +94,30 @@ def test_sample_telefunken_rejects_omega_off_the_powers_of_four(tmp_path, capsys
     assert captured.err == "error: telefunken mode needs size == 4**digits\n"
 
 
+@pytest.mark.parametrize("mode", ["telefunken", "injective", "random"])
+def test_sample_hash_mode_needs_omega(tmp_path, capsys, mode):
+    edges = _generate_edges(tmp_path, n=60)
+    capsys.readouterr()
+    dump = tmp_path / "h.csv"
+    assert main(["sample", "--edges", str(edges), "--size", "20", "--hash-mode", mode,
+                 "--rng-seed", "1", "--out", str(dump)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --hash-mode needs --omega\n"
+    assert not dump.exists()
+
+
+def test_sample_omega_alone_means_random_codes(tmp_path, capsys):
+    edges = _generate_edges(tmp_path)
+    argv = ["sample", "--edges", str(edges), "--size", "40", "--omega", "64", "--rng-seed", "2"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    alone = capsys.readouterr().out
+    assert main(argv + ["--hash-mode", "random"]) == 0
+    assert capsys.readouterr().out == alone
+    assert alone.startswith("# ") and alone.splitlines()[0].endswith(" omega=64 hash_mode=random")
+
+
 def test_estimate_hashed_requires_omega(tmp_path, capsys):
     edges = _generate_edges(tmp_path)
     dump = tmp_path / "s.csv"

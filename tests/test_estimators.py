@@ -1,10 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from netsize.estimators import FailureCause, estimate_n1, estimate_n2, estimate_n3
+from netsize import estimators
+from netsize.estimators import FailureCause, estimate_n1, estimate_n1_from_view, estimate_n2, estimate_n3
 from netsize.generators import Family, sample_graph
-from netsize.graph import MultiGraph
-from netsize.sampling import RdsConfig, rds_capture
+from netsize.graph import MultiGraph, harmonic_mean
+from netsize.hashing import estimate_n2_hashed, estimate_n3_hashed, hashed_view, m_hat, x_hat
+from netsize.sampling import RdsConfig, Sample, rds_capture
+from test_counts import SETTINGS, captures, coded_samples
 
 K3 = MultiGraph(3, [(0, 1), (1, 2), (0, 2)])
 CYCLE4 = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -169,3 +176,108 @@ def test_n3_zero_numerator_is_a_failure_not_a_zero_estimate():
     sample = Sample(codes=(0, 1, 2), degrees=(5, 1, 1), alter_codes=([1], [], []), components=(0, 1, 2))
     assert estimate_n3(sample).failure_cause is FailureCause.DEGENERATE_DEGREES
     assert estimate_n3_hashed(sample, 10**9).failure_cause is FailureCause.NO_ROOT
+
+
+# ---------------------------------------------------------------------------
+# the shared core: degree means in ``Counts`` and one solve for every estimator
+
+def _loop_mean_degrees(sample):
+    """(arithmetic, harmonic) mean degree in plain Python, or None when degenerate."""
+    degrees = sample.degrees.tolist()
+    if min(degrees) <= 0:
+        return None
+    mean = sum(degrees) / len(degrees)
+    if mean <= 1.0:
+        return None
+    return mean, harmonic_mean(degrees)
+
+
+def _loop_n3_numerator(sample, harm_deg):
+    """n3's numerator summed one component at a time in plain Python."""
+    counts = sample.counts
+    total_degree = sum(counts.comp_degree.tolist())
+    numerator = 0.0
+    for size, degree, free in zip(counts.comp_size.tolist(), counts.comp_degree.tolist(),
+                                  counts.comp_free.tolist()):
+        rest = sample.size - size
+        numerator += ((total_degree - degree) / rest - 1.0) / harm_deg * rest * free
+    return numerator
+
+
+def _solve_numerators(solve, sample, *args):
+    """The numerators ``solve`` hands to the shared ``_fixed_point``."""
+    with mock.patch.object(estimators, "_fixed_point", wraps=estimators._fixed_point) as spy:
+        solve(sample, *args)
+    return [call.args[0] for call in spy.call_args_list]
+
+
+def _check_core_against_loops(sample):
+    counts = sample.counts
+    degrees = sample.degrees.tolist()
+    assert counts.mean_degree == sum(degrees) / len(degrees)
+    if min(degrees) <= 0:
+        assert counts.harmonic_degree is None
+    else:
+        assert counts.harmonic_degree == harmonic_mean(degrees)
+    stats = _loop_mean_degrees(sample)
+    if stats is None or len(counts.labels) <= 1 or counts.cross.sum() == 0:
+        return
+    mean, harm = stats
+    assert (counts.mean_degree, counts.harmonic_degree) == (mean, harm)
+    expected = [_loop_n3_numerator(sample, harm)]
+    assert _solve_numerators(estimate_n3, sample) == expected
+    assert _solve_numerators(estimate_n3_hashed, sample, 7) == expected
+
+
+@SETTINGS
+@given(st.one_of(captures().map(lambda capture: capture[1]), coded_samples()))
+def test_counts_degree_means_and_n3_numerator_equal_the_loop_forms(sample):
+    _check_core_against_loops(sample)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_core_equals_the_loop_forms_on_many_components(family):
+    # dozens of components: a pairwise sum would round differently from the loop
+    g = sample_graph(family, 3.0, 2000, np.random.default_rng(5))
+    for seed in range(3):
+        sample = rds_capture(g, RdsConfig(target_size=300, num_seeds=60), np.random.default_rng(seed))
+        assert len(sample.counts.labels) >= 60
+        _check_core_against_loops(sample)
+        _check_core_against_loops(hashed_view(sample, np.random.default_rng(seed).integers(0, 500, g.n)))
+
+
+def test_every_estimator_ends_in_the_shared_solve():
+    g = sample_graph(Family.CONFIG_POISSON, 6.0, 400, np.random.default_rng(2))
+    sample = rds_capture(g, RdsConfig(target_size=120), np.random.default_rng(3))
+    counts = sample.counts
+    assert _solve_numerators(estimate_n1_from_view, sample) == [sample.size * counts.free]
+    assert _solve_numerators(estimate_n2, sample) == _solve_numerators(estimate_n2_hashed, sample, 900)
+    assert len(_solve_numerators(estimate_n3, sample)) == 1
+
+
+def test_harmonic_degree_is_none_with_a_zero_degree_subject():
+    sample = Sample(codes=(0, 1, 2), degrees=(2, 0, 3), alter_codes=([1, 2], [], [0]), components=(0, 1, 1))
+    assert sample.counts.harmonic_degree is None
+    assert sample.counts.mean_degree == 5 / 3
+    for call in (lambda: m_hat(sample, 10.0, 50), lambda: x_hat(sample, 0, 10.0, 50)):
+        with pytest.raises(ValueError, match="harmonic mean requires strictly positive values"):
+            call()
+    assert estimate_n2(sample).failure_cause is FailureCause.DEGENERATE_DEGREES
+
+
+def test_collision_prob_still_imports_from_hashing():
+    import netsize
+    from netsize import hashing
+
+    assert hashing.collision_prob is estimators.collision_prob is netsize.collision_prob
+
+
+def test_degree_sums_are_exact_past_float_precision():
+    big = 2**53 + 1  # float64 bincount weights would round this sum
+    sample = Sample(codes=(0, 1, 2, 3), degrees=(big, 3, 3, 2), alter_codes=([1], [0, 2], [1], []),
+                    components=(0, 0, 0, 1))
+    counts = sample.counts
+    assert counts.comp_degree.tolist() == [big + 6, 2]
+    mean, harm = _loop_mean_degrees(sample)
+    assert (counts.mean_degree, counts.harmonic_degree) == (mean, harm)
+    assert _solve_numerators(estimate_n2, sample) == [(mean - 1.0) / harm * sample.size * counts.free]

@@ -120,6 +120,19 @@ def test_plan_rejects_a_repeated_value(field, values, shown):
         ExperimentPlan(**{**base, field: values})
 
 
+@pytest.mark.parametrize("field, values, message", [
+    ("lambdas", (3.0, float("nan")), "a mean degree must be finite and non-negative, got nan"),
+    ("lambdas", (-0.5,), "a mean degree must be finite and non-negative, got -0.5"),
+    ("lambdas", (float("-inf"),), "a mean degree must be finite and non-negative, got -inf"),
+    ("omegas", (512, -5), "the code space size omega must be at least 1, got -5"),
+])
+def test_experiment_plan_rejects_out_of_range_lambdas_and_omegas(field, values, message):
+    base = dict(families=(Family.ERDOS_RENYI,), lambdas=(3.0,), sizes=(100,), sample_sizes=(10,),
+                estimators=("n2", "n2psi"), omegas=(512,))
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        ExperimentPlan(**{**base, field: values})
+
+
 SCRAMBLED = ExperimentPlan(
     families=(Family.CONFIG_POISSON,),
     lambdas=(6.0,),
@@ -246,6 +259,10 @@ _VALID_PLAN = "families = er\nlambdas = 3\nsizes = 100\nr = 10\nestimators = n1\
     ("seed =", "plan line 6: seed: invalid literal for int"),
     ("omegas = 2000, 3.5", "plan line 6: omegas: invalid literal for int"),
     ("families = er, marslink", "plan line 6: families: unknown family 'marslink'"),
+    ("lambdas = nan", "plan line 6: lambdas: a mean degree must be finite and non-negative, got nan"),
+    ("lambdas = -3", "plan line 6: lambdas: a mean degree must be finite and non-negative, got -3.0"),
+    ("lambdas = 3, inf", "plan line 6: lambdas: a mean degree must be finite and non-negative, got inf"),
+    ("omegas = -5", "plan line 6: omegas: the code space size omega must be at least 1, got -5"),
 ])
 def test_parse_plan_names_the_line_of_a_bad_value(line, message):
     # the valid plan's own line for the key becomes a comment, so the key is given once

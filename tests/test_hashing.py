@@ -19,7 +19,7 @@ from netsize.hashing import (
     x_hat,
 )
 from netsize.multiset import Multiset
-from netsize.sampling import RdsConfig, rds_capture, read_sample_dump, write_sample_dump
+from netsize.sampling import RdsConfig, Sample, rds_capture, read_sample_dump, write_sample_dump
 from netsize.graph import MultiGraph
 
 CYCLE4 = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -269,3 +269,14 @@ def test_hashed_dump_round_trip(tmp_path):
     a = estimate_n2_hashed(hs, 4096)
     b = estimate_n2_hashed(back, 4096)
     assert a.value == b.value
+
+
+@pytest.mark.parametrize("omega", [0, -5])
+def test_hashed_estimators_check_omega_before_anything_else(omega):
+    empty = Sample(codes=(), degrees=(), alter_codes=(), components=())
+    zero_degree = Sample(codes=(0, 1), degrees=(0, 2), alter_codes=([], [0]), components=(0, 1))
+    one_component = Sample(codes=(0, 1), degrees=(2, 2), alter_codes=([1], [0]), components=(0, 0))
+    for sample in (empty, zero_degree, one_component):
+        for solve in (estimate_n2_hashed, estimate_n3_hashed):
+            with pytest.raises(ValueError, match=f"omega must be at least 1, got {omega}"):
+                solve(sample, omega)
