@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -47,6 +46,8 @@ class DegreeDistribution:
                 raise ValueError("explicit kind needs explicit_degrees")
         elif self.lam < 1.0:
             raise ValueError(f"target mean degree must be >= 1, got {self.lam}")
+        elif self.kind is DegreeKind.LOGNORMAL and self.lam <= 1.0:
+            raise ValueError("lognormal degrees need a target mean degree > 1")
 
 
 def sample_degrees(dist: DegreeDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -68,8 +69,6 @@ def sample_degrees(dist: DegreeDistribution, n: int, rng: np.random.Generator) -
     if dist.kind is DegreeKind.EXPONENTIAL:
         x = rng.exponential(scale=mean, size=n) if mean > 0 else np.zeros(n)
     elif dist.kind is DegreeKind.LOGNORMAL:
-        if mean <= 0:
-            raise ValueError("lognormal degrees need a target mean degree > 1")
         # moment-match a lognormal to mean lam-1 and standard deviation 1
         sigma2 = math.log(1.0 + 1.0 / (mean * mean))
         mu = math.log(mean) - sigma2 / 2.0
@@ -99,6 +98,10 @@ def configuration_graph(degrees: Sequence[int], rng: np.random.Generator) -> Mul
     return MultiGraph(len(degrees), stubs.reshape(-1, 2))
 
 
+_SLOT_BLOCK = 1 << 14  # pick slots resolved together
+_CANDIDATES = 2         # candidates first drawn per pick slot
+
+
 def barabasi_albert(lam: float, n: int, rng: np.random.Generator) -> MultiGraph:
     """Preferential-attachment graph with expected mean degree -> lam.
 
@@ -107,40 +110,152 @@ def barabasi_albert(lam: float, n: int, rng: np.random.Generator) -> MultiGraph:
     split keeps the expected number of new edges at lam/2), chosen
     sequentially without replacement with probability proportional to
     1 + current degree.
+
+    The picks are drawn as copies (Batagelj & Brandes, "Efficient generation
+    of large random networks", PRE 71, 036113, 2005).  Every edge is two
+    consecutive entries of one endpoint pool, and the pool length L_i before
+    node i is known once all the pick counts are drawn.  Each pick slot of
+    node i gets i.i.d. candidates x uniform on [0, i + L_i): x < i is the
+    vertex x, otherwise pool entry x - i, which is a clique vertex, the
+    source node of an earlier edge, or the target of an earlier pick slot.
+    So a prior vertex is hit once directly and once per pool entry, with
+    weight 1 + degree.  Each slot takes its first candidate whose target
+    differs from the targets of its node's earlier slots; that has the law
+    of the sequential process.
+
+    The pick counts are drawn first, in one block.  Slots are then resolved
+    in node blocks of about ``_SLOT_BLOCK``, in order, so a pointer into an
+    earlier block reads a final target.  Within a block the chosen candidates
+    are followed by pointer doubling, and the choices of every node whose
+    candidates' targets changed are recomputed until none changes; a slot
+    whose candidates are all rejected then draws as many again, for that
+    slot only.
     """
-    if lam < 2:
-        raise ValueError(f"mean degree must be >= 2, got {lam}")
-    if n <= lam:
-        raise ValueError(f"need n > lam, got n={n}, lam={lam}")
+    check_family(Family.BARABASI_ALBERT, lam, n)
+    return MultiGraph(n, _copy_model_edges(lam, n, rng))
+
+
+def _copy_model_edges(lam: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The edge array of ``barabasi_albert``: the clique's edges, then each node's picks in order."""
     m0 = math.ceil(lam)
     base = math.floor(lam / 2.0)
     p_low = 1.0 + base - lam / 2.0  # P(new node adds `base` edges)
 
-    # ends holds every edge as two consecutive entries (u, v).  It is also
-    # the endpoint pool: one entry drawn uniformly is a vertex drawn ~ degree,
-    # and mixing that with a uniform vertex pick realizes weights 1 + degree.
-    ends = array("q")
-    for u in range(m0):
-        for v in range(u + 1, m0):
-            ends.extend((u, v))
+    delta = np.where(rng.random(n - m0) < p_low, base, base + 1)  # at most ceil(lam) <= i picks
+    starts = np.zeros(n - m0 + 1, dtype=np.int64)  # first pick slot of each node, then the total
+    np.cumsum(delta, out=starts[1:])
+    clique = np.stack(np.triu_indices(m0, k=1), axis=1)
+    e0 = len(clique)
+    edges = np.empty((e0 + int(starts[-1]), 2), dtype=np.int64)
+    edges[:e0] = clique
+    edges[e0:, 0] = np.repeat(np.arange(m0, n), delta)
+    edges[e0:, 1] = -1
+    pool = edges.reshape(-1)  # entry 2e is edge e's source, 2e + 1 its target
 
-    for i in range(m0, n):
-        delta = base if rng.random() < p_low else base + 1
-        delta = min(delta, i)
-        picked: list[int] = []
-        total_weight = i + len(ends)  # sum over prior nodes of (1 + degree)
-        while len(picked) < delta:
-            if rng.random() * total_weight < i:
-                w = int(rng.integers(i))
-            else:
-                w = ends[int(rng.integers(len(ends)))]
-            if w not in picked:
-                picked.append(w)
-        # the pool must only reflect the graph as it stood before node i,
-        # so i's endpoints enter it after all of i's picks are made
-        for w in picked:
-            ends.extend((i, w))
-    return MultiGraph(n, np.frombuffer(ends, dtype=np.int64).reshape(-1, 2))
+    j0 = 0
+    while j0 < n - m0:
+        j1 = max(j0 + 1, int(np.searchsorted(starts, starts[j0] + _SLOT_BLOCK, side="right")) - 1)
+        _resolve_block(pool, e0, starts, delta, j0, j1, rng)
+        j0 = j1
+    return edges
+
+
+def _draw_candidates(rng: np.random.Generator, slots: np.ndarray, high: np.ndarray,
+                     count: int | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` candidates for each pick slot, uniform on [0, that slot's ``high``).
+
+    Returns the slot of every candidate and the candidates, slot by slot.
+    """
+    return np.repeat(slots, count), rng.integers(0, np.repeat(high, count))
+
+
+def _resolve_block(pool: np.ndarray, e0: int, starts: np.ndarray, delta: np.ndarray,
+                   j0: int, j1: int, rng: np.random.Generator) -> None:
+    """Write the targets of the pick slots of nodes j0..j1-1 (counted from ceil(lam)) into ``pool``."""
+    s0, s1 = int(starts[j0]), int(starts[j1])
+    size = s1 - s0
+    first = np.repeat(starts[j0:j1], delta[j0:j1])  # first slot of each slot's node
+    owner = np.repeat(np.arange(j1 - j0), delta[j0:j1])  # each slot's node, counted from j0
+    node = pool[2 * (e0 + s0):2 * (e0 + s1):2]
+    rank = np.arange(s0, s1) - first  # slot's place among its node's picks
+    high = node + 2 * (e0 + first)
+    targets = pool[2 * (e0 + s0) + 1:2 * (e0 + s1) + 1:2]  # a view: -1 until resolved
+    bound = 2 * (e0 + s0)  # pool entries below are final
+
+    slot, x = _draw_candidates(rng, np.arange(s0, s1), high, _CANDIDATES)
+    slot = slot - s0
+    count = np.full(size, _CANDIDATES)
+    choice = np.arange(size) * _CANDIDATES  # index of the candidate each slot takes, -1 for none
+    redo = np.arange(len(x))  # the candidates of every node whose choices must be recomputed
+    while True:
+        q = x - node[slot]
+        copy = (q >= bound) & (q % 2 == 1)
+        pointer = np.where(copy, (q >> 1) - (e0 + s0), -1)  # the block slot whose target it copies
+        direct = np.where(copy, -1, np.where(q < 0, x, pool[np.maximum(q, 0)]))
+        targets[:] = _follow(choice, pointer, direct)
+        value = np.where(copy, targets[pointer], direct)
+        while True:
+            new_choice = choice.copy()
+            new_choice[slot[redo]] = -1
+            taken, heads = _first_valid(redo, slot, rank, value, targets)
+            new_choice[taken] = heads
+            if np.array_equal(new_choice, choice):
+                break
+            choice = new_choice
+            before = targets.copy()
+            targets[:] = _follow(choice, pointer, direct)
+            before_value, value = value, np.where(copy, targets[pointer], direct)
+            dirty = np.zeros(j1 - j0, dtype=bool)
+            dirty[owner[slot[value != before_value]]] = True
+            dirty[owner[targets != before]] = True
+            redo = np.flatnonzero(dirty[owner[slot]])
+        exhausted = np.flatnonzero(choice < 0)
+        if not exhausted.size:
+            return
+        more_slot, more_x = _draw_candidates(rng, exhausted + s0, high[exhausted], count[exhausted])
+        count[exhausted] *= 2
+        order = np.argsort(np.r_[slot, more_slot - s0], kind="stable")
+        slot = np.r_[slot, more_slot - s0][order]
+        x = np.r_[x, more_x][order]
+        moved = np.empty_like(order)
+        moved[order] = np.arange(len(order))
+        choice = np.where(choice >= 0, moved[choice], -1)
+        dirty = np.zeros(j1 - j0, dtype=bool)
+        dirty[owner[exhausted]] = True
+        redo = np.flatnonzero(dirty[owner[slot]])
+
+
+def _first_valid(redo: np.ndarray, slot: np.ndarray, rank: np.ndarray, value: np.ndarray,
+                 targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each slot's first candidate in ``redo`` whose target none of its node's earlier slots holds.
+
+    ``redo`` lists whole slots' candidates in order.  Returns the slots that
+    have such a candidate and its index.
+    """
+    own, v = slot[redo], value[redo]
+    place = rank[own]
+    rejected = np.zeros(len(redo), dtype=bool)
+    for k in range(1, int(place.max(initial=0)) + 1):
+        later = np.flatnonzero(place >= k)
+        rejected[later] |= v[later] == targets[own[later] - k]
+    rejected &= v >= 0  # a candidate copying an unresolved slot waits for it
+    ok = np.flatnonzero(~rejected)
+    heads = ok[np.diff(own[ok], prepend=-1) != 0]
+    return own[heads], redo[heads]
+
+
+def _follow(choice: np.ndarray, pointer: np.ndarray, direct: np.ndarray) -> np.ndarray:
+    """The target of every slot under ``choice``, found by pointer doubling; -1 where unresolved."""
+    taken = np.flatnonzero(choice >= 0)
+    resolved = np.full(len(choice), -1)
+    resolved[taken] = direct[choice[taken]]
+    link = np.full(len(choice), -1)
+    link[taken] = pointer[choice[taken]]
+    while (open_ := np.flatnonzero(link >= 0)).size:
+        via = link[open_]
+        resolved[open_] = resolved[via]
+        link[open_] = link[via]
+    return resolved
 
 
 _MAX_ER_N = (1 << 31) - 1  # keeps 2 * n**2, the largest pair-index product, inside int64
@@ -156,12 +271,7 @@ def erdos_renyi(lam: float, n: int, rng: np.random.Generator) -> MultiGraph:
     are drawn in blocks, and the generator is left exactly where one scalar
     draw per gap, up to the first gap past the last pair, would leave it.
     """
-    if n < 2:
-        raise ValueError("need at least two vertices")
-    if n > _MAX_ER_N:
-        raise ValueError(f"Erdos-Renyi graphs need n <= {_MAX_ER_N}, got {n}")
-    if lam < 0 or lam > n - 1:
-        raise ValueError(f"mean degree must lie in [0, n-1], got {lam}")
+    check_family(Family.ERDOS_RENYI, lam, n)
     p = lam / (n - 1)
     if p == 0.0:
         return MultiGraph(n, np.empty((0, 2), dtype=np.int64))
@@ -239,6 +349,28 @@ _CONFIG_KINDS = {
 }
 
 
+def check_family(family: Family, lam: float, n: int) -> None:
+    """Raise ``ValueError`` unless ``family`` generates graphs of mean degree ``lam`` on ``n`` vertices."""
+    if not math.isfinite(lam):
+        raise ValueError(f"mean degree must be finite, got {lam}")
+    if family is Family.BARABASI_ALBERT:
+        if lam < 2:
+            raise ValueError(f"mean degree must be >= 2, got {lam}")
+        if n <= lam:
+            raise ValueError(f"need n > lam, got n={n}, lam={lam}")
+    elif family is Family.ERDOS_RENYI:
+        if n < 2:
+            raise ValueError("need at least two vertices")
+        if n > _MAX_ER_N:
+            raise ValueError(f"Erdos-Renyi graphs need n <= {_MAX_ER_N}, got {n}")
+        if lam < 0 or lam > n - 1:
+            raise ValueError(f"mean degree must lie in [0, n-1], got {lam}")
+    elif family in _CONFIG_KINDS:
+        DegreeDistribution(_CONFIG_KINDS[family], lam)
+        if n < 1:
+            raise ValueError("need at least one vertex")
+
+
 @dataclass(frozen=True)
 class GraphFamily:
     """A fully specified sample space of random graphs."""
@@ -248,6 +380,7 @@ class GraphFamily:
     n: int
 
     def __post_init__(self):
+        check_family(self.family, self.lam, self.n)
         if self.n < 2:
             raise ValueError("need at least two vertices")
         if self.lam < 1:
@@ -259,6 +392,7 @@ class GraphFamily:
 
 def sample_graph(family: Family, lam: float, n: int, rng: np.random.Generator) -> MultiGraph:
     """Draw one random graph from the requested family."""
+    check_family(family, lam, n)
     if family in _CONFIG_KINDS:
         dist = DegreeDistribution(_CONFIG_KINDS[family], lam)
         return configuration_graph(sample_degrees(dist, n, rng), rng)

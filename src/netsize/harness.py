@@ -22,7 +22,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .estimators import EstimateResult, _check_omega, estimate_n1_from_view, estimate_n2, estimate_n3
-from .generators import Family, sample_graph
+from .generators import Family, check_family, sample_graph
 from .hashing import HashMode, HashSpace, assign_hashes, estimate_n2_hashed, estimate_n3_hashed, hashed_view
 from .sampling import DEFAULT_RECRUIT_LAW, RdsConfig, as_sample_view, rds_capture, uniform_sample
 
@@ -65,6 +65,17 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
+def _check_cells(families: Sequence[Family], lam: float, sizes: Sequence[int]) -> float:
+    """``lam`` once every family can generate it at every size."""
+    for family in families:
+        for n in sizes:
+            try:
+                check_family(family, lam, n)
+            except ValueError as exc:
+                raise ValueError(f"{family.value} graphs on {n} vertices: {exc}") from None
+    return lam
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     families: tuple[Family, ...]
@@ -93,7 +104,7 @@ class ExperimentPlan:
             if name not in ESTIMATORS:
                 raise ValueError(f"unknown estimator {name!r}")
         for lam in self.lambdas:
-            _check_lambda(lam)
+            _check_cells(self.families, _check_lambda(lam), self.sizes)
         for omega in self.omegas:
             _check_omega(omega)
         if self.graph_replicates < 1 or self.sample_replicates < 1:
@@ -312,9 +323,10 @@ _PLAN_KEYS = {
 def parse_plan(text: str) -> ExperimentPlan:
     """Parse a line-oriented key=value plan (lists are comma-separated).
 
-    A value that does not parse, a negative or non-finite lambda, an omega
-    below 1, a key given twice, or both ``r`` and ``sample_sizes`` fails with
-    a ``plan line N: key:`` message.
+    A value that does not parse, a negative or non-finite lambda, a lambda
+    some family cannot generate at some size, an omega below 1, a key given
+    twice, or both ``r`` and ``sample_sizes`` fails with a ``plan line N:
+    key:`` message.
     """
     fields: dict[str, str] = {}
     line_of: dict[str, int] = {}
@@ -352,10 +364,12 @@ def parse_plan(text: str) -> ExperimentPlan:
     def listed(convert: Callable[[str], Any]) -> Callable[[str], tuple]:
         return lambda value: tuple(convert(tok.strip()) for tok in value.split(",") if tok.strip())
 
+    families = parse("families", listed(Family))
+    sizes = parse("sizes", listed(int))
     return ExperimentPlan(
-        families=parse("families", listed(Family)),
-        lambdas=parse("lambdas", listed(lambda tok: _check_lambda(float(tok)))),
-        sizes=parse("sizes", listed(int)),
+        families=families,
+        lambdas=parse("lambdas", listed(lambda tok: _check_cells(families, _check_lambda(float(tok)), sizes))),
+        sizes=sizes,
         sample_sizes=parse("r" if "r" in fields else "sample_sizes", listed(int)),
         estimators=parse("estimators", listed(str)),
         omegas=parse("omegas", listed(lambda tok: _check_omega(int(tok))), ()),

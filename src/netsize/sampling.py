@@ -61,6 +61,7 @@ class Sample:
     -1 for a seed (the default for every row).  Row i's alter codes are
     ``alter_codes[alter_offsets[i]:alter_offsets[i + 1]]``, which construction
     sorts.  Without ``alter_offsets``, ``alter_codes`` is one bag of codes per row.
+    Every sum of reported degrees must fit in int64, as the counts add them there.
     """
 
     codes: np.ndarray
@@ -86,6 +87,8 @@ class Sample:
             object.__setattr__(self, name, np.asarray(column, dtype=np.int64).reshape(-1))
         if not len(self.degrees) == len(self.components) == len(self.recruiters) == k:
             raise ValueError("per-subject columns must have equal length")
+        if not _degree_sums_fit(self.degrees):
+            raise ValueError("the reported degrees sum past the 64-bit range")
         offsets = self.alter_offsets
         if len(offsets) != k + 1 or offsets[0] != 0 or offsets[-1] != len(self.alter_codes) \
                 or np.any(np.diff(offsets) < 0):
@@ -138,6 +141,17 @@ class Sample:
     @cached_property
     def counts(self) -> Counts:
         return _count(self)
+
+
+def _degree_sums_fit(degrees: np.ndarray) -> bool:
+    """Whether every sum of some of ``degrees`` lies in the int64 range.
+
+    Only when max |degree| times the count could leave it are the degrees summed.
+    """
+    if not len(degrees) or max(int(degrees.max()), -int(degrees.min())) * len(degrees) <= INT64_MAX:
+        return True
+    values = degrees.tolist()
+    return sum(v for v in values if v > 0) <= INT64_MAX and sum(v for v in values if v < 0) >= INT64_MIN
 
 
 @dataclass(frozen=True)
@@ -433,8 +447,9 @@ def read_sample_dump(path) -> Sample:
     """Read a sample dump; a malformed row fails with a ``path:line`` message.
 
     Every field must be a signed 64-bit integer (or ``SEED``), the reported
-    degree must be non-negative and at least the alter count, and a recruiter
-    code must be the subject code of an earlier row in the same component.
+    degree must be non-negative and at least the alter count, the reported
+    degrees must sum to at most 2**63 - 1, and a recruiter code must be the
+    subject code of an earlier row in the same component.
     A dump as ``write_sample_dump`` writes it is parsed in numpy; any other
     text, and every malformed row, goes through the line scan.
     """
@@ -507,7 +522,7 @@ def _parse_dump(data: bytes) -> Optional[Sample]:
     alter[fields] = False
     offsets = np.concatenate(([0], alter.cumsum()[last]))
     codes, recruiter_codes, components, degrees = values[fields]
-    if (degrees < np.diff(offsets)).any():
+    if (degrees < np.diff(offsets)).any() or not _degree_sums_fit(degrees):
         return None
     recruiters = _link_recruiters(codes, components, recruiter_codes, digits[fields[1]] > 0)
     if recruiters is None:
@@ -542,6 +557,7 @@ def _scan_sample_dump(path) -> Sample:
     """The line-by-line reader: the reference for ``_parse_dump`` and the
     source of every error message."""
     codes, recruiters, components, degrees, alters, offsets = [], [], [], [], [], [0]
+    total = 0  # of the reported degrees so far
     row_of: dict[tuple[int, int], int] = {}  # (component, code) -> latest row
     header = None
     with open(path, newline="") as fh:
@@ -571,6 +587,9 @@ def _scan_sample_dump(path) -> Sample:
                 raise ValueError(f"{where}: negative reported degree {degree}")
             if len(bag) > degree:
                 raise ValueError(f"{where}: {len(bag)} alter codes exceed the reported degree {degree}")
+            total += degree
+            if total > INT64_MAX:
+                raise ValueError(f"{where}: the reported degrees sum past the 64-bit range")
             if recruiter is not None and (comp, recruiter) not in row_of:
                 raise ValueError(f"{where}: recruiter {recruiter} is not an earlier subject "
                                  f"of component {comp}")

@@ -216,6 +216,17 @@ def test_experiment_plan_determinism(tmp_path):
     assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
 
 
+@pytest.mark.parametrize("family, lam, n", [("ba", "0.5", "100"), ("ba", "3", "3"), ("er", "500", "100")])
+def test_experiment_rejects_a_mean_degree_its_family_cannot_generate_before_running(tmp_path, capsys,
+                                                                                    family, lam, n):
+    plan = tmp_path / "bad.plan"
+    plan.write_text(f"families = {family}\nlambdas = {lam}\nsizes = {n}\nr = 2\nestimators = n1\n")
+    assert main(["experiment", "--plan", str(plan), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: plan line 2: lambdas: {family} graphs on {n} vertices: ")
+
+
 def test_ingest_and_stats(tmp_path, capsys):
     path = tmp_path / "raw.txt"
     path.write_text("# comment\n0 1\n1 0\n1 2\n2 2\n")

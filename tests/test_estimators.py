@@ -281,3 +281,22 @@ def test_degree_sums_are_exact_past_float_precision():
     mean, harm = _loop_mean_degrees(sample)
     assert (counts.mean_degree, counts.harmonic_degree) == (mean, harm)
     assert _solve_numerators(estimate_n2, sample) == [(mean - 1.0) / harm * sample.size * counts.free]
+
+
+@pytest.mark.parametrize("degrees, fits", [
+    ((2**62, 2**62, 3, 2), False),            # wrapped to -2**63 and read as degenerate degrees
+    ((2**62, 2**62 - 6, 3, 2), True),         # sums to 2**63 - 1
+    ((2**62, 2**62, 0, 0), False),            # each component fits; the total does not
+    ((-2**62, -2**62, -1, 0), False),
+    ((2**63 - 1, -5, 4, 1), False),           # some of them sum past the range
+])
+def test_a_sample_rejects_degrees_whose_sums_leave_int64(degrees, fits):
+    def build():
+        return Sample(codes=(0, 1, 2, 3), degrees=degrees, alter_codes=([], [], [], []),
+                      components=(0, 0, 1, 1))
+
+    if fits:
+        assert build().counts.comp_degree.tolist() == [degrees[0] + degrees[1], degrees[2] + degrees[3]]
+    else:
+        with pytest.raises(ValueError, match="^the reported degrees sum past the 64-bit range$"):
+            build()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from netsize.generators import (
     _pairs_from_indices,
     average_clustering,
     barabasi_albert,
+    check_family,
     configuration_graph,
     erdos_renyi,
     rewire_to_clustering,
@@ -276,7 +278,8 @@ def test_rewire_state_keeps_triangles_current(g, seed):
 
 
 # Reference generators: the scalar constructions the array-native ones replace.
-# Each must give the same edge array and leave the generator in the same state.
+# Each must give the same edge array and leave the generator in the same state,
+# except _reference_barabasi_albert, which is the reference for the BA law only.
 
 def _reference_pair_from_index(t, n):
     disc = (2 * n - 1) * (2 * n - 1) - 8 * (t + 1)
@@ -362,7 +365,9 @@ def _assert_same_draws(got, want, rng_got, rng_want):
     assert rng_got.random() == rng_want.random()
 
 
-@pytest.mark.parametrize("family", list(Family))
+# Barabasi-Albert draws its picks as candidates in blocks, so it has no
+# byte-identical scalar reference; see the BA tests below.
+@pytest.mark.parametrize("family", [f for f in Family if f is not Family.BARABASI_ALBERT])
 @pytest.mark.parametrize("lam", [2.0, 3.0, 6.0, 10.0])
 @pytest.mark.parametrize("n", [12, 300, 3000])
 def test_generators_match_scalar_references(family, lam, n):
@@ -414,3 +419,152 @@ def test_erdos_renyi_rejects_sizes_beyond_int64_pair_arithmetic():
         erdos_renyi(0.0, n, np.random.default_rng(0))
     with pytest.raises(ValueError, match="n <= "):
         _pairs_from_indices(np.array([0]), n)
+
+
+# Barabasi-Albert as a copy model.  The same-candidates oracle replays the
+# candidate blocks the generator drew through the first-valid rule one slot at
+# a time; the law is checked against _reference_barabasi_albert above.
+
+def _recorded_barabasi_albert(lam, n, seed):
+    """The graph and every (slots, candidates, bounds) block the generator drew, in order."""
+    blocks = []
+    _draw_candidates = generators._draw_candidates
+
+    def record(rng, slots, high, count):
+        slot_of, candidates = _draw_candidates(rng, slots, high, count)
+        bound = dict(zip(slots.tolist(), high.tolist()))
+        blocks.append((slot_of.tolist(), candidates.tolist(), [bound[s] for s in slot_of.tolist()]))
+        return slot_of, candidates
+
+    with mock.patch.object(generators, "_draw_candidates", wraps=record):
+        g = barabasi_albert(lam, n, np.random.default_rng(seed))
+    return g, blocks
+
+
+def _replay_barabasi_albert(lam, n, seed, blocks):
+    """Each slot takes its first candidate, in draw order, whose target its node has not picked.
+
+    Node i's candidates must have been drawn on [0, i + the pool length).
+    """
+    candidates, bounds = {}, {}
+    for slots, values, highs in blocks:
+        for slot, x, high in zip(slots, values, highs):
+            candidates.setdefault(slot, []).append(x)
+            bounds.setdefault(slot, set()).add(high)
+    m0 = math.ceil(lam)
+    base = math.floor(lam / 2.0)
+    p_low = 1.0 + base - lam / 2.0
+    low = np.random.default_rng(seed).random(n - m0) < p_low
+    pool = [v for u in range(m0) for w in range(u + 1, m0) for v in (u, w)]
+    slot = 0
+    for i in range(m0, n):
+        picked = []
+        for _ in range(min(base if low[i - m0] else base + 1, i)):
+            assert bounds[slot] == {i + len(pool)}
+            picked.append(next(w for w in (x if x < i else pool[x - i] for x in candidates[slot])
+                               if w not in picked))
+            slot += 1
+        for w in picked:
+            pool.extend((i, w))
+    assert slot == len(candidates)
+    return np.array(pool, dtype=np.int64).reshape(-1, 2)
+
+
+_BA_CASES = [(2.0, 3), (2.5, 4), (3.0, 60), (3.0, 2000), (6.0, 700), (7.3, 300), (10.0, 300),
+             (10.0, 3000), (30.0, 200)]
+
+
+@pytest.mark.parametrize("lam, n", _BA_CASES)
+def test_barabasi_albert_takes_each_slots_first_valid_candidate(lam, n):
+    for seed in range(3):
+        g, blocks = _recorded_barabasi_albert(lam, n, seed)
+        assert np.array_equal(g.edge_array, _replay_barabasi_albert(lam, n, seed, blocks))
+
+
+@pytest.mark.parametrize("lam, n", [case for case in _BA_CASES if case[1] > 100])
+def test_barabasi_albert_first_valid_rule_across_extensions_and_block_edges(lam, n):
+    # one candidate per slot and 7-slot blocks: rejected slots draw again and
+    # pointers cross block boundaries on every graph
+    with mock.patch.object(generators, "_CANDIDATES", 1), mock.patch.object(generators, "_SLOT_BLOCK", 7):
+        for seed in range(3):
+            g, blocks = _recorded_barabasi_albert(lam, n, seed)
+            seen, extended = set(), 0
+            for slots, _, _ in blocks:
+                extended += slots[0] in seen
+                seen.update(slots)
+            assert extended and len(blocks) - extended > 1
+            assert np.array_equal(g.edge_array, _replay_barabasi_albert(lam, n, seed, blocks))
+
+
+def _ba_statistics(lam, n, make, seeds):
+    """Per graph: the sum of squared degrees, the maximum degree, the first ten
+    degrees and the share of vertices at each of the 11 lowest possible degrees
+    and above."""
+    bins = math.floor(lam / 2.0) + np.arange(12)
+    rows = {"sum of squared degrees": [], "maximum degree": [], "first ten degrees": [], "degree histogram": []}
+    for seed in seeds:
+        degrees = np.asarray(make(lam, n, np.random.default_rng([7, seed])).degrees())
+        rows["sum of squared degrees"].append(float((degrees ** 2).sum()))
+        rows["maximum degree"].append(float(degrees.max()))
+        rows["first ten degrees"].append(degrees[:10])
+        rows["degree histogram"].append(np.bincount(np.minimum(degrees, bins[-1]), minlength=bins[-1] + 1)[bins] / n)
+    return {name: np.array(values, dtype=float) for name, values in rows.items()}
+
+
+@pytest.mark.parametrize("lam", [3.0, 10.0])
+def test_barabasi_albert_has_the_law_of_the_sequential_process(lam):
+    got = _ba_statistics(lam, 1000, barabasi_albert, range(60))
+    want = _ba_statistics(lam, 1000, _reference_barabasi_albert, range(60, 120))
+    for name, a in got.items():
+        b = want[name]
+        se = np.sqrt(a.var(axis=0, ddof=1) / len(a) + b.var(axis=0, ddof=1) / len(b))
+        assert (np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 4 * se).all(), name
+
+
+@pytest.mark.parametrize("lam", [2.0, 2.5, 7.3])
+def test_barabasi_albert_smallest_graphs(lam):
+    m0, base = math.ceil(lam), math.floor(lam / 2.0)
+    for seed in range(20):
+        g = barabasi_albert(lam, m0 + 1, np.random.default_rng(seed))
+        low = np.random.default_rng(seed).random() < 1.0 + base - lam / 2.0  # the one node's pick count
+        edges = [tuple(sorted(e)) for e in g.edge_array.tolist()]
+        assert len(edges) == len(set(edges)) and all(u != v for u, v in edges)
+        assert len(edges) == m0 * (m0 - 1) // 2 + (base if low else base + 1)
+
+
+def test_barabasi_albert_needs_no_more_memory_than_a_configuration_graph():
+    import tracemalloc
+
+    def peak(make, seed):
+        tracemalloc.start()
+        try:
+            make(10.0, 40_000, np.random.default_rng(seed))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def poisson(lam, n, rng):
+        return sample_graph(Family.CONFIG_POISSON, lam, n, rng)
+
+    barabasi_albert(10.0, 500, np.random.default_rng(0))  # first-call allocations are not the generator's
+    poisson(10.0, 500, np.random.default_rng(0))
+    with mock.patch.object(generators, "_CANDIDATES", 1):
+        for seed in range(10):
+            assert peak(barabasi_albert, seed) <= peak(poisson, seed)
+
+
+@pytest.mark.parametrize("family, lam, n, message", [
+    (Family.BARABASI_ALBERT, 0.5, 100, "mean degree must be >= 2, got 0.5"),
+    (Family.BARABASI_ALBERT, 3.0, 3, "need n > lam, got n=3, lam=3.0"),
+    (Family.ERDOS_RENYI, 500.0, 100, "mean degree must lie in [0, n-1], got 500.0"),
+    (Family.CONFIG_LOGNORMAL, 1.0, 100, "lognormal degrees need a target mean degree > 1"),
+    (Family.CONFIG_POISSON, float("nan"), 100, "mean degree must be finite, got nan"),
+])
+def test_a_mean_degree_the_family_cannot_generate_is_rejected_before_drawing(family, lam, n, message):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    for check in (lambda: check_family(family, lam, n), lambda: sample_graph(family, lam, n, rng),
+                  lambda: GraphFamily(family, lam, n)):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            check()
+    assert rng.bit_generator.state == state

@@ -133,6 +133,20 @@ def test_experiment_plan_rejects_out_of_range_lambdas_and_omegas(field, values, 
         ExperimentPlan(**{**base, field: values})
 
 
+@pytest.mark.parametrize("family, lam, n, message", [
+    ("ba", "0.5", "100", "ba graphs on 100 vertices: mean degree must be >= 2, got 0.5"),
+    ("ba", "3", "3", "ba graphs on 3 vertices: need n > lam, got n=3, lam=3.0"),
+    ("er", "500", "100", "er graphs on 100 vertices: mean degree must lie in [0, n-1], got 500.0"),
+])
+def test_a_plan_rejects_a_mean_degree_its_family_cannot_generate(family, lam, n, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        ExperimentPlan(families=(Family(family), Family.CONFIG_POISSON), lambdas=(float(lam),),
+                       sizes=(int(n),), sample_sizes=(2,), estimators=("n1",))
+    text = f"families = {family}\nlambdas = {lam}\nsizes = {n}\nr = 2\nestimators = n1\n"
+    with pytest.raises(ValueError, match="^" + re.escape("plan line 2: lambdas: " + message) + "$"):
+        parse_plan(text)
+
+
 SCRAMBLED = ExperimentPlan(
     families=(Family.CONFIG_POISSON,),
     lambdas=(6.0,),

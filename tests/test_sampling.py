@@ -302,11 +302,23 @@ def test_dump_reader_rejects_malformed_rows(tmp_path, body, message):
 def test_dump_reader_accepts_the_whole_int64_range(tmp_path):
     low, high = -2**63, 2**63 - 1
     path = tmp_path / "wide.csv"
-    path.write_text(DUMP_HEADER + f"{low},SEED,{high},{high},{low};{high}\n{high},{low},{high},1,\n")
+    # the second row reports degree 0: the degrees' sum must stay inside int64 too
+    path.write_text(DUMP_HEADER + f"{low},SEED,{high},{high},{low};{high}\n{high},{low},{high},0,\n")
     sample = read_sample_dump(path)
     assert sample.codes.tolist() == [low, high]
     assert sample.alter_codes.tolist() == [low, high]
     assert sample.recruiters.tolist() == [-1, 0]
+
+
+def test_dump_reader_names_the_row_where_the_degree_total_leaves_int64(tmp_path):
+    big = 10**18 - 1  # 18 digits, which the numpy reader parses; ten of them pass 2**63 - 1
+    rows = [f"{i},SEED,{i},{big},\n" for i in range(10)]
+    path = tmp_path / "heavy.csv"
+    path.write_text(DUMP_HEADER + "".join(rows))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:12: the reported degrees sum past the 64-bit range$"):
+        read_sample_dump(path)
+    path.write_text(DUMP_HEADER + "".join(rows[:9]))
+    assert read_sample_dump(path).degrees.tolist() == [big] * 9
 
 
 _INT64_EDGES = st.sampled_from([2**63 - 1, 2**63, -2**63, -2**63 - 1, 2**64])
