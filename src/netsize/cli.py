@@ -77,9 +77,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     extras = {"mode": args.mode, "size": args.size, "graph": args.edges}
     if args.omega is not None:
         mode = HashMode(args.hash_mode or "random")
-        digits = (args.omega.bit_length() - 1) // 2  # omega = 4**digits; HashSpace checks it
-        space = HashSpace(args.omega, mode, telefunken_digits=digits)
-        sample = hashed_view(sample, assign_hashes(g.n, space, rng))
+        sample = hashed_view(sample, assign_hashes(g.n, HashSpace(args.omega, mode), rng))
         extras.update({"omega": args.omega, "hash_mode": mode.value})
 
     header = _header("sample", args, extras)

@@ -78,10 +78,9 @@ def estimate_n1(g: MultiGraph, subjects: Iterable[int]) -> EstimateResult:
     return estimate_n1_from_view(as_sample_view(g, subjects))
 
 
-def _check_omega(omega: Optional[int]) -> Optional[int]:
+def _check_omega(omega: Optional[int]) -> None:
     if omega is not None and omega < 1:
         raise ValueError(f"the code space size omega must be at least 1, got {omega}")
-    return omega
 
 
 def collision_prob(n_prime: float, omega: int, d_tilde_s: float, d_w):
@@ -169,7 +168,7 @@ def _fixed_point(numerator: float, mass: np.ndarray, counts: Counts, omega: Opti
     return EstimateResult.success(root)
 
 
-def _solve_n2(sample: Sample, omega: Optional[int] = None) -> EstimateResult:
+def estimate_n2(sample: Sample, omega: Optional[int] = None) -> EstimateResult:
     """Referral estimator n' = [(d(S)-1)/d~(S)] * |S| * <R(S,F)> / m(n').
 
     m is the matched mass sum_d C_d (M itself for distinct plaintext codes)
@@ -189,7 +188,7 @@ def _solve_n2(sample: Sample, omega: Optional[int] = None) -> EstimateResult:
     return _fixed_point(numerator, counts.match_mass, counts, omega, sample.size)
 
 
-def _solve_n3(sample: Sample, omega: Optional[int] = None) -> EstimateResult:
+def estimate_n3(sample: Sample, omega: Optional[int] = None) -> EstimateResult:
     """Cross-component estimator: discounts matches inside a referral tree.
 
     Each component contributes its free ends scaled by its complement's size
@@ -211,12 +210,3 @@ def _solve_n3(sample: Sample, omega: Optional[int] = None) -> EstimateResult:
     numerator = float(np.cumsum((rest_mean - 1.0) / counts.harmonic_degree * rest * counts.comp_free)[-1])
     return _fixed_point(numerator, counts.cross_mass.sum(axis=0), counts, omega, sample.size)
 
-
-def estimate_n2(sample: Sample) -> EstimateResult:
-    """Referral-sample estimator: [(d(S)-1)/d~(S)] * |S| * <R(S,F)> / <M(S,F)>."""
-    return _solve_n2(sample)
-
-
-def estimate_n3(sample: Sample) -> EstimateResult:
-    """Cross-component estimator on plaintext codes (see ``_solve_n3``)."""
-    return _solve_n3(sample)

@@ -24,44 +24,31 @@ class DegreeKind(Enum):
     LOGNORMAL = "lognormal"
     POISSON = "poisson"
     EXPONENTIAL = "exponential"
-    EXPLICIT = "explicit"
 
 
 @dataclass(frozen=True)
 class DegreeDistribution:
     """Degree law for configuration sampling.
 
-    Parametric kinds draw X and use degree 1 + X, giving expected mean
-    degree ``lam``.  Continuous draws are rounded half-up, then clamped to
-    stay >= 1.
+    Each kind draws X and uses degree 1 + X, giving expected mean degree
+    ``lam``.  Continuous draws are rounded half-up, then clamped to stay >= 1.
+    An explicit degree sequence goes straight to ``configuration_graph``.
     """
 
     kind: DegreeKind
-    lam: float = 0.0
-    explicit_degrees: tuple[int, ...] | None = None
+    lam: float
 
     def __post_init__(self):
-        if self.kind is DegreeKind.EXPLICIT:
-            if self.explicit_degrees is None:
-                raise ValueError("explicit kind needs explicit_degrees")
-        elif self.lam < 1.0:
+        if self.lam < 1.0:
             raise ValueError(f"target mean degree must be >= 1, got {self.lam}")
-        elif self.kind is DegreeKind.LOGNORMAL and self.lam <= 1.0:
+        if self.kind is DegreeKind.LOGNORMAL and self.lam <= 1.0:
             raise ValueError("lognormal degrees need a target mean degree > 1")
 
 
 def sample_degrees(dist: DegreeDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a length-n integer degree sequence (each >= 1 for parametric kinds)."""
+    """Draw a length-n integer degree sequence, each degree >= 1."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    if dist.kind is DegreeKind.EXPLICIT:
-        degrees = np.asarray(dist.explicit_degrees, dtype=np.int64)
-        if len(degrees) != n:
-            raise ValueError(f"explicit degree sequence has length {len(degrees)}, expected {n}")
-        if (degrees < 0).any():
-            raise ValueError("explicit degrees must be non-negative")
-        return degrees.copy()
-
     mean = dist.lam - 1.0
     if dist.kind is DegreeKind.POISSON:
         x = rng.poisson(mean, size=n).astype(np.int64)
@@ -349,8 +336,20 @@ _CONFIG_KINDS = {
 }
 
 
+def check_size(family: Family, n: int) -> None:
+    """The rules on ``n`` alone of ``check_family`` (``ba``'s n > lam involves the mean degree)."""
+    if family is Family.ERDOS_RENYI:
+        if n < 2:
+            raise ValueError("need at least two vertices")
+        if n > _MAX_ER_N:
+            raise ValueError(f"Erdos-Renyi graphs need n <= {_MAX_ER_N}, got {n}")
+    elif family in _CONFIG_KINDS and n < 1:
+        raise ValueError("need at least one vertex")
+
+
 def check_family(family: Family, lam: float, n: int) -> None:
     """Raise ``ValueError`` unless ``family`` generates graphs of mean degree ``lam`` on ``n`` vertices."""
+    check_size(family, n)
     if not math.isfinite(lam):
         raise ValueError(f"mean degree must be finite, got {lam}")
     if family is Family.BARABASI_ALBERT:
@@ -359,16 +358,10 @@ def check_family(family: Family, lam: float, n: int) -> None:
         if n <= lam:
             raise ValueError(f"need n > lam, got n={n}, lam={lam}")
     elif family is Family.ERDOS_RENYI:
-        if n < 2:
-            raise ValueError("need at least two vertices")
-        if n > _MAX_ER_N:
-            raise ValueError(f"Erdos-Renyi graphs need n <= {_MAX_ER_N}, got {n}")
         if lam < 0 or lam > n - 1:
             raise ValueError(f"mean degree must lie in [0, n-1], got {lam}")
     elif family in _CONFIG_KINDS:
         DegreeDistribution(_CONFIG_KINDS[family], lam)
-        if n < 1:
-            raise ValueError("need at least one vertex")
 
 
 @dataclass(frozen=True)
@@ -381,10 +374,6 @@ class GraphFamily:
 
     def __post_init__(self):
         check_family(self.family, self.lam, self.n)
-        if self.n < 2:
-            raise ValueError("need at least two vertices")
-        if self.lam < 1:
-            raise ValueError("mean degree must be >= 1")
 
     def sample(self, rng: np.random.Generator) -> MultiGraph:
         return sample_graph(self.family, self.lam, self.n, rng)

@@ -16,15 +16,16 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .estimators import EstimateResult, _check_omega, estimate_n1_from_view, estimate_n2, estimate_n3
-from .generators import Family, check_family, sample_graph
+from .generators import Family, check_family, check_size, sample_graph
 from .hashing import HashMode, HashSpace, assign_hashes, estimate_n2_hashed, estimate_n3_hashed, hashed_view
-from .sampling import DEFAULT_RECRUIT_LAW, RdsConfig, as_sample_view, rds_capture, uniform_sample
+from .sampling import RdsConfig, as_sample_view, rds_capture, uniform_sample
 
 # name -> (its function's name in this module, the sample it reads: "uniform",
 # "rds", or "hashed", the capture's hashed view, which also takes ω and runs once
@@ -38,6 +39,7 @@ ESTIMATORS = {
     "n3psi": ("estimate_n3_hashed", "hashed"),
 }
 HASHED_ESTIMATORS = tuple(name for name, (_, reads) in ESTIMATORS.items() if reads == "hashed")
+CROSS_COMPONENT_ESTIMATORS = ("n3", "n3psi")  # they count matches across referral components
 RAW_COLUMNS = (
     "family", "lambda", "n", "r", "omega", "estimator",
     "graph_idx", "sample_idx", "estimate", "failed", "failure_cause",
@@ -59,25 +61,27 @@ def derive_rng(master_seed: int, *coords) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
-def _check_lambda(lam: float) -> float:
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError(f"a mean degree must be finite and non-negative, got {lam!r}")
-    return lam
+class PlanError(ValueError):
+    """A plan rule that failed; ``key`` names the plan field it blames."""
+
+    def __init__(self, key: str, message: str):
+        super().__init__(message)
+        self.key = key
 
 
-def _check_cells(families: Sequence[Family], lam: float, sizes: Sequence[int]) -> float:
-    """``lam`` once every family can generate it at every size."""
-    for family in families:
-        for n in sizes:
-            try:
-                check_family(family, lam, n)
-            except ValueError as exc:
-                raise ValueError(f"{family.value} graphs on {n} vertices: {exc}") from None
-    return lam
+@contextmanager
+def _blame(key: str, prefix: str = ""):
+    """Raise a ``ValueError`` from the block as a ``PlanError`` on ``key``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise PlanError(key, prefix + str(exc)) from None
 
 
 @dataclass(frozen=True)
 class ExperimentPlan:
+    """A plan grid; every plan rule lives in ``__post_init__`` and raises ``PlanError``."""
+
     families: tuple[Family, ...]
     lambdas: tuple[float, ...]
     sizes: tuple[int, ...]
@@ -88,33 +92,54 @@ class ExperimentPlan:
     sample_replicates: int = 1
     seed: int = 0
     num_seeds: int = 7
-    recruit_law: tuple[tuple[int, float], ...] = DEFAULT_RECRUIT_LAW
 
     def __post_init__(self):
-        if not self.families or not self.lambdas or not self.sizes or not self.sample_sizes:
-            raise ValueError("families, lambdas, sizes, and sample sizes must be non-empty")
+        for name in ("families", "lambdas", "sizes", "sample_sizes"):
+            if not getattr(self, name):
+                raise PlanError(name, "families, lambdas, sizes, and sample sizes must be non-empty")
         if not self.estimators:
-            raise ValueError("at least one estimator is required")
+            raise PlanError("estimators", "at least one estimator is required")
         for name in ("families", "lambdas", "sizes", "sample_sizes", "estimators", "omegas"):
             values = getattr(self, name)
             for i, value in enumerate(values):
                 if value in values[:i]:  # a family is shown by its plan name
-                    raise ValueError(f"{name} lists {getattr(value, 'value', value)!r} more than once")
+                    raise PlanError(name, f"{name} lists {getattr(value, 'value', value)!r} more than once")
         for name in self.estimators:
             if name not in ESTIMATORS:
-                raise ValueError(f"unknown estimator {name!r}")
+                raise PlanError("estimators", f"unknown estimator {name!r}")
         for lam in self.lambdas:
-            _check_cells(self.families, _check_lambda(lam), self.sizes)
+            if not (math.isfinite(lam) and lam >= 0):
+                raise PlanError("lambdas", f"a mean degree must be finite and non-negative, got {lam!r}")
+        for family in self.families:
+            for n in self.sizes:
+                with _blame("sizes", f"{family.value} graphs on {n} vertices: "):
+                    check_size(family, n)
+        for lam in self.lambdas:
+            for family in self.families:
+                for n in self.sizes:
+                    with _blame("lambdas", f"{family.value} graphs on {n} vertices: "):
+                        check_family(family, lam, n)
         for omega in self.omegas:
-            _check_omega(omega)
-        if self.graph_replicates < 1 or self.sample_replicates < 1:
-            raise ValueError("replicate counts must be >= 1")
+            with _blame("omegas"):
+                _check_omega(omega)
+        for name in ("graph_replicates", "sample_replicates"):
+            if getattr(self, name) < 1:
+                raise PlanError(name, "replicate counts must be >= 1")
         if any(name in HASHED_ESTIMATORS for name in self.estimators) and not self.omegas:
-            raise ValueError("hashed estimators need at least one code-space size")
+            raise PlanError("estimators", "hashed estimators need at least one code-space size")
+        if min(self.sample_sizes) < 1:
+            raise PlanError("sample_sizes", f"sample sizes must be >= 1, got {min(self.sample_sizes)}")
         if any(r > min(self.sizes) for r in self.sample_sizes):
-            raise ValueError("sample sizes must not exceed the smallest population")
-        if self.needs_rds() and any(r < self.num_seeds for r in self.sample_sizes):
-            raise ValueError("sample sizes must be >= the seed count")
+            raise PlanError("sample_sizes", "sample sizes must not exceed the smallest population")
+        if self.needs_rds():
+            # every seed opens a referral component, and n3/n3psi need two
+            if any(name in CROSS_COMPONENT_ESTIMATORS for name in self.estimators) and self.num_seeds < 2:
+                raise PlanError("num_seeds", f"cross-component estimators need num_seeds >= 2, "
+                                             f"got {self.num_seeds}")
+            if self.num_seeds < 1:
+                raise PlanError("num_seeds", f"referral samples need num_seeds >= 1, got {self.num_seeds}")
+            if any(r < self.num_seeds for r in self.sample_sizes):
+                raise PlanError("sample_sizes", "sample sizes must be >= the seed count")
 
     def needs_rds(self) -> bool:
         return any(ESTIMATORS[name][1] != "uniform" for name in self.estimators)
@@ -212,7 +237,7 @@ def _run_graph_task(args: tuple[ExperimentPlan, Family, float, int, int]) -> lis
                 rng = derive_rng(plan.seed, "uniform", *coords)
                 samples["uniform"] = as_sample_view(g, uniform_sample(g, r, rng))
             if plan.needs_rds():
-                cfg = RdsConfig(target_size=r, num_seeds=plan.num_seeds, recruit_law=plan.recruit_law)
+                cfg = RdsConfig(target_size=r, num_seeds=plan.num_seeds)
                 samples["rds"] = rds_capture(g, cfg, derive_rng(plan.seed, "rds", *coords))
             for omega in (None, *(plan.omegas if "hashed" in reads else ())):
                 if omega is not None:
@@ -314,19 +339,25 @@ def write_csv(lines: Sequence[str], path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-_PLAN_KEYS = {
-    "families", "lambdas", "sizes", "r", "sample_sizes", "omegas", "estimators",
-    "graph_replicates", "sample_replicates", "seed", "num_seeds",
+def _listed(convert: Callable[[str], Any]) -> Callable[[str], tuple]:
+    return lambda value: tuple(convert(tok.strip()) for tok in value.split(",") if tok.strip())
+
+
+# plan key -> the converter of its value; ``r`` is the short name of ``sample_sizes``
+_PLAN_KEYS: dict[str, Callable[[str], Any]] = {
+    "families": _listed(Family), "lambdas": _listed(float), "sizes": _listed(int),
+    "r": _listed(int), "sample_sizes": _listed(int), "estimators": _listed(str),
+    "omegas": _listed(int), "graph_replicates": int, "sample_replicates": int,
+    "seed": int, "num_seeds": int,
 }
 
 
 def parse_plan(text: str) -> ExperimentPlan:
     """Parse a line-oriented key=value plan (lists are comma-separated).
 
-    A value that does not parse, a negative or non-finite lambda, a lambda
-    some family cannot generate at some size, an omega below 1, a key given
-    twice, or both ``r`` and ``sample_sizes`` fails with a ``plan line N:
-    key:`` message.
+    The parser only converts values; ``ExperimentPlan`` checks the plan.
+    Every error names its line as ``plan line N: key: ...``, except a
+    missing required key.
     """
     fields: dict[str, str] = {}
     line_of: dict[str, int] = {}
@@ -353,31 +384,15 @@ def parse_plan(text: str) -> ExperimentPlan:
     if "r" not in fields and "sample_sizes" not in fields:
         raise ValueError("plan is missing required key 'r'")
 
-    def parse(key: str, convert: Callable[[str], Any], default: Any = None) -> Any:
-        if key not in fields:
-            return default
-        try:
-            return convert(fields[key])
-        except ValueError as exc:
-            raise ValueError(f"plan line {line_of[key]}: {key}: {exc}") from None
-
-    def listed(convert: Callable[[str], Any]) -> Callable[[str], tuple]:
-        return lambda value: tuple(convert(tok.strip()) for tok in value.split(",") if tok.strip())
-
-    families = parse("families", listed(Family))
-    sizes = parse("sizes", listed(int))
-    return ExperimentPlan(
-        families=families,
-        lambdas=parse("lambdas", listed(lambda tok: _check_cells(families, _check_lambda(float(tok)), sizes))),
-        sizes=sizes,
-        sample_sizes=parse("r" if "r" in fields else "sample_sizes", listed(int)),
-        estimators=parse("estimators", listed(str)),
-        omegas=parse("omegas", listed(lambda tok: _check_omega(int(tok))), ()),
-        graph_replicates=parse("graph_replicates", int, 1),
-        sample_replicates=parse("sample_replicates", int, 1),
-        seed=parse("seed", int, 0),
-        num_seeds=parse("num_seeds", int, 7),
-    )
+    given: dict[str, Any] = {}
+    try:
+        for key, value in fields.items():  # in line order, so the first bad line is named
+            with _blame(key):
+                given["sample_sizes" if key == "r" else key] = _PLAN_KEYS[key](value)
+        return ExperimentPlan(**given)
+    except PlanError as exc:
+        key = "r" if exc.key == "sample_sizes" and "r" in fields else exc.key
+        raise ValueError(f"plan line {line_of[key]}: {key}: {exc}") from None
 
 
 def load_plan(path) -> ExperimentPlan:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import EstimateResult, _solve_n2, _solve_n3, collision_prob, true_mass  # noqa: F401
+from .estimators import EstimateResult, collision_prob, estimate_n2, estimate_n3, true_mass  # noqa: F401
 from .sampling import Sample
 
 
@@ -36,7 +36,6 @@ class HashSpace:
 
     size: int
     mode: HashMode = HashMode.RANDOM_FUNCTION
-    telefunken_digits: int = 0
 
     def __post_init__(self):
         if self.size < 1:
@@ -45,6 +44,11 @@ class HashSpace:
             k = self.telefunken_digits
             if k < 1 or self.size != 4**k:
                 raise ValueError("telefunken mode needs size == 4**digits")
+
+    @property
+    def telefunken_digits(self) -> int:
+        """floor(log4(size)): a telefunken space of size 4**k codes the last k phone digits."""
+        return (self.size.bit_length() - 1) // 2
 
 
 def telefunken_encode(digits: str, k: int) -> int:
@@ -124,12 +128,12 @@ def estimate_n2_hashed(hs: Sample, omega: int) -> EstimateResult:
 
     Solves n' = [(d(S)-1)/d~(S)] * |S| * <R> / m_hat(n').
     """
-    return _solve_n2(hs, omega)
+    return estimate_n2(hs, omega)
 
 
 def estimate_n3_hashed(hs: Sample, omega: int) -> EstimateResult:
     """Collision-corrected cross-component estimator on hashed data."""
-    return _solve_n3(hs, omega)
+    return estimate_n3(hs, omega)
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,29 @@
 ``graph.free_ends``, ``graph.matches`` and ``graph.cross_seed_matches`` follow
 the paper's text; ``Sample.counts`` must agree with them on every capture,
 and with a direct ``mintersect`` computation under non-injective codes.
+Metamorphic tests then change what no count may depend on (the code values,
+the component labels, a trip through a dump) and require the same counts
+and the same five estimates.
 """
+
+import dataclasses
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netsize.graph import MultiGraph, cross_seed_matches, free_ends, harmonic_mean, matches
-from netsize.hashing import collision_prob, hashed_view, m_hat, x_hat
+from netsize.estimators import EstimateResult, estimate_n1_from_view, estimate_n2, estimate_n3
+from netsize.graph import (
+    INT64_MAX, INT64_MIN, MultiGraph, cross_seed_matches, free_ends, harmonic_mean, matches,
+)
+from netsize.hashing import collision_prob, estimate_n2_hashed, estimate_n3_hashed, hashed_view, m_hat, x_hat
 from netsize.multiset import Multiset, mintersect
-from netsize.sampling import RdsConfig, Sample, as_sample_view, rds_capture
+from netsize.sampling import (
+    Counts, RdsConfig, Sample, as_sample_view, rds_capture, read_sample_dump, write_sample_dump,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -124,3 +136,89 @@ def test_grouped_mass_equals_per_code_sum(sample, n_prime, omega):
         pairs = [(bag, outside) for bag, comp in zip(bags, comps) if comp == label]
         direct = _per_code_mass(sample, pairs, n_prime, omega)
         assert x_hat(sample, label, n_prime, omega) == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic tests
+
+_ONE_COMPONENT = "cross-seed estimation needs more than one referral component"
+
+
+def _estimates(sample, omega):
+    """Each estimator's result on the sample, or the message of the error it raises."""
+    calls = {
+        "n1": lambda: estimate_n1_from_view(sample),
+        "n2": lambda: estimate_n2(sample),
+        "n3": lambda: estimate_n3(sample),
+        "n2psi": lambda: estimate_n2_hashed(sample, omega),
+        "n3psi": lambda: estimate_n3_hashed(sample, omega),
+    }
+    out = {}
+    for name, call in calls.items():
+        try:
+            out[name] = call()
+        except ValueError as exc:  # the one caller error these samples can meet
+            assert name in ("n3", "n3psi") and str(exc) == _ONE_COMPONENT and len(sample.counts.labels) == 1
+            out[name] = str(exc)
+        else:
+            assert isinstance(out[name], EstimateResult)
+    return out
+
+
+def _assert_same_counts(a, b, labels=None):
+    """Field by field, values and dtypes; ``labels`` replaces ``a``'s component labels."""
+    for field in dataclasses.fields(Counts):
+        left, right = getattr(a, field.name), getattr(b, field.name)
+        if field.name == "labels" and labels is not None:
+            left = np.asarray(labels, dtype=left.dtype)
+        if isinstance(left, np.ndarray):
+            assert left.dtype == right.dtype and np.array_equal(left, right), field.name
+        else:
+            assert type(left) is type(right) and left == right, field.name
+
+
+def _distinct_int64(data, count):
+    return data.draw(st.lists(st.integers(INT64_MIN, INT64_MAX), min_size=count, max_size=count, unique=True))
+
+
+_SAMPLES = st.one_of(captures().map(lambda capture: capture[1]), coded_samples())
+
+
+@SETTINGS
+@given(_SAMPLES, st.integers(1, 50), st.data())
+def test_a_bijective_recoding_of_every_code_changes_no_count_or_estimate(sample, omega, data):
+    universe = np.unique(np.concatenate([sample.codes, sample.alter_codes]))
+    image = np.array(_distinct_int64(data, len(universe)), dtype=np.int64)
+
+    def recode(column):
+        return image[np.searchsorted(universe, column)]
+
+    recoded = dataclasses.replace(sample, codes=recode(sample.codes), alter_codes=recode(sample.alter_codes))
+    _assert_same_counts(sample.counts, recoded.counts)
+    assert _estimates(recoded, omega) == _estimates(sample, omega)
+
+
+@SETTINGS
+@given(_SAMPLES, st.integers(1, 50), st.data())
+def test_relabelling_the_components_changes_no_count_or_estimate(sample, omega, data):
+    # an injective relabelling keeps the order in which components first appear
+    labels = sample.counts.labels.tolist()
+    new = _distinct_int64(data, len(labels))
+    relabel = dict(zip(labels, new))
+    relabelled = dataclasses.replace(sample, components=[relabel[c] for c in sample.components.tolist()])
+    _assert_same_counts(sample.counts, relabelled.counts, labels=new)
+    assert _estimates(relabelled, omega) == _estimates(sample, omega)
+
+
+@SETTINGS
+@given(captures(), st.one_of(st.none(), st.integers(1, 6)), st.integers(1, 50), st.integers(0, 2**32 - 1))
+def test_a_dump_written_and_read_back_changes_no_count_or_estimate(capture, code_space, omega, seed):
+    g, sample = capture
+    if code_space is not None:  # a hashed dump, whose codes collide
+        sample = hashed_view(sample, np.random.default_rng(seed).integers(0, code_space, size=g.n))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sample.csv"
+        write_sample_dump(sample, path)
+        read = read_sample_dump(path)
+    _assert_same_counts(sample.counts, read.counts)
+    assert _estimates(read, omega) == _estimates(sample, omega)

@@ -18,6 +18,7 @@ from netsize.generators import (
     average_clustering,
     barabasi_albert,
     check_family,
+    check_size,
     configuration_graph,
     erdos_renyi,
     rewire_to_clustering,
@@ -38,11 +39,6 @@ def test_poisson_mean_matches_target():
     degrees = sample_degrees(dist, 100_000, np.random.default_rng(1))
     assert degrees.mean() == pytest.approx(3.0, abs=0.05)
     assert degrees.min() >= 1
-
-
-def test_explicit_passthrough():
-    dist = DegreeDistribution(DegreeKind.EXPLICIT, explicit_degrees=(2, 2, 2))
-    assert sample_degrees(dist, 3, np.random.default_rng(0)).tolist() == [2, 2, 2]
 
 
 def test_continuous_kinds_have_integer_degrees_near_target():
@@ -171,8 +167,10 @@ def test_graph_family_wrapper():
     fam = GraphFamily(Family.ERDOS_RENYI, 5.0, 100)
     g = fam.sample(np.random.default_rng(0))
     assert g.n == 100
-    with pytest.raises(ValueError):
-        GraphFamily(Family.ERDOS_RENYI, 0.5, 100)
+    with pytest.raises(ValueError, match=re.escape("mean degree must lie in [0, n-1], got 500.0")):
+        GraphFamily(Family.ERDOS_RENYI, 500.0, 100)
+    # GraphFamily applies check_family's rule alone, so it takes what sample_graph takes
+    assert GraphFamily(Family.ERDOS_RENYI, 0.5, 100).sample(np.random.default_rng(0)).n == 100
 
 
 def test_rewire_reaches_clustering_and_preserves_degrees():
@@ -568,3 +566,17 @@ def test_a_mean_degree_the_family_cannot_generate_is_rejected_before_drawing(fam
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             check()
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("family, n, message", [
+    (Family.ERDOS_RENYI, 1, "need at least two vertices"),
+    (Family.ERDOS_RENYI, 2**31, "Erdos-Renyi graphs need n <= 2147483647, got 2147483648"),
+    (Family.CONFIG_POISSON, 0, "need at least one vertex"),
+    (Family.CONFIG_LOGNORMAL, -4, "need at least one vertex"),
+])
+def test_a_size_the_family_cannot_generate_is_rejected_whatever_the_mean_degree(family, n, message):
+    for check in (lambda: check_size(family, n), lambda: check_family(family, float("nan"), n),
+                  lambda: GraphFamily(family, 0.5, n)):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            check()
+

@@ -1,5 +1,5 @@
 import re
-import traceback
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from netsize import harness
 from netsize.generators import Family
 from netsize.harness import (
     ExperimentPlan,
+    PlanError,
     derive_rng,
     failure_curve,
     parse_plan,
@@ -277,6 +278,15 @@ _VALID_PLAN = "families = er\nlambdas = 3\nsizes = 100\nr = 10\nestimators = n1\
     ("lambdas = -3", "plan line 6: lambdas: a mean degree must be finite and non-negative, got -3.0"),
     ("lambdas = 3, inf", "plan line 6: lambdas: a mean degree must be finite and non-negative, got inf"),
     ("omegas = -5", "plan line 6: omegas: the code space size omega must be at least 1, got -5"),
+    ("estimators = n9", "plan line 6: estimators: unknown estimator 'n9'"),
+    ("estimators = n2, n2", "plan line 6: estimators: estimators lists 'n2' more than once"),
+    ("estimators = n2psi", "plan line 6: estimators: hashed estimators need at least one code-space size"),
+    ("sizes = 1", "plan line 6: sizes: er graphs on 1 vertices: need at least two vertices"),
+    ("sizes = 100, 100", "plan line 6: sizes: sizes lists 100 more than once"),
+    ("r = 101", "plan line 6: r: sample sizes must not exceed the smallest population"),
+    ("r = 0", "plan line 6: r: sample sizes must be >= 1, got 0"),
+    ("r = -3", "plan line 6: r: sample sizes must be >= 1, got -3"),
+    ("sample_replicates = 0", "plan line 6: sample_replicates: replicate counts must be >= 1"),
 ])
 def test_parse_plan_names_the_line_of_a_bad_value(line, message):
     # the valid plan's own line for the key becomes a comment, so the key is given once
@@ -300,6 +310,37 @@ def test_parse_plan_names_the_later_line_of_a_repeated_key(lines, message):
             parse_plan(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    (_VALID_PLAN.replace("n1", "n2") + "num_seeds = 0",
+     "plan line 6: num_seeds: referral samples need num_seeds >= 1, got 0"),
+    (_VALID_PLAN.replace("n1", "n1, n3") + "num_seeds = 1",
+     "plan line 6: num_seeds: cross-component estimators need num_seeds >= 2, got 1"),
+    (_VALID_PLAN.replace("n1", "n2, n3psi") + "omegas = 50\nnum_seeds = 1",
+     "plan line 7: num_seeds: cross-component estimators need num_seeds >= 2, got 1"),
+    (_VALID_PLAN.replace("r = 10", "sample_sizes = 101"),
+     "plan line 4: sample_sizes: sample sizes must not exceed the smallest population"),
+])
+def test_parse_plan_names_the_line_of_a_rule_across_keys(text, message):
+    # each plan would otherwise fail inside run_plan, after graphs are drawn
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        parse_plan(text)
+
+
+def test_a_plan_error_names_its_field_and_keeps_its_message():
+    with pytest.raises(PlanError, match="^sample sizes must be >= 1, got 0$") as caught:
+        ExperimentPlan(families=(Family.ERDOS_RENYI,), lambdas=(3.0,), sizes=(100,), sample_sizes=(0,),
+                       estimators=("n1",))
+    assert caught.value.key == "sample_sizes"
+    assert isinstance(caught.value, ValueError)
+
+
+def test_two_seeds_are_enough_for_the_cross_component_estimators():
+    plan = ExperimentPlan(families=(Family.ERDOS_RENYI,), lambdas=(3.0,), sizes=(100,), sample_sizes=(2, 10),
+                          estimators=("n3", "n3psi"), omegas=(50,), num_seeds=2, sample_replicates=5)
+    raw, _ = run_plan(plan)
+    assert len(raw) == 20
+
+
 _PLAN_VALUES = st.one_of(
     st.lists(st.one_of(
         st.integers(-5, 2**70).map(str),
@@ -321,10 +362,7 @@ def test_parse_plan_fuzz_gives_plan_or_located_error(lines, valid_first):
     try:
         plan = parse_plan(text)
     except ValueError as exc:
-        # a value that does not parse names its line; the rest is plan-wide
-        located = re.match(r"plan line \d+: |plan is missing required key ", str(exc))
-        frames = traceback.extract_tb(exc.__traceback__)
-        assert located or frames[-1].name == "__post_init__", str(exc)
+        assert re.match(r"plan line \d+: |plan is missing required key ", str(exc)), str(exc)
         return
     assert isinstance(plan, ExperimentPlan)
 
@@ -336,3 +374,32 @@ def test_raw_csv_layout():
     first = lines[1].split(",")
     assert first[0] == "er" and first[5] == "n2"
     assert first[4] == ""  # no code space for a plaintext estimator
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_plan():
+    text = README.read_text()
+    return re.search(r"```\n(# tiny\.plan\n.*?)```", text, re.S).group(1), text
+
+
+def test_the_readme_plan_parses():
+    plan = parse_plan(_readme_plan()[0])
+    assert plan.estimators == ("n1", "n2", "n3", "n2psi", "n3psi")
+    assert plan.sample_sizes == (250, 750) and plan.num_seeds == 7 and plan.seed == 1
+
+
+def test_every_plan_error_the_readme_quotes_is_the_one_parse_plan_raises():
+    plan, text = _readme_plan()
+    rows = re.findall(r"^\| `(\w+) = ([^`]*)` \| `(plan line [^`]*)` \|$", text, re.M)
+    assert len(rows) >= 10
+    for key, value, message in rows:
+        changed, count = re.subn(rf"(?m)^{key} *=.*$", f"{key} = {value}", plan)
+        assert count == 1, key
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            parse_plan(changed)
+    quoted = "plan is missing required key 'r'"
+    assert f"`{quoted}`" in text
+    with pytest.raises(ValueError, match="^" + re.escape(quoted) + "$"):
+        parse_plan(re.sub(r"(?m)^r *=.*$", "", plan))

@@ -41,8 +41,9 @@ def test_telefunken_rejects_bad_input():
         telefunken_encode("2x", 2)
     with pytest.raises(ValueError):
         telefunken_encode("7", 2)
-    with pytest.raises(ValueError):
-        HashSpace(16, HashMode.TELEFUNKEN, telefunken_digits=3)  # 4**3 != 16
+    for size in (1, 8):  # 4**0 codes no digit; 8 is no power of 4
+        with pytest.raises(ValueError, match=r"^telefunken mode needs size == 4\*\*digits$"):
+            HashSpace(size, HashMode.TELEFUNKEN)
 
 
 # --- assignment ----------------------------------------------------------
@@ -73,7 +74,8 @@ def test_random_function_load_concentration():
 
 def test_telefunken_assignment_matches_scalar_codec():
     k = 3
-    space = HashSpace(4**k, HashMode.TELEFUNKEN, telefunken_digits=k)
+    space = HashSpace(4**k, HashMode.TELEFUNKEN)
+    assert space.telefunken_digits == k
     rng = np.random.default_rng(4)
     codes = assign_hashes(500, space, rng)
     # regenerate the same digit matrix and encode row by row
