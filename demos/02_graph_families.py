@@ -8,14 +8,7 @@ realized graphs should hit closely.
 
 import numpy as np
 
-from netsize import (
-    DegreeDistribution,
-    DegreeKind,
-    Family,
-    configuration_graph,
-    sample_degrees,
-    sample_graph,
-)
+from netsize import Family, configuration_graph, sample_degrees, sample_graph
 from netsize.generators import rewire_to_clustering, average_clustering
 
 rng = np.random.default_rng(2024)
@@ -30,7 +23,7 @@ for family in Family:
 
 # configuration sampling is exact about prescribed degrees (an odd stub
 # total gets one degree bumped by 1 before pairing, so force it even here)
-degrees = sample_degrees(DegreeDistribution(DegreeKind.POISSON, 4.0), 2000, rng)
+degrees = sample_degrees(Family.CONFIG_POISSON, 4.0, 2000, rng)
 if degrees.sum() % 2 == 1:
     degrees[0] += 1
 g = configuration_graph(degrees, rng)

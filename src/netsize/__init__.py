@@ -18,10 +18,7 @@ from .estimators import (
     estimate_n3,
 )
 from .generators import (
-    DegreeDistribution,
-    DegreeKind,
     Family,
-    GraphFamily,
     barabasi_albert,
     configuration_graph,
     erdos_renyi,
@@ -70,8 +67,7 @@ __all__ = [
     "Multiset", "msum", "mintersect", "mdiff",
     "MultiGraph", "ReferralForest", "mean_degree", "harmonic_mean_degree",
     "free_neighborhood", "free_ends", "matches", "cross_seed_matches",
-    "DegreeKind", "DegreeDistribution", "Family", "GraphFamily",
-    "sample_degrees", "configuration_graph", "barabasi_albert", "erdos_renyi",
+    "Family", "sample_degrees", "configuration_graph", "barabasi_albert", "erdos_renyi",
     "sample_graph", "rewire_to_clustering",
     "RdsConfig", "Sample", "uniform_sample", "rds_capture", "as_sample_view",
     "EstimateResult", "FailureCause",

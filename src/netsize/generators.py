@@ -1,17 +1,20 @@
 """Samplers for the synthetic graph families used in the experiments.
 
-Five families, all parameterized by a target mean degree ``lam`` and size
-``n``: configuration graphs with Lognormal / Poisson / Exponential degree
-draws (degrees are 1 + X so nobody is isolated), preferential-attachment
-graphs, and Erdos-Renyi graphs.  Configuration graphs may contain parallel
-edges and self-loops; that is intentional and the estimators cope.
+Five families (``Family``), all parameterized by a target mean degree
+``lam`` and size ``n``: configuration graphs with Lognormal / Poisson /
+Exponential degree draws (degrees are 1 + X so nobody is isolated),
+preferential-attachment graphs, and Erdos-Renyi graphs.
+``sample_graph(family, lam, n, rng)`` draws any of them;
+``sample_degrees(family, lam, n, rng)`` draws a configuration family's
+degree sequence, and ``configuration_graph`` pairs the stubs of any
+explicit one.  Configuration graphs may contain parallel edges and
+self-loops; that is intentional and the estimators cope.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -20,48 +23,27 @@ import numpy as np
 from .graph import MultiGraph, mean_local_clustering, triangle_counts
 
 
-class DegreeKind(Enum):
-    LOGNORMAL = "lognormal"
-    POISSON = "poisson"
-    EXPONENTIAL = "exponential"
+def sample_degrees(family: Family, lam: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw a configuration family's length-n integer degree sequence, each degree >= 1.
 
-
-@dataclass(frozen=True)
-class DegreeDistribution:
-    """Degree law for configuration sampling.
-
-    Each kind draws X and uses degree 1 + X, giving expected mean degree
+    Each family draws X and uses degree 1 + X, giving expected mean degree
     ``lam``.  Continuous draws are rounded half-up, then clamped to stay >= 1.
     An explicit degree sequence goes straight to ``configuration_graph``.
     """
-
-    kind: DegreeKind
-    lam: float
-
-    def __post_init__(self):
-        if self.lam < 1.0:
-            raise ValueError(f"target mean degree must be >= 1, got {self.lam}")
-        if self.kind is DegreeKind.LOGNORMAL and self.lam <= 1.0:
-            raise ValueError("lognormal degrees need a target mean degree > 1")
-
-
-def sample_degrees(dist: DegreeDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a length-n integer degree sequence, each degree >= 1."""
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    mean = dist.lam - 1.0
-    if dist.kind is DegreeKind.POISSON:
+    if family not in _CONFIG_FAMILIES:
+        raise ValueError(f"degree sequences are drawn for configuration families only, got {family}")
+    check_family(family, lam, n)
+    mean = lam - 1.0
+    if family is Family.CONFIG_POISSON:
         x = rng.poisson(mean, size=n).astype(np.int64)
         return 1 + x
-    if dist.kind is DegreeKind.EXPONENTIAL:
+    if family is Family.CONFIG_EXPONENTIAL:
         x = rng.exponential(scale=mean, size=n) if mean > 0 else np.zeros(n)
-    elif dist.kind is DegreeKind.LOGNORMAL:
+    else:
         # moment-match a lognormal to mean lam-1 and standard deviation 1
         sigma2 = math.log(1.0 + 1.0 / (mean * mean))
         mu = math.log(mean) - sigma2 / 2.0
         x = rng.lognormal(mean=mu, sigma=math.sqrt(sigma2), size=n)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown degree kind {dist.kind}")
     rounded = np.floor(1.0 + x + 0.5).astype(np.int64)  # round half-up
     return np.maximum(rounded, 1)
 
@@ -329,11 +311,7 @@ class Family(Enum):
         raise ValueError(f"unknown family {value!r} (expected one of {sorted(fam.value for fam in cls)})")
 
 
-_CONFIG_KINDS = {
-    Family.CONFIG_LOGNORMAL: DegreeKind.LOGNORMAL,
-    Family.CONFIG_POISSON: DegreeKind.POISSON,
-    Family.CONFIG_EXPONENTIAL: DegreeKind.EXPONENTIAL,
-}
+_CONFIG_FAMILIES = (Family.CONFIG_LOGNORMAL, Family.CONFIG_POISSON, Family.CONFIG_EXPONENTIAL)
 
 
 def check_size(family: Family, n: int) -> None:
@@ -343,7 +321,7 @@ def check_size(family: Family, n: int) -> None:
             raise ValueError("need at least two vertices")
         if n > _MAX_ER_N:
             raise ValueError(f"Erdos-Renyi graphs need n <= {_MAX_ER_N}, got {n}")
-    elif family in _CONFIG_KINDS and n < 1:
+    elif family in _CONFIG_FAMILIES and n < 1:
         raise ValueError("need at least one vertex")
 
 
@@ -360,36 +338,20 @@ def check_family(family: Family, lam: float, n: int) -> None:
     elif family is Family.ERDOS_RENYI:
         if lam < 0 or lam > n - 1:
             raise ValueError(f"mean degree must lie in [0, n-1], got {lam}")
-    elif family in _CONFIG_KINDS:
-        DegreeDistribution(_CONFIG_KINDS[family], lam)
-
-
-@dataclass(frozen=True)
-class GraphFamily:
-    """A fully specified sample space of random graphs."""
-
-    family: Family
-    lam: float
-    n: int
-
-    def __post_init__(self):
-        check_family(self.family, self.lam, self.n)
-
-    def sample(self, rng: np.random.Generator) -> MultiGraph:
-        return sample_graph(self.family, self.lam, self.n, rng)
+    elif family in _CONFIG_FAMILIES:
+        if lam < 1.0:
+            raise ValueError(f"target mean degree must be >= 1, got {lam}")
+        if family is Family.CONFIG_LOGNORMAL and lam <= 1.0:
+            raise ValueError("lognormal degrees need a target mean degree > 1")
 
 
 def sample_graph(family: Family, lam: float, n: int, rng: np.random.Generator) -> MultiGraph:
-    """Draw one random graph from the requested family."""
-    check_family(family, lam, n)
-    if family in _CONFIG_KINDS:
-        dist = DegreeDistribution(_CONFIG_KINDS[family], lam)
-        return configuration_graph(sample_degrees(dist, n, rng), rng)
+    """Draw one random graph from the requested family; every path checks its arguments before drawing."""
     if family is Family.BARABASI_ALBERT:
         return barabasi_albert(lam, n, rng)
     if family is Family.ERDOS_RENYI:
         return erdos_renyi(lam, n, rng)
-    raise ValueError(f"unknown family {family}")
+    return configuration_graph(sample_degrees(family, lam, n, rng), rng)
 
 
 def average_clustering(neighbor_sets: Sequence[set[int]]) -> float:

@@ -122,6 +122,7 @@ class ExperimentPlan:
         for omega in self.omegas:
             with _blame("omegas"):
                 _check_omega(omega)
+                HashSpace(omega)  # the codes a run draws must fit in int64
         for name in ("graph_replicates", "sample_replicates"):
             if getattr(self, name) < 1:
                 raise PlanError(name, "replicate counts must be >= 1")
@@ -258,7 +259,7 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> tuple[list[RawRow], list
     if workers <= 1 or len(tasks) <= 1:
         per_task = [_run_graph_task(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             per_task = list(pool.map(_run_graph_task, tasks, chunksize=1))
     raw: list[RawRow] = [row for rows in per_task for row in rows]
     return raw, summarize_rows(plan, raw)
@@ -391,8 +392,11 @@ def parse_plan(text: str) -> ExperimentPlan:
                 given["sample_sizes" if key == "r" else key] = _PLAN_KEYS[key](value)
         return ExperimentPlan(**given)
     except PlanError as exc:
-        key = "r" if exc.key == "sample_sizes" and "r" in fields else exc.key
-        raise ValueError(f"plan line {line_of[key]}: {key}: {exc}") from None
+        key, message = exc.key, str(exc)
+        if key == "sample_sizes" and "r" in fields:  # blame the short name the plan wrote
+            key = "r"
+            message = message.replace("sample_sizes lists", "r lists", 1)
+        raise ValueError(f"plan line {line_of[key]}: {key}: {message}") from None
 
 
 def load_plan(path) -> ExperimentPlan:

@@ -40,6 +40,8 @@ class HashSpace:
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("hash space must contain at least one code")
+        if self.size > 2**63:  # every code in [0, size) is an int64
+            raise ValueError(f"hash space must contain at most 2**63 codes, got {self.size}")
         if self.mode is HashMode.TELEFUNKEN:
             k = self.telefunken_digits
             if k < 1 or self.size != 4**k:

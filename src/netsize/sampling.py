@@ -239,7 +239,7 @@ def _count(s: Sample) -> Counts:
 
 def uniform_sample(g: MultiGraph, r: int, rng: np.random.Generator) -> tuple[int, ...]:
     """A uniformly random r-subset of the vertices, without replacement."""
-    if r > g.n:
+    if not 0 <= r <= g.n:
         raise ValueError(f"cannot sample {r} vertices from {g.n}")
     if r == 0:
         return ()

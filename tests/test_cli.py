@@ -46,6 +46,17 @@ def test_generate_deterministic(tmp_path):
     assert data_a == data_b
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--omega", str(2**64 + 5)], f"hash space must contain at most 2**63 codes, got {2**64 + 5}"),
+    (["--mode", "uniform", "--size", "-3"], "cannot sample -3 vertices from "),
+])
+def test_sample_names_a_bad_size(tmp_path, capsys, args, message):
+    edges = _generate_edges(tmp_path)
+    capsys.readouterr()
+    assert main(["sample", "--edges", str(edges), "--size", "40", *args]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_sample_then_estimate_plaintext(tmp_path, capsys):
     edges = _generate_edges(tmp_path, n=300, lam=8.0)
     dump = tmp_path / "sample.csv"

@@ -10,10 +10,7 @@ from hypothesis import strategies as st
 
 from netsize import generators
 from netsize.generators import (
-    DegreeDistribution,
-    DegreeKind,
     Family,
-    GraphFamily,
     _pairs_from_indices,
     average_clustering,
     barabasi_albert,
@@ -29,31 +26,31 @@ from netsize.graph import MultiGraph, triangle_counts
 
 
 def test_poisson_lam1_degenerate():
-    dist = DegreeDistribution(DegreeKind.POISSON, 1.0)
-    degrees = sample_degrees(dist, 500, np.random.default_rng(0))
+    degrees = sample_degrees(Family.CONFIG_POISSON, 1.0, 500, np.random.default_rng(0))
     assert (degrees == 1).all()
 
 
 def test_poisson_mean_matches_target():
-    dist = DegreeDistribution(DegreeKind.POISSON, 3.0)
-    degrees = sample_degrees(dist, 100_000, np.random.default_rng(1))
+    degrees = sample_degrees(Family.CONFIG_POISSON, 3.0, 100_000, np.random.default_rng(1))
     assert degrees.mean() == pytest.approx(3.0, abs=0.05)
     assert degrees.min() >= 1
 
 
-def test_continuous_kinds_have_integer_degrees_near_target():
-    for kind in (DegreeKind.LOGNORMAL, DegreeKind.EXPONENTIAL):
-        degrees = sample_degrees(DegreeDistribution(kind, 5.0), 100_000, np.random.default_rng(2))
+def test_continuous_families_have_integer_degrees_near_target():
+    for family in (Family.CONFIG_LOGNORMAL, Family.CONFIG_EXPONENTIAL):
+        degrees = sample_degrees(family, 5.0, 100_000, np.random.default_rng(2))
         assert degrees.dtype.kind == "i"
         assert degrees.min() >= 1
         assert degrees.mean() == pytest.approx(5.0, rel=0.02)
 
 
-def test_invalid_lambda_rejected():
-    with pytest.raises(ValueError):
-        DegreeDistribution(DegreeKind.POISSON, 0.5)
-    with pytest.raises(ValueError):
-        sample_degrees(DegreeDistribution(DegreeKind.LOGNORMAL, 1.0), 10, np.random.default_rng(0))
+@pytest.mark.parametrize("family", [Family.BARABASI_ALBERT, Family.ERDOS_RENYI, "poisson"])
+def test_sample_degrees_takes_only_a_configuration_family(family):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^degree sequences are drawn for configuration families only"):
+        sample_degrees(family, 4.0, 10, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_configuration_forced_pairings():
@@ -163,14 +160,12 @@ def test_parametric_families_hit_target_mean_degree(family, lam):
     assert total / reps == pytest.approx(lam, rel=0.05)
 
 
-def test_graph_family_wrapper():
-    fam = GraphFamily(Family.ERDOS_RENYI, 5.0, 100)
-    g = fam.sample(np.random.default_rng(0))
-    assert g.n == 100
+def test_sample_graph_takes_what_check_family_takes():
+    assert sample_graph(Family.ERDOS_RENYI, 5.0, 100, np.random.default_rng(0)).n == 100
     with pytest.raises(ValueError, match=re.escape("mean degree must lie in [0, n-1], got 500.0")):
-        GraphFamily(Family.ERDOS_RENYI, 500.0, 100)
-    # GraphFamily applies check_family's rule alone, so it takes what sample_graph takes
-    assert GraphFamily(Family.ERDOS_RENYI, 0.5, 100).sample(np.random.default_rng(0)).n == 100
+        sample_graph(Family.ERDOS_RENYI, 500.0, 100, np.random.default_rng(0))
+    check_family(Family.ERDOS_RENYI, 0.5, 100)
+    assert sample_graph(Family.ERDOS_RENYI, 0.5, 100, np.random.default_rng(0)).n == 100
 
 
 def test_rewire_reaches_clustering_and_preserves_degrees():
@@ -352,8 +347,7 @@ def _reference_sample_graph(family, lam, n, rng):
         return _reference_barabasi_albert(lam, n, rng)
     if family is Family.ERDOS_RENYI:
         return _reference_erdos_renyi(lam, n, rng)
-    kind = DegreeKind(family.value)
-    return _reference_configuration_graph(sample_degrees(DegreeDistribution(kind, lam), n, rng), rng)
+    return _reference_configuration_graph(sample_degrees(family, lam, n, rng), rng)
 
 
 def _assert_same_draws(got, want, rng_got, rng_want):
@@ -556,13 +550,18 @@ def test_barabasi_albert_needs_no_more_memory_than_a_configuration_graph():
     (Family.BARABASI_ALBERT, 3.0, 3, "need n > lam, got n=3, lam=3.0"),
     (Family.ERDOS_RENYI, 500.0, 100, "mean degree must lie in [0, n-1], got 500.0"),
     (Family.CONFIG_LOGNORMAL, 1.0, 100, "lognormal degrees need a target mean degree > 1"),
+    (Family.CONFIG_LOGNORMAL, 0.5, 100, "target mean degree must be >= 1, got 0.5"),
+    (Family.CONFIG_POISSON, 0.5, 100, "target mean degree must be >= 1, got 0.5"),
+    (Family.CONFIG_EXPONENTIAL, 0.99, 100, "target mean degree must be >= 1, got 0.99"),
     (Family.CONFIG_POISSON, float("nan"), 100, "mean degree must be finite, got nan"),
 ])
 def test_a_mean_degree_the_family_cannot_generate_is_rejected_before_drawing(family, lam, n, message):
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    for check in (lambda: check_family(family, lam, n), lambda: sample_graph(family, lam, n, rng),
-                  lambda: GraphFamily(family, lam, n)):
+    checks = [lambda: check_family(family, lam, n), lambda: sample_graph(family, lam, n, rng)]
+    if family in (Family.CONFIG_LOGNORMAL, Family.CONFIG_POISSON, Family.CONFIG_EXPONENTIAL):
+        checks.append(lambda: sample_degrees(family, lam, n, rng))
+    for check in checks:
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             check()
     assert rng.bit_generator.state == state
@@ -575,8 +574,11 @@ def test_a_mean_degree_the_family_cannot_generate_is_rejected_before_drawing(fam
     (Family.CONFIG_LOGNORMAL, -4, "need at least one vertex"),
 ])
 def test_a_size_the_family_cannot_generate_is_rejected_whatever_the_mean_degree(family, n, message):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     for check in (lambda: check_size(family, n), lambda: check_family(family, float("nan"), n),
-                  lambda: GraphFamily(family, 0.5, n)):
+                  lambda: sample_graph(family, 0.5, n, rng)):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             check()
+    assert rng.bit_generator.state == state
 

@@ -203,6 +203,36 @@ def test_workers_do_not_change_output():
     assert summary_csv_lines(sum1) == summary_csv_lines(sum2)
 
 
+def test_a_repeated_sample_size_is_named_by_the_key_the_plan_wrote():
+    plan = _VALID_PLAN.replace("r = 10", "sample_sizes = 10, 10")
+    with pytest.raises(ValueError, match="^" + re.escape("plan line 4: sample_sizes: sample_sizes lists 10 more")):
+        parse_plan(plan)
+
+
+def test_run_plan_starts_no_more_workers_than_graphs(monkeypatch):
+    started = []
+
+    class RecordingPool:  # runs the tasks in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    plan = ExperimentPlan(families=(Family.ERDOS_RENYI,), lambdas=(4.0,), sizes=(60,), sample_sizes=(10,),
+                          estimators=("n1",), graph_replicates=2)
+    raw, _ = run_plan(plan, workers=500)
+    assert started == [2]
+    assert raw_csv_lines(raw) == raw_csv_lines(run_plan(plan)[0])
+
+
 def test_summaries_recomputable_from_raw():
     raw, summaries = run_plan(TINY)
     assert summarize_rows(TINY, raw) == summaries
@@ -278,6 +308,8 @@ _VALID_PLAN = "families = er\nlambdas = 3\nsizes = 100\nr = 10\nestimators = n1\
     ("lambdas = -3", "plan line 6: lambdas: a mean degree must be finite and non-negative, got -3.0"),
     ("lambdas = 3, inf", "plan line 6: lambdas: a mean degree must be finite and non-negative, got inf"),
     ("omegas = -5", "plan line 6: omegas: the code space size omega must be at least 1, got -5"),
+    ("omegas = 99999999999999999999",
+     "plan line 6: omegas: hash space must contain at most 2**63 codes, got 99999999999999999999"),
     ("estimators = n9", "plan line 6: estimators: unknown estimator 'n9'"),
     ("estimators = n2, n2", "plan line 6: estimators: estimators lists 'n2' more than once"),
     ("estimators = n2psi", "plan line 6: estimators: hashed estimators need at least one code-space size"),
@@ -286,6 +318,7 @@ _VALID_PLAN = "families = er\nlambdas = 3\nsizes = 100\nr = 10\nestimators = n1\
     ("r = 101", "plan line 6: r: sample sizes must not exceed the smallest population"),
     ("r = 0", "plan line 6: r: sample sizes must be >= 1, got 0"),
     ("r = -3", "plan line 6: r: sample sizes must be >= 1, got -3"),
+    ("r = 10, 10", "plan line 6: r: r lists 10 more than once"),
     ("sample_replicates = 0", "plan line 6: sample_replicates: replicate counts must be >= 1"),
 ])
 def test_parse_plan_names_the_line_of_a_bad_value(line, message):

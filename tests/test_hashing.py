@@ -46,6 +46,16 @@ def test_telefunken_rejects_bad_input():
             HashSpace(size, HashMode.TELEFUNKEN)
 
 
+def test_hash_space_holds_at_most_2_63_codes():
+    # every code in [0, size) must be an int64
+    codes = assign_hashes(1000, HashSpace(2**63), np.random.default_rng(0))
+    assert codes.dtype == np.int64 and (codes >= 0).all()
+    assert HashSpace(4**31, HashMode.TELEFUNKEN).telefunken_digits == 31
+    for size, mode in ((2**63 + 1, HashMode.RANDOM_FUNCTION), (4**32, HashMode.TELEFUNKEN)):
+        with pytest.raises(ValueError, match=rf"^hash space must contain at most 2\*\*63 codes, got {size}$"):
+            HashSpace(size, mode)
+
+
 # --- assignment ----------------------------------------------------------
 
 def test_single_code_space():

@@ -31,8 +31,9 @@ def test_uniform_sample_extremes():
     g = sample_graph(Family.ERDOS_RENYI, 3.0, 25, np.random.default_rng(0))
     assert sorted(uniform_sample(g, 25, np.random.default_rng(1))) == list(range(25))
     assert uniform_sample(g, 0, np.random.default_rng(1)) == ()
-    with pytest.raises(ValueError):
-        uniform_sample(g, 26, np.random.default_rng(1))
+    for r in (26, -3):
+        with pytest.raises(ValueError, match=f"^cannot sample {r} vertices from 25$"):
+            uniform_sample(g, r, np.random.default_rng(1))
 
 
 def test_uniform_sample_is_uniform():
