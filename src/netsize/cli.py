@@ -66,6 +66,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     if args.hash_mode is not None and args.omega is None:
         raise ValueError("--hash-mode needs --omega")
+    space = None if args.omega is None else HashSpace(args.omega, HashMode(args.hash_mode or "random"))
     g, _, _ = load_edge_list(EdgeListSpec(args.edges))
     rng = np.random.default_rng(args.rng_seed)
     if args.mode == "uniform":
@@ -75,10 +76,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         sample = rds_capture(g, cfg, rng)
 
     extras = {"mode": args.mode, "size": args.size, "graph": args.edges}
-    if args.omega is not None:
-        mode = HashMode(args.hash_mode or "random")
-        sample = hashed_view(sample, assign_hashes(g.n, HashSpace(args.omega, mode), rng))
-        extras.update({"omega": args.omega, "hash_mode": mode.value})
+    if space is not None:
+        sample = hashed_view(sample, assign_hashes(g.n, space, rng))
+        extras.update({"omega": args.omega, "hash_mode": space.mode.value})
 
     header = _header("sample", args, extras)
     if args.out:

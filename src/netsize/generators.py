@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import MultiGraph, mean_local_clustering, triangle_counts
+from .sampling import _two_distinct
 
 
 def sample_degrees(family: Family, lam: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -316,6 +317,7 @@ _CONFIG_FAMILIES = (Family.CONFIG_LOGNORMAL, Family.CONFIG_POISSON, Family.CONFI
 
 def check_size(family: Family, n: int) -> None:
     """The rules on ``n`` alone of ``check_family`` (``ba``'s n > lam involves the mean degree)."""
+    family = Family(family)
     if family is Family.ERDOS_RENYI:
         if n < 2:
             raise ValueError("need at least two vertices")
@@ -327,6 +329,7 @@ def check_size(family: Family, n: int) -> None:
 
 def check_family(family: Family, lam: float, n: int) -> None:
     """Raise ``ValueError`` unless ``family`` generates graphs of mean degree ``lam`` on ``n`` vertices."""
+    family = Family(family)
     check_size(family, n)
     if not math.isfinite(lam):
         raise ValueError(f"mean degree must be finite, got {lam}")
@@ -370,11 +373,10 @@ _CHECK_EVERY = 1000     # accepted swaps between two clustering checks
 class _RewireState:
     """Simple-graph adjacency with per-vertex triangle counts kept current.
 
-    Row v is ``slots[start[v]:start[v] + fill[v]]``, a fixed-width run of one
-    flat list.  Its width is v's simple degree, which no swap changes: each
-    endpoint loses one neighbor and gains one.  Removal moves the row's last
-    neighbor into the freed slot and insertion appends, so between swaps
-    every row is full.
+    ``adj[v]`` lists v's neighbors, first in the order of the edges that
+    brought them.  No swap changes a row's length: each endpoint loses one
+    neighbor and gains one.  Removal moves the row's last neighbor into the
+    freed place and insertion appends.
     """
 
     def __init__(self, n: int, edges: np.ndarray):
@@ -384,25 +386,16 @@ class _RewireState:
         simple = edges[np.sort(np.unique(keys, return_index=True)[1])]  # first copies, in order
         ends = simple.ravel()
         self.degrees = np.bincount(ends, minlength=n)
-        self.start = (np.cumsum(self.degrees) - self.degrees).tolist()
-        self.fill = self.degrees.tolist()
-        # each row lists its neighbors in the order of the edges that brought them
-        self.slots = simple[:, ::-1].ravel()[np.argsort(ends, kind="stable")].tolist()
+        flat = iter(simple[:, ::-1].ravel()[np.argsort(ends, kind="stable")].tolist())
+        self.adj = [list(itertools.islice(flat, d)) for d in self.degrees.tolist()]
         self.tri = triangle_counts(n, simple).tolist()
 
-    def row(self, v: int) -> list[int]:
-        first = self.start[v]
-        return self.slots[first:first + self.fill[v]]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.row(u)
-
     def common(self, u: int, v: int) -> set[int]:
-        return set(self.row(u)).intersection(self.row(v))
+        return set(self.adj[u]).intersection(self.adj[v])
 
     def swap(self, v: int, a: int, w: int, b: int) -> None:
         """Replace the edges (v, a) and (w, b) by (v, w) and (a, b)."""
-        slots, start, fill, tri = self.slots, self.start, self.fill, self.tri
+        adj, tri = self.adj, self.tri
         for x, y, step in ((v, a, -1), (w, b, -1), (v, w, 1), (a, b, 1)):
             common = self.common(x, y)
             for z in common:
@@ -410,20 +403,20 @@ class _RewireState:
             tri[x] += step * len(common)
             tri[y] += step * len(common)
             for p, q in ((x, y), (y, x)):
-                end = start[p] + fill[p]
+                row = adj[p]
                 if step < 0:
-                    # the row's last neighbor fills the freed slot
-                    slots[slots.index(q, start[p], end)] = slots[end - 1]
+                    row[row.index(q)] = row[-1]  # the row's last neighbor fills the freed place
+                    row.pop()
                 else:
-                    slots[end] = q
-                fill[p] += step
+                    row.append(q)
 
     def mean_clustering(self) -> float:
         return mean_local_clustering(self.degrees, self.tri)
 
     def edge_array(self) -> np.ndarray:
         """Every edge once as (u, v) with u < v, in sorted order."""
-        pairs = np.stack([np.repeat(np.arange(len(self.degrees)), self.degrees), self.slots], axis=1)
+        heads = np.fromiter(itertools.chain.from_iterable(self.adj), np.int64, int(self.degrees.sum()))
+        pairs = np.stack([np.repeat(np.arange(len(self.degrees)), self.degrees), heads], axis=1)
         pairs = pairs[pairs[:, 0] < pairs[:, 1]]
         return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
@@ -439,6 +432,7 @@ def rewire_to_clustering(g: MultiGraph, target: float, rng: np.random.Generator)
     """
     n = g.n
     state = _RewireState(n, g.edge_array)
+    adj = state.adj
 
     eligible = np.flatnonzero(state.degrees >= 2).tolist()
     if not eligible:
@@ -455,17 +449,14 @@ def rewire_to_clustering(g: MultiGraph, target: float, rng: np.random.Generator)
             break
         attempts += 1
         u = eligible[int(rng.integers(len(eligible)))]
-        nbrs = state.row(u)
-        i = int(rng.integers(len(nbrs)))
-        j = int(rng.integers(len(nbrs) - 1))
-        if j >= i:
-            j += 1
+        nbrs = adj[u]
+        i, j = _two_distinct(len(nbrs), rng)
         v, w = nbrs[i], nbrs[j]
-        if state.has_edge(v, w):
+        if w in adj[v]:
             continue
-        a = state.row(v)[int(rng.integers(state.fill[v]))]
-        b = state.row(w)[int(rng.integers(state.fill[w]))]
-        if a in (u, w) or b in (u, v) or a == b or state.has_edge(a, b):
+        a = adj[v][int(rng.integers(len(adj[v])))]
+        b = adj[w][int(rng.integers(len(adj[w])))]
+        if a in (u, w) or b in (u, v) or a == b or b in adj[a]:
             continue
         # only accept moves that create more triangles than they destroy
         gain = len(state.common(v, w)) + len(state.common(a, b))

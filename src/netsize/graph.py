@@ -39,9 +39,12 @@ class MultiGraph:
         self.n = n
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
-        arr = np.asarray(edges, dtype=np.int64)
+        arr = np.asarray(edges)
         if arr.size == 0:
             arr = arr.reshape(0, 2)
+        elif arr.dtype.kind not in "iu":  # never truncate a fractional endpoint
+            raise ValueError(f"edge endpoints must be integers, got {arr.dtype} values")
+        arr = arr.astype(np.int64, copy=False)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("edges must be (u, v) pairs")
         if arr.size and (arr.min() < 0 or arr.max() >= n):

@@ -97,6 +97,8 @@ class ExperimentPlan:
         for name in ("families", "lambdas", "sizes", "sample_sizes"):
             if not getattr(self, name):
                 raise PlanError(name, "families, lambdas, sizes, and sample sizes must be non-empty")
+        with _blame("families"):  # a family may be given by its plan name
+            object.__setattr__(self, "families", tuple(map(Family, self.families)))
         if not self.estimators:
             raise PlanError("estimators", "at least one estimator is required")
         for name in ("families", "lambdas", "sizes", "sample_sizes", "estimators", "omegas"):

@@ -17,6 +17,7 @@ cross-component matches once, in numpy (``Sample.counts``).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -45,6 +46,8 @@ class RdsConfig:
             raise ValueError("need 1 <= num_seeds <= target_size")
         if not self.recruit_law:
             raise ValueError("recruit law must have at least one outcome")
+        if not all(0 <= p <= 1 for _, p in self.recruit_law):  # NaN fails too
+            raise ValueError(f"recruit law probabilities must lie in [0, 1], got {self.recruit_law}")
         total = sum(p for _, p in self.recruit_law)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"recruit law probabilities sum to {total}, not 1")
@@ -285,6 +288,13 @@ def _draw_recruit_count(law: Sequence[tuple[int, float]], rng: np.random.Generat
     return law[-1][0]
 
 
+def _two_distinct(m: int, rng: np.random.Generator) -> tuple[int, int]:
+    """Two distinct uniform indices below ``m`` (``m >= 2``), in draw order."""
+    i = int(rng.integers(m))
+    j = int(rng.integers(m - 1))
+    return i, j + (j >= i)
+
+
 def _draw_fresh_seed(g: MultiGraph, row_of: list[int], rng: np.random.Generator) -> int:
     """Uniform undiscovered vertex (``row_of[v] < 0``), preferring those with at least one tie.
 
@@ -346,24 +356,26 @@ def rds_capture(g: MultiGraph, cfg: RdsConfig, rng: np.random.Generator) -> Samp
     else:
         seeds = _draw_initial_seeds(g, cfg.num_seeds, rng)
 
-    order: list[int] = list(seeds)
     row_of: list[int] = [-1] * n  # each vertex's row, -1 while undiscovered
-    for i, s in enumerate(seeds):
-        row_of[s] = i
-    components: list[int] = list(range(len(seeds)))
-    recruiters: list[int] = [-1] * len(seeds)
-    frontier: list[int] = list(seeds)
-    next_component = len(seeds)
+    order: list[int] = []
+    components: list[int] = []
+    recruiters: list[int] = []  # the recruiter's row; -1 marks a seed, which opens a new component
+    frontier: list[int] = []
+    new_component = itertools.count()
+
+    def enroll(subjects: Sequence[int], recruiter: int) -> None:
+        for v in subjects:
+            row_of[v] = len(order)
+            order.append(v)
+            components.append(next(new_component) if recruiter < 0 else components[recruiter])
+            recruiters.append(recruiter)
+            frontier.append(v)
+
+    enroll(seeds, -1)
 
     while len(order) < r:
         if not frontier:
-            fresh = _draw_fresh_seed(g, row_of, rng)
-            row_of[fresh] = len(order)
-            order.append(fresh)
-            components.append(next_component)
-            recruiters.append(-1)
-            next_component += 1
-            frontier.append(fresh)
+            enroll([_draw_fresh_seed(g, row_of, rng)], -1)
             continue
         idx = int(rng.integers(len(frontier)))
         x = frontier[idx]
@@ -379,22 +391,12 @@ def rds_capture(g: MultiGraph, cfg: RdsConfig, rng: np.random.Generator) -> Samp
             elif k == 1:
                 recruits = [candidates[int(rng.integers(len(candidates)))]]
             elif k == 2:
-                m = len(candidates)
-                i = int(rng.integers(m))
-                j = int(rng.integers(m - 1))
-                if j >= i:
-                    j += 1
+                i, j = _two_distinct(len(candidates), rng)
                 recruits = [candidates[i], candidates[j]]
             else:
                 picks = rng.choice(len(candidates), size=k, replace=False)
                 recruits = [candidates[int(i)] for i in picks]
-            x_row = row_of[x]
-            for v in recruits:
-                row_of[v] = len(order)
-                order.append(v)
-                components.append(components[x_row])
-                recruiters.append(x_row)
-                frontier.append(v)
+            enroll(recruits, row_of[x])
 
     return _plaintext_sample(g, np.array(order, dtype=np.int64), components,
                              np.array(recruiters, dtype=np.int64))

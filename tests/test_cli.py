@@ -57,6 +57,12 @@ def test_sample_names_a_bad_size(tmp_path, capsys, args, message):
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+def test_sample_checks_the_code_space_before_reading_the_graph(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    assert main(["sample", "--edges", str(missing), "--size", "40", "--omega", str(2**64)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: hash space must contain at most 2**63 codes, got {2**64}")
+
+
 def test_sample_then_estimate_plaintext(tmp_path, capsys):
     edges = _generate_edges(tmp_path, n=300, lam=8.0)
     dump = tmp_path / "sample.csv"

@@ -22,7 +22,7 @@ from netsize.generators import (
     sample_degrees,
     sample_graph,
 )
-from netsize.graph import MultiGraph, triangle_counts
+from netsize.graph import MultiGraph, mean_local_clustering, triangle_counts
 
 
 def test_poisson_lam1_degenerate():
@@ -265,9 +265,113 @@ def test_rewire_state_keeps_triangles_current(g, seed):
         state.swap(v, a, w, b)
         pairs -= {(min(v, a), max(v, a)), (min(w, b), max(w, b))}
         pairs |= {(min(v, w), max(v, w)), (min(a, b), max(a, b))}
-    assert {(u, x) for u in range(g.n) for x in state.row(u) if u < x} == pairs
-    assert [len(state.row(u)) for u in range(g.n)] == degrees
+    assert {(u, x) for u in range(g.n) for x in state.adj[u] if u < x} == pairs
+    assert [len(row) for row in state.adj] == degrees
     assert state.tri == triangle_counts(g.n, sorted(pairs)).tolist()
+
+
+# The rewiring as it was written on one flat slot list: row v is
+# slots[start[v]:start[v] + fill[v]].  It is the reference for the rewired
+# graph and the random stream of rewire_to_clustering.
+
+class _ReferenceRewireState:
+    def __init__(self, n, edges):
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        keys = np.minimum(edges[:, 0], edges[:, 1]) * n + np.maximum(edges[:, 0], edges[:, 1])
+        simple = edges[np.sort(np.unique(keys, return_index=True)[1])]
+        ends = simple.ravel()
+        self.degrees = np.bincount(ends, minlength=n)
+        self.start = (np.cumsum(self.degrees) - self.degrees).tolist()
+        self.fill = self.degrees.tolist()
+        self.slots = simple[:, ::-1].ravel()[np.argsort(ends, kind="stable")].tolist()
+        self.tri = triangle_counts(n, simple).tolist()
+
+    def row(self, v):
+        return self.slots[self.start[v]:self.start[v] + self.fill[v]]
+
+    def has_edge(self, u, v):
+        return v in self.row(u)
+
+    def common(self, u, v):
+        return set(self.row(u)).intersection(self.row(v))
+
+    def swap(self, v, a, w, b):
+        slots, start, fill, tri = self.slots, self.start, self.fill, self.tri
+        for x, y, step in ((v, a, -1), (w, b, -1), (v, w, 1), (a, b, 1)):
+            common = self.common(x, y)
+            for z in common:
+                tri[z] += step
+            tri[x] += step * len(common)
+            tri[y] += step * len(common)
+            for p, q in ((x, y), (y, x)):
+                end = start[p] + fill[p]
+                if step < 0:
+                    slots[slots.index(q, start[p], end)] = slots[end - 1]
+                else:
+                    slots[end] = q
+                fill[p] += step
+
+    def edge_array(self):
+        pairs = np.stack([np.repeat(np.arange(len(self.degrees)), self.degrees), self.slots], axis=1)
+        pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+        return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def _reference_rewire(g, target, rng):
+    state = _ReferenceRewireState(g.n, g.edge_array)
+    eligible = np.flatnonzero(state.degrees >= 2).tolist()
+    swaps = attempts = next_check = 0
+    while attempts < generators._MAX_SWAPS * 20:
+        if swaps >= next_check:
+            if mean_local_clustering(state.degrees, state.tri) >= target:
+                break
+            next_check = swaps + generators._CHECK_EVERY
+        if swaps >= generators._MAX_SWAPS:
+            break
+        attempts += 1
+        u = eligible[int(rng.integers(len(eligible)))]
+        nbrs = state.row(u)
+        i = int(rng.integers(len(nbrs)))
+        j = int(rng.integers(len(nbrs) - 1))
+        if j >= i:
+            j += 1
+        v, w = nbrs[i], nbrs[j]
+        if state.has_edge(v, w):
+            continue
+        a = state.row(v)[int(rng.integers(state.fill[v]))]
+        b = state.row(w)[int(rng.integers(state.fill[w]))]
+        if a in (u, w) or b in (u, v) or a == b or state.has_edge(a, b):
+            continue
+        gain = len(state.common(v, w)) + len(state.common(a, b))
+        loss = len(state.common(v, a)) + len(state.common(w, b))
+        if gain + 1 <= loss:
+            continue
+        state.swap(v, a, w, b)
+        swaps += 1
+    return state.edge_array()
+
+
+def _assert_same_rewiring(g, target, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    rewired = rewire_to_clustering(g, target, rng)
+    assert np.array_equal(rewired.edge_array, _reference_rewire(g, target, ref_rng))
+    assert rng.random() == ref_rng.random()
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=multigraphs(), seed=st.integers(0, 2**32 - 1))
+def test_rewire_matches_the_flat_slot_reference(g, seed):
+    if not any(d >= 2 for d in _degrees(g.n, _simple_view(g))):
+        return
+    with mock.patch.object(generators, "_MAX_SWAPS", 50), mock.patch.object(generators, "_CHECK_EVERY", 7):
+        _assert_same_rewiring(g, 1.0, seed)
+
+
+def test_rewire_matches_the_flat_slot_reference_on_a_poisson_graph():
+    g = sample_graph(Family.CONFIG_POISSON, 6.0, 600, np.random.default_rng(5))
+    for seed in range(2):
+        _assert_same_rewiring(g, 0.2, seed)
 
 
 # Reference generators: the scalar constructions the array-native ones replace.
@@ -581,4 +685,15 @@ def test_a_size_the_family_cannot_generate_is_rejected_whatever_the_mean_degree(
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             check()
     assert rng.bit_generator.state == state
+
+
+def test_the_checks_take_a_family_by_its_plan_name():
+    for check in (lambda: check_size("poisson", 0), lambda: check_family("poisson", 0.5, 0)):
+        with pytest.raises(ValueError, match="^need at least one vertex$"):
+            check()
+    with pytest.raises(ValueError, match="^target mean degree must be >= 1, got 0.5$"):
+        check_family("poisson", 0.5, 100)
+    check_family("er", 0.5, 100)
+    with pytest.raises(ValueError, match="^unknown family 'marslink'"):
+        check_family("marslink", 3.0, 100)
 

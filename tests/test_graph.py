@@ -72,6 +72,18 @@ def test_vertex_count_bounds():
         MultiGraph(MAX_VERTICES + 1, [(MAX_VERTICES, MAX_VERTICES)])
 
 
+def test_edge_endpoints_must_be_integers():
+    with pytest.raises(ValueError, match="^edge endpoints must be integers, got float64 values$"):
+        MultiGraph(3, [(0.7, 1.2), (1, 2)])
+    with pytest.raises(ValueError, match="^edge endpoints must be integers"):
+        MultiGraph(3, np.array([[0.0, 1.0]]))
+    for edges in ([], np.empty((0, 2)), ()):
+        assert MultiGraph(3, edges).num_edges == 0
+    for edges in ([(0, 1), (1, 2)], np.array([[0, 1], [1, 2]], dtype=np.uint8)):
+        g = MultiGraph(3, edges)
+        assert g.edge_array.dtype == np.int64 and g.edges == [(0, 1), (1, 2)]
+
+
 def test_neighbor_bags_are_fresh_copies():
     bag = K3.neighbors(0)
     bag[5] += 1

@@ -365,6 +365,15 @@ def test_a_plan_error_names_its_field_and_keeps_its_message():
                        estimators=("n1",))
     assert caught.value.key == "sample_sizes"
     assert isinstance(caught.value, ValueError)
+    # a family may be given by its plan name
+    grid = dict(lambdas=(3.0,), sizes=(100,), sample_sizes=(10,), estimators=("n1",))
+    assert ExperimentPlan(families=("er", Family.CONFIG_POISSON), **grid).families == (
+        Family.ERDOS_RENYI, Family.CONFIG_POISSON)
+    with pytest.raises(PlanError, match="^unknown family 'marslink'") as caught:
+        ExperimentPlan(families=("marslink",), **grid)
+    assert caught.value.key == "families"
+    with pytest.raises(PlanError, match="^families lists 'er' more than once$"):
+        ExperimentPlan(families=("er", Family.ERDOS_RENYI), **grid)
 
 
 def test_two_seeds_are_enough_for_the_cross_component_estimators():

@@ -115,8 +115,11 @@ def test_rds_target_exceeds_population():
 def test_rds_config_validation():
     with pytest.raises(ValueError):
         RdsConfig(target_size=5, num_seeds=6)
-    with pytest.raises(ValueError):
-        RdsConfig(target_size=5, recruit_law=((2, 0.5), (1, 0.4)))
+    with pytest.raises(ValueError, match="^recruit law probabilities sum to 0.9"):
+        RdsConfig(target_size=10, recruit_law=((2, 0.5), (1, 0.4)))
+    for law in (((2, 1.5), (1, -0.5)), ((2, float("nan")),), ((2, 0.5), (1, float("nan")))):
+        with pytest.raises(ValueError, match="^recruit law probabilities must lie in \\[0, 1\\]"):
+            RdsConfig(target_size=10, recruit_law=law)
 
 
 # The capture as it was written before MultiGraph kept its neighbor rows
