@@ -14,6 +14,7 @@ self-loops; that is intentional and the estimators cope.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from enum import Enum
 from typing import Sequence
@@ -21,7 +22,9 @@ from typing import Sequence
 import numpy as np
 
 from .graph import MultiGraph, mean_local_clustering, triangle_counts
-from .sampling import _two_distinct
+from .sampling import _two_distinct, _uniforms
+
+_log = logging.getLogger("netsize")
 
 
 def sample_degrees(family: Family, lam: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -349,7 +352,9 @@ def check_family(family: Family, lam: float, n: int) -> None:
 
 
 def sample_graph(family: Family, lam: float, n: int, rng: np.random.Generator) -> MultiGraph:
-    """Draw one random graph from the requested family; every path checks its arguments before drawing."""
+    """Draw one random graph from the requested family (a ``Family`` or its plan name);
+    every path checks its arguments before drawing."""
+    family = Family(family)
     if family is Family.BARABASI_ALBERT:
         return barabasi_albert(lam, n, rng)
     if family is Family.ERDOS_RENYI:
@@ -393,15 +398,23 @@ class _RewireState:
     def common(self, u: int, v: int) -> set[int]:
         return set(self.adj[u]).intersection(self.adj[v])
 
-    def swap(self, v: int, a: int, w: int, b: int) -> None:
-        """Replace the edges (v, a) and (w, b) by (v, w) and (a, b)."""
+    def swap(self, v: int, a: int, w: int, b: int, common: tuple[set[int], ...]) -> None:
+        """Replace the edges (v, a) and (w, b) by (v, w) and (a, b).
+
+        ``common`` holds C(v, a), C(w, b), C(v, w) and C(a, b), the common
+        neighbors of the four pairs before the swap.  The four vertices are
+        distinct and (v, w), (a, b) absent, so removing (v, a) leaves C(w, b)
+        as it was, and once both are removed the new pairs share
+        C(v, w) - {a, b} and C(a, b) - {v, w}.
+        """
         adj, tri = self.adj, self.tri
-        for x, y, step in ((v, a, -1), (w, b, -1), (v, w, 1), (a, b, 1)):
-            common = self.common(x, y)
-            for z in common:
+        c_va, c_wb, c_vw, c_ab = common
+        for x, y, step, shared in ((v, a, -1, c_va), (w, b, -1, c_wb),
+                                   (v, w, 1, c_vw - {a, b}), (a, b, 1, c_ab - {v, w})):
+            for z in shared:
                 tri[z] += step
-            tri[x] += step * len(common)
-            tri[y] += step * len(common)
+            tri[x] += step * len(shared)
+            tri[y] += step * len(shared)
             for p, q in ((x, y), (y, x)):
                 row = adj[p]
                 if step < 0:
@@ -428,11 +441,19 @@ def rewire_to_clustering(g: MultiGraph, target: float, rng: np.random.Generator)
     the random multigraphs this is meant for).  Each accepted move swaps the
     pair of edges (v, a), (w, b) for (v, w), (a, b) where v, w share the
     neighbor u, closing the triangle u-v-w while keeping every degree fixed
-    and the graph simple.  The result lists its edges as sorted (u, v), u < v.
+    and the graph simple.  A move is taken when the common-neighbor count of
+    its new pairs, counted before the swap, is at least that of its removed
+    pairs: |C(v, w)| + |C(a, b)| >= |C(v, a)| + |C(w, b)|.  The result lists
+    its edges as sorted (u, v), u < v.
+
+    Rewiring gives up after ``_MAX_SWAPS`` accepted moves or twenty times as
+    many attempts; if the target is then unmet, it logs a warning on the
+    ``netsize`` logger with the clustering it reached.
     """
     n = g.n
     state = _RewireState(n, g.edge_array)
     adj = state.adj
+    draw = _uniforms(rng).__next__
 
     eligible = np.flatnonzero(state.degrees >= 2).tolist()
     if not eligible:
@@ -448,22 +469,26 @@ def rewire_to_clustering(g: MultiGraph, target: float, rng: np.random.Generator)
         if swaps >= _MAX_SWAPS:
             break
         attempts += 1
-        u = eligible[int(rng.integers(len(eligible)))]
+        u = eligible[int(draw() * len(eligible))]
         nbrs = adj[u]
-        i, j = _two_distinct(len(nbrs), rng)
+        i, j = _two_distinct(len(nbrs), draw)
         v, w = nbrs[i], nbrs[j]
         if w in adj[v]:
             continue
-        a = adj[v][int(rng.integers(len(adj[v])))]
-        b = adj[w][int(rng.integers(len(adj[w])))]
+        a = adj[v][int(draw() * len(adj[v]))]
+        b = adj[w][int(draw() * len(adj[w]))]
         if a in (u, w) or b in (u, v) or a == b or b in adj[a]:
             continue
-        # only accept moves that create more triangles than they destroy
-        gain = len(state.common(v, w)) + len(state.common(a, b))
-        loss = len(state.common(v, a)) + len(state.common(w, b))
-        if gain + 1 <= loss:
+        # accept moves whose new pairs share at least as many neighbors as the removed ones
+        lost = state.common(v, a), state.common(w, b)
+        made = state.common(v, w), state.common(a, b)
+        if len(made[0]) + len(made[1]) < len(lost[0]) + len(lost[1]):
             continue
-        state.swap(v, a, w, b)
+        state.swap(v, a, w, b, lost + made)
         swaps += 1
 
+    reached = state.mean_clustering()
+    if reached < target:
+        _log.warning("rewiring stopped at mean clustering %.6g, short of the target %.6g, "
+                     "after %d swaps in %d attempts", reached, target, swaps, attempts)
     return MultiGraph(n, state.edge_array())

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -278,8 +278,25 @@ def as_sample_view(g: MultiGraph, subjects: Iterable[int]) -> Sample:
     return _plaintext_sample(g, vertices, np.arange(len(vertices)), np.full(len(vertices), -1))
 
 
-def _draw_recruit_count(law: Sequence[tuple[int, float]], rng: np.random.Generator) -> int:
-    u = rng.random()
+_UNIFORM_BLOCK = 1024  # uniforms drawn from the generator at once
+
+
+def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+    """Uniforms on [0, 1), taken in order from ``rng.random(_UNIFORM_BLOCK)`` blocks.
+
+    A block is drawn only when the previous one is used up, so after N
+    uniforms ``rng`` stands where ``ceil(N / _UNIFORM_BLOCK) * _UNIFORM_BLOCK``
+    scalar ``rng.random()`` calls leave it, and gives the same values.
+    An index below m is ``int(u * m)``, which is below m for every u < 1 and
+    m <= 2**53.  As u is a multiple of 2**-53, each index has probability
+    1/m to within 2**-52 (the rounding of u * m moves each cell boundary by
+    at most one grid point), a relative bias below m / 2**52.
+    """
+    return itertools.chain.from_iterable(iter(lambda: rng.random(_UNIFORM_BLOCK).tolist(), None))
+
+
+def _draw_recruit_count(law: Sequence[tuple[int, float]], u: float) -> int:
+    """The recruit count that the uniform ``u`` selects from ``law``."""
     acc = 0.0
     for count, prob in law:
         acc += prob
@@ -288,14 +305,14 @@ def _draw_recruit_count(law: Sequence[tuple[int, float]], rng: np.random.Generat
     return law[-1][0]
 
 
-def _two_distinct(m: int, rng: np.random.Generator) -> tuple[int, int]:
-    """Two distinct uniform indices below ``m`` (``m >= 2``), in draw order."""
-    i = int(rng.integers(m))
-    j = int(rng.integers(m - 1))
+def _two_distinct(m: int, draw: Callable[[], float]) -> tuple[int, int]:
+    """Two distinct uniform indices below ``m`` (``m >= 2``) from two uniforms of ``draw``, in draw order."""
+    i = int(draw() * m)
+    j = int(draw() * (m - 1))
     return i, j + (j >= i)
 
 
-def _draw_fresh_seed(g: MultiGraph, row_of: list[int], rng: np.random.Generator) -> int:
+def _draw_fresh_seed(g: MultiGraph, row_of: list[int], draw: Callable[[], float]) -> int:
     """Uniform undiscovered vertex (``row_of[v] < 0``), preferring those with at least one tie.
 
     A seed is recruited through community contacts, so isolated vertices
@@ -303,15 +320,15 @@ def _draw_fresh_seed(g: MultiGraph, row_of: list[int], rng: np.random.Generator)
     """
     # rejection is cheap while the sample is small relative to the graph
     for _ in range(64):
-        v = int(rng.integers(g.n))
+        v = int(draw() * g.n)
         if row_of[v] < 0 and g.degree(v) > 0:
             return v
     undiscovered = np.asarray(row_of) < 0
     tied = np.flatnonzero(undiscovered & (g.degrees() > 0))
     if len(tied):
-        return int(tied[int(rng.integers(len(tied)))])
+        return int(tied[int(draw() * len(tied))])
     remaining = np.flatnonzero(undiscovered)
-    return int(remaining[int(rng.integers(len(remaining)))])
+    return int(remaining[int(draw() * len(remaining))])
 
 
 def _draw_initial_seeds(g: MultiGraph, count: int, rng: np.random.Generator) -> list[int]:
@@ -355,6 +372,7 @@ def rds_capture(g: MultiGraph, cfg: RdsConfig, rng: np.random.Generator) -> Samp
                 raise ValueError(f"seed {v} out of range")
     else:
         seeds = _draw_initial_seeds(g, cfg.num_seeds, rng)
+    draw = _uniforms(rng).__next__  # every later pick reads the generator through blocks
 
     row_of: list[int] = [-1] * n  # each vertex's row, -1 while undiscovered
     order: list[int] = []
@@ -375,9 +393,9 @@ def rds_capture(g: MultiGraph, cfg: RdsConfig, rng: np.random.Generator) -> Samp
 
     while len(order) < r:
         if not frontier:
-            enroll([_draw_fresh_seed(g, row_of, rng)], -1)
+            enroll([_draw_fresh_seed(g, row_of, draw)], -1)
             continue
-        idx = int(rng.integers(len(frontier)))
+        idx = int(draw() * len(frontier))
         x = frontier[idx]
         frontier[idx] = frontier[-1]
         frontier.pop()
@@ -385,17 +403,20 @@ def rds_capture(g: MultiGraph, cfg: RdsConfig, rng: np.random.Generator) -> Samp
         ids = g.neighbor_ids(x).tolist()  # sorted: a repeated neighbor follows its first occurrence
         candidates = [w for w, prev in zip(ids, [-1] + ids) if w != prev and row_of[w] < 0]
         if candidates:
-            k = min(_draw_recruit_count(cfg.recruit_law, rng), len(candidates))
-            if k == len(candidates):
+            m = len(candidates)
+            k = min(_draw_recruit_count(cfg.recruit_law, draw()), m)
+            if k == m:
                 recruits = candidates
             elif k == 1:
-                recruits = [candidates[int(rng.integers(len(candidates)))]]
+                recruits = [candidates[int(draw() * m)]]
             elif k == 2:
-                i, j = _two_distinct(len(candidates), rng)
+                i, j = _two_distinct(m, draw)
                 recruits = [candidates[i], candidates[j]]
-            else:
-                picks = rng.choice(len(candidates), size=k, replace=False)
-                recruits = [candidates[int(i)] for i in picks]
+            else:  # a partial Fisher-Yates shuffle; only custom recruit laws get here
+                for t in range(k):
+                    pick = t + int(draw() * (m - t))
+                    candidates[t], candidates[pick] = candidates[pick], candidates[t]
+                recruits = candidates[:k]
             enroll(recruits, row_of[x])
 
     return _plaintext_sample(g, np.array(order, dtype=np.int64), components,

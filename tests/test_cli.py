@@ -10,7 +10,9 @@ import pytest
 from netsize import cli
 from netsize.cli import main
 from netsize.harness import ESTIMATORS, parse_plan, run_plan
+from netsize.hashing import HashMode, HashSpace, assign_hashes, hashed_view
 from netsize.ingest import EdgeListSpec, load_edge_list
+from netsize.sampling import RdsConfig, rds_capture, sample_dump_lines
 
 
 def _generate_edges(tmp_path, name="g.txt", n=200, lam=6.0, seed=3, family="er"):
@@ -93,9 +95,15 @@ def test_sample_telefunken_takes_its_digit_count_from_omega(tmp_path, capsys):
     assert main(["sample", "--edges", str(edges), "--size", "80", "--omega", "256",
                  "--hash-mode", "telefunken", "--rng-seed", "1", "--out", str(dump)]) == 0
     rows = dump.read_text().split("\n", 1)[1]  # the header names the graph's path
-    # the rows written when the four digits were passed by hand, as a separate flag
+    # the library path with a four-digit telefunken space gives the same rows
+    g, _, _ = load_edge_list(EdgeListSpec(edges))
+    rng = np.random.default_rng(1)
+    sample = rds_capture(g, RdsConfig(target_size=80), rng)
+    space = HashSpace(256, HashMode.TELEFUNKEN)
+    assert space.telefunken_digits == 4
+    assert rows == "\n".join(sample_dump_lines(hashed_view(sample, assign_hashes(g.n, space, rng)))) + "\n"
     assert hashlib.sha256(rows.encode()).hexdigest() == \
-        "3c4b42605bc2becad1aa1aa870f706d36d68e0916c4ff1433770a44426971144"
+        "0ec325adf583bee0c1216012bbc1d19fe3736e2d5cd677dbf8fd7c1d842db8fe"
     with pytest.raises(SystemExit):
         main(["sample", "--edges", str(edges), "--size", "80", "--omega", "256",
               "--hash-mode", "telefunken", "--telefunken-digits", "4"])

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 import re
 from unittest import mock
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netsize import generators
+from netsize import generators, sampling
 from netsize.generators import (
     Family,
     _pairs_from_indices,
@@ -23,6 +24,7 @@ from netsize.generators import (
     sample_graph,
 )
 from netsize.graph import MultiGraph, mean_local_clustering, triangle_counts
+from test_sampling import CountingGenerator, ScalarUniforms, counting_uniforms
 
 
 def test_poisson_lam1_degenerate():
@@ -161,7 +163,11 @@ def test_parametric_families_hit_target_mean_degree(family, lam):
 
 
 def test_sample_graph_takes_what_check_family_takes():
-    assert sample_graph(Family.ERDOS_RENYI, 5.0, 100, np.random.default_rng(0)).n == 100
+    by_name = sample_graph("er", 5.0, 100, np.random.default_rng(0))
+    by_member = sample_graph(Family.ERDOS_RENYI, 5.0, 100, np.random.default_rng(0))
+    assert by_member.n == 100 and np.array_equal(by_name.edge_array, by_member.edge_array)
+    with pytest.raises(ValueError, match="^unknown family 'marslink'"):
+        sample_graph("marslink", 5.0, 100, np.random.default_rng(0))
     with pytest.raises(ValueError, match=re.escape("mean degree must lie in [0, n-1], got 500.0")):
         sample_graph(Family.ERDOS_RENYI, 500.0, 100, np.random.default_rng(0))
     check_family(Family.ERDOS_RENYI, 0.5, 100)
@@ -262,7 +268,7 @@ def test_rewire_state_keeps_triangles_current(g, seed):
             v, a = a, v
         if len({v, a, w, b}) < 4 or {(min(v, w), max(v, w)), (min(a, b), max(a, b))} & pairs:
             continue
-        state.swap(v, a, w, b)
+        state.swap(v, a, w, b, tuple(state.common(x, y) for x, y in ((v, a), (w, b), (v, w), (a, b))))
         pairs -= {(min(v, a), max(v, a)), (min(w, b), max(w, b))}
         pairs |= {(min(v, w), max(v, w)), (min(a, b), max(a, b))}
     assert {(u, x) for u in range(g.n) for x in state.adj[u] if u < x} == pairs
@@ -271,7 +277,8 @@ def test_rewire_state_keeps_triangles_current(g, seed):
 
 
 # The rewiring as it was written on one flat slot list: row v is
-# slots[start[v]:start[v] + fill[v]].  It is the reference for the rewired
+# slots[start[v]:start[v] + fill[v]], and a swap recounts its common neighbors.
+# It draws one rng.random() per pick and is the reference for the rewired
 # graph and the random stream of rewire_to_clustering.
 
 class _ReferenceRewireState:
@@ -320,6 +327,7 @@ class _ReferenceRewireState:
 
 def _reference_rewire(g, target, rng):
     state = _ReferenceRewireState(g.n, g.edge_array)
+    draw = ScalarUniforms(rng)
     eligible = np.flatnonzero(state.degrees >= 2).tolist()
     swaps = attempts = next_check = 0
     while attempts < generators._MAX_SWAPS * 20:
@@ -330,17 +338,17 @@ def _reference_rewire(g, target, rng):
         if swaps >= generators._MAX_SWAPS:
             break
         attempts += 1
-        u = eligible[int(rng.integers(len(eligible)))]
+        u = eligible[int(draw() * len(eligible))]
         nbrs = state.row(u)
-        i = int(rng.integers(len(nbrs)))
-        j = int(rng.integers(len(nbrs) - 1))
+        i = int(draw() * len(nbrs))
+        j = int(draw() * (len(nbrs) - 1))
         if j >= i:
             j += 1
         v, w = nbrs[i], nbrs[j]
         if state.has_edge(v, w):
             continue
-        a = state.row(v)[int(rng.integers(state.fill[v]))]
-        b = state.row(w)[int(rng.integers(state.fill[w]))]
+        a = state.row(v)[int(draw() * state.fill[v])]
+        b = state.row(w)[int(draw() * state.fill[w])]
         if a in (u, w) or b in (u, v) or a == b or state.has_edge(a, b):
             continue
         gain = len(state.common(v, w)) + len(state.common(a, b))
@@ -349,6 +357,7 @@ def _reference_rewire(g, target, rng):
             continue
         state.swap(v, a, w, b)
         swaps += 1
+    draw.close()
     return state.edge_array()
 
 
@@ -372,6 +381,38 @@ def test_rewire_matches_the_flat_slot_reference_on_a_poisson_graph():
     g = sample_graph(Family.CONFIG_POISSON, 6.0, 600, np.random.default_rng(5))
     for seed in range(2):
         _assert_same_rewiring(g, 0.2, seed)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_rewire_matches_the_flat_slot_reference_across_block_ends(block):
+    g = sample_graph(Family.CONFIG_POISSON, 6.0, 300, np.random.default_rng(6))
+    with mock.patch.object(sampling, "_UNIFORM_BLOCK", block):
+        _assert_same_rewiring(g, 0.15, block)
+
+
+def test_rewire_reads_the_generator_only_in_whole_blocks():
+    g = sample_graph(Family.CONFIG_POISSON, 6.0, 600, np.random.default_rng(5))
+    patch, used = counting_uniforms(generators)
+    rng = CountingGenerator(np.random.default_rng(1))
+    with patch:
+        rewire_to_clustering(g, 0.2, rng)
+    assert used[0] > 0
+    assert rng.calls == {"random": math.ceil(used[0] / sampling._UNIFORM_BLOCK)}
+
+
+def test_rewire_warns_when_it_stops_short_of_the_target(caplog):
+    g = sample_graph(Family.CONFIG_POISSON, 6.0, 600, np.random.default_rng(5))
+    with caplog.at_level(logging.DEBUG, "netsize"):
+        rewire_to_clustering(g, 0.2, np.random.default_rng(1))
+        assert caplog.records == []  # the target is met
+        with mock.patch.object(generators, "_MAX_SWAPS", 30):
+            rewired = rewire_to_clustering(g, 0.5, np.random.default_rng(1))
+    [record] = caplog.records
+    assert record.name == "netsize" and record.levelno == logging.WARNING
+    reached = mean_local_clustering(rewired.degrees(), triangle_counts(g.n, rewired.edge_array))
+    assert reached < 0.5
+    assert re.fullmatch(f"rewiring stopped at mean clustering {reached:.6g}, short of the target 0.5, "
+                        r"after 30 swaps in \d+ attempts", record.getMessage())
 
 
 # Reference generators: the scalar constructions the array-native ones replace.

@@ -1,6 +1,9 @@
+import collections
+import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -122,9 +125,25 @@ def test_rds_config_validation():
             RdsConfig(target_size=10, recruit_law=law)
 
 
+class ScalarUniforms:
+    """The scalar replay of ``sampling._uniforms``: one ``rng.random()`` per uniform."""
+
+    def __init__(self, rng):
+        self.rng, self.used = rng, 0
+
+    def __call__(self):
+        self.used += 1
+        return self.rng.random()
+
+    def close(self):
+        """Advance ``rng`` to the end of the block the last uniform came from."""
+        self.rng.random(-self.used % sampling._UNIFORM_BLOCK)
+
+
 # The capture as it was written before MultiGraph kept its neighbor rows
 # sorted: a discovered set, a row dict, sorted set differences and a key sort.
-# It is the reference for the samples and the random stream of rds_capture.
+# It draws one rng.random() per pick and is the reference for the samples and
+# the random stream of rds_capture.
 
 def _reference_free_alters(g, vertices, recruiters):
     offsets, targets = g.neighbor_lists(vertices)
@@ -139,27 +158,28 @@ def _reference_free_alters(g, vertices, recruiters):
     return np.r_[0, np.cumsum(np.bincount(rows, minlength=len(vertices)))], alters
 
 
-def _reference_fresh_seed(g, discovered, rng):
+def _reference_fresh_seed(g, discovered, draw):
     for _ in range(64):
-        v = int(rng.integers(g.n))
+        v = int(draw() * g.n)
         if v not in discovered and g.degree(v) > 0:
             return v
     tied = [v for v in range(g.n) if v not in discovered and g.degree(v) > 0]
     if tied:
-        return tied[int(rng.integers(len(tied)))]
+        return tied[int(draw() * len(tied))]
     remaining = sorted(set(range(g.n)) - discovered)
-    return remaining[int(rng.integers(len(remaining)))]
+    return remaining[int(draw() * len(remaining))]
 
 
 def _reference_capture(g, cfg, rng):
     seeds = sampling._draw_initial_seeds(g, cfg.num_seeds, rng)
+    draw = ScalarUniforms(rng)
     order, discovered = list(seeds), set(seeds)
     row_of = {s: i for i, s in enumerate(seeds)}
     components, recruiters, frontier = list(range(len(seeds))), [-1] * len(seeds), list(seeds)
     next_component = len(seeds)
     while len(order) < cfg.target_size:
         if not frontier:
-            fresh = _reference_fresh_seed(g, discovered, rng)
+            fresh = _reference_fresh_seed(g, discovered, draw)
             row_of[fresh] = len(order)
             order.append(fresh)
             discovered.add(fresh)
@@ -168,27 +188,30 @@ def _reference_capture(g, cfg, rng):
             next_component += 1
             frontier.append(fresh)
             continue
-        idx = int(rng.integers(len(frontier)))
+        idx = int(draw() * len(frontier))
         x = frontier[idx]
         frontier[idx] = frontier[-1]
         frontier.pop()
         candidates = sorted({int(w) for w in g.neighbor_ids(x)} - discovered)
         if candidates:
-            k = min(sampling._draw_recruit_count(cfg.recruit_law, rng), len(candidates))
-            if k == len(candidates):
+            m = len(candidates)
+            k = min(sampling._draw_recruit_count(cfg.recruit_law, draw()), m)
+            if k == m:
                 recruits = candidates
             elif k == 1:
-                recruits = [candidates[int(rng.integers(len(candidates)))]]
+                recruits = [candidates[int(draw() * m)]]
             elif k == 2:
-                m = len(candidates)
-                i = int(rng.integers(m))
-                j = int(rng.integers(m - 1))
+                i = int(draw() * m)
+                j = int(draw() * (m - 1))
                 if j >= i:
                     j += 1
                 recruits = [candidates[i], candidates[j]]
             else:
-                picks = rng.choice(len(candidates), size=k, replace=False)
-                recruits = [candidates[int(i)] for i in picks]
+                pool = list(candidates)
+                for t in range(k):
+                    pick = t + int(draw() * (m - t))
+                    pool[t], pool[pick] = pool[pick], pool[t]
+                recruits = pool[:k]
             x_row = row_of[x]
             for v in recruits:
                 row_of[v] = len(order)
@@ -197,6 +220,7 @@ def _reference_capture(g, cfg, rng):
                 components.append(components[x_row])
                 recruiters.append(x_row)
                 frontier.append(v)
+    draw.close()
     vertices = np.array(order, dtype=np.int64)
     rec = np.array(recruiters, dtype=np.int64)
     offsets, alters = _reference_free_alters(g, vertices, rec)
@@ -219,7 +243,7 @@ def _assert_same_capture(g, cfg, seed):
 @pytest.mark.parametrize("lam", [3.0, 10.0])
 def test_rds_capture_matches_the_reference(family, lam):
     g = sample_graph(family, lam, 1500, np.random.default_rng([7, int(lam)]))
-    for r in (60, 250):
+    for r in (60, 250, 750):
         for seed in range(3):
             _assert_same_capture(g, RdsConfig(target_size=r), seed)
     subjects = uniform_sample(g, 250, np.random.default_rng(5))
@@ -234,6 +258,69 @@ def test_rds_capture_matches_the_reference_through_both_reseed_fallbacks():
     g = MultiGraph(200, [(0, 1), (1, 2), (2, 0), (5, 5), (7, 8), (7, 8)])
     for seed in range(6):
         _assert_same_capture(g, RdsConfig(target_size=200, num_seeds=1), seed)
+
+
+def test_rds_capture_matches_the_reference_with_larger_recruit_counts():
+    # counts above two take the partial Fisher-Yates branch
+    g = sample_graph(Family.CONFIG_POISSON, 10.0, 1500, np.random.default_rng(3))
+    law = ((5, 0.4), (3, 0.4), (0, 0.2))
+    for seed in range(4):
+        _assert_same_capture(g, RdsConfig(target_size=400, recruit_law=law), seed)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_rds_capture_matches_the_reference_across_block_ends(block):
+    g = sample_graph(Family.CONFIG_LOGNORMAL, 3.0, 800, np.random.default_rng(4))
+    with mock.patch.object(sampling, "_UNIFORM_BLOCK", block):
+        for seed in range(3):
+            _assert_same_capture(g, RdsConfig(target_size=200), seed)
+
+
+def test_an_index_from_the_largest_uniform_stays_below_m():
+    u = float(np.nextafter(1.0, 0.0))
+    assert all(int(u * m) < m for m in range(1, 2**20 + 1))
+    for k in range(1, 54):
+        for m in (2**k - 1, 2**k, 2**k + 1):
+            assert int(u * m) < m, m
+
+
+class CountingGenerator:
+    """A numpy generator that counts the calls made on it, by method name."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, collections.Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+def counting_uniforms(module):
+    """Patch ``module._uniforms`` to count the uniforms taken; returns the patch and the count."""
+    used = [0]
+    real = sampling._uniforms
+
+    def counted(rng):
+        for u in real(rng):
+            used[0] += 1
+            yield u
+    return mock.patch.object(module, "_uniforms", counted), used
+
+
+def test_rds_capture_reads_the_generator_only_through_the_seeds_and_whole_blocks():
+    g = sample_graph(Family.CONFIG_POISSON, 10.0, 5000, np.random.default_rng(2))
+    patch, used = counting_uniforms(sampling)
+    for seed in range(3):
+        rng = CountingGenerator(np.random.default_rng(seed))
+        used[0] = 0
+        with patch:
+            rds_capture(g, RdsConfig(target_size=250), rng)
+        assert used[0] > 0
+        assert rng.calls == {"choice": 1, "random": math.ceil(used[0] / sampling._UNIFORM_BLOCK)}
 
 
 def test_harmonic_degree_assumption_on_configuration_graph():
