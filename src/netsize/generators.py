@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import MultiGraph, mean_local_clustering, triangle_counts
-from .sampling import _two_distinct, _uniforms
+from .graph import INT64_MAX, MultiGraph, mean_local_clustering, triangle_counts
+from .sampling import _pick, _uniforms
 
 _log = logging.getLogger("netsize")
 
@@ -241,8 +241,7 @@ def erdos_renyi(lam: float, n: int, rng: np.random.Generator) -> MultiGraph:
     Pairs (i, j), i < j, are enumerated in lexicographic order and the gaps
     between chosen pair indices are geometric (Batagelj & Brandes, "Efficient
     generation of large random networks", PRE 71, 036113, 2005).  The gaps
-    are drawn in blocks, and the generator is left exactly where one scalar
-    draw per gap, up to the first gap past the last pair, would leave it.
+    are drawn in blocks until one runs past the last pair.
     """
     check_family(Family.ERDOS_RENYI, lam, n)
     p = lam / (n - 1)
@@ -253,28 +252,19 @@ def erdos_renyi(lam: float, n: int, rng: np.random.Generator) -> MultiGraph:
 
     total_pairs = n * (n - 1) // 2
     expected = total_pairs * p
-    block = min(int(expected + 6.0 * math.sqrt(expected)) + 64, _GAP_BLOCK)
+    # a block's clipped sum past the start stays inside int64, so no index wraps
+    block = min(int(expected + 6.0 * math.sqrt(expected)) + 64, _GAP_BLOCK, INT64_MAX // (total_pairs + 1) - 1)
     chosen = []
-    t = -1  # the last chosen pair index
-    while True:
-        state = rng.bit_generator.state
-        # any gap past the last pair ends the walk, so clipping it changes no
-        # index before the end and keeps the sums up to there inside int64
+    t = -1  # the last pair index reached
+    while t < total_pairs:
+        # any gap past the last pair ends the walk, so clipping it changes no index before the end
         ts = np.minimum(rng.geometric(p, size=block), total_pairs + 1)
         np.cumsum(ts, out=ts)
         ts += t
-        ended = ts >= total_pairs
-        if ended.any():
-            past = int(ended.argmax())
-            # rewind and redraw the gaps that one draw per gap would have taken
-            rng.bit_generator.state = state
-            rng.geometric(p, size=past + 1)
-            chosen.append(ts[:past])
-            break
         chosen.append(ts)
         t = int(ts[-1])
-    ts = chosen[0] if len(chosen) == 1 else np.concatenate(chosen)
-    return MultiGraph(n, _pairs_from_indices(ts, n))
+    ts = np.concatenate(chosen)
+    return MultiGraph(n, _pairs_from_indices(ts[ts < total_pairs], n))
 
 
 def _pairs_from_indices(t: np.ndarray, n: int) -> np.ndarray:
@@ -378,8 +368,9 @@ _CHECK_EVERY = 1000     # accepted swaps between two clustering checks
 class _RewireState:
     """Simple-graph adjacency with per-vertex triangle counts kept current.
 
-    ``adj[v]`` lists v's neighbors, first in the order of the edges that
-    brought them.  No swap changes a row's length: each endpoint loses one
+    ``adj[v]`` lists v's neighbors in no particular order: rows start in
+    the order of the edges that brought them, and the caller may permute a
+    row in place.  No swap changes a row's length: each endpoint loses one
     neighbor and gains one.  Removal moves the row's last neighbor into the
     freed place and insertion appends.
     """
@@ -450,6 +441,8 @@ def rewire_to_clustering(g: MultiGraph, target: float, rng: np.random.Generator)
     many attempts; if the target is then unmet, it logs a warning on the
     ``netsize`` logger with the clustering it reached.
     """
+    if not 0 <= target <= 1:  # NaN fails too; mean clustering never exceeds 1
+        raise ValueError(f"target clustering must lie in [0, 1], got {target}")
     n = g.n
     state = _RewireState(n, g.edge_array)
     adj = state.adj
@@ -470,9 +463,7 @@ def rewire_to_clustering(g: MultiGraph, target: float, rng: np.random.Generator)
             break
         attempts += 1
         u = eligible[int(draw() * len(eligible))]
-        nbrs = adj[u]
-        i, j = _two_distinct(len(nbrs), draw)
-        v, w = nbrs[i], nbrs[j]
+        v, w = _pick(adj[u], 2, draw)  # permutes u's row, whose order nothing relies on
         if w in adj[v]:
             continue
         a = adj[v][int(draw() * len(adj[v]))]

@@ -25,6 +25,7 @@ import numpy as np
 from .estimators import EstimateResult, _check_omega, estimate_n1_from_view, estimate_n2, estimate_n3
 from .generators import Family, check_family, check_size, sample_graph
 from .hashing import HashMode, HashSpace, assign_hashes, estimate_n2_hashed, estimate_n3_hashed, hashed_view
+from .ingest import open_text
 from .sampling import RdsConfig, as_sample_view, rds_capture, uniform_sample
 
 # name -> (its function's name in this module, the sample it reads: "uniform",
@@ -402,5 +403,5 @@ def parse_plan(text: str) -> ExperimentPlan:
 
 
 def load_plan(path) -> ExperimentPlan:
-    with open(path) as fh:
+    with open_text(path, "plan line {line}") as fh:
         return parse_plan(fh.read())

@@ -10,9 +10,11 @@ edge are dropped (the estimators' harmonic means need degrees >= 1).
 
 from __future__ import annotations
 
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, TextIO
+from typing import Iterator, Optional, TextIO
 
 import numpy as np
 
@@ -47,9 +49,24 @@ class IngestReport:
         )
 
 
+@contextmanager
+def open_text(path, where: str = "{path}:{line}", newline: Optional[str] = None) -> Iterator[TextIO]:
+    """``path`` opened to read UTF-8 text.  A byte that is not UTF-8 fails with a
+    ``ValueError`` located by ``where``, filled in with the path and its line number."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        # the lines as read, with each bad byte escaped to a lone surrogate U+DC80..U+DCFF
+        with open(path, encoding="utf-8", newline=newline, errors="surrogateescape") as fh:
+            line = next(i for i, text in enumerate(fh, start=1) if re.search("[\udc80-\udcff]", text))
+        raise ValueError(f"{where.format(path=path, line=line)}: byte {exc.object[exc.start]:#04x} "
+                         f"is not UTF-8 ({exc.reason})") from None
+
+
 def _read_filter(path: str | Path) -> set[int]:
     keep: set[int] = set()
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -75,7 +92,7 @@ def load_edge_list(spec: EdgeListSpec) -> tuple[MultiGraph, dict[int, int], Inge
     lines_read = 0
     loops_dropped = 0
     filtered_out = 0
-    with open(spec.path) as fh:
+    with open_text(spec.path) as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

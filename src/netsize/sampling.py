@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .graph import INT64_MAX, INT64_MIN, MultiGraph, ReferralForest
+from .ingest import open_text
 from .multiset import Multiset
 
 DEFAULT_RECRUIT_LAW = ((2, 0.9), (1, 0.1))
@@ -51,8 +52,8 @@ class RdsConfig:
         total = sum(p for _, p in self.recruit_law)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"recruit law probabilities sum to {total}, not 1")
-        if any(k < 0 for k, _ in self.recruit_law):
-            raise ValueError("recruit counts must be non-negative")
+        if not all(isinstance(k, (int, np.integer)) and k >= 0 for k, _ in self.recruit_law):
+            raise ValueError(f"recruit counts must be integers >= 0, got {self.recruit_law}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,18 +306,24 @@ def _draw_recruit_count(law: Sequence[tuple[int, float]], u: float) -> int:
     return law[-1][0]
 
 
-def _two_distinct(m: int, draw: Callable[[], float]) -> tuple[int, int]:
-    """Two distinct uniform indices below ``m`` (``m >= 2``) from two uniforms of ``draw``, in draw order."""
-    i = int(draw() * m)
-    j = int(draw() * (m - 1))
-    return i, j + (j >= i)
+def _pick(items: list, k: int, draw: Callable[[], float]) -> list:
+    """Move a uniform k-subset of ``items`` (``k <= len(items)``) to its front, in pick order, and return it.
+
+    A partial Fisher-Yates shuffle (Durstenfeld, CACM 7(7), 1964): pick t
+    swaps in a uniform one of the items from place t on, one uniform of ``draw`` each.
+    """
+    m = len(items)
+    for t in range(k):
+        j = t + int(draw() * (m - t))
+        items[t], items[j] = items[j], items[t]
+    return items[:k]
 
 
 def _draw_fresh_seed(g: MultiGraph, row_of: list[int], draw: Callable[[], float]) -> int:
-    """Uniform undiscovered vertex (``row_of[v] < 0``), preferring those with at least one tie.
+    """The seed rule: a uniform undiscovered vertex (``row_of[v] < 0``) with at least one tie.
 
     A seed is recruited through community contacts, so isolated vertices
-    only become seeds when nothing else is left.
+    only become seeds, uniformly, once no tied vertex is left.
     """
     # rejection is cheap while the sample is small relative to the graph
     for _ in range(64):
@@ -331,30 +338,17 @@ def _draw_fresh_seed(g: MultiGraph, row_of: list[int], draw: Callable[[], float]
     return int(remaining[int(draw() * len(remaining))])
 
 
-def _draw_initial_seeds(g: MultiGraph, count: int, rng: np.random.Generator) -> list[int]:
-    degrees = g.degrees()
-    tied = np.flatnonzero(degrees > 0)
-    if len(tied) >= count:
-        return [int(v) for v in rng.choice(tied, size=count, replace=False)]
-    seeds = [int(v) for v in tied]
-    isolated = np.flatnonzero(degrees == 0)
-    extra = rng.choice(isolated, size=count - len(seeds), replace=False)
-    return seeds + [int(v) for v in extra]
-
-
 def rds_capture(g: MultiGraph, cfg: RdsConfig, rng: np.random.Generator) -> Sample:
     """Run one referral capture until the target sample size is reached.
 
     Recruitment picks a uniform member of the current frontier, who recruits
-    up to ``k ~ recruit_law`` of their undiscovered neighbors (all of them
-    when fewer are available).  When the frontier empties short of the
-    target, a fresh seed is drawn uniformly from the unsampled vertices and
-    opens a new referral component.  No vertex is ever recruited twice.
-
-    Seeds are recruited through community contacts, so selection prefers
-    vertices with at least one tie; isolated vertices are seeded only once
-    no tied vertex remains.  Recruits always have a tie (their recruiter),
-    so samples contain zero-degree subjects only in that degenerate case.
+    a uniform subset of ``k ~ recruit_law`` of their undiscovered neighbors
+    (all of them when fewer are available).  No vertex is ever recruited twice.
+    The initial seeds, unless ``cfg.seeds`` gives them, and a fresh seed each
+    time the frontier empties short of the target, opening a new referral
+    component, all follow the one seed rule of ``_draw_fresh_seed``.  Recruits
+    always have a tie (their recruiter), so samples contain zero-degree
+    subjects only when no tied vertex is left to seed.
     """
     n = g.n
     r = cfg.target_size
@@ -370,9 +364,7 @@ def rds_capture(g: MultiGraph, cfg: RdsConfig, rng: np.random.Generator) -> Samp
         for v in seeds:
             if not 0 <= v < n:
                 raise ValueError(f"seed {v} out of range")
-    else:
-        seeds = _draw_initial_seeds(g, cfg.num_seeds, rng)
-    draw = _uniforms(rng).__next__  # every later pick reads the generator through blocks
+    draw = _uniforms(rng).__next__  # every pick, seeds included, reads the generator through blocks
 
     row_of: list[int] = [-1] * n  # each vertex's row, -1 while undiscovered
     order: list[int] = []
@@ -389,7 +381,11 @@ def rds_capture(g: MultiGraph, cfg: RdsConfig, rng: np.random.Generator) -> Samp
             recruiters.append(recruiter)
             frontier.append(v)
 
-    enroll(seeds, -1)
+    if cfg.seeds is not None:
+        enroll(seeds, -1)
+    else:
+        for _ in range(cfg.num_seeds):
+            enroll([_draw_fresh_seed(g, row_of, draw)], -1)
 
     while len(order) < r:
         if not frontier:
@@ -405,19 +401,7 @@ def rds_capture(g: MultiGraph, cfg: RdsConfig, rng: np.random.Generator) -> Samp
         if candidates:
             m = len(candidates)
             k = min(_draw_recruit_count(cfg.recruit_law, draw()), m)
-            if k == m:
-                recruits = candidates
-            elif k == 1:
-                recruits = [candidates[int(draw() * m)]]
-            elif k == 2:
-                i, j = _two_distinct(m, draw)
-                recruits = [candidates[i], candidates[j]]
-            else:  # a partial Fisher-Yates shuffle; only custom recruit laws get here
-                for t in range(k):
-                    pick = t + int(draw() * (m - t))
-                    candidates[t], candidates[pick] = candidates[pick], candidates[t]
-                recruits = candidates[:k]
-            enroll(recruits, row_of[x])
+            enroll(candidates if k == m else _pick(candidates, k, draw), row_of[x])
 
     return _plaintext_sample(g, np.array(order, dtype=np.int64), components,
                              np.array(recruiters, dtype=np.int64))
@@ -583,7 +567,7 @@ def _scan_sample_dump(path) -> Sample:
     total = 0  # of the reported degrees so far
     row_of: dict[tuple[int, int], int] = {}  # (component, code) -> latest row
     header = None
-    with open(path, newline="") as fh:
+    with open_text(path, newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.startswith("#") or not line.strip():
                 continue

@@ -103,7 +103,7 @@ def test_sample_telefunken_takes_its_digit_count_from_omega(tmp_path, capsys):
     assert space.telefunken_digits == 4
     assert rows == "\n".join(sample_dump_lines(hashed_view(sample, assign_hashes(g.n, space, rng)))) + "\n"
     assert hashlib.sha256(rows.encode()).hexdigest() == \
-        "0ec325adf583bee0c1216012bbc1d19fe3736e2d5cd677dbf8fd7c1d842db8fe"
+        "0d356a05c86c66f938d20739eb56e022fb9e92d4b2a8db702b9bbdc1e4f4c0d0"
     with pytest.raises(SystemExit):
         main(["sample", "--edges", str(edges), "--size", "80", "--omega", "256",
               "--hash-mode", "telefunken", "--telefunken-digits", "4"])
@@ -250,6 +250,14 @@ def test_experiment_rejects_a_mean_degree_its_family_cannot_generate_before_runn
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: plan line 2: lambdas: {family} graphs on {n} vertices: ")
+
+
+def test_experiment_names_the_plan_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    plan = tmp_path / "latin1.plan"
+    plan.write_bytes(b"families = er\nlambdas = 3\n# na\xefve\nsizes = 100\nr = 10\nestimators = n1\n")
+    assert main(["experiment", "--plan", str(plan), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: plan line 3: byte 0xef is not UTF-8 (invalid continuation byte)\n"
 
 
 def test_ingest_and_stats(tmp_path, capsys):

@@ -339,12 +339,11 @@ def _reference_rewire(g, target, rng):
             break
         attempts += 1
         u = eligible[int(draw() * len(eligible))]
-        nbrs = state.row(u)
-        i = int(draw() * len(nbrs))
-        j = int(draw() * (len(nbrs) - 1))
-        if j >= i:
-            j += 1
-        v, w = nbrs[i], nbrs[j]
+        slots, first = state.slots, state.start[u]
+        for t in range(2):  # a partial Fisher-Yates shuffle of u's row, in place
+            pick = t + int(draw() * (state.fill[u] - t))
+            slots[first + t], slots[first + pick] = slots[first + pick], slots[first + t]
+        v, w = slots[first], slots[first + 1]
         if state.has_edge(v, w):
             continue
         a = state.row(v)[int(draw() * state.fill[v])]
@@ -400,6 +399,15 @@ def test_rewire_reads_the_generator_only_in_whole_blocks():
     assert rng.calls == {"random": math.ceil(used[0] / sampling._UNIFORM_BLOCK)}
 
 
+@pytest.mark.parametrize("target", [float("nan"), -0.1, 1.5, float("inf")])
+def test_rewire_rejects_a_target_outside_the_unit_interval_before_drawing(target):
+    g = sample_graph(Family.CONFIG_POISSON, 6.0, 300, np.random.default_rng(5))
+    rng = CountingGenerator(np.random.default_rng(1))
+    with pytest.raises(ValueError, match=re.escape(f"target clustering must lie in [0, 1], got {target}")):
+        rewire_to_clustering(g, target, rng)
+    assert rng.calls == {}
+
+
 def test_rewire_warns_when_it_stops_short_of_the_target(caplog):
     g = sample_graph(Family.CONFIG_POISSON, 6.0, 600, np.random.default_rng(5))
     with caplog.at_level(logging.DEBUG, "netsize"):
@@ -416,8 +424,9 @@ def test_rewire_warns_when_it_stops_short_of_the_target(caplog):
 
 
 # Reference generators: the scalar constructions the array-native ones replace.
-# Each must give the same edge array and leave the generator in the same state,
-# except _reference_barabasi_albert, which is the reference for the BA law only.
+# Each must give the same edge array, and the configuration reference must also
+# leave the generator in the same state (erdos_renyi makes no promise about
+# where it leaves it).  _reference_barabasi_albert is the reference for the BA law only.
 
 def _reference_pair_from_index(t, n):
     disc = (2 * n - 1) * (2 * n - 1) - 8 * (t + 1)
@@ -495,11 +504,13 @@ def _reference_sample_graph(family, lam, n, rng):
     return _reference_configuration_graph(sample_degrees(family, lam, n, rng), rng)
 
 
-def _assert_same_draws(got, want, rng_got, rng_want):
+def _assert_same_draws(got, want, *rngs):
+    """Same edge arrays and, given the two generators, the same next draw."""
     assert got.edge_array.dtype == want.edge_array.dtype == np.int64
     assert got.edge_array.shape == want.edge_array.shape
     assert np.array_equal(got.edge_array, want.edge_array)
-    assert rng_got.random() == rng_want.random()
+    if rngs:
+        assert rngs[0].random() == rngs[1].random()
 
 
 # Barabasi-Albert draws its picks as candidates in blocks, so it has no
@@ -512,7 +523,8 @@ def test_generators_match_scalar_references(family, lam, n):
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = sample_graph(family, lam, n, rng)
         want = _reference_sample_graph(family, lam, n, reference_rng)
-        _assert_same_draws(got, want, rng, reference_rng)
+        rngs = () if family is Family.ERDOS_RENYI else (rng, reference_rng)
+        _assert_same_draws(got, want, *rngs)
 
 
 @pytest.mark.parametrize("n, lam", [(2, 1.0), (10, 9.0), (7, 0.5), (1000, 0.01), (100, 1e-4), (50, 0.0),
@@ -521,7 +533,7 @@ def test_erdos_renyi_edge_cases_match_reference(n, lam):
     for seed in range(3):
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = erdos_renyi(lam, n, rng)
-        _assert_same_draws(got, _reference_erdos_renyi(lam, n, reference_rng), rng, reference_rng)
+        _assert_same_draws(got, _reference_erdos_renyi(lam, n, reference_rng))
 
 
 @pytest.mark.parametrize("block", [1, 2, 7, 100])
@@ -531,7 +543,7 @@ def test_erdos_renyi_gap_blocks_match_reference(block):
         for n, lam, seed in [(60, 4.0, 0), (60, 4.0, 1), (300, 0.9, 2), (30, 28.0, 3)]:
             rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = erdos_renyi(lam, n, rng)
-            _assert_same_draws(got, _reference_erdos_renyi(lam, n, reference_rng), rng, reference_rng)
+            _assert_same_draws(got, _reference_erdos_renyi(lam, n, reference_rng))
 
 
 @pytest.mark.parametrize("n", [13, 1000, 65_536, 10**6, generators._MAX_ER_N])

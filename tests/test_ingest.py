@@ -97,6 +97,22 @@ def test_malformed_line_reports_number(tmp_path):
         load_edge_list(EdgeListSpec(path2))
 
 
+def test_edge_list_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    edges = tmp_path / "edges.txt"
+    edges.write_bytes(b"# caf\xc3\xa9\n0 1\n1 2\xff\n2 3\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(edges))}:3: byte 0xff is not UTF-8 "
+                                         r"\(invalid start byte\)$"):
+        load_edge_list(EdgeListSpec(edges))
+
+
+def test_node_filter_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    keep = tmp_path / "keep.txt"
+    keep.write_bytes(b"0\n1\n# \xe9t\xe9\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(keep))}:3: byte 0xe9 is not UTF-8 "
+                                         r"\(invalid continuation byte\)$"):
+        load_edge_list(EdgeListSpec(_write(tmp_path, "0 1\n"), node_filter=keep))
+
+
 def test_comments_and_relabeling(tmp_path):
     path = _write(tmp_path, "# header\n10 30\n30 20\n")
     g, id_map, _ = load_edge_list(EdgeListSpec(path))

@@ -123,6 +123,10 @@ def test_rds_config_validation():
     for law in (((2, 1.5), (1, -0.5)), ((2, float("nan")),), ((2, 0.5), (1, float("nan")))):
         with pytest.raises(ValueError, match="^recruit law probabilities must lie in \\[0, 1\\]"):
             RdsConfig(target_size=10, recruit_law=law)
+    for law in (((1.5, 1.0),), ((2, 0.5), (-1, 0.5)), (("2", 1.0),), ((2.0, 1.0),)):
+        with pytest.raises(ValueError, match=re.escape(f"recruit counts must be integers >= 0, got {law}")):
+            RdsConfig(target_size=5, num_seeds=1, recruit_law=law, seeds=(0,))
+    assert RdsConfig(target_size=10, recruit_law=((np.int64(2), 1.0),)).recruit_law[0][0] == 2
 
 
 class ScalarUniforms:
@@ -171,22 +175,26 @@ def _reference_fresh_seed(g, discovered, draw):
 
 
 def _reference_capture(g, cfg, rng):
-    seeds = sampling._draw_initial_seeds(g, cfg.num_seeds, rng)
     draw = ScalarUniforms(rng)
-    order, discovered = list(seeds), set(seeds)
-    row_of = {s: i for i, s in enumerate(seeds)}
-    components, recruiters, frontier = list(range(len(seeds))), [-1] * len(seeds), list(seeds)
-    next_component = len(seeds)
+    order, discovered, row_of = [], set(), {}
+    components, recruiters, frontier = [], [], []
+    next_component = 0
+
+    def add_seed(seed):
+        nonlocal next_component
+        row_of[seed] = len(order)
+        order.append(seed)
+        discovered.add(seed)
+        components.append(next_component)
+        recruiters.append(-1)
+        next_component += 1
+        frontier.append(seed)
+
+    for i in range(cfg.num_seeds):
+        add_seed(cfg.seeds[i] if cfg.seeds is not None else _reference_fresh_seed(g, discovered, draw))
     while len(order) < cfg.target_size:
         if not frontier:
-            fresh = _reference_fresh_seed(g, discovered, draw)
-            row_of[fresh] = len(order)
-            order.append(fresh)
-            discovered.add(fresh)
-            components.append(next_component)
-            recruiters.append(-1)
-            next_component += 1
-            frontier.append(fresh)
+            add_seed(_reference_fresh_seed(g, discovered, draw))
             continue
         idx = int(draw() * len(frontier))
         x = frontier[idx]
@@ -196,24 +204,13 @@ def _reference_capture(g, cfg, rng):
         if candidates:
             m = len(candidates)
             k = min(sampling._draw_recruit_count(cfg.recruit_law, draw()), m)
-            if k == m:
-                recruits = candidates
-            elif k == 1:
-                recruits = [candidates[int(draw() * m)]]
-            elif k == 2:
-                i = int(draw() * m)
-                j = int(draw() * (m - 1))
-                if j >= i:
-                    j += 1
-                recruits = [candidates[i], candidates[j]]
-            else:
-                pool = list(candidates)
+            pool = list(candidates)
+            if k < m:  # a partial Fisher-Yates shuffle
                 for t in range(k):
                     pick = t + int(draw() * (m - t))
                     pool[t], pool[pick] = pool[pick], pool[t]
-                recruits = pool[:k]
             x_row = row_of[x]
-            for v in recruits:
+            for v in pool[:k]:
                 row_of[v] = len(order)
                 order.append(v)
                 discovered.add(v)
@@ -246,6 +243,7 @@ def test_rds_capture_matches_the_reference(family, lam):
     for r in (60, 250, 750):
         for seed in range(3):
             _assert_same_capture(g, RdsConfig(target_size=r), seed)
+    _assert_same_capture(g, RdsConfig(target_size=250, num_seeds=3, seeds=(5, 0, 9)), 3)
     subjects = uniform_sample(g, 250, np.random.default_rng(5))
     view = as_sample_view(g, subjects)
     offsets, alters = _reference_free_alters(g, np.array(subjects), np.full(len(subjects), -1))
@@ -311,7 +309,7 @@ def counting_uniforms(module):
     return mock.patch.object(module, "_uniforms", counted), used
 
 
-def test_rds_capture_reads_the_generator_only_through_the_seeds_and_whole_blocks():
+def test_rds_capture_reads_the_generator_only_in_whole_blocks():
     g = sample_graph(Family.CONFIG_POISSON, 10.0, 5000, np.random.default_rng(2))
     patch, used = counting_uniforms(sampling)
     for seed in range(3):
@@ -320,7 +318,31 @@ def test_rds_capture_reads_the_generator_only_through_the_seeds_and_whole_blocks
         with patch:
             rds_capture(g, RdsConfig(target_size=250), rng)
         assert used[0] > 0
-        assert rng.calls == {"choice": 1, "random": math.ceil(used[0] / sampling._UNIFORM_BLOCK)}
+        assert rng.calls == {"random": math.ceil(used[0] / sampling._UNIFORM_BLOCK)}
+
+
+def test_pick_draws_every_ordered_pair_equally_often():
+    # 20 ordered pairs of 5 items; 200,000 draws give each about 10,000, with a
+    # standard deviation near 98, so a 5% band is about five deviations wide
+    draw = sampling._uniforms(np.random.default_rng(11)).__next__
+    counts = collections.Counter(tuple(sampling._pick(list(range(5)), 2, draw)) for _ in range(200_000))
+    assert set(counts) == {(a, b) for a in range(5) for b in range(5) if a != b}
+    assert all(abs(c - 10_000) < 500 for c in counts.values())
+
+
+def test_pick_moves_its_picks_to_the_front_of_a_permutation():
+    items = list(range(9))
+    picks = sampling._pick(items, 4, sampling._uniforms(np.random.default_rng(3)).__next__)
+    assert items[:4] == picks and sorted(items) == list(range(9))
+
+
+def test_rds_capture_seeds_every_tied_vertex_when_there_are_too_few():
+    # three tied vertices among 40: they are seeded first, then four isolated vertices
+    g = MultiGraph(40, [(3, 17), (17, 29)])
+    for seed in range(20):
+        sample = rds_capture(g, RdsConfig(target_size=7, num_seeds=7), np.random.default_rng(seed))
+        assert sample.size == 7 and (sample.recruiters == -1).all()
+        assert set(sample.order[:3]) == {3, 17, 29}
 
 
 def test_harmonic_degree_assumption_on_configuration_graph():
@@ -387,6 +409,15 @@ def test_dump_reader_rejects_malformed_rows(tmp_path, body, message):
     path.write_text(DUMP_HEADER + body)
     bad_line = 4 if body.startswith("5,SEED") else 3
     with pytest.raises(ValueError, match=f"{path}:{bad_line}: .*{message}"):
+        read_sample_dump(path)
+
+
+def test_dump_reader_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    # a lone CR ends line 3 in the line scan, so the bad byte is on line 4
+    path.write_bytes(DUMP_HEADER.encode() + b"5,SEED,0,2,7;8\r6,SEED,1,1,\xff\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: byte 0xff is not UTF-8 "
+                                         r"\(invalid start byte\)$"):
         read_sample_dump(path)
 
 
