@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -110,10 +111,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     plan = load_plan(args.plan)
     if args.rng_seed is not None:
-        from dataclasses import replace
-
         plan = replace(plan, seed=args.rng_seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -238,6 +239,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the allocation that failed
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 1
 
 

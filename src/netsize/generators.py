@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import INT64_MAX, MultiGraph, mean_local_clustering, triangle_counts
+from .graph import INT64_MAX, MAX_VERTICES, MultiGraph, mean_local_clustering, triangle_counts
 from .sampling import _pick, _uniforms
 
 _log = logging.getLogger("netsize")
@@ -311,6 +311,8 @@ _CONFIG_FAMILIES = (Family.CONFIG_LOGNORMAL, Family.CONFIG_POISSON, Family.CONFI
 def check_size(family: Family, n: int) -> None:
     """The rules on ``n`` alone of ``check_family`` (``ba``'s n > lam involves the mean degree)."""
     family = Family(family)
+    if n > MAX_VERTICES:  # checked before any draw sized by n
+        raise ValueError(f"graphs need n <= {MAX_VERTICES}, got {n}")
     if family is Family.ERDOS_RENYI:
         if n < 2:
             raise ValueError("need at least two vertices")

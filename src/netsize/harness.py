@@ -14,6 +14,7 @@ scheduled or how many workers execute it.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -45,6 +46,7 @@ RAW_COLUMNS = (
     "family", "lambda", "n", "r", "omega", "estimator",
     "graph_idx", "sample_idx", "estimate", "failed", "failure_cause",
 )
+_CELL_FIELDS = ("family", "lam", "n", "r", "omega", "estimator")  # of RawRow and SummaryRow
 SUMMARY_COLUMNS = (
     "family", "lambda", "n", "r", "omega", "estimator",
     "count", "median", "q1", "q3", "min", "max", "failure_rate",
@@ -113,15 +115,12 @@ class ExperimentPlan:
         for lam in self.lambdas:
             if not (math.isfinite(lam) and lam >= 0):
                 raise PlanError("lambdas", f"a mean degree must be finite and non-negative, got {lam!r}")
-        for family in self.families:
-            for n in self.sizes:
-                with _blame("sizes", f"{family.value} graphs on {n} vertices: "):
-                    check_size(family, n)
-        for lam in self.lambdas:
-            for family in self.families:
-                for n in self.sizes:
-                    with _blame("lambdas", f"{family.value} graphs on {n} vertices: "):
-                        check_family(family, lam, n)
+        for family, n in itertools.product(self.families, self.sizes):
+            with _blame("sizes", f"{family.value} graphs on {n} vertices: "):
+                check_size(family, n)
+        for lam, family, n in itertools.product(self.lambdas, self.families, self.sizes):
+            with _blame("lambdas", f"{family.value} graphs on {n} vertices: "):
+                check_family(family, lam, n)
         for omega in self.omegas:
             with _blame("omegas"):
                 _check_omega(omega)
@@ -148,14 +147,16 @@ class ExperimentPlan:
     def needs_rds(self) -> bool:
         return any(ESTIMATORS[name][1] != "uniform" for name in self.estimators)
 
-    def omegas_of(self, name: str) -> tuple:
-        """The code-space sizes an estimator runs at; ``(None,)`` for a plaintext one."""
-        return self.omegas if name in HASHED_ESTIMATORS else (None,)
+    def cells(self) -> list[tuple]:
+        """Every summary cell ``(family, lam, n, r, omega, estimator)`` in canonical plan order:
+        estimators in plan order, a hashed one once per ω, a plaintext one with ω ``None``."""
+        per_sample = [(omega, name) for name in self.estimators
+                      for omega in (self.omegas if name in HASHED_ESTIMATORS else (None,))]
+        grid = itertools.product(self.families, self.lambdas, self.sizes, self.sample_sizes)
+        return [(family.value, lam, n, r, *cell) for family, lam, n, r in grid for cell in per_sample]
 
     def run_count(self) -> int:
-        per_sample = sum(len(self.omegas_of(name)) for name in self.estimators)
-        cells = len(self.families) * len(self.lambdas) * len(self.sizes) * len(self.sample_sizes)
-        return cells * self.graph_replicates * self.sample_replicates * per_sample
+        return len(self.cells()) * self.graph_replicates * self.sample_replicates
 
 
 @dataclass(frozen=True)
@@ -217,16 +218,6 @@ def summarize(results: Sequence[EstimateResult], **cell) -> SummaryRow:
     return replace(row, median=med, q1=q1, q3=q3, minimum=values[0], maximum=values[-1])
 
 
-def _graph_tasks(plan: ExperimentPlan) -> list[tuple[Family, float, int, int]]:
-    return [
-        (family, lam, n, graph_idx)
-        for family in plan.families
-        for lam in plan.lambdas
-        for n in plan.sizes
-        for graph_idx in range(plan.graph_replicates)
-    ]
-
-
 def _run_graph_task(args: tuple[ExperimentPlan, Family, float, int, int]) -> list[RawRow]:
     plan, family, lam, n, graph_idx = args
     g = sample_graph(family, lam, n, derive_rng(plan.seed, "graph", family.value, lam, n, graph_idx))
@@ -257,9 +248,12 @@ def _run_graph_task(args: tuple[ExperimentPlan, Family, float, int, int]) -> lis
 
 
 def run_plan(plan: ExperimentPlan, workers: int = 1) -> tuple[list[RawRow], list[SummaryRow]]:
-    """Execute every run of the plan; output is independent of worker count."""
-    tasks = [(plan, *task) for task in _graph_tasks(plan)]
-    if workers <= 1 or len(tasks) <= 1:
+    """Execute every run of the plan on ``workers`` >= 1 processes; output is independent of their count."""
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
+    grid = itertools.product(plan.families, plan.lambdas, plan.sizes, range(plan.graph_replicates))
+    tasks = [(plan, *task) for task in grid]
+    if workers == 1 or len(tasks) == 1:
         per_task = [_run_graph_task(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
@@ -269,29 +263,14 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> tuple[list[RawRow], list
 
 
 def summarize_rows(plan: ExperimentPlan, raw: Sequence[RawRow]) -> list[SummaryRow]:
-    """Per-cell summaries in canonical plan order."""
-    cells: dict[tuple, list[EstimateResult]] = {}
+    """Per-cell summaries in canonical plan order; a row outside the plan raises ``ValueError``."""
+    cells: dict[tuple, list[EstimateResult]] = {cell: [] for cell in plan.cells()}
     for row in raw:
         key = (row.family, row.lam, row.n, row.r, row.omega, row.estimator)
-        cells.setdefault(key, []).append(row.result)
-    summaries = []
-    for family in plan.families:
-        for lam in plan.lambdas:
-            for n in plan.sizes:
-                for r in plan.sample_sizes:
-                    for name in plan.estimators:
-                        for omega in plan.omegas_of(name):
-                            key = (family.value, lam, n, r, omega, name)
-                            if key not in cells:
-                                continue
-                            summaries.append(
-                                summarize(
-                                    cells[key],
-                                    family=family.value, lam=lam, n=n, r=r,
-                                    omega=omega, estimator=name,
-                                )
-                            )
-    return summaries
+        if key not in cells:
+            raise ValueError(f"raw row of cell {key} is not in the plan")
+        cells[key].append(row.result)
+    return [summarize(results, **dict(zip(_CELL_FIELDS, cell))) for cell, results in cells.items() if results]
 
 
 def failure_curve(summaries: Iterable[SummaryRow], estimator: str, r: int) -> list[tuple[int, float]]:

@@ -55,18 +55,19 @@ class HashSpace:
 
 def telefunken_encode(digits: str, k: int) -> int:
     """Encode the last k digits (last to first) as parity/low-high bit pairs."""
-    if k < 1:
-        raise ValueError("need at least one digit")
+    if not 1 <= k <= 31:  # 4**31 is the largest telefunken space with int64 codes
+        raise ValueError(f"need 1 to 31 digits, got {k}")
     if len(digits) < k:
         raise ValueError(f"need at least {k} digits, got {len(digits)!r}")
     tail = digits[-k:]
-    if not tail.isdigit():
+    if not (tail.isascii() and tail.isdigit()):
         raise ValueError(f"non-digit characters in {tail!r}")
-    code = 0
-    for ch in reversed(tail):
-        d = ord(ch) - ord("0")
-        code = (code << 2) | ((d & 1) << 1) | (1 if d >= 5 else 0)
-    return code
+    return int(_phone_codes(np.array([int(ch) for ch in tail], dtype=np.int64)))
+
+
+def _phone_codes(d: np.ndarray) -> np.ndarray:
+    """Codes of int64 digit rows: digit j of a row gives the bits (parity, >= 5) at weight 4**j."""
+    return ((d & 1) << 1 | (d >= 5)) @ 4 ** np.arange(d.shape[-1], dtype=np.int64)
 
 
 def assign_hashes(n: int, space: HashSpace, rng: np.random.Generator) -> np.ndarray:
@@ -85,13 +86,7 @@ def assign_hashes(n: int, space: HashSpace, rng: np.random.Generator) -> np.ndar
             state[j] = state.get(i, i)
         return out
     if space.mode is HashMode.TELEFUNKEN:
-        k = space.telefunken_digits
-        digits = rng.integers(0, 10, size=(n, k))
-        codes = np.zeros(n, dtype=np.int64)
-        for col in range(k - 1, -1, -1):  # last digit ends up most significant
-            d = digits[:, col]
-            codes = (codes << 2) | ((d & 1) << 1) | (d >= 5)
-        return codes
+        return _phone_codes(rng.integers(0, 10, size=(n, space.telefunken_digits)))
     raise ValueError(f"unknown hash mode {space.mode}")  # pragma: no cover
 
 

@@ -252,15 +252,15 @@ def uniform_sample(g: MultiGraph, r: int, rng: np.random.Generator) -> tuple[int
 
 def _plaintext_sample(g: MultiGraph, vertices: np.ndarray, components, recruiters: np.ndarray) -> Sample:
     """The sample of ``vertices`` in discovery order.  Each subject's alters are its neighbor
-    occurrences less one per referral edge at it; ``g``'s rows are sorted, so the keys ascend."""
+    occurrences less one per referral edge at it; ``g``'s rows are sorted, so the keys ascend.
+    The referral keys are distinct and each occurs in ``keys`` (a row's recruits are distinct,
+    and its recruiter was discovered before any of them), so one lookup finds each to drop."""
     offsets, targets = g.neighbor_lists(vertices)
     keys = np.repeat(np.arange(len(vertices)), np.diff(offsets)) * g.n + targets
     recruit = np.flatnonzero(recruiters >= 0)
-    if len(recruit):
-        rec = recruiters[recruit]
-        used = np.sort(np.r_[rec * g.n + vertices[recruit], recruit * g.n + vertices[rec]])
-        rank = np.arange(len(keys)) - np.searchsorted(keys, keys)
-        keys = keys[rank >= np.searchsorted(used, keys, "right") - np.searchsorted(used, keys)]
+    rec = recruiters[recruit]
+    used = np.r_[rec * g.n + vertices[recruit], recruit * g.n + vertices[rec]]
+    keys = np.delete(keys, np.searchsorted(keys, used))
     rows, alters = np.divmod(keys, g.n)
     offsets = np.r_[0, np.cumsum(np.bincount(rows, minlength=len(vertices)))]
     return Sample(codes=vertices, degrees=g.degrees()[vertices], alter_codes=alters,

@@ -343,3 +343,34 @@ def test_reused_parser_prints_what_fresh_processes_print(tmp_path, capsys, monke
     assert [code for code, _, _ in here] == [0, 0, 1, 2, 1, 0, 0]
     assert "omega=None" in here[1][1] and "seed=None" in here[1][1]
     assert here == [_python(["-m", "netsize", *args], cwd=tmp_path) for args in calls]
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_experiment_rejects_fewer_than_one_thread_before_the_header(tmp_path, capsys, threads):
+    plan = tmp_path / "tiny.plan"
+    plan.write_text("families = er\nlambdas = 6\nsizes = 120\nr = 30\nestimators = n1\n")
+    out = tmp_path / "out"
+    assert main(["experiment", "--plan", str(plan), "--threads", threads, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --threads must be at least 1, got {threads}\n"
+    assert not out.exists()
+
+
+def test_generate_rejects_a_size_no_graph_can_have_without_a_traceback():
+    argv = ["-m", "netsize", "generate", "--family", "poisson", "--lambda", "3", "--n", "100000000000"]
+    assert _python(argv) == (1, "", "error: graphs need n <= 3037000499, got 100000000000\n")
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 745. GiB"), "error: out of memory: Unable to allocate 745. GiB\n"),
+    (MemoryError(), "error: out of memory\n"),
+])
+def test_a_memory_error_becomes_an_error_line(capsys, monkeypatch, exc, message):
+    def sample_graph(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "sample_graph", sample_graph)
+    assert main(["generate", "--family", "poisson", "--lambda", "3", "--n", "1000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message

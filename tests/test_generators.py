@@ -729,6 +729,10 @@ def test_a_mean_degree_the_family_cannot_generate_is_rejected_before_drawing(fam
     (Family.ERDOS_RENYI, 2**31, "Erdos-Renyi graphs need n <= 2147483647, got 2147483648"),
     (Family.CONFIG_POISSON, 0, "need at least one vertex"),
     (Family.CONFIG_LOGNORMAL, -4, "need at least one vertex"),
+    (Family.ERDOS_RENYI, 10**11, "graphs need n <= 3037000499, got 100000000000"),
+    (Family.CONFIG_POISSON, 10**11, "graphs need n <= 3037000499, got 100000000000"),
+    (Family.CONFIG_EXPONENTIAL, 3_037_000_500, "graphs need n <= 3037000499, got 3037000500"),
+    (Family.BARABASI_ALBERT, 10**11, "graphs need n <= 3037000499, got 100000000000"),
 ])
 def test_a_size_the_family_cannot_generate_is_rejected_whatever_the_mean_degree(family, n, message):
     rng = np.random.default_rng(0)

@@ -12,6 +12,7 @@ from netsize.generators import Family
 from netsize.harness import (
     ExperimentPlan,
     PlanError,
+    RawRow,
     derive_rng,
     failure_curve,
     parse_plan,
@@ -236,6 +237,51 @@ def test_run_plan_starts_no_more_workers_than_graphs(monkeypatch):
 def test_summaries_recomputable_from_raw():
     raw, summaries = run_plan(TINY)
     assert summarize_rows(TINY, raw) == summaries
+
+
+def test_a_raw_row_outside_the_plan_raises():
+    raw, _ = run_plan(TINY)
+    stray = RawRow("er", 6.0, 120, 30, None, "n1", 0, 0, OK(120.0))
+    message = "raw row of cell ('er', 6.0, 120, 30, None, 'n1') is not in the plan"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        summarize_rows(TINY, [*raw, stray])
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_run_plan_needs_at_least_one_worker(workers):
+    with pytest.raises(ValueError, match=f"^need at least one worker, got {workers}$"):
+        run_plan(TINY, workers=workers)
+
+
+@st.composite
+def _small_plans(draw):
+    def axis(values, min_size=1):
+        return tuple(draw(st.lists(st.sampled_from(values), min_size=min_size, max_size=2, unique=True)))
+
+    estimators = tuple(draw(st.permutations(list(harness.ESTIMATORS)))[:draw(st.integers(1, 5))])
+    hashed = any(name in harness.HASHED_ESTIMATORS for name in estimators)
+    return ExperimentPlan(
+        families=axis(list(Family)), lambdas=axis([2.5, 4.0]), sizes=axis([40, 80]),
+        sample_sizes=axis([8, 12]), estimators=estimators, omegas=axis([3, 500, 4096], int(hashed)),
+        graph_replicates=draw(st.integers(1, 2)), sample_replicates=draw(st.integers(1, 2)),
+        seed=draw(st.integers(0, 99)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan=_small_plans())
+def test_every_run_lands_in_a_plan_cell_in_plan_order(plan):
+    expected = [
+        (family.value, lam, n, r, omega, name)
+        for family in plan.families for lam in plan.lambdas for n in plan.sizes for r in plan.sample_sizes
+        for name in plan.estimators
+        for omega in (plan.omegas if name in harness.HASHED_ESTIMATORS else (None,))
+    ]
+    assert plan.cells() == expected
+    raw, summaries = run_plan(plan)
+    assert plan.run_count() == len(raw)
+    assert [(s.family, s.lam, s.n, s.r, s.omega, s.estimator) for s in summaries] == expected
+    assert all(s.count == plan.graph_replicates * plan.sample_replicates for s in summaries)
 
 
 def test_derive_rng_is_stable_and_distinct():

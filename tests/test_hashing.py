@@ -41,6 +41,12 @@ def test_telefunken_rejects_bad_input():
         telefunken_encode("2x", 2)
     with pytest.raises(ValueError):
         telefunken_encode("7", 2)
+    for k in (0, 32):  # a code of 32 digits no longer fits an int64
+        with pytest.raises(ValueError, match=f"^need 1 to 31 digits, got {k}$"):
+            telefunken_encode("1" * 40, k)
+    for text in ("\u0663\u0664", "1\u00b2"):  # Arabic-Indic and superscript digits
+        with pytest.raises(ValueError, match="^non-digit characters"):
+            telefunken_encode(text, 2)
     for size in (1, 8):  # 4**0 codes no digit; 8 is no power of 4
         with pytest.raises(ValueError, match=r"^telefunken mode needs size == 4\*\*digits$"):
             HashSpace(size, HashMode.TELEFUNKEN)
@@ -95,6 +101,25 @@ def test_telefunken_assignment_matches_scalar_codec():
         text = "".join(str(d) for d in digits[i])
         assert telefunken_encode(text, k) == codes[i]
     assert codes.max() < 4**k
+
+
+def _reference_telefunken(text: str) -> int:
+    """The scalar rule: digits last to first, each shifting in its (parity, >= 5) bits."""
+    code = 0
+    for ch in reversed(text):
+        d = int(ch)
+        code = (code << 2) | ((d & 1) << 1) | (d >= 5)
+    return code
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 31])
+def test_telefunken_codes_follow_the_scalar_rule(k):
+    codes = assign_hashes(300, HashSpace(4**k, HashMode.TELEFUNKEN), np.random.default_rng(k))
+    digits = np.random.default_rng(k).integers(0, 10, size=(300, k))
+    for row, code in zip(digits, codes):
+        text = "".join(map(str, row))
+        assert telefunken_encode("5" + text, k) == _reference_telefunken(text) == code
+    assert telefunken_encode("9" * k, k) == 4**k - 1
 
 
 # --- hashed views --------------------------------------------------------
