@@ -10,7 +10,9 @@ edge are dropped (the estimators' harmonic means need degrees >= 1).
 
 from __future__ import annotations
 
+import io
 import re
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,31 +53,91 @@ class IngestReport:
 
 @contextmanager
 def open_text(path, where: str = "{path}:{line}", newline: Optional[str] = None) -> Iterator[TextIO]:
-    """``path`` opened to read UTF-8 text.  A byte that is not UTF-8 fails with a
-    ``ValueError`` located by ``where``, filled in with the path and its line number."""
+    """``path`` opened to read UTF-8 text, without a leading byte-order mark.  A
+    byte that is not UTF-8 fails with a ``ValueError`` located by ``where``,
+    filled in with the path and its line number."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError as exc:
         # the lines as read, with each bad byte escaped to a lone surrogate U+DC80..U+DCFF
-        with open(path, encoding="utf-8", newline=newline, errors="surrogateescape") as fh:
+        with open(path, encoding="utf-8-sig", newline=newline, errors="surrogateescape") as fh:
             line = next(i for i, text in enumerate(fh, start=1) if re.search("[\udc80-\udcff]", text))
         raise ValueError(f"{where.format(path=path, line=line)}: byte {exc.object[exc.start]:#04x} "
                          f"is not UTF-8 ({exc.reason})") from None
 
 
-def _read_filter(path: str | Path) -> set[int]:
-    keep: set[int] = set()
+_NUMBER_BYTES = b"0123456789- \t\n"  # every byte the numpy parse takes outside a comment line
+
+
+def _parse_numbers(data: bytes, columns: int) -> Optional[np.ndarray]:
+    r"""The int64 ``(lines, columns)`` array in ``data``, or None unless it is in the fast grammar.
+
+    The grammar: ASCII text whose lines are either comments, with ``#`` at
+    column 0, or ``0-9``, ``-``, spaces and tabs, with ``\n`` line ends and
+    ``columns`` values on every line that is not blank.  Anything else, valid
+    or not, is left to the line scan, which also words every error.
+    """
+    if not data.isascii() or b"\r" in data:
+        return None
+    rest, start = [], 0
+    while (at := data.find(b"#", start)) >= 0:
+        if at and data[at - 1] != ord("\n"):
+            return None
+        rest.append(data[start:at])
+        start = data.find(b"\n", at) + 1 or len(data)
+    rest.append(data[start:])
+    if b"".join(rest).translate(None, _NUMBER_BYTES):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt only warns on input with no values
+            values = np.loadtxt(io.StringIO(data.decode("ascii")), dtype=np.int64, comments="#", ndmin=2)
+    except (ValueError, Warning):  # a token such as "1-", or a value past int64
+        return None
+    return values if len(values) and values.shape[1] == columns else None
+
+
+def _read_filter(path: str | Path) -> np.ndarray:
+    """The node ids of a filter file, one per line.  An id outside int64
+    matches no endpoint, so it is dropped."""
+    with open(path, "rb") as fh:
+        ids = _parse_numbers(fh.read(), 1)
+    if ids is not None:
+        return ids.ravel()
+    keep: list[int] = []
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             try:
-                keep.add(int(line))
+                keep.append(int(line))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad node id {line!r}") from exc
-    return keep
+    return np.array([i for i in keep if INT64_MIN <= i <= INT64_MAX], dtype=np.int64)
+
+
+def _scan_edge_list(path: str | Path) -> np.ndarray:
+    """The line-by-line reader of an edge list's int64 ``(lines, 2)`` endpoints:
+    the reference for ``_parse_numbers`` and the source of every error message."""
+    ends: list[int] = []
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            tokens = stripped.split()
+            if len(tokens) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 'u v', got {stripped!r}")
+            try:
+                u, v = int(tokens[0]), int(tokens[1])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: non-integer endpoint in {stripped!r}") from exc
+            if not (INT64_MIN <= u <= INT64_MAX and INT64_MIN <= v <= INT64_MAX):
+                raise ValueError(f"{path}:{lineno}: endpoint out of the 64-bit range in {stripped!r}")
+            ends += (u, v)
+    return np.array(ends, dtype=np.int64).reshape(-1, 2)
 
 
 def load_edge_list(spec: EdgeListSpec) -> tuple[MultiGraph, dict[int, int], IngestReport]:
@@ -85,62 +147,58 @@ def load_edge_list(spec: EdgeListSpec) -> tuple[MultiGraph, dict[int, int], Inge
     was read and dropped.  Endpoints must fit in a signed 64-bit integer.
     With ``directed``, lines are arcs and the graph keeps one edge for each
     pair joined in either direction, so duplicates are collapsed as well.
+    A file in the grammar of ``_parse_numbers`` is parsed in numpy; any other
+    text goes through the line scan, with the same result or the same error.
     """
     keep = _read_filter(spec.node_filter) if spec.node_filter is not None else None
-    us: list[int] = []
-    vs: list[int] = []
-    lines_read = 0
-    loops_dropped = 0
-    filtered_out = 0
-    with open_text(spec.path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            tokens = stripped.split()
-            if len(tokens) != 2:
-                raise ValueError(f"{spec.path}:{lineno}: expected 'u v', got {stripped!r}")
-            try:
-                u, v = int(tokens[0]), int(tokens[1])
-            except ValueError as exc:
-                raise ValueError(f"{spec.path}:{lineno}: non-integer endpoint in {stripped!r}") from exc
-            if not (INT64_MIN <= u <= INT64_MAX and INT64_MIN <= v <= INT64_MAX):
-                raise ValueError(f"{spec.path}:{lineno}: endpoint out of the 64-bit range in {stripped!r}")
-            lines_read += 1
-            if keep is not None and (u not in keep or v not in keep):
-                filtered_out += 1
-                continue
-            if u == v and spec.drop_loops:
-                loops_dropped += 1
-                continue
-            us.append(u)
-            vs.append(v)
-    if not us:
+    with open(spec.path, "rb") as fh:
+        pairs = _parse_numbers(fh.read(), 2)
+    if pairs is None:
+        pairs = _scan_edge_list(spec.path)
+    lines_read = len(pairs)
+    if keep is not None:
+        pairs = pairs[np.isin(pairs, keep).all(axis=1)]
+    filtered_out = lines_read - len(pairs)
+    if spec.drop_loops:
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    loops_dropped = lines_read - filtered_out - len(pairs)
+    if not len(pairs):
         raise ValueError(f"{spec.path}: no edges survived ingestion")
 
-    a, b = np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
-    del us, vs
-    pairs = np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)  # orientation is meaningless
-    unique = np.unique(pairs, axis=0) if spec.dedupe or spec.directed else pairs
-    ids, relabeled = np.unique(unique.ravel(), return_inverse=True)
-    id_map = dict(zip(ids.tolist(), range(len(ids))))
-    g = MultiGraph(len(ids), relabeled.reshape(-1, 2))
+    m = len(pairs)
+    # orientation is meaningless: relabel every pair's lower id, then its higher one
+    ids, labels = np.unique(np.concatenate((pairs.min(axis=1), pairs.max(axis=1))), return_inverse=True)
+    n = len(ids)
+    lo, hi = labels[:m], labels[m:]
+    if spec.dedupe or spec.directed:
+        # the relabeling is monotone, so the sorted keys keep the pairs' lexicographic
+        # order; n <= MAX_VERTICES keeps them in int64 (MultiGraph rejects a larger n)
+        keys = np.sort(lo * n + hi)
+        lo, hi = np.divmod(keys[np.r_[True, keys[1:] != keys[:-1]]], n)
+    id_map = dict(zip(ids.tolist(), range(n)))
+    g = MultiGraph(n, np.stack((lo, hi), axis=1))
     report = IngestReport(
         lines_read=lines_read,
         nodes=g.n,
         edges=g.num_edges,
         loops_dropped=loops_dropped,
-        duplicates_collapsed=len(pairs) - len(unique),
+        duplicates_collapsed=m - g.num_edges,
         filtered_out=filtered_out,
     )
     return g, id_map, report
+
+
+def comment_lines(text: str) -> list[str]:
+    r"""``text`` as ``# `` comment lines, one per line of it: the readers end
+    a line at ``\r\n``, ``\r`` or ``\n``."""
+    return [f"# {line}" for line in re.split(r"\r\n|\r|\n", text)]
 
 
 def write_edge_list(g: MultiGraph, path: str | Path, comments: list[str] | None = None) -> None:
     """Emit "u v" per line with optional leading # comments."""
     with open(path, "w") as fh:
         for comment in comments or []:
-            fh.write(f"# {comment}\n")
+            fh.writelines(line + "\n" for line in comment_lines(comment))
         write_edges(g, fh)
 
 

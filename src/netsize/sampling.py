@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .graph import INT64_MAX, INT64_MIN, MultiGraph, ReferralForest
-from .ingest import open_text
+from .ingest import comment_lines, open_text
 from .multiset import Multiset
 
 DEFAULT_RECRUIT_LAW = ((2, 0.9), (1, 0.1))
@@ -433,7 +433,7 @@ def rows_to_sample(rows: Sample) -> Sample:
 
 
 def sample_dump_lines(sample: Sample, header_comment: str | None = None) -> list[str]:
-    lines = [f"# {header_comment}"] if header_comment else []
+    lines = comment_lines(header_comment) if header_comment else []
     lines.append(",".join(DUMP_COLUMNS))
     alters = [str(code) for code in sample.alter_codes.tolist()]
     bounds = sample.alter_offsets.tolist()

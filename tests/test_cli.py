@@ -77,6 +77,22 @@ def test_sample_then_estimate_plaintext(tmp_path, capsys):
     assert main(["estimate", "--estimator", "n3", "--sample", str(dump)]) == 0
 
 
+def test_sample_from_a_path_with_a_line_break_writes_dumps_estimate_reads(tmp_path, capsys):
+    weird = tmp_path / "we\nird"
+    weird.mkdir()
+    edges = _generate_edges(weird, n=300, lam=8.0)
+    dump, printed = tmp_path / "s.csv", tmp_path / "printed.csv"
+    argv = ["sample", "--edges", str(edges), "--size", "80", "--rng-seed", "1"]
+    assert main(argv + ["--out", str(dump)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    printed.write_text(capsys.readouterr().out)
+    for path in (dump, printed):
+        assert path.read_text().splitlines()[1] == "# ird/g.txt"
+        assert main(["estimate", "--estimator", "n2", "--sample", str(path)]) == 0
+        assert "failed=false" in capsys.readouterr().out
+
+
 def test_sample_then_estimate_hashed(tmp_path, capsys):
     edges = _generate_edges(tmp_path, n=300, lam=8.0)
     dump = tmp_path / "hashed.csv"

@@ -15,6 +15,7 @@ from netsize.harness import (
     RawRow,
     derive_rng,
     failure_curve,
+    load_plan,
     parse_plan,
     raw_csv_lines,
     run_plan,
@@ -491,3 +492,10 @@ def test_every_plan_error_the_readme_quotes_is_the_one_parse_plan_raises():
     assert f"`{quoted}`" in text
     with pytest.raises(ValueError, match="^" + re.escape(quoted) + "$"):
         parse_plan(re.sub(r"(?m)^r *=.*$", "", plan))
+
+
+def test_a_byte_order_mark_reads_as_the_same_plan(tmp_path):
+    text = "families = er\nlambdas = 3\nsizes = 100\nr = 10\nestimators = n1\n"
+    path = tmp_path / "exported.plan"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load_plan(path) == parse_plan(text)

@@ -10,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netsize import graph, ingest
-from netsize.generators import Family, average_clustering, sample_graph
-from netsize.graph import MultiGraph, triangle_counts
+from netsize.cli import main
+from netsize.generators import Family, average_clustering, rewire_to_clustering, sample_graph
+from netsize.graph import INT64_MAX, INT64_MIN, MultiGraph, triangle_counts
 from netsize.ingest import EdgeListSpec, clustering_stats, load_edge_list, write_edge_list
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -134,6 +135,207 @@ def test_empty_graph_rejected(tmp_path):
     path = _write(tmp_path, "# nothing\n")
     with pytest.raises(ValueError):
         load_edge_list(EdgeListSpec(path))
+
+
+def _reference_load(spec: EdgeListSpec):
+    """``load_edge_list`` as a Python loop over the lines, deduplicating row pairs:
+    the reference for the numpy parse and the one numpy clean-up step."""
+    keep = None
+    if spec.node_filter is not None:
+        keep = set()
+        with ingest.open_text(spec.node_filter) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.split("#", 1)[0].strip()
+                if line:
+                    try:
+                        keep.add(int(line))
+                    except ValueError:
+                        raise ValueError(f"{spec.node_filter}:{lineno}: bad node id {line!r}") from None
+    pairs, lines_read, loops, filtered = [], 0, 0, 0
+    with ingest.open_text(spec.path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            tokens = stripped.split()
+            if len(tokens) != 2:
+                raise ValueError(f"{spec.path}:{lineno}: expected 'u v', got {stripped!r}")
+            try:
+                u, v = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise ValueError(f"{spec.path}:{lineno}: non-integer endpoint in {stripped!r}") from None
+            if not (INT64_MIN <= u <= INT64_MAX and INT64_MIN <= v <= INT64_MAX):
+                raise ValueError(f"{spec.path}:{lineno}: endpoint out of the 64-bit range in {stripped!r}")
+            lines_read += 1
+            if keep is not None and (u not in keep or v not in keep):
+                filtered += 1
+            elif u == v and spec.drop_loops:
+                loops += 1
+            else:
+                pairs.append((min(u, v), max(u, v)))
+    if not pairs:
+        raise ValueError(f"{spec.path}: no edges survived ingestion")
+    unique = sorted(set(pairs)) if spec.dedupe or spec.directed else pairs
+    ids = sorted({x for pair in unique for x in pair})
+    id_map = {x: i for i, x in enumerate(ids)}
+    g = MultiGraph(len(ids), np.array([(id_map[u], id_map[v]) for u, v in unique], dtype=np.int64))
+    report = ingest.IngestReport(lines_read, g.n, g.num_edges, loops, len(pairs) - len(unique), filtered)
+    return g, id_map, report
+
+
+def _outcome(load, spec):
+    try:
+        g, id_map, report = load(spec)
+    except ValueError as exc:
+        return str(exc)
+    return g.edge_array.dtype, g.edge_array.shape, g.edge_array.tobytes(), id_map, report
+
+
+def _scan_outcome(spec):
+    with mock.patch.object(ingest, "_parse_numbers", lambda data, columns: None):
+        return _outcome(load_edge_list, spec)
+
+
+_SMALL = [str(i) for i in range(6)] * 3  # small ids: loops and repeated pairs
+_INSIDE = [str(2**63 - 1), str(-2**63), "0" * 20 + "7", "-0", "007"]
+_OUTSIDE = [str(2**63), str(-2**63 - 1), "9" * 19, "-" + "9" * 19]
+_NODE = st.sampled_from(_SMALL + _INSIDE + _OUTSIDE)
+_SEP = st.sampled_from([" ", "\t", "  ", " \t "])
+_PAD = st.sampled_from(["", " ", "\t"])
+_CLEAN_LINE = st.one_of(st.tuples(_PAD, st.sampled_from(_SMALL + _INSIDE), _SEP,
+                                  st.sampled_from(_SMALL + _INSIDE), _PAD).map("".join),
+                        st.sampled_from(["# c", "#", "## twice", "# \x00\x0b\x1c", "", " \t"]))
+_ODD_LINES = ["1 2 # note", "1 2 3", "1", "1_0 2", "\uff11 2", "1\x0c2", "1\u20032", "+3 4", "1- 2",
+              "- 2", "--1 2", "1-2 3", "  # indented", "# caf\u00e9", "x y"]
+_LINE = st.one_of(st.tuples(_PAD, _NODE, _SEP, _NODE, _PAD).map("".join), _CLEAN_LINE,
+                  st.sampled_from(_ODD_LINES))
+_THREE_COLUMNS = st.lists(_NODE, min_size=3, max_size=3).map(" ".join)
+
+
+@st.composite
+def _edge_texts(draw):
+    """Either a file in the numpy grammar: edge lines of small ids (loops and
+    repeats) or ids at the int64 ends, comments and blank lines.  Or one that
+    adds ids past int64, lines that only the scan can judge, files whose every
+    line holds three values, CRLF or a lone CR, a byte-order mark.  Either may
+    lack its final newline."""
+    kind = draw(st.sampled_from(["clean", "clean", "mixed", "mixed", "three"]))
+    lines = draw(st.lists({"clean": _CLEAN_LINE, "mixed": _LINE, "three": _THREE_COLUMNS}[kind],
+                          min_size=kind == "three", max_size=4 if kind == "three" else 10))
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    if kind == "clean":
+        return text
+    text = draw(st.sampled_from(["", "\ufeff", "# head\n"])) + text
+    return text.replace("\n", draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\r"])))
+
+
+_CLEAN_FILTER_LINES = st.sampled_from(_SMALL + _INSIDE + ["", "# keep", " 3\t"])
+_FILTER_LINES = st.one_of(_NODE, _NODE, st.sampled_from(["", "# keep", "  3", "4 # note", "1 2", "1_0", "x",
+                                                         "\uff13", str(2**64), "  # indented"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_edge_texts(), directed=st.booleans(), dedupe=st.booleans(), drop_loops=st.booleans(),
+       keep=st.one_of(st.none(), st.lists(_CLEAN_FILTER_LINES, max_size=6),
+                      st.lists(_FILTER_LINES, max_size=6)))
+@example(text="0 1\n1 0\n2 2\n1 0\n", directed=False, dedupe=True, drop_loops=True, keep=["0", "1"])
+@example(text="", directed=False, dedupe=False, drop_loops=False, keep=None)
+@example(text="# a\r5 7\n0 1\n", directed=False, dedupe=False, drop_loops=False, keep=None)
+@example(text="0 1 # note\n", directed=False, dedupe=False, drop_loops=False, keep=["0", "1 # c"])
+def test_edge_list_reader_matches_the_line_scan(text, directed, dedupe, drop_loops, keep):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, node_filter = Path(tmp) / "edges.txt", None
+        path.write_bytes(text.encode())
+        if keep is not None:
+            node_filter = Path(tmp) / "keep.txt"
+            node_filter.write_bytes("\n".join(keep).encode())
+        spec = EdgeListSpec(path, directed=directed, node_filter=node_filter, dedupe=dedupe,
+                            drop_loops=drop_loops)
+        fast = _outcome(load_edge_list, spec)
+        assert fast == _scan_outcome(spec)
+        assert fast == _outcome(_reference_load, spec)
+
+
+def test_a_file_in_the_fast_grammar_skips_the_line_scan(tmp_path, monkeypatch):
+    edges = _write(tmp_path, "# c\n#\n 5\t-3 \n\n007  -0\n-3 5\n5 5", "edges.txt")
+    keep = _write(tmp_path, "# ids\n5\n-3\n\n0\n", "keep.txt")
+    monkeypatch.setattr(ingest, "_scan_edge_list", mock.Mock(side_effect=AssertionError("scanned")))
+    monkeypatch.setattr(ingest, "open_text", mock.Mock(side_effect=AssertionError("read as text")))
+    g, id_map, report = load_edge_list(EdgeListSpec(edges, node_filter=keep, dedupe=True))
+    assert g.edge_array.tolist() == [[0, 1], [1, 1]]
+    assert id_map == {-3: 0, 5: 1}
+    assert report == ingest.IngestReport(4, 2, 2, 0, 1, 1)
+
+
+def _families_and_rewired():
+    rng = np.random.default_rng(5)
+    graphs = [sample_graph(family, 4.0, 300, rng) for family in Family]
+    return graphs + [rewire_to_clustering(sample_graph(Family.CONFIG_POISSON, 6.0, 400, rng), 0.15, rng)]
+
+
+def test_written_edge_lists_read_back_without_the_line_scan(tmp_path, monkeypatch, capsys):
+    written = []
+    for i, g in enumerate(_families_and_rewired()):
+        path = tmp_path / f"g{i}.txt"
+        write_edge_list(g, path, comments=[f"graph {i}", "two\nlines"])
+        written.append(path)
+    for family in Family:
+        path = tmp_path / f"{family.value}.txt"
+        argv = ["generate", "--family", family.value, "--lambda", "4", "--n", "300", "--rng-seed", "2"]
+        assert main(argv + ["--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        printed = tmp_path / f"{family.value}-stdout.txt"
+        printed.write_text(capsys.readouterr().out)
+        normalized = tmp_path / f"{family.value}-n.txt"
+        assert main(["ingest", "--edges", str(path), "--dedupe", "--out", str(normalized)]) == 0
+        written += [path, printed, normalized]
+    expected = [_reference_load(EdgeListSpec(path)) for path in written]
+    monkeypatch.setattr(ingest, "_scan_edge_list", mock.Mock(side_effect=AssertionError("scanned")))
+    for path, want in zip(written, expected):
+        assert _outcome(load_edge_list, EdgeListSpec(path)) == _outcome(lambda spec: want, None), path
+
+
+@pytest.mark.parametrize("comment, head", [
+    ("a\nb", "# a\n# b\n"), ("a\r\nb\rc", "# a\n# b\n# c\n"), ("end\n", "# end\n# \n"),
+    ("\n", "# \n# \n"), ("x\x0cy\x85z", "# x\x0cy\x85z\n"),
+])
+def test_a_comment_with_line_breaks_keeps_the_edge_list_readable(tmp_path, comment, head):
+    g = sample_graph(Family.ERDOS_RENYI, 3.0, 50, np.random.default_rng(1))
+    path = tmp_path / "g.txt"
+    write_edge_list(g, path, comments=[comment, "after"])
+    assert path.read_bytes().decode().startswith(head + "# after\n")
+    assert _outcome(load_edge_list, EdgeListSpec(path)) == _outcome(_reference_load, EdgeListSpec(path))
+    assert load_edge_list(EdgeListSpec(path))[2].lines_read == g.num_edges
+
+
+def test_ingest_out_from_a_path_with_a_line_break_reads_back(tmp_path, capsys):
+    weird = tmp_path / "we\nird"
+    weird.mkdir()
+    raw = _write(weird, "0 1\n1 2\n2 0\n", "g.txt")
+    out = tmp_path / "n.txt"
+    assert main(["ingest", "--edges", str(raw), "--out", str(out)]) == 0
+    assert out.read_text().startswith(f"# normalized from {tmp_path}/we\n# ird/g.txt\n")
+    assert load_edge_list(EdgeListSpec(out))[0].edge_array.tolist() == [[0, 1], [1, 2], [0, 2]]
+
+
+@pytest.mark.parametrize("text", ["# c\n5 7\n7 9\n", "5 7\r\n\t7  9\r\n# c\r\n"])
+def test_a_byte_order_mark_reads_as_the_same_edge_list_and_filter(tmp_path, text):
+    plain = _write(tmp_path, text, "plain.txt")
+    marked = _write(tmp_path, "\ufeff" + text, "marked.txt")
+    keep, keep_marked = _write(tmp_path, "5\n7\n", "keep.txt"), _write(tmp_path, "\ufeff5\n7\n", "keep2.txt")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert _outcome(load_edge_list, EdgeListSpec(marked)) == _outcome(load_edge_list, EdgeListSpec(plain))
+    want = _outcome(load_edge_list, EdgeListSpec(plain, node_filter=keep))
+    assert want[-1].filtered_out == 1
+    assert _outcome(load_edge_list, EdgeListSpec(marked, node_filter=keep_marked)) == want
+
+
+def test_a_filter_id_outside_int64_matches_no_endpoint(tmp_path):
+    edges = _write(tmp_path, f"0 1\n1 2\n{2**63 - 1} 0\n")
+    keep = _write(tmp_path, f"0\n1\n{2**63}\n{2**63 - 1}\n{-2**64}\n", "keep.txt")
+    _, id_map, report = load_edge_list(EdgeListSpec(edges, node_filter=keep))
+    assert id_map == {0: 0, 1: 1, 2**63 - 1: 2} and report.filtered_out == 1
 
 
 @pytest.mark.parametrize("block", [1, 3, 1 << 14])

@@ -585,3 +585,30 @@ def test_written_dumps_read_back_without_the_line_scan(tmp_path, monkeypatch):
                 for column in ("codes", "degrees", "components", "alter_codes", "alter_offsets"):
                     assert np.array_equal(getattr(back, column), getattr(sample, column)), column
                 assert back.recruiter_codes == sample.recruiter_codes
+
+
+def _small_capture():
+    g = sample_graph(Family.CONFIG_POISSON, 6.0, 300, np.random.default_rng(8))
+    return rds_capture(g, RdsConfig(target_size=40, num_seeds=2), np.random.default_rng(9))
+
+
+@pytest.mark.parametrize("comment, head", [
+    ("a\nb", ["# a", "# b"]), ("a\r\nb\rc", ["# a", "# b", "# c"]), ("end\n", ["# end", "# "]),
+])
+def test_a_header_comment_with_line_breaks_keeps_the_dump_readable(tmp_path, comment, head):
+    sample = _small_capture()
+    lines = sampling.sample_dump_lines(sample, header_comment=comment)
+    assert lines[:len(head) + 1] == head + [",".join(sampling.DUMP_COLUMNS)]
+    path = tmp_path / "dump.csv"
+    write_sample_dump(sample, path, header_comment=comment)
+    assert _read_outcome(read_sample_dump, path) == _read_outcome(lambda p: sample, path)
+
+
+def test_a_byte_order_mark_reads_as_the_same_dump(tmp_path):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_sample_dump(_small_capture(), plain, header_comment="exported")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert _read_outcome(read_sample_dump, marked) == _read_outcome(read_sample_dump, plain)
+    no_comment = DUMP_HEADER.split("\n", 1)[1] + "5,SEED,0,1,7\n"
+    marked.write_text("\ufeff" + no_comment)
+    assert read_sample_dump(marked).codes.tolist() == [5]
