@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import io
 import re
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,16 +66,16 @@ def open_text(path, where: str = "{path}:{line}", newline: Optional[str] = None)
                          f"is not UTF-8 ({exc.reason})") from None
 
 
-_NUMBER_BYTES = b"0123456789- \t\n"  # every byte the numpy parse takes outside a comment line
+_EDGE_BYTES = b"0123456789- \t\n"  # every byte the numpy parse takes outside a comment line
 
 
-def _parse_numbers(data: bytes, columns: int) -> Optional[np.ndarray]:
-    r"""The int64 ``(lines, columns)`` array in ``data``, or None unless it is in the fast grammar.
+def _parse_edges(data: bytes) -> Optional[np.ndarray]:
+    r"""The int64 ``(lines, 2)`` endpoints in ``data``, or None unless it is in the fast grammar.
 
     The grammar: ASCII text whose lines are either comments, with ``#`` at
     column 0, or ``0-9``, ``-``, spaces and tabs, with ``\n`` line ends and
-    ``columns`` values on every line that is not blank.  Anything else, valid
-    or not, is left to the line scan, which also words every error.
+    two values on every line that is not blank.  Anything else, valid or
+    not, is left to the line scan, which also words every error.
     """
     if not data.isascii() or b"\r" in data:
         return None
@@ -87,24 +86,19 @@ def _parse_numbers(data: bytes, columns: int) -> Optional[np.ndarray]:
         rest.append(data[start:at])
         start = data.find(b"\n", at) + 1 or len(data)
     rest.append(data[start:])
-    if b"".join(rest).translate(None, _NUMBER_BYTES):
+    numbers = b"".join(rest)
+    if numbers.translate(None, _EDGE_BYTES) or not numbers.strip():  # loadtxt warns on a file of no values
         return None
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # loadtxt only warns on input with no values
-            values = np.loadtxt(io.StringIO(data.decode("ascii")), dtype=np.int64, comments="#", ndmin=2)
-    except (ValueError, Warning):  # a token such as "1-", or a value past int64
+        pairs = np.loadtxt(io.StringIO(data.decode("ascii")), dtype=np.int64, comments="#", ndmin=2)
+    except ValueError:  # a token such as "1-", a value past int64 or a ragged line
         return None
-    return values if len(values) and values.shape[1] == columns else None
+    return pairs if pairs.shape[1] == 2 else None
 
 
 def _read_filter(path: str | Path) -> np.ndarray:
     """The node ids of a filter file, one per line.  An id outside int64
     matches no endpoint, so it is dropped."""
-    with open(path, "rb") as fh:
-        ids = _parse_numbers(fh.read(), 1)
-    if ids is not None:
-        return ids.ravel()
     keep: list[int] = []
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -120,7 +114,7 @@ def _read_filter(path: str | Path) -> np.ndarray:
 
 def _scan_edge_list(path: str | Path) -> np.ndarray:
     """The line-by-line reader of an edge list's int64 ``(lines, 2)`` endpoints:
-    the reference for ``_parse_numbers`` and the source of every error message."""
+    the reference for ``_parse_edges`` and the source of every error message."""
     ends: list[int] = []
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -147,12 +141,12 @@ def load_edge_list(spec: EdgeListSpec) -> tuple[MultiGraph, dict[int, int], Inge
     was read and dropped.  Endpoints must fit in a signed 64-bit integer.
     With ``directed``, lines are arcs and the graph keeps one edge for each
     pair joined in either direction, so duplicates are collapsed as well.
-    A file in the grammar of ``_parse_numbers`` is parsed in numpy; any other
+    A file in the grammar of ``_parse_edges`` is parsed in numpy; any other
     text goes through the line scan, with the same result or the same error.
     """
     keep = _read_filter(spec.node_filter) if spec.node_filter is not None else None
     with open(spec.path, "rb") as fh:
-        pairs = _parse_numbers(fh.read(), 2)
+        pairs = _parse_edges(fh.read())
     if pairs is None:
         pairs = _scan_edge_list(spec.path)
     lines_read = len(pairs)

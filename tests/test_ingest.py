@@ -1,6 +1,7 @@
 import itertools
 import re
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -192,7 +193,7 @@ def _outcome(load, spec):
 
 
 def _scan_outcome(spec):
-    with mock.patch.object(ingest, "_parse_numbers", lambda data, columns: None):
+    with mock.patch.object(ingest, "_parse_edges", lambda data: None):
         return _outcome(load_edge_list, spec)
 
 
@@ -257,14 +258,22 @@ def test_edge_list_reader_matches_the_line_scan(text, directed, dedupe, drop_loo
 
 
 def test_a_file_in_the_fast_grammar_skips_the_line_scan(tmp_path, monkeypatch):
-    edges = _write(tmp_path, "# c\n#\n 5\t-3 \n\n007  -0\n-3 5\n5 5", "edges.txt")
-    keep = _write(tmp_path, "# ids\n5\n-3\n\n0\n", "keep.txt")
+    edges = _write(tmp_path, f"# c\n#\n 5\t-3 \n\n007  -0\n-3 5\n5 5\n{10**17} 5", "edges.txt")
     monkeypatch.setattr(ingest, "_scan_edge_list", mock.Mock(side_effect=AssertionError("scanned")))
     monkeypatch.setattr(ingest, "open_text", mock.Mock(side_effect=AssertionError("read as text")))
-    g, id_map, report = load_edge_list(EdgeListSpec(edges, node_filter=keep, dedupe=True))
-    assert g.edge_array.tolist() == [[0, 1], [1, 1]]
-    assert id_map == {-3: 0, 5: 1}
-    assert report == ingest.IngestReport(4, 2, 2, 0, 1, 1)
+    g, id_map, report = load_edge_list(EdgeListSpec(edges, dedupe=True))
+    assert g.edge_array.tolist() == [[0, 2], [1, 3], [2, 2], [2, 4]]
+    assert id_map == {-3: 0, 0: 1, 5: 2, 7: 3, 10**17: 4}
+    assert report == ingest.IngestReport(5, 5, 4, 0, 1, 0)
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n", "\n \t\n"])
+def test_a_file_without_values_fails_without_a_numpy_warning(tmp_path, text):
+    edges = _write(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no edges survived ingestion"):
+            load_edge_list(EdgeListSpec(edges))
 
 
 def _families_and_rewired():
