@@ -94,16 +94,38 @@ def collision_prob(n_prime: float, omega: int, d_tilde_s: float, d_w):
     d_w = np.asarray(d_w, dtype=float)
     live = d_w > 1
     prob = np.zeros(d_w.shape)
-    prob[live] = 1.0 / ((n_prime - 1.0) / omega * d_tilde_s / (d_w[live] - 1.0) + 1.0)
+    prob[live] = _live_prob(n_prime, omega, d_tilde_s, d_w[live] - 1.0)
     return prob if prob.ndim else float(prob)
+
+
+def _live_prob(n_prime: float, omega: int, d_tilde_s: float, d_minus_1):
+    """``collision_prob`` of subjects of degree d_w > 1, given d_w - 1."""
+    return 1.0 / ((n_prime - 1.0) / omega * d_tilde_s / d_minus_1 + 1.0)
+
+
+def _true_mass_of(counts: Counts, mass: np.ndarray, omega: int) -> Callable[[float], float]:
+    """n' -> ``true_mass(counts, mass, n', omega)``, with the degrees read once.
+
+    Each call computes the probabilities of the live degrees (d > 1) as
+    ``collision_prob`` does, and the dead ones carry weight 0.0 in place of
+    probability 0.0, so the dot product sees the same products in the same
+    places and the root solve reaches the same roots.
+    """
+    if counts.harmonic_degree is None:
+        raise ValueError("harmonic mean requires strictly positive values")
+    _check_omega(omega)
+    d_w = counts.mass_degrees.astype(float)
+    live = d_w > 1
+    weight = np.where(live, mass, 0.0)
+    d_minus_1 = np.where(live, d_w - 1.0, 1.0)
+    d_tilde = counts.harmonic_degree
+    return lambda n_prime: float(weight @ _live_prob(n_prime, omega, d_tilde, d_minus_1))
 
 
 def true_mass(counts: Counts, mass: np.ndarray, n_prime: float, omega: int) -> float:
     """Expected true mass sum_d mass_d * collision_prob(n', omega, d~, d) of
     degree-grouped match counts (``mass`` is a row over ``counts.mass_degrees``)."""
-    if counts.harmonic_degree is None:
-        raise ValueError("harmonic mean requires strictly positive values")
-    return float(mass @ collision_prob(n_prime, omega, counts.harmonic_degree, counts.mass_degrees))
+    return _true_mass_of(counts, mass, omega)(n_prime)
 
 
 def _solve_fixed_point(f: Callable[[float], float], sample_size: int) -> Optional[float]:
@@ -158,8 +180,10 @@ def _fixed_point(numerator: float, mass: np.ndarray, counts: Counts, omega: Opti
         return EstimateResult.success(value) if value > 0 else \
             EstimateResult.failure(FailureCause.DEGENERATE_DEGREES)
 
+    m_of = _true_mass_of(counts, mass, omega)
+
     def f(n_prime: float) -> float:
-        m = true_mass(counts, mass, n_prime, omega)
+        m = m_of(n_prime)
         return numerator / m if m > 0 else math.inf
 
     root = _solve_fixed_point(f, size)

@@ -420,11 +420,13 @@ class _RewireState:
         return mean_local_clustering(self.degrees, self.tri)
 
     def edge_array(self) -> np.ndarray:
-        """Every edge once as (u, v) with u < v, in sorted order."""
+        """Every edge once as (u, v) with u < v, in sorted order: the edges are
+        distinct, so one sort of the keys u * n + v orders them."""
+        n = len(self.degrees)
         heads = np.fromiter(itertools.chain.from_iterable(self.adj), np.int64, int(self.degrees.sum()))
-        pairs = np.stack([np.repeat(np.arange(len(self.degrees)), self.degrees), heads], axis=1)
-        pairs = pairs[pairs[:, 0] < pairs[:, 1]]
-        return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        tails = np.repeat(np.arange(n), self.degrees)
+        forward = tails < heads
+        return np.stack(np.divmod(np.sort(tails[forward] * n + heads[forward]), n), axis=1)
 
 
 def rewire_to_clustering(g: MultiGraph, target: float, rng: np.random.Generator) -> MultiGraph:

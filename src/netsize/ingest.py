@@ -72,12 +72,12 @@ _EDGE_BYTES = b"0123456789- \t\n"  # every byte the numpy parse takes outside a 
 def _parse_edges(data: bytes) -> Optional[np.ndarray]:
     r"""The int64 ``(lines, 2)`` endpoints in ``data``, or None unless it is in the fast grammar.
 
-    The grammar: ASCII text whose lines are either comments, with ``#`` at
+    The grammar: UTF-8 text whose lines are either comments, with ``#`` at
     column 0, or ``0-9``, ``-``, spaces and tabs, with ``\n`` line ends and
     two values on every line that is not blank.  Anything else, valid or
     not, is left to the line scan, which also words every error.
     """
-    if not data.isascii() or b"\r" in data:
+    if b"\r" in data:
         return None
     rest, start = [], 0
     while (at := data.find(b"#", start)) >= 0:
@@ -89,9 +89,9 @@ def _parse_edges(data: bytes) -> Optional[np.ndarray]:
     numbers = b"".join(rest)
     if numbers.translate(None, _EDGE_BYTES) or not numbers.strip():  # loadtxt warns on a file of no values
         return None
-    try:
-        pairs = np.loadtxt(io.StringIO(data.decode("ascii")), dtype=np.int64, comments="#", ndmin=2)
-    except ValueError:  # a token such as "1-", a value past int64 or a ragged line
+    try:  # a comment that is not UTF-8, a token such as "1-", a value past int64 or a ragged line
+        pairs = np.loadtxt(io.StringIO(data.decode("utf-8")), dtype=np.int64, comments="#", ndmin=2)
+    except ValueError:
         return None
     return pairs if pairs.shape[1] == 2 else None
 

@@ -93,13 +93,14 @@ class Sample:
             raise ValueError("per-subject columns must have equal length")
         if not _degree_sums_fit(self.degrees):
             raise ValueError("the reported degrees sum past the 64-bit range")
-        offsets = self.alter_offsets
-        if len(offsets) != k + 1 or offsets[0] != 0 or offsets[-1] != len(self.alter_codes) \
-                or np.any(np.diff(offsets) < 0):
+        # neighbors are compared, not subtracted: a difference of int64 values can wrap
+        offsets, alters = self.alter_offsets, self.alter_codes
+        if len(offsets) != k + 1 or offsets[0] != 0 or offsets[-1] != len(alters) \
+                or np.any(offsets[1:] < offsets[:-1]):
             raise ValueError("alter offsets must run from 0 to the alter count, one per subject")
         row = np.repeat(np.arange(k), np.diff(offsets))
-        if np.any((np.diff(self.alter_codes) < 0) & (np.diff(row) == 0)):
-            object.__setattr__(self, "alter_codes", self.alter_codes[np.lexsort((self.alter_codes, row))])
+        if np.any((alters[1:] < alters[:-1]) & (row[1:] == row[:-1])):
+            object.__setattr__(self, "alter_codes", _sort_within_rows(alters, row))
         recruit = np.flatnonzero(self.recruiters >= 0)
         rec = self.recruiters[recruit]
         if np.any(self.recruiters < -1) or np.any(rec >= recruit) \
@@ -145,6 +146,25 @@ class Sample:
     @cached_property
     def counts(self) -> Counts:
         return _count(self)
+
+
+def _sort_within_rows(values: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """``values`` sorted within each run of equal ``row`` (ascending rows): the
+    values of ``values[np.lexsort((values, row))]``, from two plain sorts.
+
+    Each value is replaced by its rank among the distinct values, and one sort
+    of ``row * distinct + rank`` orders rows, then values.  The key stays below
+    the row count times the value count, so it fits in int64.
+    """
+    distinct, rank = np.unique(values, return_inverse=True)
+    key = np.sort(row * len(distinct) + rank)
+    return distinct[key - row * len(distinct)]
+
+
+def _has_duplicates(values: np.ndarray) -> bool:
+    """Whether two of ``values`` are equal, by a sort (``np.unique`` without arguments hashes, which is slower)."""
+    ascending = np.sort(values)
+    return bool((ascending[1:] == ascending[:-1]).any())
 
 
 def _degree_sums_fit(degrees: np.ndarray) -> bool:
@@ -207,7 +227,10 @@ def _count(s: Sample) -> Counts:
     # look every pair's code up among the subject codes; misses match nothing
     by_code = np.argsort(s.codes, kind="stable")
     codes, code_start, code_count = np.unique(s.codes[by_code], return_index=True, return_counts=True)
-    j = np.minimum(np.searchsorted(codes, pair_code), len(codes) - 1)
+    # sorted queries make searchsorted cheaper; the indices are scattered back to pair order
+    by_pair = np.argsort(pair_code)
+    j = np.empty(len(pair_code), dtype=np.intp)
+    j[by_pair] = np.minimum(np.searchsorted(codes, pair_code[by_pair]), len(codes) - 1)
     hit = np.flatnonzero(codes[j] == pair_code)
     pair_row, mult, j = pair_row[hit], mult[hit], j[hit]
     # expand each matched pair over the subjects that carry its code
@@ -274,7 +297,7 @@ def as_sample_view(g: MultiGraph, subjects: Iterable[int]) -> Sample:
     uniform-sampling estimator consumes.
     """
     vertices = np.array([int(v) for v in subjects], dtype=np.int64)
-    if len(np.unique(vertices)) != len(vertices):
+    if _has_duplicates(vertices):
         raise ValueError("subjects must be distinct")
     return _plaintext_sample(g, vertices, np.arange(len(vertices)), np.full(len(vertices), -1))
 
@@ -427,7 +450,7 @@ def rows_to_sample(rows: Sample) -> Sample:
 
     ``perfbench/workloads.py`` and the CLI call it on dumps read back.
     """
-    if len(np.unique(rows.codes)) != rows.size:
+    if _has_duplicates(rows.codes):
         raise ValueError("duplicate subject ids; hashed dumps cannot be read as plaintext")
     return rows
 
@@ -475,7 +498,7 @@ _POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 def _parse_dump(data: bytes) -> Optional[Sample]:
     """The sample in ``data``, or None unless every row is in the writer's grammar.
 
-    The grammar: ``#`` lines, the exact header, then rows of ``-?[0-9]{1,18}``
+    The grammar: UTF-8 ``#`` lines, the exact header, then rows of ``-?[0-9]{1,18}``
     fields (``SEED`` for a seed's recruiter) with ``;``-joined alters and
     bare newline line ends, whose degrees cover their alters and whose
     recruiters link.  Anything else, valid or not, is left to the line
@@ -488,7 +511,11 @@ def _parse_dump(data: bytes) -> Optional[Sample]:
         start = data.find(b"\n", start) + 1
         if start == 0:
             return None
-    if not data[:start].isascii() or not data.startswith(_HEADER + b"\n", start):
+    if not data.startswith(_HEADER + b"\n", start):
+        return None
+    try:  # the line scan words the error of a comment that is not UTF-8
+        data[:start].decode("utf-8")
+    except UnicodeDecodeError:
         return None
     body = data[start + len(_HEADER) + 1:]
     if not body.endswith(b"\n"):

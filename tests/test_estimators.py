@@ -1,16 +1,21 @@
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from netsize import estimators
-from netsize.estimators import FailureCause, estimate_n1, estimate_n1_from_view, estimate_n2, estimate_n3
+from netsize.estimators import (
+    EstimateResult, FailureCause, collision_prob, estimate_n1, estimate_n1_from_view, estimate_n2, estimate_n3,
+)
 from netsize.generators import Family, sample_graph
 from netsize.graph import MultiGraph, harmonic_mean
-from netsize.hashing import estimate_n2_hashed, estimate_n3_hashed, hashed_view, m_hat, x_hat
-from netsize.sampling import RdsConfig, Sample, rds_capture
+from netsize.hashing import (
+    HashSpace, assign_hashes, estimate_n2_hashed, estimate_n3_hashed, hashed_view, m_hat, x_hat,
+)
+from netsize.sampling import Counts, RdsConfig, Sample, rds_capture
 from test_counts import SETTINGS, captures, coded_samples
 
 K3 = MultiGraph(3, [(0, 1), (1, 2), (0, 2)])
@@ -300,3 +305,68 @@ def test_a_sample_rejects_degrees_whose_sums_leave_int64(degrees, fits):
     else:
         with pytest.raises(ValueError, match="^the reported degrees sum past the 64-bit range$"):
             build()
+
+
+_OMEGAS = st.sampled_from([1, 2000, 2**63])
+
+
+def _grouped(degrees, mass, harmonic_degree):
+    """Counts that hold only what the hashed solve reads: degrees, their mass and d~."""
+    mass = np.array(mass, dtype=float)
+    return Counts(labels=np.array([0]), comp_size=np.array([1]), comp_degree=np.array([1]),
+                  comp_free=np.array([1]), matches=1, cross=np.array([1]),
+                  mass_degrees=np.array(degrees, dtype=np.int64), match_mass=mass, cross_mass=mass[None, :],
+                  harmonic_degree=harmonic_degree)
+
+
+@st.composite
+def grouped_counts(draw):
+    degrees = sorted(draw(st.sets(st.one_of(st.integers(0, 40), st.integers(0, 10**12)), min_size=1, max_size=12)))
+    mass = [draw(st.one_of(st.just(0), st.integers(0, 50))) for _ in degrees]
+    return _grouped(degrees, mass, draw(st.floats(0.5, 100.0)))
+
+
+def _reference_fixed_point(numerator, mass, counts, omega, size):
+    """The solve with ``collision_prob`` rebuilt at every step, as ``true_mass`` once was."""
+    def f(n_prime):
+        m = float(mass @ collision_prob(n_prime, omega, counts.harmonic_degree, counts.mass_degrees))
+        return numerator / m if m > 0 else math.inf
+
+    root = estimators._solve_fixed_point(f, size)
+    if root is None or not math.isfinite(root) or root <= 0:
+        return EstimateResult.failure(FailureCause.NO_ROOT)
+    return EstimateResult.success(root)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grouped_counts(), _OMEGAS, st.floats(1e-3, 1e15), st.integers(1, 5000))
+@example(_grouped([0, 1], [3, 4], 1.0), 2000, 500.0, 10)       # every match on a dead degree: NoRoot
+@example(_grouped([0, 1, 5], [2, 2, 0], 2.0), 1, 100.0, 10)    # the live degree carries no mass: NoRoot
+@example(_grouped([1, 3, 9], [1, 2, 3], 2.5), 2000, 1e15, 2)   # the root lies past the bracket ceiling
+@example(_grouped([2, 3, 10**12], [1, 0, 7], 3.0), 2**63, 5e4, 250)
+def test_the_set_up_once_solve_returns_the_reference_roots(counts, omega, numerator, size):
+    for mass in (counts.match_mass, counts.cross_mass[0]):
+        got = estimators._fixed_point(numerator, mass, counts, omega, size)
+        assert got == _reference_fixed_point(numerator, mass, counts, omega, size)
+
+
+def test_the_reference_examples_include_no_root():
+    dead = _grouped([0, 1], [3, 4], 1.0)
+    assert estimators._fixed_point(500.0, dead.match_mass, dead, 2000, 10).failure_cause is FailureCause.NO_ROOT
+    far = _grouped([1, 3, 9], [1, 2, 3], 2.5)
+    assert estimators._fixed_point(1e15, far.match_mass, far, 2000, 2).failure_cause is FailureCause.NO_ROOT
+
+
+@settings(max_examples=150, deadline=None)
+@given(captures(), _OMEGAS, st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(1.0, 1e12), min_size=1, max_size=4))
+def test_m_hat_and_x_hat_equal_the_per_degree_formula(capture, omega, code_space, seed, points):
+    g, sample = capture
+    hs = hashed_view(sample, assign_hashes(g.n, HashSpace(code_space), np.random.default_rng(seed)))
+    counts = hs.counts
+    assume(counts.harmonic_degree is not None)
+    for n_prime in points:
+        prob = collision_prob(n_prime, omega, counts.harmonic_degree, counts.mass_degrees)
+        assert m_hat(hs, n_prime, omega) == float(counts.match_mass @ prob)
+        for i, label in enumerate(counts.labels.tolist()):
+            assert x_hat(hs, label, n_prime, omega) == float(counts.cross_mass[i] @ prob)

@@ -754,3 +754,43 @@ def test_the_checks_take_a_family_by_its_plan_name():
     with pytest.raises(ValueError, match="^unknown family 'marslink'"):
         check_family("marslink", 3.0, 100)
 
+
+
+def _lexsorted_edges(state):
+    """The rewiring state's edges (u, v), u < v, ordered by ``np.lexsort`` as before."""
+    heads = np.fromiter(itertools.chain.from_iterable(state.adj), np.int64, int(state.degrees.sum()))
+    pairs = np.stack([np.repeat(np.arange(len(state.degrees)), state.degrees), heads], axis=1)
+    pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def _layout(edges):
+    return edges.dtype, edges.shape, edges.flags.c_contiguous, edges.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 30), st.data())
+def test_rewired_edges_come_in_lexsort_order(n, data):
+    vertex = st.integers(0, n - 1)
+    state = generators._RewireState(n, np.array(data.draw(st.lists(st.tuples(vertex, vertex), max_size=80)),
+                                                dtype=np.int64).reshape(-1, 2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for row in state.adj:
+        rng.shuffle(row)
+    assert _layout(state.edge_array()) == _layout(_lexsorted_edges(state))
+
+
+def test_a_rewired_graph_lists_its_edges_in_lexsort_order():
+    g = sample_graph(Family.CONFIG_POISSON, 8.0, 20_000, np.random.default_rng(4))
+    states = []
+
+    class Recorded(generators._RewireState):
+        def __init__(self, n, edges):
+            super().__init__(n, edges)
+            states.append(self)
+
+    with mock.patch.object(generators, "_RewireState", Recorded):
+        rewired = rewire_to_clustering(g, 0.05, np.random.default_rng(5))
+    want = _lexsorted_edges(states[0])
+    assert _layout(states[0].edge_array()) == _layout(want)
+    assert rewired.edge_array.tobytes() == want.tobytes()

@@ -462,3 +462,29 @@ def test_clustering_stats_matches_brute_force(seed):
     slow = _brute_force_stats(g)
     assert fast[0] == pytest.approx(slow[0])
     assert fast[1] == pytest.approx(slow[1])
+
+
+@pytest.mark.parametrize("place", ["café", "日本", "\U0001f642"])
+def test_a_non_ascii_comment_keeps_the_edge_list_off_the_line_scan(tmp_path, monkeypatch, place):
+    g = sample_graph(Family.CONFIG_POISSON, 6.0, 2000, np.random.default_rng(2))
+    plain, other = tmp_path / "plain.txt", tmp_path / "other.txt"
+    write_edge_list(g, plain, comments=["normalized from /data/cafe/g.txt"])
+    write_edge_list(g, other, comments=[f"normalized from /data/{place}/g.txt"])
+    folder = tmp_path / place
+    folder.mkdir()
+    raw = _write(folder, "0 1\n1 2\n2 0\n", "g.txt")
+    normalized = tmp_path / "n.txt"
+    assert main(["ingest", "--edges", str(raw), "--out", str(normalized)]) == 0
+    assert place in normalized.read_text()
+    want = _outcome(load_edge_list, EdgeListSpec(plain)), _outcome(_reference_load, EdgeListSpec(normalized))
+    monkeypatch.setattr(ingest, "_scan_edge_list", mock.Mock(side_effect=AssertionError("scanned")))
+    assert _outcome(load_edge_list, EdgeListSpec(other)) == want[0]
+    assert _outcome(load_edge_list, EdgeListSpec(normalized)) == want[1]
+
+
+def test_a_comment_that_is_not_utf8_fails_with_its_line(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"0 1\n# caf\xe9\n1 2\n")
+    assert ingest._parse_edges(path.read_bytes()) is None
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: byte 0xe9 is not UTF-8"):
+        load_edge_list(EdgeListSpec(path))

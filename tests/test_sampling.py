@@ -7,12 +7,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netsize import sampling
+from netsize.cli import main
 from netsize.generators import Family, sample_graph
-from netsize.graph import MultiGraph, harmonic_mean
+from netsize.graph import INT64_MAX, INT64_MIN, MultiGraph, harmonic_mean
 from netsize.hashing import HashSpace, assign_hashes, hashed_view
 from netsize.multiset import Multiset
 from netsize.sampling import (
@@ -612,3 +613,93 @@ def test_a_byte_order_mark_reads_as_the_same_dump(tmp_path):
     no_comment = DUMP_HEADER.split("\n", 1)[1] + "5,SEED,0,1,7\n"
     marked.write_text("\ufeff" + no_comment)
     assert read_sample_dump(marked).codes.tolist() == [5]
+
+
+@pytest.mark.parametrize("place", ["café", "日本", "\U0001f642"])
+def test_a_non_ascii_header_comment_keeps_the_dump_off_the_line_scan(tmp_path, monkeypatch, place):
+    sample = _small_capture()
+    plain, other = tmp_path / "plain.csv", tmp_path / "other.csv"
+    write_sample_dump(sample, plain, header_comment="sampled from /data/cafe/g.txt")
+    write_sample_dump(sample, other, header_comment=f"sampled from /data/{place}/g.txt")
+    want = _read_outcome(read_sample_dump, plain)
+    monkeypatch.setattr(sampling, "_scan_sample_dump", mock.Mock(side_effect=AssertionError("scanned")))
+    assert _read_outcome(read_sample_dump, other) == want
+
+
+def test_sample_from_a_non_ascii_path_writes_dumps_estimate_reads_without_the_scan(tmp_path, monkeypatch,
+                                                                                   capsys):
+    folder = tmp_path / "café"
+    folder.mkdir()
+    edges = folder / "g.txt"
+    assert main(["generate", "--family", "er", "--lambda", "8", "--n", "300", "--rng-seed", "3",
+                 "--out", str(edges)]) == 0
+    dumps = tmp_path / "s.csv", tmp_path / "h.csv"
+    argv = ["sample", "--edges", str(edges), "--size", "80", "--rng-seed", "1", "--out"]
+    assert main(argv + [str(dumps[0])]) == 0
+    assert main(argv + [str(dumps[1]), "--omega", "4096"]) == 0
+    assert all("café" in path.read_text() for path in dumps)
+    capsys.readouterr()
+    monkeypatch.setattr(sampling, "_scan_sample_dump", mock.Mock(side_effect=AssertionError("scanned")))
+    assert main(["estimate", "--estimator", "n2", "--sample", str(dumps[0])]) == 0
+    assert main(["estimate", "--estimator", "n2psi", "--omega", "4096", "--sample", str(dumps[1])]) == 0
+    assert capsys.readouterr().out.count("failed=false") == 2
+
+
+def test_a_header_comment_that_is_not_utf8_fails_with_its_line(tmp_path):
+    path = tmp_path / "dump.csv"
+    write_sample_dump(_small_capture(), path, header_comment="exported")
+    path.write_bytes(b"# caf\xe9\n" + path.read_bytes())
+    assert sampling._parse_dump(path.read_bytes()) is None
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: byte 0xe9 is not UTF-8"):
+        read_sample_dump(path)
+
+
+_ROW_CODES = st.one_of(st.integers(-2, 2), st.sampled_from([INT64_MIN, INT64_MIN + 1, INT64_MAX - 1, INT64_MAX]),
+                       st.integers(0, 2**63 - 1), st.integers(INT64_MIN, INT64_MAX))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_ROW_CODES, max_size=8), min_size=1, max_size=8))
+@example([[5, 5, 5, -1]])
+@example([[7]])
+@example([[], [3, 1], [], [2, 2, 2], []])
+@example([[INT64_MAX, INT64_MIN, 0, INT64_MAX, INT64_MIN]])
+@example([[INT64_MAX, 0], [INT64_MAX, INT64_MAX - 1]])
+def test_the_row_sort_matches_lexsort(rows):
+    """The sort of each row's alters gives the values of the lexsort it replaces."""
+    values = np.array([code for row in rows for code in row], dtype=np.int64)
+    lengths = [len(row) for row in rows]
+    row = np.repeat(np.arange(len(rows)), lengths)
+    want = values[np.lexsort((values, row))]
+    got = sampling._sort_within_rows(values, row)
+    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+    k = len(rows)
+    sample = Sample(codes=np.arange(k), degrees=lengths, alter_codes=values, components=np.zeros(k),
+                    alter_offsets=np.r_[0, np.cumsum(lengths)])
+    assert (sample.alter_codes.dtype, sample.alter_codes.tobytes()) == (want.dtype, want.tobytes())
+
+
+@pytest.mark.parametrize("omega", [1, 2, 4096, 2**63])
+def test_hashed_view_rows_match_lexsort(omega):
+    g = sample_graph(Family.CONFIG_POISSON, 8.0, 2000, np.random.default_rng(5))
+    rng = np.random.default_rng(6)
+    for sample in (rds_capture(g, RdsConfig(target_size=250), rng), as_sample_view(g, range(0, 2000, 7))):
+        assignment = assign_hashes(g.n, HashSpace(omega), rng)
+        mapped = assignment[sample.alter_codes]
+        row = np.repeat(np.arange(sample.size), np.diff(sample.alter_offsets))
+        want = mapped[np.lexsort((mapped, row))]
+        assert hashed_view(sample, assignment).alter_codes.tobytes() == want.tobytes()
+
+
+def test_codes_whose_difference_wraps_are_still_sorted_and_counted():
+    # -1 - INT64_MIN and 5 - (-1) are positive, and 5 - INT64_MIN wraps: no subtraction shows the row unsorted
+    sample = Sample(codes=[5, 6], degrees=[4, 1], alter_codes=[5, INT64_MIN, -1, 5, 5], components=[0, 1],
+                    alter_offsets=[0, 4, 5])
+    assert sample.alters(0).tolist() == [INT64_MIN, -1, 5, 5]
+    assert sample.counts.matches == 2  # min(2, 1) for row 0, min(1, 1) for row 1
+
+
+def test_alter_offsets_whose_differences_wrap_are_rejected():
+    with pytest.raises(ValueError, match="alter offsets must run from 0"):
+        Sample(codes=[1, 2, 3], degrees=[1, 1, 1], alter_codes=[1, 2, 3], components=[0, 1, 2],
+               alter_offsets=[0, INT64_MAX, INT64_MIN + 4, 3])
