@@ -160,7 +160,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     g, _, report = load_edge_list(_ingest_spec(args))
     print(_header("stats", args, {"edges": args.edges}))
     print(report.describe())
-    avg, trans = clustering_stats(g)
+    try:
+        avg, trans = clustering_stats(g)
+    except ValueError as exc:  # a loop or a parallel edge: name the file and the option that drops it
+        option = "--drop-loops" if "loop-free" in str(exc) else "--dedupe"
+        raise ValueError(f"{args.edges}: {exc}; read it with {option}") from None
     print(f"average_clustering={avg:.6f} transitivity={trans:.6f}")
     return 0
 

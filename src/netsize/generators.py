@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import INT64_MAX, MAX_VERTICES, MultiGraph, mean_local_clustering, triangle_counts
-from .sampling import _pick, _uniforms
+from .sampling import _degree_sums_fit, _uniforms
 
 _log = logging.getLogger("netsize")
 
@@ -32,24 +32,39 @@ def sample_degrees(family: Family, lam: float, n: int, rng: np.random.Generator)
 
     Each family draws X and uses degree 1 + X, giving expected mean degree
     ``lam``.  Continuous draws are rounded half-up, then clamped to stay >= 1.
+    A degree or a degree total past the int64 range raises ``ValueError``.
     An explicit degree sequence goes straight to ``configuration_graph``.
     """
     if family not in _CONFIG_FAMILIES:
         raise ValueError(f"degree sequences are drawn for configuration families only, got {family}")
     check_family(family, lam, n)
     mean = lam - 1.0
+    too_large = ValueError(f"a degree drawn for the {family.value} family at mean degree {lam} "
+                           "does not fit in 64 bits")
     if family is Family.CONFIG_POISSON:
-        x = rng.poisson(mean, size=n).astype(np.int64)
-        return 1 + x
-    if family is Family.CONFIG_EXPONENTIAL:
-        x = rng.exponential(scale=mean, size=n) if mean > 0 else np.zeros(n)
+        try:
+            x = rng.poisson(mean, size=n).astype(np.int64)
+        except ValueError:  # numpy's "lam value too large", just below 2**63
+            raise too_large from None
+        if x.max() == INT64_MAX:
+            raise too_large
+        degrees = 1 + x
     else:
-        # moment-match a lognormal to mean lam-1 and standard deviation 1
-        sigma2 = math.log(1.0 + 1.0 / (mean * mean))
-        mu = math.log(mean) - sigma2 / 2.0
-        x = rng.lognormal(mean=mu, sigma=math.sqrt(sigma2), size=n)
-    rounded = np.floor(1.0 + x + 0.5).astype(np.int64)  # round half-up
-    return np.maximum(rounded, 1)
+        if family is Family.CONFIG_EXPONENTIAL:
+            x = rng.exponential(scale=mean, size=n) if mean > 0 else np.zeros(n)
+        else:
+            # moment-match a lognormal to mean lam-1 and standard deviation 1
+            sigma2 = math.log(1.0 + 1.0 / (mean * mean))
+            mu = math.log(mean) - sigma2 / 2.0
+            x = rng.lognormal(mean=mu, sigma=math.sqrt(sigma2), size=n)
+        rounded = np.floor(1.0 + x + 0.5)  # round half-up
+        if not rounded.max() < 2.0 ** 63:  # NaN fails too
+            raise too_large
+        degrees = np.maximum(rounded.astype(np.int64), 1)
+    if not _degree_sums_fit(degrees):
+        raise ValueError(f"{family.value} degrees drawn at mean degree {lam} on {n} vertices "
+                         "sum past the 64-bit range")
+    return degrees
 
 
 def configuration_graph(degrees: Sequence[int], rng: np.random.Generator) -> MultiGraph:
@@ -341,6 +356,9 @@ def check_family(family: Family, lam: float, n: int) -> None:
             raise ValueError(f"target mean degree must be >= 1, got {lam}")
         if family is Family.CONFIG_LOGNORMAL and lam <= 1.0:
             raise ValueError("lognormal degrees need a target mean degree > 1")
+        if lam * n > INT64_MAX:
+            raise ValueError(f"mean degree {lam} on {n} vertices puts the expected stub total "
+                             "past the 64-bit range")
 
 
 def sample_graph(family: Family, lam: float, n: int, rng: np.random.Generator) -> MultiGraph:
@@ -398,23 +416,36 @@ class _RewireState:
         neighbors of the four pairs before the swap.  The four vertices are
         distinct and (v, w), (a, b) absent, so removing (v, a) leaves C(w, b)
         as it was, and once both are removed the new pairs share
-        C(v, w) - {a, b} and C(a, b) - {v, w}.
+        C(v, w) - {a, b} and C(a, b) - {v, w}; those two sets are cut down in
+        place.  The rows lose a from v, v from a, b from w and w from b, in
+        that order, then gain w at v, v at w, b at a and a at b.
         """
         adj, tri = self.adj, self.tri
         c_va, c_wb, c_vw, c_ab = common
-        for x, y, step, shared in ((v, a, -1, c_va), (w, b, -1, c_wb),
-                                   (v, w, 1, c_vw - {a, b}), (a, b, 1, c_ab - {v, w})):
-            for z in shared:
-                tri[z] += step
-            tri[x] += step * len(shared)
-            tri[y] += step * len(shared)
-            for p, q in ((x, y), (y, x)):
-                row = adj[p]
-                if step < 0:
-                    row[row.index(q)] = row[-1]  # the row's last neighbor fills the freed place
-                    row.pop()
-                else:
-                    row.append(q)
+        c_vw.discard(a)
+        c_vw.discard(b)
+        c_ab.discard(v)
+        c_ab.discard(w)
+        for z in c_va:
+            tri[z] -= 1
+        for z in c_wb:
+            tri[z] -= 1
+        for z in c_vw:
+            tri[z] += 1
+        for z in c_ab:
+            tri[z] += 1
+        tri[v] += len(c_vw) - len(c_va)
+        tri[a] += len(c_ab) - len(c_va)
+        tri[w] += len(c_vw) - len(c_wb)
+        tri[b] += len(c_ab) - len(c_wb)
+        for p, q in ((v, a), (a, v), (w, b), (b, w)):
+            row = adj[p]
+            row[row.index(q)] = row[-1]  # the row's last neighbor fills the freed place
+            row.pop()
+        adj[v].append(w)
+        adj[w].append(v)
+        adj[a].append(b)
+        adj[b].append(a)
 
     def mean_clustering(self) -> float:
         return mean_local_clustering(self.degrees, self.tri)
@@ -467,19 +498,28 @@ def rewire_to_clustering(g: MultiGraph, target: float, rng: np.random.Generator)
             break
         attempts += 1
         u = eligible[int(draw() * len(eligible))]
-        v, w = _pick(adj[u], 2, draw)  # permutes u's row, whose order nothing relies on
-        if w in adj[v]:
+        row = adj[u]  # a partial Fisher-Yates pick of v and w, as _pick(row, 2, draw)
+        m = len(row)
+        j = int(draw() * m)
+        row[0], row[j] = row[j], row[0]
+        j = 1 + int(draw() * (m - 1))
+        row[1], row[j] = row[j], row[1]
+        v, w = row[0], row[1]
+        row_v, row_w = adj[v], adj[w]
+        if w in row_v:
             continue
-        a = adj[v][int(draw() * len(adj[v]))]
-        b = adj[w][int(draw() * len(adj[w]))]
-        if a in (u, w) or b in (u, v) or a == b or b in adj[a]:
+        a = row_v[int(draw() * len(row_v))]
+        b = row_w[int(draw() * len(row_w))]
+        row_a = adj[a]
+        if a in (u, w) or b in (u, v) or a == b or b in row_a:
             continue
         # accept moves whose new pairs share at least as many neighbors as the removed ones
-        lost = state.common(v, a), state.common(w, b)
-        made = state.common(v, w), state.common(a, b)
-        if len(made[0]) + len(made[1]) < len(lost[0]) + len(lost[1]):
+        set_v, set_w = set(row_v), set(row_w)
+        c_va, c_wb = set_v.intersection(row_a), set_w.intersection(adj[b])
+        c_vw, c_ab = set_v.intersection(row_w), set(row_a).intersection(adj[b])
+        if len(c_vw) + len(c_ab) < len(c_va) + len(c_wb):
             continue
-        state.swap(v, a, w, b, lost + made)
+        state.swap(v, a, w, b, (c_va, c_wb, c_vw, c_ab))
         swaps += 1
 
     reached = state.mean_clustering()

@@ -75,6 +75,12 @@ class MultiGraph:
     def degrees(self) -> np.ndarray:
         return self._degrees
 
+    @property
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every neighbor row as CSR ``(offsets, targets)``: v's sorted neighbor
+        occurrences are ``targets[offsets[v]:offsets[v + 1]]``, unchecked."""
+        return self._offsets, self._targets
+
     def neighbor_ids(self, v: int) -> np.ndarray:
         """Neighbor occurrences of v, sorted (a loop lists v twice)."""
         self._check_vertex(v)
@@ -85,7 +91,7 @@ class MultiGraph:
         if len(vertices) and (vertices.min() < 0 or vertices.max() >= self.n):
             raise ValueError(f"vertex out of range for n={self.n}")
         counts = self._degrees[vertices]
-        offsets = np.r_[0, np.cumsum(counts)]
+        offsets = np.concatenate(([0], np.cumsum(counts)))
         shift = np.repeat(self._offsets[vertices] - offsets[:-1], counts)
         return offsets, self._targets[np.arange(offsets[-1]) + shift]
 

@@ -54,6 +54,8 @@ class RdsConfig:
             raise ValueError(f"recruit law probabilities sum to {total}, not 1")
         if not all(isinstance(k, (int, np.integer)) and k >= 0 for k, _ in self.recruit_law):
             raise ValueError(f"recruit counts must be integers >= 0, got {self.recruit_law}")
+        if self.seeds is not None:
+            _vertex_ids(self.seeds, "explicit seeds")
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,6 +163,21 @@ def _sort_within_rows(values: np.ndarray, row: np.ndarray) -> np.ndarray:
     return distinct[key - row * len(distinct)]
 
 
+def _vertex_ids(values: Iterable[int], what: str) -> np.ndarray:
+    """``values`` as an int64 array, converted in one step.  A float or a bool,
+    alone or among ints, is rejected, never truncated."""
+    if isinstance(values, np.ndarray):
+        if values.size and values.dtype.kind not in "iu":
+            raise ValueError(f"{what} must be integers, got {values.dtype} values")
+        return values.astype(np.int64, copy=False)
+    if not isinstance(values, (list, tuple)):
+        values = list(values)
+    for kind in set(map(type, values)):
+        if kind is bool or not issubclass(kind, (int, np.integer)):
+            raise ValueError(f"{what} must be integers, got {kind.__name__} values")
+    return np.fromiter(values, np.int64, len(values))
+
+
 def _has_duplicates(values: np.ndarray) -> bool:
     """Whether two of ``values`` are equal, by a sort (``np.unique`` without arguments hashes, which is slower)."""
     ascending = np.sort(values)
@@ -222,15 +239,12 @@ def _count(s: Sample) -> Counts:
     change = np.ones(len(alters), dtype=bool)
     change[1:] = (row[1:] != row[:-1]) | (alters[1:] != alters[:-1])
     starts = np.flatnonzero(change)
-    mult = np.diff(np.r_[starts, len(alters)])
+    mult = np.diff(np.concatenate((starts, [len(alters)])))
     pair_row, pair_code = row[starts], alters[starts]
     # look every pair's code up among the subject codes; misses match nothing
     by_code = np.argsort(s.codes, kind="stable")
     codes, code_start, code_count = np.unique(s.codes[by_code], return_index=True, return_counts=True)
-    # sorted queries make searchsorted cheaper; the indices are scattered back to pair order
-    by_pair = np.argsort(pair_code)
-    j = np.empty(len(pair_code), dtype=np.intp)
-    j[by_pair] = np.minimum(np.searchsorted(codes, pair_code[by_pair]), len(codes) - 1)
+    j = _lookup(codes, pair_code)
     hit = np.flatnonzero(codes[j] == pair_code)
     pair_row, mult, j = pair_row[hit], mult[hit], j[hit]
     # expand each matched pair over the subjects that carry its code
@@ -264,30 +278,60 @@ def _count(s: Sample) -> Counts:
     )
 
 
+_TABLE_MIN = 1 << 16   # a code table of up to this many entries (512 KB) is always allowed
+_TABLE_PER_QUERY = 8   # and one of up to this many entries per query (64 bytes)
+
+
+def _lookup(codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """An index into the sorted distinct ``codes`` for each query: the query's
+    own place when ``codes`` holds it, some valid index otherwise.
+
+    Codes that span few values are looked up in a table indexed by
+    ``code - codes[0]``; others by ``searchsorted`` on sorted queries, whose
+    indices are scattered back to query order.  Spans are Python ints, as
+    codes may sit at both ends of the int64 range.
+    """
+    if not len(codes) or not len(queries):
+        return np.zeros(len(queries), dtype=np.intp)
+    low, high = int(codes[0]), int(codes[-1])
+    span = high - low + 1
+    if span <= max(_TABLE_MIN, _TABLE_PER_QUERY * len(queries)):
+        table = np.zeros(span, dtype=np.intp)
+        table[codes - low] = np.arange(len(codes))
+        return table[np.clip(queries, low, high) - low]
+    by_query = np.argsort(queries)
+    j = np.empty(len(queries), dtype=np.intp)
+    j[by_query] = np.minimum(np.searchsorted(codes, queries[by_query]), len(codes) - 1)
+    return j
+
+
 def uniform_sample(g: MultiGraph, r: int, rng: np.random.Generator) -> tuple[int, ...]:
     """A uniformly random r-subset of the vertices, without replacement."""
     if not 0 <= r <= g.n:
         raise ValueError(f"cannot sample {r} vertices from {g.n}")
     if r == 0:
         return ()
-    return tuple(int(v) for v in rng.choice(g.n, size=r, replace=False))
+    return tuple(rng.choice(g.n, size=r, replace=False).tolist())
 
 
 def _plaintext_sample(g: MultiGraph, vertices: np.ndarray, components, recruiters: np.ndarray) -> Sample:
     """The sample of ``vertices`` in discovery order.  Each subject's alters are its neighbor
-    occurrences less one per referral edge at it; ``g``'s rows are sorted, so the keys ascend.
-    The referral keys are distinct and each occurs in ``keys`` (a row's recruits are distinct,
-    and its recruiter was discovered before any of them), so one lookup finds each to drop."""
+    occurrences less one per referral edge at it; ``g``'s rows are sorted, so the keys
+    ``row * n + target`` ascend.  The referral keys are distinct and each occurs in ``keys``
+    (a row's recruits are distinct, and its recruiter was discovered before any of them), so
+    one lookup of the sorted referral keys finds each to drop, and each row's offset moves
+    back by the referral edges at the rows before it."""
     offsets, targets = g.neighbor_lists(vertices)
     keys = np.repeat(np.arange(len(vertices)), np.diff(offsets)) * g.n + targets
     recruit = np.flatnonzero(recruiters >= 0)
     rec = recruiters[recruit]
-    used = np.r_[rec * g.n + vertices[recruit], recruit * g.n + vertices[rec]]
-    keys = np.delete(keys, np.searchsorted(keys, used))
-    rows, alters = np.divmod(keys, g.n)
-    offsets = np.r_[0, np.cumsum(np.bincount(rows, minlength=len(vertices)))]
-    return Sample(codes=vertices, degrees=g.degrees()[vertices], alter_codes=alters,
-                  components=components, recruiters=recruiters, alter_offsets=offsets)
+    used = np.concatenate((rec * g.n + vertices[recruit], recruit * g.n + vertices[rec]))
+    keep = np.ones(len(keys), dtype=bool)
+    keep[np.searchsorted(keys, np.sort(used))] = False
+    dropped = np.bincount(np.concatenate((rec, recruit)), minlength=len(vertices))
+    return Sample(codes=vertices, degrees=g.degrees()[vertices], alter_codes=targets[keep],
+                  components=components, recruiters=recruiters,
+                  alter_offsets=offsets - np.concatenate(([0], np.cumsum(dropped))))
 
 
 def as_sample_view(g: MultiGraph, subjects: Iterable[int]) -> Sample:
@@ -296,7 +340,7 @@ def as_sample_view(g: MultiGraph, subjects: Iterable[int]) -> Sample:
     Every subject reports their full neighbor bag, which is what the
     uniform-sampling estimator consumes.
     """
-    vertices = np.array([int(v) for v in subjects], dtype=np.int64)
+    vertices = _vertex_ids(subjects, "subjects")
     if _has_duplicates(vertices):
         raise ValueError("subjects must be distinct")
     return _plaintext_sample(g, vertices, np.arange(len(vertices)), np.full(len(vertices), -1))
@@ -395,36 +439,52 @@ def rds_capture(g: MultiGraph, cfg: RdsConfig, rng: np.random.Generator) -> Samp
     recruiters: list[int] = []  # the recruiter's row; -1 marks a seed, which opens a new component
     frontier: list[int] = []
     new_component = itertools.count()
+    law = cfg.recruit_law
+    offsets, targets = g.adjacency
 
-    def enroll(subjects: Sequence[int], recruiter: int) -> None:
-        for v in subjects:
-            row_of[v] = len(order)
-            order.append(v)
-            components.append(next(new_component) if recruiter < 0 else components[recruiter])
-            recruiters.append(recruiter)
-            frontier.append(v)
+    def enroll_seed(v: int) -> None:
+        row_of[v] = len(order)
+        order.append(v)
+        components.append(next(new_component))
+        recruiters.append(-1)
+        frontier.append(v)
 
     if cfg.seeds is not None:
-        enroll(seeds, -1)
+        for v in seeds:
+            enroll_seed(v)
     else:
         for _ in range(cfg.num_seeds):
-            enroll([_draw_fresh_seed(g, row_of, draw)], -1)
+            enroll_seed(_draw_fresh_seed(g, row_of, draw))
 
     while len(order) < r:
         if not frontier:
-            enroll([_draw_fresh_seed(g, row_of, draw)], -1)
+            enroll_seed(_draw_fresh_seed(g, row_of, draw))
             continue
         idx = int(draw() * len(frontier))
         x = frontier[idx]
         frontier[idx] = frontier[-1]
         frontier.pop()
 
-        ids = g.neighbor_ids(x).tolist()  # sorted: a repeated neighbor follows its first occurrence
-        candidates = [w for w, prev in zip(ids, [-1] + ids) if w != prev and row_of[w] < 0]
+        # x's row is sorted, so a repeated neighbor follows its first occurrence
+        candidates = []
+        prev = -1
+        for w in targets[offsets[x]:offsets[x + 1]].tolist():
+            if w != prev and row_of[w] < 0:
+                candidates.append(w)
+            prev = w
         if candidates:
             m = len(candidates)
-            k = min(_draw_recruit_count(cfg.recruit_law, draw()), m)
-            enroll(candidates if k == m else _pick(candidates, k, draw), row_of[x])
+            k = min(_draw_recruit_count(law, draw()), m)
+            if k < m:
+                candidates = _pick(candidates, k, draw)
+            recruiter = row_of[x]
+            component = components[recruiter]
+            for v in candidates:
+                row_of[v] = len(order)
+                order.append(v)
+                components.append(component)
+                recruiters.append(recruiter)
+                frontier.append(v)
 
     return _plaintext_sample(g, np.array(order, dtype=np.int64), components,
                              np.array(recruiters, dtype=np.int64))

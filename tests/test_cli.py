@@ -390,3 +390,35 @@ def test_a_memory_error_becomes_an_error_line(capsys, monkeypatch, exc, message)
     assert main(["generate", "--family", "poisson", "--lambda", "3", "--n", "1000"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == message
+
+
+@pytest.mark.parametrize("text, option, fault", [
+    ("0 1\n1 2\n2 2\n", "--drop-loops", "a loop-free graph"),
+    ("0 1\n1 2\n2 1\n", "--dedupe", "a graph without parallel edges"),
+])
+def test_stats_on_a_graph_with_loops_or_parallel_edges_names_the_file_and_the_option(
+        tmp_path, capsys, text, option, fault):
+    path = tmp_path / "g.txt"
+    path.write_text(text)
+    assert main(["stats", "--edges", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "kept 3 nodes / 3 edges" in captured.out
+    assert captured.err == f"error: {path}: clustering statistics need {fault}; read it with {option}\n"
+    assert main(["stats", "--edges", str(path), option]) == 0
+
+
+def test_stats_names_drop_loops_on_a_generated_configuration_graph(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    assert main(["generate", "--family", "poisson", "--lambda", "4", "--n", "300", "--out", str(path)]) == 0
+    assert main(["stats", "--edges", str(path)]) == 1
+    assert capsys.readouterr().err.endswith("; read it with --drop-loops\n")
+    assert main(["stats", "--edges", str(path), "--drop-loops", "--dedupe"]) == 0
+
+
+@pytest.mark.parametrize("family", ["lognormal", "poisson", "exponential"])
+def test_generate_rejects_a_mean_degree_whose_stubs_overflow(capsys, family):
+    assert main(["generate", "--family", family, "--lambda", "1e300", "--n", "6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: mean degree 1e+300 on 6 vertices puts the expected stub total "
+                            "past the 64-bit range\n")

@@ -23,7 +23,7 @@ from netsize.generators import (
     sample_degrees,
     sample_graph,
 )
-from netsize.graph import MultiGraph, mean_local_clustering, triangle_counts
+from netsize.graph import INT64_MAX, MultiGraph, mean_local_clustering, triangle_counts
 from test_sampling import CountingGenerator, ScalarUniforms, counting_uniforms
 
 
@@ -794,3 +794,77 @@ def test_a_rewired_graph_lists_its_edges_in_lexsort_order():
     want = _lexsorted_edges(states[0])
     assert _layout(states[0].edge_array()) == _layout(want)
     assert rewired.edge_array.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family", ["lognormal", "poisson", "exponential"])
+@pytest.mark.parametrize("lam, n", [(1e300, 6), (1e19, 1), (4e18, 3)])
+def test_a_configuration_family_rejects_a_mean_degree_past_the_int64_stub_total(family, lam, n):
+    message = f"mean degree {lam} on {n} vertices puts the expected stub total past the 64-bit range"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        check_family(Family(family), lam, n)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        sample_graph(Family(family), lam, n, np.random.default_rng(0))
+    check_family(Family(family), 1e18, 9)  # 9e18 stubs fit
+
+
+class _FixedDraws:
+    """A generator stand-in whose draws are given values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def poisson(self, *args, **kwargs):
+        return np.asarray(self.values, dtype=np.int64)
+
+    def exponential(self, *args, **kwargs):
+        return np.asarray(self.values, dtype=np.float64)
+
+    lognormal = exponential
+
+
+@pytest.mark.parametrize("family, draws", [
+    ("poisson", [3, INT64_MAX]),            # 1 + X wraps
+    ("exponential", [2.0, 9.3e18]),         # past 2**63 once rounded
+    ("exponential", [2.0, 2.0**63 - 1.5]),  # rounds to 2**63
+    ("lognormal", [float("inf"), 2.0]),
+    ("lognormal", [float("nan"), 2.0]),
+])
+def test_sample_degrees_rejects_a_draw_past_int64(family, draws):
+    message = f"a degree drawn for the {family} family at mean degree 2.0 does not fit in 64 bits"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        sample_degrees(Family(family), 2.0, len(draws), _FixedDraws(draws))
+
+
+@pytest.mark.parametrize("family, draws", [
+    ("poisson", [INT64_MAX // 2, INT64_MAX // 2, 5]),
+    ("exponential", [5e18, 5e18, 1.0]),
+    ("lognormal", [5e18, 5e18, 1.0]),
+])
+def test_sample_degrees_rejects_degrees_that_sum_past_int64(family, draws):
+    message = f"{family} degrees drawn at mean degree 2.0 on 3 vertices sum past the 64-bit range"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        sample_degrees(Family(family), 2.0, 3, _FixedDraws(draws))
+
+
+def test_degrees_that_just_fit_are_kept():
+    assert sample_degrees(Family.CONFIG_POISSON, 2.0, 1, _FixedDraws([INT64_MAX - 1])).tolist() == [INT64_MAX]
+    assert sample_degrees(Family.CONFIG_EXPONENTIAL, 2.0, 2, _FixedDraws([2.0**40, 0.2])).tolist() == [
+        2**40 + 1, 1]
+
+
+def test_huge_means_that_pass_the_bound_draw_or_fail_cleanly():
+    # n * lam fits, yet the draws may not: numpy's Poisson refuses a mean this close to 2**63,
+    # and an exponential draw passes 2**63 with probability exp(-1.02)
+    with pytest.raises(ValueError, match="^a degree drawn for the poisson family at mean degree 9.223372036854774e\\+18 "):
+        sample_degrees(Family.CONFIG_POISSON, float(2**63 - 2048), 1, np.random.default_rng(0))
+    outcomes = set()
+    for seed in range(12):
+        try:
+            degrees = sample_degrees(Family.CONFIG_EXPONENTIAL, 9e18, 1, np.random.default_rng(seed))
+        except ValueError as exc:
+            assert str(exc) == "a degree drawn for the exponential family at mean degree 9e+18 does not fit in 64 bits"
+            outcomes.add("rejected")
+        else:
+            assert 1 <= degrees[0] <= INT64_MAX
+            outcomes.add("kept")
+    assert outcomes == {"rejected", "kept"}

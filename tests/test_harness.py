@@ -499,3 +499,12 @@ def test_a_byte_order_mark_reads_as_the_same_plan(tmp_path):
     path = tmp_path / "exported.plan"
     path.write_bytes(b"\xef\xbb\xbf" + text.encode())
     assert load_plan(path) == parse_plan(text)
+
+
+@pytest.mark.parametrize("family", ["lognormal", "poisson", "exponential"])
+def test_a_plan_blames_its_lambdas_line_for_a_mean_degree_whose_stubs_overflow(family):
+    message = (f"{family} graphs on 6 vertices: mean degree 1e+300 on 6 vertices puts the expected "
+               "stub total past the 64-bit range")
+    text = f"families = {family}\nlambdas = 3, 1e300\nsizes = 6\nr = 2\nestimators = n1\n"
+    with pytest.raises(ValueError, match="^" + re.escape("plan line 2: lambdas: " + message) + "$"):
+        parse_plan(text)
