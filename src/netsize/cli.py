@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .estimators import estimate_n1_from_view, estimate_n2, estimate_n3
 from .generators import Family, sample_graph
+from .graph import NotSimpleError
 from .harness import ESTIMATORS, load_plan, raw_csv_lines, run_plan, summary_csv_lines, write_csv
 from .hashing import (
     HashMode,
@@ -162,8 +163,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     print(report.describe())
     try:
         avg, trans = clustering_stats(g)
-    except ValueError as exc:  # a loop or a parallel edge: name the file and the option that drops it
-        option = "--drop-loops" if "loop-free" in str(exc) else "--dedupe"
+    except NotSimpleError as exc:  # name the file and the option that drops the fault
+        option = "--drop-loops" if exc.loop else "--dedupe"
         raise ValueError(f"{args.edges}: {exc}; read it with {option}") from None
     print(f"average_clustering={avg:.6f} transitivity={trans:.6f}")
     return 0

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import INT64_MAX, MAX_VERTICES, MultiGraph, mean_local_clustering, triangle_counts
-from .sampling import _degree_sums_fit, _uniforms
+from .sampling import _degree_sums_fit, _pick, _uniforms
 
 _log = logging.getLogger("netsize")
 
@@ -498,13 +498,7 @@ def rewire_to_clustering(g: MultiGraph, target: float, rng: np.random.Generator)
             break
         attempts += 1
         u = eligible[int(draw() * len(eligible))]
-        row = adj[u]  # a partial Fisher-Yates pick of v and w, as _pick(row, 2, draw)
-        m = len(row)
-        j = int(draw() * m)
-        row[0], row[j] = row[j], row[0]
-        j = 1 + int(draw() * (m - 1))
-        row[1], row[j] = row[j], row[1]
-        v, w = row[0], row[1]
+        v, w = _pick(adj[u], 2, draw)  # permutes u's row, whose order nothing relies on
         row_v, row_w = adj[v], adj[w]
         if w in row_v:
             continue

@@ -10,6 +10,7 @@ X(s, F) that only count encounters between different referral components.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -20,6 +21,37 @@ from .multiset import Multiset, mintersect
 Edge = tuple[int, int]
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 MAX_VERTICES = 3_037_000_499  # isqrt(INT64_MAX): keys source * n + target fit in int64
+
+
+def vertex_ids(values: Iterable | np.ndarray, what: str) -> np.ndarray:
+    """``values``, an integer array or a (nested) sequence of ints, as an int64
+    array of its shape, converted in one step.  A float or a bool, alone or
+    among ints, is rejected, never truncated: ``np.asarray`` makes ``[True, 2]``
+    an int array, so a sequence's element types are checked as well."""
+    if not isinstance(values, (np.ndarray, list, tuple)):
+        values = list(values)
+    arr = np.asarray(values)
+    if not arr.size:
+        return arr.astype(np.int64)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got {arr.dtype} values")
+    if not isinstance(values, np.ndarray):
+        items = values
+        for _ in range(arr.ndim - 1):
+            items = itertools.chain.from_iterable(items)
+        if any(issubclass(kind, (bool, np.bool_)) for kind in set(map(type, items))):
+            raise ValueError(f"{what} must be integers, got bool values")
+    if arr.dtype == np.uint64 and arr.max() > INT64_MAX:
+        raise ValueError(f"{what} must fit in int64")
+    return arr.astype(np.int64, copy=False)
+
+
+class NotSimpleError(ValueError):
+    """A loop or a parallel edge where a simple graph is needed; ``loop`` tells which."""
+
+    def __init__(self, message: str, loop: bool):
+        super().__init__(message)
+        self.loop = loop
 
 
 class MultiGraph:
@@ -37,14 +69,9 @@ class MultiGraph:
         if n > MAX_VERTICES:
             raise ValueError(f"multigraphs need n <= {MAX_VERTICES}, got {n}")
         self.n = n
-        if not isinstance(edges, np.ndarray):
-            edges = list(edges)
-        arr = np.asarray(edges)
+        arr = vertex_ids(edges, "edge endpoints")
         if arr.size == 0:
             arr = arr.reshape(0, 2)
-        elif arr.dtype.kind not in "iu":  # never truncate a fractional endpoint
-            raise ValueError(f"edge endpoints must be integers, got {arr.dtype} values")
-        arr = arr.astype(np.int64, copy=False)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("edges must be (u, v) pairs")
         if arr.size and (arr.min() < 0 or arr.max() >= n):
@@ -120,8 +147,8 @@ def triangle_counts(n: int, edges: np.ndarray) -> np.ndarray:
     first_fault = np.r_[np.flatnonzero(u == v), repeats, len(u)].min()
     if first_fault < len(u):
         if u[first_fault] == v[first_fault]:
-            raise ValueError("clustering statistics need a loop-free graph")
-        raise ValueError("clustering statistics need a graph without parallel edges")
+            raise NotSimpleError("clustering statistics need a loop-free graph", loop=True)
+        raise NotSimpleError("clustering statistics need a graph without parallel edges", loop=False)
 
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(np.bincount(edges.ravel(), minlength=n), kind="stable")] = np.arange(n)

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graph import INT64_MAX, INT64_MIN, MultiGraph, ReferralForest
+from .graph import INT64_MAX, INT64_MIN, MultiGraph, ReferralForest, vertex_ids
 from .ingest import comment_lines, open_text
 from .multiset import Multiset
 
@@ -54,8 +54,8 @@ class RdsConfig:
             raise ValueError(f"recruit law probabilities sum to {total}, not 1")
         if not all(isinstance(k, (int, np.integer)) and k >= 0 for k, _ in self.recruit_law):
             raise ValueError(f"recruit counts must be integers >= 0, got {self.recruit_law}")
-        if self.seeds is not None:
-            _vertex_ids(self.seeds, "explicit seeds")
+        if self.seeds is not None:  # stored converted, so a one-shot iterable is read once
+            object.__setattr__(self, "seeds", tuple(_flat_ids(self.seeds, "explicit seeds").tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,19 +163,12 @@ def _sort_within_rows(values: np.ndarray, row: np.ndarray) -> np.ndarray:
     return distinct[key - row * len(distinct)]
 
 
-def _vertex_ids(values: Iterable[int], what: str) -> np.ndarray:
-    """``values`` as an int64 array, converted in one step.  A float or a bool,
-    alone or among ints, is rejected, never truncated."""
-    if isinstance(values, np.ndarray):
-        if values.size and values.dtype.kind not in "iu":
-            raise ValueError(f"{what} must be integers, got {values.dtype} values")
-        return values.astype(np.int64, copy=False)
-    if not isinstance(values, (list, tuple)):
-        values = list(values)
-    for kind in set(map(type, values)):
-        if kind is bool or not issubclass(kind, (int, np.integer)):
-            raise ValueError(f"{what} must be integers, got {kind.__name__} values")
-    return np.fromiter(values, np.int64, len(values))
+def _flat_ids(values: Iterable[int], what: str) -> np.ndarray:
+    """``values`` as a 1-D int64 array, checked by ``vertex_ids``."""
+    ids = vertex_ids(values, what)
+    if ids.ndim != 1:
+        raise ValueError(f"{what} must be a flat sequence of ints")
+    return ids
 
 
 def _has_duplicates(values: np.ndarray) -> bool:
@@ -278,8 +271,7 @@ def _count(s: Sample) -> Counts:
     )
 
 
-_TABLE_MIN = 1 << 16   # a code table of up to this many entries (512 KB) is always allowed
-_TABLE_PER_QUERY = 8   # and one of up to this many entries per query (64 bytes)
+_TABLE_MIN = 1 << 16  # codes spanning at most this many values use a code table (512 KB)
 
 
 def _lookup(codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -295,7 +287,7 @@ def _lookup(codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
         return np.zeros(len(queries), dtype=np.intp)
     low, high = int(codes[0]), int(codes[-1])
     span = high - low + 1
-    if span <= max(_TABLE_MIN, _TABLE_PER_QUERY * len(queries)):
+    if span <= _TABLE_MIN:
         table = np.zeros(span, dtype=np.intp)
         table[codes - low] = np.arange(len(codes))
         return table[np.clip(queries, low, high) - low]
@@ -340,7 +332,7 @@ def as_sample_view(g: MultiGraph, subjects: Iterable[int]) -> Sample:
     Every subject reports their full neighbor bag, which is what the
     uniform-sampling estimator consumes.
     """
-    vertices = _vertex_ids(subjects, "subjects")
+    vertices = _flat_ids(subjects, "subjects")
     if _has_duplicates(vertices):
         raise ValueError("subjects must be distinct")
     return _plaintext_sample(g, vertices, np.arange(len(vertices)), np.full(len(vertices), -1))
@@ -423,7 +415,7 @@ def rds_capture(g: MultiGraph, cfg: RdsConfig, rng: np.random.Generator) -> Samp
         raise ValueError(f"target size {r} exceeds population {n}")
 
     if cfg.seeds is not None:
-        seeds = [int(v) for v in cfg.seeds]
+        seeds = list(cfg.seeds)
         if len(set(seeds)) != len(seeds):
             raise ValueError("explicit seeds must be distinct")
         if len(seeds) != cfg.num_seeds:

@@ -422,3 +422,22 @@ def test_generate_rejects_a_mean_degree_whose_stubs_overflow(capsys, family):
     assert captured.out == ""
     assert captured.err == ("error: mean degree 1e+300 on 6 vertices puts the expected stub total "
                             "past the 64-bit range\n")
+
+
+def test_stats_takes_the_option_from_the_fault_not_its_wording(tmp_path, capsys, monkeypatch):
+    from netsize import graph, ingest
+
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n1 2\n")
+    for loop, option in ((True, "--drop-loops"), (False, "--dedupe")):
+        def reworded(n, edges, loop=loop):
+            raise graph.NotSimpleError("reworded", loop=loop)
+        monkeypatch.setattr(ingest, "triangle_counts", reworded)
+        assert main(["stats", "--edges", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: reworded; read it with {option}\n"
+
+    def other(n, edges):
+        raise ValueError("some other fault")
+    monkeypatch.setattr(ingest, "triangle_counts", other)
+    assert main(["stats", "--edges", str(path)]) == 1
+    assert capsys.readouterr().err == "error: some other fault\n"

@@ -160,7 +160,7 @@ def _counts_on_both_paths(sample):
     """The counts of ``sample`` with the lookup forced onto the table, and onto the search."""
     with mock.patch.object(sampling, "_TABLE_MIN", 2**62):
         table = sampling._count(sample)
-    with mock.patch.object(sampling, "_TABLE_MIN", 0), mock.patch.object(sampling, "_TABLE_PER_QUERY", 0):
+    with mock.patch.object(sampling, "_TABLE_MIN", 0):
         search = sampling._count(sample)
     return table, search
 
@@ -195,12 +195,10 @@ def test_the_lookup_uses_the_table_up_to_its_bound():
     # a miss names some valid index, and the two paths name different ones:
     # the table reads the entry of the clipped query, the search its insertion point
     codes, queries = np.array([0, 9], dtype=np.int64), np.array([5, 9, -3, 12], dtype=np.int64)
-    with mock.patch.object(sampling, "_TABLE_MIN", 10), mock.patch.object(sampling, "_TABLE_PER_QUERY", 0):
+    with mock.patch.object(sampling, "_TABLE_MIN", 10):
         assert sampling._lookup(codes, queries).tolist() == [0, 1, 0, 1]  # span 10: the table
-    with mock.patch.object(sampling, "_TABLE_MIN", 9), mock.patch.object(sampling, "_TABLE_PER_QUERY", 0):
+    with mock.patch.object(sampling, "_TABLE_MIN", 9):
         assert sampling._lookup(codes, queries).tolist() == [1, 1, 0, 1]  # one past the bound: the search
-    with mock.patch.object(sampling, "_TABLE_MIN", 0), mock.patch.object(sampling, "_TABLE_PER_QUERY", 2):
-        assert sampling._lookup(codes, np.repeat(queries, 2)).tolist()[::2] == [0, 1, 0, 1]  # 8 queries
     assert sampling._lookup(codes, queries[:0]).tolist() == []
 
 
@@ -248,9 +246,9 @@ def test_a_uniform_view_reads_lists_tuples_ranges_and_arrays_alike():
 
 
 @pytest.mark.parametrize("subjects, kind", [
-    ([1.5, 2.9, 7], "float"), ([1.0, 2], "float"), ([True], "bool"), ([True, 2], "bool"),
+    ([1.5, 2.9, 7], "float64"), ([1.0, 2], "float64"), ([True], "bool"), ([True, 2], "bool"),
     ([np.True_, 2], "bool"), (np.array([1.5, 3.0]), "float64"), (np.array([True]), "bool"),
-    (["1", 2], "str"),
+    (["1", 2], "<U21"), ([2**64], "object"),
 ])
 def test_a_uniform_view_rejects_non_integer_subjects(subjects, kind):
     g = MultiGraph(10, [(0, 1), (1, 2)])
@@ -258,11 +256,50 @@ def test_a_uniform_view_rejects_non_integer_subjects(subjects, kind):
         as_sample_view(g, subjects)
 
 
-@pytest.mark.parametrize("seeds, kind", [((1.5, 3), "float"), ((True,), "bool"), ((True, 3), "bool"),
+@pytest.mark.parametrize("seeds, kind", [((1.5, 3), "float64"), ((True,), "bool"), ((True, 3), "bool"),
                                          ((np.float64(2.0), 3), "float64")])
 def test_explicit_seeds_must_be_integers(seeds, kind):
     with pytest.raises(ValueError, match=f"^explicit seeds must be integers, got {kind} values$"):
         RdsConfig(target_size=5, num_seeds=len(seeds), seeds=seeds)
+
+
+@pytest.mark.parametrize("ids", [[2**63], np.array([2**63], dtype=np.uint64)])
+def test_ids_past_int64_are_rejected_not_wrapped(ids):
+    with pytest.raises(ValueError, match="^subjects must fit in int64$"):
+        as_sample_view(MultiGraph(10, []), ids)
+    with pytest.raises(ValueError, match="^explicit seeds must fit in int64$"):
+        RdsConfig(target_size=5, num_seeds=1, seeds=ids)
+    with pytest.raises(ValueError, match="^edge endpoints must fit in int64$"):
+        MultiGraph(10, [(ids[0], ids[0])])
+
+
+@pytest.mark.parametrize("ids", [[(1, 2)], [[3], [4]], np.array([[1, 2]]), np.array(3)])
+def test_subjects_and_seeds_must_be_flat(ids):
+    with pytest.raises(ValueError, match="^subjects must be a flat sequence of ints$"):
+        as_sample_view(MultiGraph(10, []), ids)
+    with pytest.raises(ValueError, match="^explicit seeds must be a flat sequence of ints$"):
+        RdsConfig(target_size=5, num_seeds=1, seeds=ids)
+
+
+@pytest.mark.parametrize("edges", [[(0, True)], [(np.True_, 2)], ((1, 2), (False, 0)), iter([(0, 1), (True, 2)])])
+def test_a_multigraph_rejects_a_bool_endpoint_next_to_ints(edges):
+    with pytest.raises(ValueError, match="^edge endpoints must be integers, got bool values$"):
+        MultiGraph(3, edges)
+
+
+def test_a_multigraph_reads_pair_lists_of_any_integer_type():
+    g = MultiGraph(3, [(0, 1), (1, 2)])
+    for edges in ([(np.int64(0), 1), (1, np.uint8(2))], list(g.edge_array), iter([[0, 1], [1, 2]])):
+        assert MultiGraph(3, edges).edge_array.tobytes() == g.edge_array.tobytes()
+
+
+def test_explicit_seeds_are_kept_as_a_tuple_of_python_ints():
+    g = MultiGraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    for seeds in (iter([3, 5]), [3, 5], (np.int64(3), np.uint8(5)), np.array([3, 5]), range(3, 6, 2)):
+        cfg = RdsConfig(target_size=6, num_seeds=2, seeds=seeds)
+        assert cfg.seeds == (3, 5) and all(type(v) is int for v in cfg.seeds)
+        sample = rds_capture(g, cfg, np.random.default_rng(0))  # a one-shot iterable is not used up
+        assert sample.codes[:2].tolist() == [3, 5]
 
 
 def test_integer_seeds_of_any_integer_type_still_work():
