@@ -32,7 +32,7 @@ from .hashing import (
     estimate_n3_hashed,
     hashed_view,
 )
-from .ingest import EdgeListSpec, clustering_stats, load_edge_list, write_edge_list, write_edges
+from .ingest import EdgeListSpec, clustering_stats, load_edge_list, open_written, write_edge_list, write_edges
 from .sampling import (
     RdsConfig,
     as_sample_view,
@@ -149,7 +149,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         write_edge_list(g, args.out, comments=[f"normalized from {args.edges}"])
         print(f"wrote normalized edge list to {args.out}")
     if args.id_map:
-        with open(args.id_map, "w") as fh:
+        with open_written(args.id_map) as fh:
             fh.write("# original_id new_id\n")
             for orig, new in sorted(id_map.items()):
                 fh.write(f"{orig} {new}\n")

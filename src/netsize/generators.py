@@ -14,7 +14,6 @@ self-loops; that is intentional and the estimators cope.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from enum import Enum
 from typing import Sequence
@@ -23,8 +22,6 @@ import numpy as np
 
 from .graph import INT64_MAX, MAX_VERTICES, MultiGraph, mean_local_clustering, triangle_counts
 from .sampling import _degree_sums_fit, _pick, _uniforms
-
-_log = logging.getLogger("netsize")
 
 
 def sample_degrees(family: Family, lam: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -518,6 +515,9 @@ def rewire_to_clustering(g: MultiGraph, target: float, rng: np.random.Generator)
 
     reached = state.mean_clustering()
     if reached < target:
-        _log.warning("rewiring stopped at mean clustering %.6g, short of the target %.6g, "
-                     "after %d swaps in %d attempts", reached, target, swaps, attempts)
+        import logging  # the one log line: importing netsize loads no logging
+
+        logging.getLogger("netsize").warning(
+            "rewiring stopped at mean clustering %.6g, short of the target %.6g, after %d swaps in %d attempts",
+            reached, target, swaps, attempts)
     return MultiGraph(n, state.edge_array())

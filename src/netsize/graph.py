@@ -27,20 +27,26 @@ def vertex_ids(values: Iterable | np.ndarray, what: str) -> np.ndarray:
     """``values``, an integer array or a (nested) sequence of ints, as an int64
     array of its shape, converted in one step.  A float or a bool, alone or
     among ints, is rejected, never truncated: ``np.asarray`` makes ``[True, 2]``
-    an int array, so a sequence's element types are checked as well."""
+    an int array, so a sequence's element types are checked as well.  Ints
+    past the int64 range, which ``np.asarray`` turns into float or object
+    values, are named as such."""
     if not isinstance(values, (np.ndarray, list, tuple)):
         values = list(values)
     arr = np.asarray(values)
     if not arr.size:
         return arr.astype(np.int64)
-    if arr.dtype.kind not in "iu":
-        raise ValueError(f"{what} must be integers, got {arr.dtype} values")
+    kinds = set()
     if not isinstance(values, np.ndarray):
         items = values
         for _ in range(arr.ndim - 1):
             items = itertools.chain.from_iterable(items)
-        if any(issubclass(kind, (bool, np.bool_)) for kind in set(map(type, items))):
-            raise ValueError(f"{what} must be integers, got bool values")
+        kinds = set(map(type, items))
+    if arr.dtype.kind not in "iu":
+        if kinds and all(issubclass(kind, (int, np.integer)) and kind is not bool for kind in kinds):
+            raise ValueError(f"{what} must fit in int64")
+        raise ValueError(f"{what} must be integers, got {arr.dtype} values")
+    if any(issubclass(kind, (bool, np.bool_)) for kind in kinds):
+        raise ValueError(f"{what} must be integers, got bool values")
     if arr.dtype == np.uint64 and arr.max() > INT64_MAX:
         raise ValueError(f"{what} must fit in int64")
     return arr.astype(np.int64, copy=False)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -26,7 +25,7 @@ import numpy as np
 from .estimators import EstimateResult, _check_omega, estimate_n1_from_view, estimate_n2, estimate_n3
 from .generators import Family, check_family, check_size, sample_graph
 from .hashing import HashMode, HashSpace, assign_hashes, estimate_n2_hashed, estimate_n3_hashed, hashed_view
-from .ingest import open_text
+from .ingest import open_text, open_written
 from .sampling import RdsConfig, as_sample_view, rds_capture, uniform_sample
 
 # name -> (its function's name in this module, the sample it reads: "uniform",
@@ -256,6 +255,8 @@ def run_plan(plan: ExperimentPlan, workers: int = 1) -> tuple[list[RawRow], list
     if workers == 1 or len(tasks) == 1:
         per_task = [_run_graph_task(task) for task in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # importing netsize loads no multiprocessing
+
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             per_task = list(pool.map(_run_graph_task, tasks, chunksize=1))
     raw: list[RawRow] = [row for rows in per_task for row in rows]
@@ -318,7 +319,7 @@ def summary_csv_lines(rows: Iterable[SummaryRow]) -> list[str]:
 
 
 def write_csv(lines: Sequence[str], path) -> None:
-    with open(path, "w") as fh:
+    with open_written(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -66,6 +66,13 @@ def open_text(path, where: str = "{path}:{line}", newline: Optional[str] = None)
                          f"is not UTF-8 ({exc.reason})") from None
 
 
+def open_written(path, newline: Optional[str] = None) -> TextIO:
+    """``path`` opened to write UTF-8 text whatever the locale, as every reader
+    decodes UTF-8.  A lone surrogate, which is how ``sys.argv`` carries a byte
+    of a path that the locale cannot decode, is written back as that byte."""
+    return open(path, "w", encoding="utf-8", errors="surrogateescape", newline=newline)
+
+
 _EDGE_BYTES = b"0123456789- \t\n"  # every byte the numpy parse takes outside a comment line
 
 
@@ -190,7 +197,7 @@ def comment_lines(text: str) -> list[str]:
 
 def write_edge_list(g: MultiGraph, path: str | Path, comments: list[str] | None = None) -> None:
     """Emit "u v" per line with optional leading # comments."""
-    with open(path, "w") as fh:
+    with open_written(path) as fh:
         for comment in comments or []:
             fh.writelines(line + "\n" for line in comment_lines(comment))
         write_edges(g, fh)

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .graph import INT64_MAX, INT64_MIN, MultiGraph, ReferralForest, vertex_ids
-from .ingest import comment_lines, open_text
+from .ingest import comment_lines, open_text, open_written
 from .multiset import Multiset
 
 DEFAULT_RECRUIT_LAW = ((2, 0.9), (1, 0.1))
@@ -98,15 +98,17 @@ class Sample:
         # neighbors are compared, not subtracted: a difference of int64 values can wrap
         offsets, alters = self.alter_offsets, self.alter_codes
         if len(offsets) != k + 1 or offsets[0] != 0 or offsets[-1] != len(alters) \
-                or np.any(offsets[1:] < offsets[:-1]):
+                or (offsets[1:] < offsets[:-1]).any():
             raise ValueError("alter offsets must run from 0 to the alter count, one per subject")
-        row = np.repeat(np.arange(k), np.diff(offsets))
-        if np.any((alters[1:] < alters[:-1]) & (row[1:] == row[:-1])):
-            object.__setattr__(self, "alter_codes", _sort_within_rows(alters, row))
-        recruit = np.flatnonzero(self.recruiters >= 0)
+        falls = alters[1:] < alters[:-1]
+        if falls.any():  # only then can a row be unsorted
+            row = np.repeat(np.arange(k), offsets[1:] - offsets[:-1])
+            if (falls & (row[1:] == row[:-1])).any():
+                object.__setattr__(self, "alter_codes", _sort_within_rows(alters, row))
+        recruit = (self.recruiters >= 0).nonzero()[0]
         rec = self.recruiters[recruit]
-        if np.any(self.recruiters < -1) or np.any(rec >= recruit) \
-                or np.any(self.components[rec] != self.components[recruit]):
+        if (self.recruiters < -1).any() or (rec >= recruit).any() \
+                or (self.components[rec] != self.components[recruit]).any():
             raise ValueError("a recruiter must be an earlier subject of the same component")
 
     @property
@@ -222,23 +224,20 @@ class Counts:
 
 def _count(s: Sample) -> Counts:
     k = s.size
-    labels, first, comp = np.unique(s.components, return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    comp = np.argsort(by_first)[comp]
+    labels, comp = _first_appearance(s.components)
     n_comp = len(labels)
-    row = np.repeat(np.arange(k), np.diff(s.alter_offsets))
+    offsets, alters = s.alter_offsets, s.alter_codes
+    row = np.repeat(np.arange(k), offsets[1:] - offsets[:-1])
     # rows are ascending and codes sorted within a row, so equal pairs are adjacent
-    alters = s.alter_codes
-    change = np.ones(len(alters), dtype=bool)
-    change[1:] = (row[1:] != row[:-1]) | (alters[1:] != alters[:-1])
-    starts = np.flatnonzero(change)
-    mult = np.diff(np.concatenate((starts, [len(alters)])))
+    starts, mult = _runs(row, alters)
     pair_row, pair_code = row[starts], alters[starts]
     # look every pair's code up among the subject codes; misses match nothing
     by_code = np.argsort(s.codes, kind="stable")
-    codes, code_start, code_count = np.unique(s.codes[by_code], return_index=True, return_counts=True)
+    ordered = s.codes[by_code]
+    code_start, code_count = _runs(ordered)
+    codes = ordered[code_start]
     j = _lookup(codes, pair_code)
-    hit = np.flatnonzero(codes[j] == pair_code)
+    hit = (codes[j] == pair_code).nonzero()[0]
     pair_row, mult, j = pair_row[hit], mult[hit], j[hit]
     # expand each matched pair over the subjects that carry its code
     reps = code_count[j]
@@ -250,13 +249,13 @@ def _count(s: Sample) -> Counts:
     outside = np.bincount(pair[other], minlength=len(hit))
     m_pair = np.minimum(mult, reps)
     x_pair = np.minimum(mult, outside)
-    mass_degrees, degree_index = np.unique(s.degrees, return_inverse=True)
+    mass_degrees, degree_index = _distinct(s.degrees)
     comp_degree = np.zeros(n_comp, dtype=np.int64)
     np.add.at(comp_degree, comp, s.degrees)  # exact, where float bincount weights round past 2**53
     n_deg = len(mass_degrees)
     cross_key = pair_comp[pair[other]] * n_deg + degree_index[subject[other]]
     return Counts(
-        labels=labels[by_first],
+        labels=labels,
         comp_size=np.bincount(comp, minlength=n_comp),
         comp_degree=comp_degree,
         comp_free=np.bincount(comp[row], minlength=n_comp),
@@ -271,7 +270,51 @@ def _count(s: Sample) -> Counts:
     )
 
 
-_TABLE_MIN = 1 << 16  # codes spanning at most this many values use a code table (512 KB)
+def _runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of entries equal in every one of ``keys`` starts, and its length."""
+    total = len(keys[0])
+    opens = np.zeros(total, dtype=bool)
+    opens[:1] = True
+    for key in keys:
+        opens[1:] |= key[1:] != key[:-1]
+    starts = opens.nonzero()[0]
+    lengths = np.empty_like(starts)
+    lengths[:-1] = starts[1:] - starts[:-1]
+    lengths[-1:] = total - starts[-1:]
+    return starts, lengths
+
+
+def _first_appearance(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``labels`` in order of first appearance, and each label's index among them.
+
+    Labels that already run 0, 1, 2, ... in that order (every capture, uniform
+    view and written dump) are their own indices: each is non-negative and at
+    most one above every label before it.  Others are ranked by ``np.unique``.
+    """
+    if len(labels) and labels[0] == 0 and labels.min() >= 0:
+        top = np.maximum.accumulate(labels)
+        if (labels[1:] <= top[:-1] + 1).all():
+            return np.arange(int(top[-1]) + 1, dtype=labels.dtype), labels
+    distinct, first, index = np.unique(labels, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    return distinct[by_first], np.argsort(by_first)[index]
+
+
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)``, through a presence table
+    when the values span at most ``_TABLE_MIN``."""
+    if len(values):
+        low, high = int(values.min()), int(values.max())
+        if high - low < _TABLE_MIN:
+            place = values - low
+            present = np.zeros(high - low + 1, dtype=bool)
+            present[place] = True
+            rank = np.cumsum(present) - 1
+            return present.nonzero()[0] + low, rank[place]
+    return np.unique(values, return_inverse=True)
+
+
+_TABLE_MIN = 1 << 16  # codes or degrees spanning at most this many values use a table (512 KB at most)
 
 
 def _lookup(codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -290,7 +333,7 @@ def _lookup(codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
     if span <= _TABLE_MIN:
         table = np.zeros(span, dtype=np.intp)
         table[codes - low] = np.arange(len(codes))
-        return table[np.clip(queries, low, high) - low]
+        return table[np.minimum(np.maximum(queries, low), high) - low]
     by_query = np.argsort(queries)
     j = np.empty(len(queries), dtype=np.intp)
     j[by_query] = np.minimum(np.searchsorted(codes, queries[by_query]), len(codes) - 1)
@@ -314,16 +357,16 @@ def _plaintext_sample(g: MultiGraph, vertices: np.ndarray, components, recruiter
     one lookup of the sorted referral keys finds each to drop, and each row's offset moves
     back by the referral edges at the rows before it."""
     offsets, targets = g.neighbor_lists(vertices)
-    keys = np.repeat(np.arange(len(vertices)), np.diff(offsets)) * g.n + targets
-    recruit = np.flatnonzero(recruiters >= 0)
+    keys = np.repeat(np.arange(len(vertices)), offsets[1:] - offsets[:-1]) * g.n + targets
+    recruit = (recruiters >= 0).nonzero()[0]
     rec = recruiters[recruit]
     used = np.concatenate((rec * g.n + vertices[recruit], recruit * g.n + vertices[rec]))
     keep = np.ones(len(keys), dtype=bool)
     keep[np.searchsorted(keys, np.sort(used))] = False
-    dropped = np.bincount(np.concatenate((rec, recruit)), minlength=len(vertices))
+    dropped = np.zeros(len(offsets), dtype=np.int64)
+    np.cumsum(np.bincount(np.concatenate((rec, recruit)), minlength=len(vertices)), out=dropped[1:])
     return Sample(codes=vertices, degrees=g.degrees()[vertices], alter_codes=targets[keep],
-                  components=components, recruiters=recruiters,
-                  alter_offsets=offsets - np.concatenate(([0], np.cumsum(dropped))))
+                  components=components, recruiters=recruiters, alter_offsets=offsets - dropped)
 
 
 def as_sample_view(g: MultiGraph, subjects: Iterable[int]) -> Sample:
@@ -521,7 +564,7 @@ def sample_dump_lines(sample: Sample, header_comment: str | None = None) -> list
 
 
 def write_sample_dump(sample: Sample, path, header_comment: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_written(path, newline="") as fh:
         fh.write("\n".join(sample_dump_lines(sample, header_comment)) + "\n")
 
 
@@ -572,65 +615,83 @@ def _parse_dump(data: bytes) -> Optional[Sample]:
     body = data[start + len(_HEADER) + 1:]
     if not body.endswith(b"\n"):
         body += b"\n"
-    if b",," in body:  # an empty field; after the swap below, empty means SEED
-        return None
-    buf = np.frombuffer(body.replace(_SEED_FIELD, b",,"), dtype=np.uint8)
-    sep = (buf == _COMMA) | (buf == _SEMI) | (buf == _NEWLINE)
-    minus = buf == _MINUS
-    if not (sep | minus | (buf - _ZERO < 10)).all():
-        return None
+    swapped = body.replace(_SEED_FIELD, b",,")  # an empty recruiter field now means SEED
+    seeds = (len(body) - len(swapped)) // (len(_SEED_FIELD) - 2)
+    buf = np.frombuffer(swapped, dtype=np.uint8)
+    value = buf - np.uint8(_ZERO)  # a digit's value; every other byte wraps to 10 or more
+    sep = buf == _COMMA
+    sep |= buf == _SEMI
+    sep |= buf == _NEWLINE
     # each field is a token that ends at a separator; row i's fields are tokens first[i] + 0..3
-    ends = np.flatnonzero(sep)
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    ends = sep.nonzero()[0]
+    minus = swapped.count(b"-")
+    if len(ends) + minus + np.count_nonzero(value < 10) != len(buf):
+        return None  # a byte that is no separator, minus or digit
+    starts = _starts_after(ends)
     kind = buf[ends]
-    last = np.flatnonzero(kind == _NEWLINE)
-    first = np.concatenate(([0], last[:-1] + 1))
+    last = (kind == _NEWLINE).nonzero()[0]
+    first = _starts_after(last)
     if (last - first < 4).any():
         return None
     fields = first + np.arange(4)[:, None]
     if np.count_nonzero(kind == _COMMA) != fields.size or (kind[fields] != _COMMA).any():
         return None
-    # with no minus but those that open a token, every other byte of a token
-    # is a digit; a lone minus has fewer digits than signs
-    negative = buf[starts] == _MINUS
-    digits = ends - starts - negative
+    digits = ends - starts
+    if minus:  # a minus must open a token, and a lone minus has fewer digits than signs
+        negative = buf[starts] == _MINUS
+        digits -= negative
+        if np.count_nonzero(negative) != minus or (digits < negative).any():
+            return None
     width = int(digits.max())
-    if width > _MAX_DIGITS or np.count_nonzero(minus) != np.count_nonzero(negative) \
-            or (digits < negative).any() or (digits[fields[[0, 2, 3]]] == 0).any():
+    if width > _MAX_DIGITS or (digits[fields[[0, 2, 3]]] == 0).any():
+        return None
+    recruited = digits[fields[1]] > 0
+    if len(recruited) - np.count_nonzero(recruited) != seeds:  # an empty field that held no SEED
         return None
     # row j holds every token's j-th digit from the right, 0 past its first digit
     place = np.arange(width)[:, None]
-    by_place = buf[ends - 1 - place] - np.uint8(_ZERO)
+    by_place = value[ends - 1 - place]
     by_place *= place < digits
     values = _POW10[:width] @ by_place
-    values[negative] *= -1
+    if minus:
+        values[negative] *= -1
     alter = digits > 0
     alter[fields] = False
-    offsets = np.concatenate(([0], alter.cumsum()[last]))
+    offsets = np.zeros(len(last) + 1, dtype=np.int64)
+    offsets[1:] = alter.cumsum()[last]
     codes, recruiter_codes, components, degrees = values[fields]
-    if (degrees < np.diff(offsets)).any() or not _degree_sums_fit(degrees):
+    if (degrees < offsets[1:] - offsets[:-1]).any() or not _degree_sums_fit(degrees):
         return None
-    recruiters = _link_recruiters(codes, components, recruiter_codes, digits[fields[1]] > 0)
+    recruiters = _link_recruiters(codes, components, recruiter_codes, recruited)
     if recruiters is None:
         return None
     return Sample(codes=codes, degrees=degrees, alter_codes=values[alter], components=components,
                   recruiters=recruiters, alter_offsets=offsets)
 
 
+def _starts_after(ends: np.ndarray) -> np.ndarray:
+    """Where each token opens: 0, then one past each ``ends`` but the last."""
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    return starts
+
+
 def _link_recruiters(codes, components, recruiter_codes, recruited) -> Optional[np.ndarray]:
     """Row of each recruiter: the latest earlier row of the same component
     with that subject code (-1 for a seed), or None if one has no such row."""
     k = len(codes)
-    query = np.flatnonzero(recruited)
+    query = recruited.nonzero()[0]
     # one entry per subject and per recruiter; at equal rows a query sorts
     # before the row's own subject, so it only sees strictly earlier rows
     comp = np.concatenate((components, components[query]))
     code = np.concatenate((codes, recruiter_codes[query]))
     when = np.concatenate((2 * np.arange(k) + 1, 2 * query))
     order = np.lexsort((when, code, comp))
-    is_subject = order < k
-    latest = np.maximum.accumulate(np.where(is_subject, np.arange(len(order)), -1))
-    at = np.flatnonzero(~is_subject)
+    at = (order >= k).nonzero()[0]
+    latest = np.arange(len(order))
+    latest[at] = -1
+    latest = np.maximum.accumulate(latest)
     found, asked = order[latest[at]], order[at]
     if not ((latest[at] >= 0) & (comp[found] == comp[asked]) & (code[found] == code[asked])).all():
         return None

@@ -315,10 +315,10 @@ def test_bad_flags_exit_nonzero():
 SRC = Path(cli.__file__).resolve().parents[1]
 
 
-def _python(argv, cwd=None):
-    """A fresh interpreter with netsize on its path: (exit code, stdout, stderr)."""
+def _python(argv, cwd=None, env=None):
+    """A fresh interpreter with netsize on its path and ``env`` set: (exit code, stdout, stderr)."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, *argv], cwd=cwd, env={**os.environ, "PYTHONPATH": path},
+    done = subprocess.run([sys.executable, *argv], cwd=cwd, env={**os.environ, **(env or {}), "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     return done.returncode, done.stdout, done.stderr
 
@@ -337,6 +337,54 @@ def test_parser_is_built_on_first_call_not_at_import():
     probe = "import netsize.cli as c; print(c._parser.cache_info().currsize)"
     assert _python(["-c", probe]) == (0, "0\n", "")
     assert cli._parser() is cli._parser()
+
+
+def test_importing_the_cli_loads_no_process_pool_or_logging():
+    # run_plan imports the pool only for several workers, and rewiring imports logging only to warn
+    probe = ("import sys, netsize.cli; "
+             "print(sorted({'multiprocessing', 'concurrent.futures.process', 'logging'} & set(sys.modules)))")
+    assert _python(["-c", probe]) == (0, "[]\n", "")
+
+
+_ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def _locale_is_ascii():
+    probe = "import locale; print(locale.getpreferredencoding(False))"
+    return _python(["-c", probe], env=_ASCII_LOCALE)[1].strip().lower() in ("ansi_x3.4-1968", "ascii", "us-ascii")
+
+
+def test_writers_write_utf8_under_an_ascii_locale(tmp_path):
+    if not _locale_is_ascii():
+        pytest.skip("the C locale is not ASCII here")
+    probe = "\n".join([
+        "from netsize.graph import MultiGraph",
+        "from netsize.ingest import EdgeListSpec, load_edge_list, write_edge_list",
+        "from netsize.sampling import as_sample_view, read_sample_dump, write_sample_dump",
+        "g = MultiGraph(3, [(0, 1), (1, 2)])",
+        "comment = 'from /data/Z\\u00fcrich/edges.txt'",
+        "write_sample_dump(as_sample_view(g, [0, 2]), 's.csv', header_comment=comment)",
+        "write_edge_list(g, 'g.txt', comments=[comment])",
+        "print(read_sample_dump('s.csv').order, load_edge_list(EdgeListSpec('g.txt'))[0].num_edges)",
+    ])
+    assert _python(["-c", probe], cwd=tmp_path, env=_ASCII_LOCALE) == (0, "(0, 2) 2\n", "")
+    for name in ("s.csv", "g.txt"):
+        assert (tmp_path / name).read_bytes().startswith("# from /data/Zürich/edges.txt\n".encode())
+
+
+def test_ingest_writes_a_path_the_locale_cannot_decode_back_byte_for_byte(tmp_path):
+    if not _locale_is_ascii():
+        pytest.skip("the C locale is not ASCII here")
+    edges = tmp_path / "Zürich" / "g.txt"
+    edges.parent.mkdir()
+    edges.write_text("5 7\n7 9\n")
+    argv = ["-m", "netsize", "ingest", "--edges", str(edges), "--out", "out.txt", "--id-map", "ids.txt"]
+    code, _, err = _python(argv, cwd=tmp_path, env=_ASCII_LOCALE)
+    assert (code, err) == (0, "")
+    assert (tmp_path / "out.txt").read_bytes().startswith(b"# normalized from " + os.fsencode(edges) + b"\n")
+    g, _, _ = load_edge_list(EdgeListSpec(tmp_path / "out.txt"))
+    assert g.num_edges == 2
+    assert (tmp_path / "ids.txt").read_text(encoding="utf-8").startswith("# original_id new_id\n5 0\n")
 
 
 def test_reused_parser_prints_what_fresh_processes_print(tmp_path, capsys, monkeypatch):

@@ -46,18 +46,48 @@ def captures(draw):
 
 @st.composite
 def coded_samples(draw):
-    """A sample whose subject and alter codes collide freely."""
+    """A sample whose subject and alter codes collide freely.
+
+    Component labels may already run 0, 1, 2, ... in order of first appearance
+    (as in a capture) or be negative, gapped or out of that order; degrees may
+    span a few values or more than 2**16.  So the counts meet both sides of
+    each relabelling shortcut.
+    """
     k = draw(st.integers(1, 8))
 
     def column(values):
         return draw(st.lists(values, min_size=k, max_size=k))
 
+    components = column(st.integers(-2, 2))
+    layout = draw(st.sampled_from(["as drawn", "first appearance", "gapped"]))
+    if layout == "first appearance":
+        components = [list(dict.fromkeys(components)).index(c) for c in components]
+    elif layout == "gapped":
+        components = [c * 2**40 + 7 for c in components]
+    wide = draw(st.booleans())
     return Sample(
         codes=column(st.integers(0, 4)),
-        degrees=column(st.integers(1, 6)),
+        degrees=column(st.sampled_from([1, 2, 6, 2**16, 2**16 + 1, 2**20]) if wide else st.integers(1, 6)),
         alter_codes=[draw(st.lists(st.integers(0, 5), max_size=6)) for _ in range(k)],
-        components=column(st.integers(0, 2)),
+        components=components,
     )
+
+
+@pytest.mark.parametrize("components", [[0, -1], [0, 2, 1], [1, 0], [0, 0, 1, 0, 2], [-1, -1], [0, 2**63 - 1, 1]])
+def test_components_are_labelled_in_order_of_first_appearance(components):
+    k = len(components)
+    counts = Sample(codes=range(k), degrees=[1] * k, alter_codes=[[]] * k, components=components).counts
+    labels = list(dict.fromkeys(components))
+    assert counts.labels.tolist() == labels
+    assert counts.comp_size.tolist() == [components.count(label) for label in labels]
+
+
+@pytest.mark.parametrize("degrees", [[3, 1, 3, 2], [5], [2**16 + 1, 1, 2**16 + 1], [0, 2**40, 7]])
+def test_mass_degrees_are_the_sorted_distinct_degrees(degrees):
+    k = len(degrees)
+    counts = Sample(codes=[0] * k, degrees=degrees, alter_codes=[[0]] + [[]] * (k - 1), components=[0] * k).counts
+    assert counts.mass_degrees.tolist() == sorted(set(degrees))
+    assert counts.match_mass.tolist() == [degrees.count(d) for d in sorted(set(degrees))]
 
 
 def _bags(sample):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import re
 from pathlib import Path
 
@@ -227,7 +228,7 @@ def test_run_plan_starts_no_more_workers_than_graphs(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)  # run_plan imports it on use
     plan = ExperimentPlan(families=(Family.ERDOS_RENYI,), lambdas=(4.0,), sizes=(60,), sample_sizes=(10,),
                           estimators=("n1",), graph_replicates=2)
     raw, _ = run_plan(plan, workers=500)

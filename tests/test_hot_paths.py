@@ -248,7 +248,7 @@ def test_a_uniform_view_reads_lists_tuples_ranges_and_arrays_alike():
 @pytest.mark.parametrize("subjects, kind", [
     ([1.5, 2.9, 7], "float64"), ([1.0, 2], "float64"), ([True], "bool"), ([True, 2], "bool"),
     ([np.True_, 2], "bool"), (np.array([1.5, 3.0]), "float64"), (np.array([True]), "bool"),
-    (["1", 2], "<U21"), ([2**64], "object"),
+    (["1", 2], "<U21"), ([1.5, 2**63], "float64"),
 ])
 def test_a_uniform_view_rejects_non_integer_subjects(subjects, kind):
     g = MultiGraph(10, [(0, 1), (1, 2)])
@@ -263,14 +263,17 @@ def test_explicit_seeds_must_be_integers(seeds, kind):
         RdsConfig(target_size=5, num_seeds=len(seeds), seeds=seeds)
 
 
-@pytest.mark.parametrize("ids", [[2**63], np.array([2**63], dtype=np.uint64)])
+# numpy makes [2**63] uint64, but [1, 2**63] and (0, 2**63) float64 and [2**64] object values
+@pytest.mark.parametrize("ids", [[2**63], np.array([2**63], dtype=np.uint64), [1, 2**63], [2**64], [-2**63 - 1]])
 def test_ids_past_int64_are_rejected_not_wrapped(ids):
     with pytest.raises(ValueError, match="^subjects must fit in int64$"):
         as_sample_view(MultiGraph(10, []), ids)
     with pytest.raises(ValueError, match="^explicit seeds must fit in int64$"):
         RdsConfig(target_size=5, num_seeds=1, seeds=ids)
     with pytest.raises(ValueError, match="^edge endpoints must fit in int64$"):
-        MultiGraph(10, [(ids[0], ids[0])])
+        MultiGraph(10, [(ids[-1], ids[-1])])
+    with pytest.raises(ValueError, match="^edge endpoints must fit in int64$"):
+        MultiGraph(10, [(0, ids[-1])])
 
 
 @pytest.mark.parametrize("ids", [[(1, 2)], [[3], [4]], np.array([[1, 2]]), np.array(3)])
@@ -336,7 +339,7 @@ class _PreviousRewireState(generators._RewireState):
 
 
 def _previous_rewire(g: MultiGraph, target: float, rng: np.random.Generator) -> MultiGraph:
-    _MAX_SWAPS, _CHECK_EVERY, _log = generators._MAX_SWAPS, generators._CHECK_EVERY, generators._log
+    _MAX_SWAPS, _CHECK_EVERY = generators._MAX_SWAPS, generators._CHECK_EVERY
     if not 0 <= target <= 1:  # NaN fails too; mean clustering never exceeds 1
         raise ValueError(f"target clustering must lie in [0, 1], got {target}")
     n = g.n
@@ -376,8 +379,9 @@ def _previous_rewire(g: MultiGraph, target: float, rng: np.random.Generator) -> 
 
     reached = state.mean_clustering()
     if reached < target:
-        _log.warning("rewiring stopped at mean clustering %.6g, short of the target %.6g, "
-                     "after %d swaps in %d attempts", reached, target, swaps, attempts)
+        logging.getLogger("netsize").warning(
+            "rewiring stopped at mean clustering %.6g, short of the target %.6g, after %d swaps in %d attempts",
+            reached, target, swaps, attempts)
     return MultiGraph(n, state.edge_array())
 
 
