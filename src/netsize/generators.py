@@ -403,9 +403,6 @@ class _RewireState:
         self.adj = [list(itertools.islice(flat, d)) for d in self.degrees.tolist()]
         self.tri = triangle_counts(n, simple).tolist()
 
-    def common(self, u: int, v: int) -> set[int]:
-        return set(self.adj[u]).intersection(self.adj[v])
-
     def swap(self, v: int, a: int, w: int, b: int, common: tuple[set[int], ...]) -> None:
         """Replace the edges (v, a) and (w, b) by (v, w) and (a, b).
 

@@ -137,11 +137,8 @@ def estimate_n3_hashed(hs: Sample, omega: int) -> EstimateResult:
 # dump adapters (same CSV layout as plaintext samples)
 
 def hashed_to_rows(hs: Sample, recruiter_codes: Sequence[Optional[int]] | None = None) -> Sample:
-    """The hashed sample itself, ready for ``write_sample_dump``.
-
-    Kept because ``perfbench/workloads.py`` calls it; ``recruiter_codes``, when
-    given, must agree with the sample's own recruiter column.
-    """
+    """The hashed sample itself, ready for ``write_sample_dump``; ``perfbench/workloads.py``
+    calls it.  ``recruiter_codes``, when given, must match the sample's recruiters."""
     if recruiter_codes is not None and list(recruiter_codes) != hs.recruiter_codes:
         raise ValueError("recruiter codes disagree with the sample's recruiters")
     return hs

@@ -533,18 +533,13 @@ SEED_MARK = "SEED"
 
 
 def sample_to_rows(sample: Sample) -> Sample:
-    """The sample itself: a ``Sample`` is already the dump's row layout.
-
-    Kept because ``perfbench/workloads.py`` calls it.
-    """
+    """The sample itself, already the dump's row layout; ``perfbench/workloads.py`` calls it."""
     return sample
 
 
 def rows_to_sample(rows: Sample) -> Sample:
-    """``rows`` as a plaintext sample; rejects duplicate subject codes.
-
-    ``perfbench/workloads.py`` and the CLI call it on dumps read back.
-    """
+    """``rows`` as a plaintext sample, without duplicate subject codes; the
+    CLI and ``perfbench/workloads.py`` call it on dumps read back."""
     if _has_duplicates(rows.codes):
         raise ValueError("duplicate subject ids; hashed dumps cannot be read as plaintext")
     return rows
@@ -587,7 +582,6 @@ _HEADER = ",".join(DUMP_COLUMNS).encode()
 _SEED_FIELD = f",{SEED_MARK},".encode()
 _COMMA, _SEMI, _NEWLINE, _MINUS, _ZERO = b",;\n-0"
 _MAX_DIGITS = 18  # any 18-digit value fits in int64
-_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 
 
 def _parse_dump(data: bytes) -> Optional[Sample]:
@@ -652,7 +646,10 @@ def _parse_dump(data: bytes) -> Optional[Sample]:
     place = np.arange(width)[:, None]
     by_place = value[ends - 1 - place]
     by_place *= place < digits
-    values = _POW10[:width] @ by_place
+    values = by_place[-1].astype(np.int64)
+    for p in range(width - 2, -1, -1):  # Horner, from the most significant place down
+        values *= 10
+        values += by_place[p]
     if minus:
         values[negative] *= -1
     alter = digits > 0

@@ -350,6 +350,87 @@ def test_the_set_up_once_solve_returns_the_reference_roots(counts, omega, numera
         assert got == _reference_fixed_point(numerator, mass, counts, omega, size)
 
 
+def _bisection(f, sample_size):
+    """The bracketed bisection the ψ solve used before Illinois regula falsi."""
+
+    def g(x):
+        return f(x) - x
+
+    lo = float(max(sample_size, 1))
+    g_lo = g(lo)
+    if not math.isfinite(g_lo):
+        return None
+    if g_lo == 0.0:
+        return lo
+    hi = 10.0 * max(sample_size, 1)
+    while True:
+        if hi > estimators.BRACKET_CEILING:
+            return None
+        g_hi = g(hi)
+        if not math.isfinite(g_hi):
+            return None
+        if (g_hi > 0) != (g_lo > 0):
+            break
+        hi *= 2.0
+
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= estimators.ROOT_RTOL * max(mid, 1.0):
+            return mid
+        g_mid = g(mid)
+        if g_mid == 0.0:
+            return mid
+        if (g_mid > 0) == (g_lo > 0):
+            lo, g_lo = mid, g_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grouped_counts(), _OMEGAS, st.floats(1e-3, 1e15), st.integers(1, 5000))
+@example(_grouped([0, 1], [3, 4], 1.0), 2000, 500.0, 10)       # every match on a dead degree: NoRoot
+@example(_grouped([0, 1, 5], [2, 2, 0], 2.0), 1, 100.0, 10)    # the live degree carries no mass: NoRoot
+@example(_grouped([1, 3, 9], [1, 2, 3], 2.5), 2000, 1e15, 2)   # the root lies past the bracket ceiling
+@example(_grouped([2, 3, 10**12], [1, 0, 7], 3.0), 2**63, 5e4, 250)
+def test_the_root_is_bisections_to_within_the_root_tolerance(counts, omega, numerator, size):
+    for mass in (counts.match_mass, counts.cross_mass[0]):
+        got = estimators._fixed_point(numerator, mass, counts, omega, size)
+        with mock.patch.object(estimators, "_solve_fixed_point", _bisection):
+            want = estimators._fixed_point(numerator, mass, counts, omega, size)
+        assert got.failure_cause is want.failure_cause
+        if not want.failed:
+            assert abs(got.value - want.value) <= estimators.ROOT_RTOL * want.value
+
+
+def test_a_hashed_root_takes_at_most_ten_evaluations_on_average():
+    """Evaluations of f per ψ solve of n2ψ and n3ψ on Poisson 5k graphs (λ = 10),
+    r in {250, 750} and ω in {2000, 32000, 256000}: bisection took 34."""
+    evaluations = []
+    solve = estimators._solve_fixed_point
+
+    def counted_solve(f, sample_size):
+        def counted(x):
+            evaluations[-1] += 1
+            return f(x)
+
+        evaluations.append(0)
+        return solve(counted, sample_size)
+
+    with mock.patch.object(estimators, "_solve_fixed_point", counted_solve):
+        for gi in range(2):
+            g = sample_graph(Family.CONFIG_POISSON, 10.0, 5000, np.random.default_rng([5, gi]))
+            for r in (250, 750):
+                sample = rds_capture(g, RdsConfig(target_size=r), np.random.default_rng([5, gi, r]))
+                for omega in (2000, 32000, 256000):
+                    codes = assign_hashes(g.n, HashSpace(omega), np.random.default_rng([5, gi, r, omega]))
+                    hs = hashed_view(sample, codes)
+                    estimate_n2_hashed(hs, omega)
+                    estimate_n3_hashed(hs, omega)
+    assert len(evaluations) == 24
+    assert sum(evaluations) / len(evaluations) <= 10
+
+
 def test_the_reference_examples_include_no_root():
     dead = _grouped([0, 1], [3, 4], 1.0)
     assert estimators._fixed_point(500.0, dead.match_mass, dead, 2000, 10).failure_cause is FailureCause.NO_ROOT

@@ -268,7 +268,8 @@ def test_rewire_state_keeps_triangles_current(g, seed):
             v, a = a, v
         if len({v, a, w, b}) < 4 or {(min(v, w), max(v, w)), (min(a, b), max(a, b))} & pairs:
             continue
-        state.swap(v, a, w, b, tuple(state.common(x, y) for x, y in ((v, a), (w, b), (v, w), (a, b))))
+        common = tuple(set(state.adj[x]).intersection(state.adj[y]) for x, y in ((v, a), (w, b), (v, w), (a, b)))
+        state.swap(v, a, w, b, common)
         pairs -= {(min(v, a), max(v, a)), (min(w, b), max(w, b))}
         pairs |= {(min(v, w), max(v, w)), (min(a, b), max(a, b))}
     assert {(u, x) for u in range(g.n) for x in state.adj[u] if u < x} == pairs
