@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import INT64_MAX, MAX_VERTICES, MultiGraph, mean_local_clustering, triangle_counts
-from .sampling import _degree_sums_fit, _pick, _uniforms
+from .sampling import _degree_sums_fit, _flat_ids, _pick, _uniforms
 
 
 def sample_degrees(family: Family, lam: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -68,15 +68,18 @@ def configuration_graph(degrees: Sequence[int], rng: np.random.Generator) -> Mul
     """Uniform stub-matching multigraph with the prescribed degree sequence.
 
     An odd stub total is repaired by bumping one uniformly chosen vertex's
-    degree by 1 (an O(1/n) perturbation).
+    degree by 1 (an O(1/n) perturbation).  The degrees must be ints, not
+    floats or bools, and their total, bump included, must fit in int64.
     """
-    degrees = np.asarray(degrees, dtype=np.int64)
+    degrees = _flat_ids(degrees, "degrees")
     if len(degrees) == 0:
         raise ValueError("empty degree sequence")
     if (degrees < 0).any():
         raise ValueError("degrees must be non-negative")
-    degrees = degrees.copy()
+    if not _degree_sums_fit(degrees) or degrees.sum() == INT64_MAX:  # INT64_MAX is odd: no room to bump
+        raise ValueError("the degrees sum past the 64-bit range")
     if int(degrees.sum()) % 2 == 1:
+        degrees = degrees.copy()  # the caller's sequence is never written
         degrees[rng.integers(len(degrees))] += 1
     stubs = np.repeat(np.arange(len(degrees), dtype=np.int64), degrees)
     rng.shuffle(stubs)
@@ -270,37 +273,61 @@ def erdos_renyi(lam: float, n: int, rng: np.random.Generator) -> MultiGraph:
     t = -1  # the last pair index reached
     while t < total_pairs:
         # any gap past the last pair ends the walk, so clipping it changes no index before the end
-        ts = np.minimum(rng.geometric(p, size=block), total_pairs + 1)
+        ts = rng.geometric(p, size=block)
+        np.minimum(ts, total_pairs + 1, out=ts)
         np.cumsum(ts, out=ts)
         ts += t
         chosen.append(ts)
         t = int(ts[-1])
     ts = np.concatenate(chosen)
-    return MultiGraph(n, _pairs_from_indices(ts[ts < total_pairs], n))
+    del chosen
+    # the indices strictly increase, so the pairs are a prefix
+    edges = _pairs_from_indices(ts[:np.searchsorted(ts, total_pairs)], n)
+    del ts
+    return MultiGraph(n, edges)
 
 
 def _pairs_from_indices(t: np.ndarray, n: int) -> np.ndarray:
     """Invert the lexicographic enumeration of pairs (i, j), i < j, of 0..n-1.
 
-    Returns the (len(t), 2) int64 array of the pairs with indices ``t``.
+    Returns the (len(t), 2) int64 array of the pairs with indices ``t``.  The
+    pairs are decoded in place, with one float scratch array of len(t).
     """
     if n > _MAX_ER_N:
         raise ValueError(f"pair indices need n <= {_MAX_ER_N}, got {n}")
     t = np.asarray(t, dtype=np.int64)
     if len(t) and (t.min() < 0 or t.max() >= n * (n - 1) // 2):
         raise ValueError(f"pair index out of range for n={n}")
+    pairs = np.empty((len(t), 2), dtype=np.int64)
+    i, b = pairs[:, 0], pairs[:, 1]  # b is scratch for before(i) until it becomes j
 
-    def before(i):  # pairs whose first coordinate is < i
-        return i * (2 * n - i - 1) // 2
+    def before(i):  # pairs whose first coordinate is < i, into b
+        np.subtract(2 * n - 1, i, out=b)
+        np.multiply(b, i, out=b)
+        return np.floor_divide(b, 2, out=b)
+
+    def before_next(i):  # before(i + 1) = before(i) + n - 1 - i, into b
+        np.add(before(i), n - 1, out=b)
+        return np.subtract(b, i, out=b)
 
     # the real root of before(i) = t + 1, then integer fix-ups for rounding
-    disc = np.maximum((2.0 * n - 1.0) ** 2 - 8.0 * (t + 1), 0.0)
-    i = np.clip(np.floor((2.0 * n - 1.0 - np.sqrt(disc)) / 2.0), 0, n - 2).astype(np.int64)
+    x = np.add(t, 1, out=np.empty(len(t)))
+    x *= 8.0
+    np.subtract((2.0 * n - 1.0) ** 2, x, out=x)
+    np.maximum(x, 0.0, out=x)
+    np.sqrt(x, out=x)
+    np.subtract(2.0 * n - 1.0, x, out=x)
+    x /= 2.0
+    np.floor(x, out=x)
+    i[:] = np.clip(x, 0, n - 2, out=x)
     while (high := before(i) > t).any():
         i -= high
-    while (low := before(i + 1) <= t).any():
+    while (low := before_next(i) <= t).any():
         i += low
-    return np.stack([i, i + 1 + t - before(i)], axis=1)
+    j = np.subtract(t, before(i), out=b)
+    j += i
+    j += 1
+    return pairs
 
 
 class Family(Enum):

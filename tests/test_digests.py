@@ -3,20 +3,27 @@
 Each output is built from a fixed seed: ``raw.csv`` and ``summary.csv`` of
 the criterion-11 plan, a plaintext and a hashed sample dump of one referral
 capture, and the ``netsize estimate`` result line of each estimator on
-those dumps.  A change that moves an output byte moves its digest, and the
-failure names every output that moved.  A change that moves outputs on
-purpose updates the digests here and says which moved and why.
+those dumps.  The graphs are pinned too: for each family at n = 2000, the
+bytes and dtype of ``edge_array``, the CSR offsets and targets and
+``degrees()``, the ``netsize generate`` output and one capture's dump; the
+same arrays of an Erdos-Renyi graph drawn in many small gap blocks and of a
+rewired graph; and one hashed dump per hash mode.  A change that moves an
+output byte moves its digest, and the failure names every output that
+moved.  A change that moves outputs on purpose updates the digests here and
+says which moved and why.
 """
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 
 import netsize as ns
+from netsize import generators
 from netsize.cli import main
 from netsize.harness import ESTIMATORS, ExperimentPlan, raw_csv_lines, run_plan, summary_csv_lines, write_csv
-from netsize.hashing import HashSpace, assign_hashes, hashed_view
-from netsize.sampling import RdsConfig, rds_capture, write_sample_dump
+from netsize.hashing import HashMode, HashSpace, assign_hashes, hashed_view
+from netsize.sampling import RdsConfig, rds_capture, sample_dump_lines, write_sample_dump
 
 OMEGA = 32000
 
@@ -30,6 +37,50 @@ DIGESTS = {
     "estimate n3": "1e7f27ce8b23e4bde9a8f704679d23f64728f223c0eb91dbbe5ccdf2f7166496",
     "estimate n2psi": "e2da016a817ff4006c3afd8b2c2a1c1225e6c878ab16c7e1b99e3a3660f7819d",
     "estimate n3psi": "3809f987ab1072a83fda248238e9025f1ca2270a80670d1b984a075907711022",
+}
+
+GRAPH_DIGESTS = {
+    "lognormal edges": "13cc56305fb6d1d4685ed481efdc71f9aad3d1e7e62bd492189ec6aa4b7bd349",
+    "lognormal offsets": "73aec0cc016be366aab35bcef5b32938b078283399672d6ee17b0362cf0532aa",
+    "lognormal targets": "011f4c273dfca441604a465dbc2d797b12d6b9188d973be0524ebd704afff65b",
+    "lognormal degrees": "3436ec0d994aef38424a9d4cb076dbcd17fa909a71ba1d1f3ebbea70829223f3",
+    "lognormal capture": "366c53de8aa6b545374595e259c264906546733bf9083847059c33ae7f44b6ea",
+    "lognormal generate": "586a4b59de3d8869805e279a4755b2b7ac9852d6b96931d2d36af7e499ece3e3",
+    "poisson edges": "44fa1abdb6d1cf5ad6367e4c89c060bd19955039c44ae5e8b6672acb9bcc6ef0",
+    "poisson offsets": "6a6bc47762b71cf697d4023541230221c5c37f6a56c537c20c4b40b5f1732291",
+    "poisson targets": "35704aa908a517f20dbe90b1ae29e929e179f8b99f54059f1ac6681cd9da3b76",
+    "poisson degrees": "9dd52604a9b81b949142941920a6dcb917c30b656ede9eed84b6b25594d7c790",
+    "poisson capture": "54ff663e3a5486ec72826d9c03ed14daa89e6269766a807c2fabdac7d94e1c27",
+    "poisson generate": "35c6735ea2fc95ddffc332e16432d99ac356b1a725eae5ed560c6f35164bbe07",
+    "exponential edges": "26fe825123d6d1edd737b61bb09578e703d45512af444681d607a15dd6bdb3b3",
+    "exponential offsets": "14b74e3f1d57a9434690d0430ebf6bafb25aa11f5957f4b0bcb030a3139ed6dd",
+    "exponential targets": "dc9cd41f5e2f291db33f7fe8a3b9037319942f77e6686ef791118fa8857d2cd6",
+    "exponential degrees": "8b806396b2d1fc9c73c50f728529e7ecd432cc30886bec54b6f771bf3af69244",
+    "exponential capture": "7944bf85ed3535963fe6e2a6871eb03131307f608aa5437cac86023e4294174a",
+    "exponential generate": "8d4e49c56eea7fddf84594f17852c65f73451cc17361fe5d0bb6cf83e89a2b6c",
+    "ba edges": "570d01bd3ecde6832c387730fb1cda318bdddef31b99ae02fdd14a5add2b2ed5",
+    "ba offsets": "79a1ec56425e103776499fce1d7d90b2bbcc838c1243029d6705d3c3a5b2361e",
+    "ba targets": "5d5b5f440cd8e18333cc2f32dc1a8c938a526543ea5ef8d5cef2d9143be59c7c",
+    "ba degrees": "de6fc825ec4a603686abb7221660736d80893370c8c2380994284fe77bd4d439",
+    "ba capture": "3e422c3bda178795c3e013f17229b683ae276a0a36dd8a05df12e15fe46ff882",
+    "ba generate": "d7b22b87d8b7a460266e00050d7d1b4d9419898251757d4e8c915da19fa9be1c",
+    "er edges": "daeade460ff49e7236dbfb45c44324c14a631af1b4892dc638f635f0ed8171e6",
+    "er offsets": "1f142cb648fe3d05d5f9408cbd1e657b947710984e5f058e561861919b62e4db",
+    "er targets": "097b66c3df718d0f9776212da6b40edbb9734937de5695c5ed10383842f8b3ba",
+    "er degrees": "87e3870a43fce83b7fbeaa6f92b798def90a4ed076c6299b665111fe006d9603",
+    "er capture": "8a97859bd6d6d50755548fe88cead73fd4c7573003a669ba3dd417e02f677c98",
+    "er generate": "0d95ac46d2a5e8f18eac6fd7777896c88dec28ce5ea4c49e62342481cf674131",
+    "er blocks edges": "938c257949c0bdf4747b889354f9c11aa2a7d1f91307451789d4f43b72ff3025",
+    "er blocks offsets": "3c04208f1fbd2ce6081788fe74c0f48ebed5111f4100dc1f873659c4239b8671",
+    "er blocks targets": "ee05cb764b17a1a638da6f25cef98229f156fbcc3d365564912367087894e272",
+    "er blocks degrees": "1cb29406bf917c3efed28f19e2a0d797ddc182e4aef416c3b402efb4eabb4ae9",
+    "rewired edges": "8b82921b9c1573b9be9f84c2fa050b75312ae49a1d3cda1cec07f7d3fb047980",
+    "rewired offsets": "1048b5682daf7512ecc84298dd0921e8a4de1ae771fa26aafbfad17c21908aa1",
+    "rewired targets": "cec82301f6dd45ea033780950aae456b20ed0c7a727e7d6c569f88338d7b2b8f",
+    "rewired degrees": "d66661ed3afb7e45d45dae22915bc2b0d531eaa441fca8aed305487107d3c54f",
+    "random hashed dump": "f3be23fcc265d46a78fff99c6b05a9a355a23dd477212f77f12197c4d2ff1f5a",
+    "injective hashed dump": "6d8e9ce76af932c86ccb783c7547b5e112f1eceef34cfd5a52927f323e41785a",
+    "telefunken hashed dump": "404456ae7ba97127160c31ac285b2e49eba9bd623cf3d18907733f4efaf03a8f",
 }
 
 
@@ -68,7 +119,56 @@ def _outputs(tmp_path, capsys):
     return outputs
 
 
+def _graph_arrays(name, g):
+    """The dtype and bytes of each array a graph holds, by output name."""
+    offsets, targets = g.adjacency
+    arrays = {"edges": g.edge_array, "offsets": offsets, "targets": targets, "degrees": g.degrees()}
+    return {f"{name} {part}": f"{array.dtype.str}:".encode() + array.tobytes() for part, array in arrays.items()}
+
+
+def _dump(sample):
+    return "\n".join(sample_dump_lines(sample)).encode()
+
+
+def _graph_outputs(capsys):
+    """The bytes of each pinned graph output, by name."""
+    outputs = {}
+    for family in ns.Family:
+        name = family.value
+        rng = np.random.default_rng(22)
+        g = ns.sample_graph(family, 10.0, 2000, rng)
+        outputs.update(_graph_arrays(name, g))
+        outputs[f"{name} capture"] = _dump(rds_capture(g, RdsConfig(target_size=250), rng))
+        assert main(["generate", "--family", name, "--lambda", "10", "--n", "2000", "--rng-seed", "22"]) == 0
+        outputs[f"{name} generate"] = capsys.readouterr().out.encode()
+
+    with mock.patch.object(generators, "_GAP_BLOCK", 64):  # about 60 blocks
+        outputs.update(_graph_arrays("er blocks", ns.sample_graph(ns.Family.ERDOS_RENYI, 4.0, 2000,
+                                                                   np.random.default_rng(23))))
+    rng = np.random.default_rng(24)
+    g = ns.sample_graph(ns.Family.CONFIG_POISSON, 6.0, 2000, rng)
+    outputs.update(_graph_arrays("rewired", generators.rewire_to_clustering(g, 0.1, rng)))
+
+    rng = np.random.default_rng(25)
+    g = ns.sample_graph(ns.Family.CONFIG_LOGNORMAL, 6.0, 2000, rng)
+    sample = rds_capture(g, RdsConfig(target_size=250), rng)
+    for mode, size in [(HashMode.RANDOM_FUNCTION, 2000), (HashMode.INJECTIVE, 32000), (HashMode.TELEFUNKEN, 4**6)]:
+        hashed = hashed_view(sample, assign_hashes(g.n, HashSpace(size, mode), rng))
+        outputs[f"{mode.value} hashed dump"] = _dump(hashed)
+    return outputs
+
+
+def _moved(outputs, pinned):
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    assert set(digests) == set(pinned)
+    return [f"{name} ({digests[name]})" for name in pinned if digests[name] != pinned[name]]
+
+
 def test_fixed_seed_outputs_keep_their_digests(tmp_path, capsys):
-    digests = {name: hashlib.sha256(data).hexdigest() for name, data in _outputs(tmp_path, capsys).items()}
-    moved = [f"{name} ({digests[name]})" for name in DIGESTS if digests[name] != DIGESTS[name]]
+    moved = _moved(_outputs(tmp_path, capsys), DIGESTS)
     assert not moved, "outputs that moved: " + ", ".join(moved)
+
+
+def test_fixed_seed_graphs_keep_their_digests(capsys):
+    moved = _moved(_graph_outputs(capsys), GRAPH_DIGESTS)
+    assert not moved, "graph outputs that moved: " + ", ".join(moved)

@@ -77,15 +77,33 @@ def test_configuration_preserves_degrees(seed):
 
 
 def test_configuration_odd_total_bumps_one_vertex():
-    g = configuration_graph([1, 1, 1], np.random.default_rng(3))
+    degrees = np.array([1, 1, 1])
+    g = configuration_graph(degrees, np.random.default_rng(3))
     realized = sorted(g.degrees())
     assert realized in ([1, 1, 2],)
     assert sum(realized) == 4
+    assert degrees.tolist() == [1, 1, 1]  # the caller's sequence is never written
 
 
 def test_configuration_rejects_empty():
     with pytest.raises(ValueError):
         configuration_graph([], np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("degrees, message", [
+    ([1.5, 2.5, 2], "degrees must be integers, got float64 values"),  # was truncated, then bumped
+    ([True, True], "degrees must be integers, got bool values"),
+    ([2**63, 1], "degrees must fit in int64"),  # was a bare OverflowError
+    ([2**62, 2**62], "the degrees sum past the 64-bit range"),  # was numpy's "negative dimensions"
+    ([2**62, 2**62 - 1], "the degrees sum past the 64-bit range"),  # no room for the odd-total bump
+    ([[1, 1]], "degrees must be a flat sequence of ints"),
+])
+def test_configuration_rejects_a_degree_sequence_it_cannot_pair_before_drawing(degrees, message):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        configuration_graph(degrees, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_barabasi_albert_structure():
@@ -701,6 +719,26 @@ def test_barabasi_albert_needs_no_more_memory_than_a_configuration_graph():
     with mock.patch.object(generators, "_CANDIDATES", 1):
         for seed in range(10):
             assert peak(barabasi_albert, seed) <= peak(poisson, seed)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_building_a_graph_needs_at_most_a_quarter_more_memory_than_the_graph_holds(family):
+    # The traced peak of a draw, set against the bytes of edge_array, the CSR
+    # offsets and targets and degrees().  Barabasi-Albert at lam = 3 is left
+    # out: there its 2**14-slot block arrays, whose size is part of its random
+    # stream, outweigh a 60k-edge graph, and the peak reads about 2.5 times it.
+    import tracemalloc
+
+    sample_graph(family, 10.0, 500, np.random.default_rng(0))  # first-call allocations are not the build's
+    tracemalloc.start()
+    try:
+        g = sample_graph(family, 10.0, 40_000, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    offsets, targets = g.adjacency
+    held = g.edge_array.nbytes + offsets.nbytes + targets.nbytes + g.degrees().nbytes
+    assert peak <= 1.25 * held
 
 
 @pytest.mark.parametrize("family, lam, n, message", [

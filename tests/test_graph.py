@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netsize.generators import Family, sample_graph
@@ -60,6 +60,53 @@ def test_neighbor_rows_are_sorted_endpoint_occurrences(inputs):
         occurrences = Counter(b for a, b in edges if a == v) + Counter(a for a, b in edges if b == v)
         assert Counter(row) == occurrences
         assert g.neighbors(v) == occurrences
+
+
+def _reference_csr(n, edges):
+    """The CSR of ``edges`` as ``MultiGraph`` built it from full-size temporaries."""
+    u, v = edges[:, 0], edges[:, 1]
+    sources, targets = np.divmod(np.sort(np.r_[u * n + v, v * n + u]), n)
+    degrees = np.bincount(sources, minlength=n)
+    return np.r_[0, np.cumsum(degrees)], targets, degrees
+
+
+def _edge_layouts(edges):
+    """``edges`` as the caller may hand them over: copies of other dtypes and non-contiguous views."""
+    twice = np.repeat(edges, 2, axis=0)
+    return {
+        "int64": edges,
+        "int32": edges.astype(np.int32),
+        "uint64": edges.astype(np.uint64),
+        "every other row": twice[::2],
+        "column-reversed": edges[:, ::-1].copy()[:, ::-1],
+        "Fortran order": np.asfortranarray(edges),
+    }
+
+
+@st.composite
+def _csr_inputs(draw):
+    n = draw(st.integers(1, 40))
+    vertex = st.integers(0, draw(st.integers(0, n - 1)))  # few distinct ends make loops and parallels
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=50))
+    return n, np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csr_inputs())
+@example((1, np.empty((0, 2), dtype=np.int64)))
+@example((1, np.zeros((3, 2), dtype=np.int64)))  # one vertex, three parallel loops
+@example((5, np.array([[4, 4], [0, 4], [4, 0], [2, 2]])))
+def test_the_csr_build_matches_the_full_size_reference(inputs):
+    n, edges = inputs
+    want = _reference_csr(n, edges)
+    for layout, arr in _edge_layouts(edges).items():
+        before = arr.copy()
+        g = MultiGraph(n, arr)
+        got = (*g.adjacency, g.degrees())
+        for name, a, b in zip(("offsets", "targets", "degrees"), got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (layout, name)
+        assert np.array_equal(g.edge_array, edges) and g.edge_array.dtype == np.int64, layout
+        assert arr.dtype == before.dtype and np.array_equal(arr, before), layout
 
 
 def test_vertex_count_bounds():
