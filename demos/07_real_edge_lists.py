@@ -1,9 +1,10 @@
 """Ingesting a real edge list and estimating from samples of it.
 
 Edge lists arrive as "u v" lines (SNAP-style, # comments allowed), often
-directed and messy.  Ingestion symmetrizes, deduplicates, drops loops,
-relabels ids contiguously, and reports what it did; the result can be
-sampled and estimated like any synthetic graph.  Point BRIGHTKITE at a
+as arcs, with duplicates and loops.  Ingestion keeps one tie per pair
+joined either way, drops loops, relabels ids contiguously, and reports
+what it did; the result can be sampled and estimated like any synthetic
+graph.  Point BRIGHTKITE at a
 local copy of a large friendship network to reproduce the same flow at
 scale.
 """
@@ -29,7 +30,7 @@ from netsize import (
 BRIGHTKITE = os.environ.get("NETSIZE_BRIGHTKITE", "data/brightkite_edges.txt")
 
 with tempfile.TemporaryDirectory() as tmp:
-    # fabricate a "collected" directed file with duplicates and a loop
+    # fabricate a "collected" file of arcs with duplicates and a loop
     raw = Path(tmp) / "collected.txt"
     g = sample_graph(Family.CONFIG_POISSON, 6.0, 2000, np.random.default_rng(8))
     lines = ["# fabricated collection dump"]
@@ -39,7 +40,7 @@ with tempfile.TemporaryDirectory() as tmp:
     lines.append("17 17")                  # a stray self-loop
     raw.write_text("\n".join(lines) + "\n")
 
-    spec = EdgeListSpec(raw, directed=True, dedupe=True, drop_loops=True)
+    spec = EdgeListSpec(raw, dedupe=True, drop_loops=True)
     graph, id_map, report = load_edge_list(spec)
     print("ingestion report:", report.describe())
 
@@ -59,7 +60,7 @@ with tempfile.TemporaryDirectory() as tmp:
           f"(match: {again.num_edges == graph.num_edges})")
 
 if os.path.exists(BRIGHTKITE):
-    spec = EdgeListSpec(BRIGHTKITE, directed=True, dedupe=True, drop_loops=True)
+    spec = EdgeListSpec(BRIGHTKITE, dedupe=True, drop_loops=True)
     graph, _, report = load_edge_list(spec)
     print("\nlarge network:", report.describe())
     avg, trans = clustering_stats(graph)

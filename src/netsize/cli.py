@@ -134,7 +134,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _ingest_spec(args: argparse.Namespace) -> EdgeListSpec:
     return EdgeListSpec(
         path=args.edges,
-        directed=args.directed,
         node_filter=args.filter,
         dedupe=args.dedupe,
         drop_loops=args.drop_loops,
@@ -219,9 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--edges", required=True)
-        p.add_argument("--directed", action="store_true",
-                       help="read lines as arcs; keep one edge per pair joined either way")
-        p.add_argument("--dedupe", action="store_true", help="collapse duplicate edges")
+        p.add_argument("--dedupe", action="store_true",
+                       help="keep one edge per pair joined in either direction")
         p.add_argument("--drop-loops", action="store_true", help="remove self-loops")
         p.add_argument("--filter", type=str, default=None, help="file of node ids to keep")
         if name == "ingest":

@@ -262,8 +262,6 @@ def erdos_renyi(lam: float, n: int, rng: np.random.Generator) -> MultiGraph:
     p = lam / (n - 1)
     if p == 0.0:
         return MultiGraph(n, np.empty((0, 2), dtype=np.int64))
-    if p == 1.0:
-        return MultiGraph(n, np.stack(np.triu_indices(n, k=1), axis=1).astype(np.int64, copy=False))
 
     total_pairs = n * (n - 1) // 2
     expected = total_pairs * p

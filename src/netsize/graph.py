@@ -103,10 +103,6 @@ class MultiGraph:
     def num_edges(self) -> int:
         return len(self.edge_array)
 
-    @property
-    def edges(self) -> list[Edge]:
-        return [(int(u), int(v)) for u, v in self.edge_array]
-
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range for n={self.n}")

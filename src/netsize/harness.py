@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -127,6 +128,8 @@ class ExperimentPlan:
         for name in ("graph_replicates", "sample_replicates"):
             if getattr(self, name) < 1:
                 raise PlanError(name, "replicate counts must be >= 1")
+            if getattr(self, name) > sys.maxsize:  # a run index must fit in a C ssize_t
+                raise PlanError(name, f"replicate counts must be <= {sys.maxsize}")
         if any(name in HASHED_ESTIMATORS for name in self.estimators) and not self.omegas:
             raise PlanError("estimators", "hashed estimators need at least one code-space size")
         if min(self.sample_sizes) < 1:
@@ -327,10 +330,10 @@ def _listed(convert: Callable[[str], Any]) -> Callable[[str], tuple]:
     return lambda value: tuple(convert(tok.strip()) for tok in value.split(",") if tok.strip())
 
 
-# plan key -> the converter of its value; ``r`` is the short name of ``sample_sizes``
+# plan key -> the converter of its value; ``r`` fills ``ExperimentPlan.sample_sizes``
 _PLAN_KEYS: dict[str, Callable[[str], Any]] = {
     "families": _listed(Family), "lambdas": _listed(float), "sizes": _listed(int),
-    "r": _listed(int), "sample_sizes": _listed(int), "estimators": _listed(str),
+    "r": _listed(int), "estimators": _listed(str),
     "omegas": _listed(int), "graph_replicates": int, "sample_replicates": int,
     "seed": int, "num_seeds": int,
 }
@@ -358,15 +361,9 @@ def parse_plan(text: str) -> ExperimentPlan:
             raise ValueError(f"plan line {lineno}: {key}: already given on line {line_of[key]}")
         fields[key] = value
         line_of[key] = lineno
-    if "r" in fields and "sample_sizes" in fields:
-        later = max(("r", "sample_sizes"), key=line_of.__getitem__)
-        raise ValueError(f"plan line {line_of[later]}: {later}: a plan gives r or sample_sizes, not both")
-
-    for key in ("families", "lambdas", "sizes", "estimators"):
+    for key in ("families", "lambdas", "sizes", "estimators", "r"):
         if key not in fields:
             raise ValueError(f"plan is missing required key {key!r}")
-    if "r" not in fields and "sample_sizes" not in fields:
-        raise ValueError("plan is missing required key 'r'")
 
     given: dict[str, Any] = {}
     try:
@@ -376,7 +373,7 @@ def parse_plan(text: str) -> ExperimentPlan:
         return ExperimentPlan(**given)
     except PlanError as exc:
         key, message = exc.key, str(exc)
-        if key == "sample_sizes" and "r" in fields:  # blame the short name the plan wrote
+        if key == "sample_sizes":  # blame the key the plan wrote
             key = "r"
             message = message.replace("sample_sizes lists", "r lists", 1)
         raise ValueError(f"plan line {line_of[key]}: {key}: {message}") from None

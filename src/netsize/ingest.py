@@ -1,11 +1,11 @@
 """Edge-list ingestion for real networks, plus clustering statistics.
 
 Reads SNAP-style whitespace edge lists ("u v" per line, ``#`` comments),
-optionally symmetrizing directed input, collapsing duplicates, dropping
-self-loops, and restricting to a node whitelist.  Vertex ids are relabeled
-to a contiguous 0-based range; the original-id map is returned so samples
-and estimates can be traced back.  Vertices left without any surviving
-edge are dropped (the estimators' harmonic means need degrees >= 1).
+optionally collapsing duplicates, dropping self-loops, and restricting to a
+node whitelist.  Vertex ids are relabeled to a contiguous 0-based range;
+the original-id map is returned so samples and estimates can be traced
+back.  Vertices left without any surviving edge are dropped (the
+estimators' harmonic means need degrees >= 1).
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from .graph import INT64_MAX, INT64_MIN, MultiGraph, mean_local_clustering, tria
 @dataclass(frozen=True)
 class EdgeListSpec:
     path: str | Path
-    directed: bool = False          # lines are arcs; one edge per pair joined either way
     node_filter: Optional[str | Path] = None
-    dedupe: bool = False
+    dedupe: bool = False            # one edge per pair joined in either direction
     drop_loops: bool = False
 
 
@@ -146,8 +145,8 @@ def load_edge_list(spec: EdgeListSpec) -> tuple[MultiGraph, dict[int, int], Inge
 
     Returns the graph, the original-id -> new-id map, and a report of what
     was read and dropped.  Endpoints must fit in a signed 64-bit integer.
-    With ``directed``, lines are arcs and the graph keeps one edge for each
-    pair joined in either direction, so duplicates are collapsed as well.
+    With ``dedupe``, the graph keeps one edge for each pair joined in either
+    direction (A ∨ Aᵀ), so a file of arcs reads as undirected ties.
     A file in the grammar of ``_parse_edges`` is parsed in numpy; any other
     text goes through the line scan, with the same result or the same error.
     """
@@ -171,7 +170,7 @@ def load_edge_list(spec: EdgeListSpec) -> tuple[MultiGraph, dict[int, int], Inge
     ids, labels = np.unique(np.concatenate((pairs.min(axis=1), pairs.max(axis=1))), return_inverse=True)
     n = len(ids)
     lo, hi = labels[:m], labels[m:]
-    if spec.dedupe or spec.directed:
+    if spec.dedupe:
         # the relabeling is monotone, so the sorted keys keep the pairs' lexicographic
         # order; n <= MAX_VERTICES keeps them in int64 (MultiGraph rejects a larger n)
         keys = np.sort(lo * n + hi)

@@ -56,6 +56,12 @@ class RdsConfig:
             raise ValueError(f"recruit counts must be integers >= 0, got {self.recruit_law}")
         if self.seeds is not None:  # stored converted, so a one-shot iterable is read once
             object.__setattr__(self, "seeds", tuple(_flat_ids(self.seeds, "explicit seeds").tolist()))
+            if len(set(self.seeds)) != len(self.seeds):
+                raise ValueError("explicit seeds must be distinct")
+            if len(self.seeds) != self.num_seeds:
+                raise ValueError("explicit seeds must match num_seeds")
+            if min(self.seeds) < 0:
+                raise ValueError(f"seed {min(self.seeds)} out of range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,15 +463,8 @@ def rds_capture(g: MultiGraph, cfg: RdsConfig, rng: np.random.Generator) -> Samp
     if r > n:
         raise ValueError(f"target size {r} exceeds population {n}")
 
-    if cfg.seeds is not None:
-        seeds = list(cfg.seeds)
-        if len(set(seeds)) != len(seeds):
-            raise ValueError("explicit seeds must be distinct")
-        if len(seeds) != cfg.num_seeds:
-            raise ValueError("explicit seeds must match num_seeds")
-        for v in seeds:
-            if not 0 <= v < n:
-                raise ValueError(f"seed {v} out of range")
+    if cfg.seeds is not None and max(cfg.seeds) >= n:
+        raise ValueError(f"seed {max(cfg.seeds)} out of range")
     draw = _uniforms(rng).__next__  # every pick, seeds included, reads the generator through blocks
 
     row_of: list[int] = [-1] * n  # each vertex's row, -1 while undiscovered
@@ -485,7 +484,7 @@ def rds_capture(g: MultiGraph, cfg: RdsConfig, rng: np.random.Generator) -> Samp
         frontier.append(v)
 
     if cfg.seeds is not None:
-        for v in seeds:
+        for v in cfg.seeds:
             enroll_seed(v)
     else:
         for _ in range(cfg.num_seeds):

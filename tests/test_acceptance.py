@@ -250,7 +250,7 @@ def test_criterion_8b_brightkite_if_present():
         print(f"ACCEPTANCE 8b brightkite: SKIP (no dataset at {BRIGHTKITE_PATH})")
         pytest.skip("dataset not present")
     g, _, report = load_edge_list(
-        EdgeListSpec(BRIGHTKITE_PATH, directed=True, dedupe=True, drop_loops=True))
+        EdgeListSpec(BRIGHTKITE_PATH, dedupe=True, drop_loops=True))
     avg, trans = clustering_stats(g)
     ok = g.n == 58_228 and g.num_edges == 214_078
     ok &= abs(avg - 0.1723) <= 0.001 and abs(trans - 0.03979) <= 0.0005

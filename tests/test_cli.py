@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -268,6 +270,17 @@ def test_experiment_rejects_a_mean_degree_its_family_cannot_generate_before_runn
     assert captured.err.startswith(f"error: plan line 2: lambdas: {family} graphs on {n} vertices: ")
 
 
+def test_experiment_rejects_a_replicate_count_past_the_index_range(tmp_path, capsys):
+    plan = tmp_path / "huge.plan"
+    plan.write_text("families = er\nlambdas = 3\nsizes = 100\nr = 10\nestimators = n1\n"
+                    "graph_replicates = 99999999999999999999\n")
+    assert main(["experiment", "--plan", str(plan), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: plan line 6: graph_replicates: replicate counts must be "
+                            f"<= {sys.maxsize}\n")
+
+
 def test_experiment_names_the_plan_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
     plan = tmp_path / "latin1.plan"
     plan.write_bytes(b"families = er\nlambdas = 3\n# na\xefve\nsizes = 100\nr = 10\nestimators = n1\n")
@@ -281,7 +294,7 @@ def test_ingest_and_stats(tmp_path, capsys):
     path.write_text("# comment\n0 1\n1 0\n1 2\n2 2\n")
     norm = tmp_path / "norm.txt"
     idmap = tmp_path / "ids.txt"
-    assert main(["ingest", "--edges", str(path), "--directed", "--dedupe", "--drop-loops",
+    assert main(["ingest", "--edges", str(path), "--dedupe", "--drop-loops",
                  "--out", str(norm), "--id-map", str(idmap)]) == 0
     out = capsys.readouterr().out
     assert "kept 3 nodes / 2 edges" in out
@@ -290,6 +303,17 @@ def test_ingest_and_stats(tmp_path, capsys):
     assert main(["stats", "--edges", str(norm)]) == 0
     out = capsys.readouterr().out
     assert "average_clustering=" in out and "transitivity=" in out
+
+
+def test_ingest_and_stats_take_the_flags_the_readme_documents():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    shared, extra = re.search(r"`ingest` and `stats` take (.*?); `ingest` also takes (.*?)\.\n", text, re.S).groups()
+    documented = {"stats": set(re.findall(r"`(--[a-z-]+)`", shared))}
+    documented["ingest"] = documented["stats"] | set(re.findall(r"`(--[a-z-]+)`", extra))
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    for name, flags in documented.items():
+        options = {flag for action in commands[name]._actions for flag in action.option_strings}
+        assert options - {"-h", "--help"} == flags, name
 
 
 def test_stats_on_triangle(tmp_path, capsys):

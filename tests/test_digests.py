@@ -7,10 +7,13 @@ those dumps.  The graphs are pinned too: for each family at n = 2000, the
 bytes and dtype of ``edge_array``, the CSR offsets and targets and
 ``degrees()``, the ``netsize generate`` output and one capture's dump; the
 same arrays of an Erdos-Renyi graph drawn in many small gap blocks and of a
-rewired graph; and one hashed dump per hash mode.  A change that moves an
-output byte moves its digest, and the failure names every output that
-moved.  A change that moves outputs on purpose updates the digests here and
-says which moved and why.
+rewired graph; one hashed dump per hash mode; and the edges of two complete
+Erdos-Renyi graphs.  So is ``netsize ingest`` with every cleaning option
+on, and ``netsize stats`` with the same options, on a fixed edge list of
+reciprocal arcs, repeated lines, loops and ids outside the filter.  A
+change that moves an output byte moves its digest, and the failure names
+every output that moved.  A change that moves outputs on purpose updates
+the digests here and says which moved and why.
 """
 
 import hashlib
@@ -81,6 +84,15 @@ GRAPH_DIGESTS = {
     "random hashed dump": "f3be23fcc265d46a78fff99c6b05a9a355a23dd477212f77f12197c4d2ff1f5a",
     "injective hashed dump": "6d8e9ce76af932c86ccb783c7547b5e112f1eceef34cfd5a52927f323e41785a",
     "telefunken hashed dump": "404456ae7ba97127160c31ac285b2e49eba9bd623cf3d18907733f4efaf03a8f",
+    "complete er 50 edges": "fc8af00e48f69f36e906d67df153f0cc5a183ce29aa9b7b41a855b8e1468b703",
+    "complete er 2000 edges": "a4d0f6383c569a16b8f206ee73bb21387d2d557e1475b563bed0a3bc230f5d3b",
+}
+
+INGEST_DIGESTS = {
+    "ingest edges": "5c02580982dab24b99f5a91fcc2d01e5b171e0f98f4f9a3269647a554a6a024d",
+    "ingest id map": "5c1d2809eb171d6e212a480067d2f6c7cfb1b4adcc248e45040973eb76a18b21",
+    "ingest report": "3d12b3d1a31a45fe2cfa6f910c9b372b184eb52cdc23f1d95bea300f1f1a5755",
+    "stats": "d09621efb513d384a1632444411e9f81ee5475a51b75579427f6d3c8d00e8b8a",
 }
 
 
@@ -155,7 +167,28 @@ def _graph_outputs(capsys):
     for mode, size in [(HashMode.RANDOM_FUNCTION, 2000), (HashMode.INJECTIVE, 32000), (HashMode.TELEFUNKEN, 4**6)]:
         hashed = hashed_view(sample, assign_hashes(g.n, HashSpace(size, mode), rng))
         outputs[f"{mode.value} hashed dump"] = _dump(hashed)
+
+    for n in (50, 2000):  # p = 1: every pair, drawn by the gap walk
+        g = generators.erdos_renyi(n - 1.0, n, np.random.default_rng(0))
+        outputs[f"complete er {n} edges"] = f"{g.edge_array.dtype.str}:".encode() + g.edge_array.tobytes()
     return outputs
+
+
+def _ingest_outputs(tmp_path, capsys, monkeypatch):
+    """The bytes of each pinned ``netsize ingest`` and ``netsize stats`` output, by name."""
+    monkeypatch.chdir(tmp_path)  # the written edge list names the input path
+    rng = np.random.default_rng(26)
+    arcs = 1000 + 7 * rng.integers(0, 40, size=(300, 2))  # loops, repeats and reciprocal arcs
+    lines = [f"{u} {v}" for u, v in arcs.tolist()] + ["1007 1014", "1014 1007", "1014 1007", "1021 1021"]
+    (tmp_path / "edges.txt").write_text("# arcs\n" + "\n".join(lines) + "\n")
+    (tmp_path / "keep.txt").write_text("\n".join(str(1000 + 7 * i) for i in range(35)) + "\n")
+    options = ["--edges", "edges.txt", "--dedupe", "--drop-loops", "--filter", "keep.txt"]
+    assert main(["ingest", *options, "--id-map", "ids.txt", "--out", "clean.txt"]) == 0
+    report = capsys.readouterr().out.splitlines()[1]  # below the header, which names the run
+    assert main(["stats", *options]) == 0
+    stats = "\n".join(capsys.readouterr().out.splitlines()[1:])
+    return {"ingest edges": (tmp_path / "clean.txt").read_bytes(), "ingest id map": (tmp_path / "ids.txt").read_bytes(),
+            "ingest report": report.encode(), "stats": stats.encode()}
 
 
 def _moved(outputs, pinned):
@@ -172,3 +205,8 @@ def test_fixed_seed_outputs_keep_their_digests(tmp_path, capsys):
 def test_fixed_seed_graphs_keep_their_digests(capsys):
     moved = _moved(_graph_outputs(capsys), GRAPH_DIGESTS)
     assert not moved, "graph outputs that moved: " + ", ".join(moved)
+
+
+def test_ingested_edge_lists_keep_their_digests(tmp_path, capsys, monkeypatch):
+    moved = _moved(_ingest_outputs(tmp_path, capsys, monkeypatch), INGEST_DIGESTS)
+    assert not moved, "ingest outputs that moved: " + ", ".join(moved)

@@ -128,7 +128,7 @@ def test_edge_endpoints_must_be_integers():
         assert MultiGraph(3, edges).num_edges == 0
     for edges in ([(0, 1), (1, 2)], np.array([[0, 1], [1, 2]], dtype=np.uint8)):
         g = MultiGraph(3, edges)
-        assert g.edge_array.dtype == np.int64 and g.edges == [(0, 1), (1, 2)]
+        assert g.edge_array.dtype == np.int64 and g.edge_array.tolist() == [[0, 1], [1, 2]]
 
 
 def test_neighbor_bags_are_fresh_copies():

@@ -25,19 +25,12 @@ def _write(tmp_path, text, name="edges.txt"):
     return path
 
 
-def test_symmetrize_dedupe_collapses_reciprocal(tmp_path):
+def test_dedupe_collapses_reciprocal_arcs(tmp_path):
     path = _write(tmp_path, "0 1\n1 0\n")
-    g, id_map, report = load_edge_list(EdgeListSpec(path, directed=True, dedupe=True))
+    g, id_map, report = load_edge_list(EdgeListSpec(path, dedupe=True))
     assert g.n == 2 and g.num_edges == 1
     assert report.duplicates_collapsed == 1
     assert id_map == {0: 0, 1: 1}
-
-
-def test_directed_collapses_reciprocal_arcs(tmp_path):
-    path = _write(tmp_path, "0 1\n1 0\n")
-    g, _, report = load_edge_list(EdgeListSpec(path, directed=True))
-    assert g.num_edges == 1
-    assert report.duplicates_collapsed == 1
 
 
 def test_undirected_keeps_reciprocal_lines_as_parallel_edges(tmp_path):
@@ -66,12 +59,12 @@ _LINES = st.lists(st.lists(_TOKENS, max_size=3).map(" ".join), max_size=12)
 
 
 @SETTINGS
-@given(lines=_LINES, directed=st.booleans(), dedupe=st.booleans(), drop_loops=st.booleans())
-def test_parser_fuzz_gives_graph_or_located_error(lines, directed, dedupe, drop_loops):
+@given(lines=_LINES, dedupe=st.booleans(), drop_loops=st.booleans())
+def test_parser_fuzz_gives_graph_or_located_error(lines, dedupe, drop_loops):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.txt"
         path.write_text("\n".join(lines))
-        spec = EdgeListSpec(path, directed=directed, dedupe=dedupe, drop_loops=drop_loops)
+        spec = EdgeListSpec(path, dedupe=dedupe, drop_loops=drop_loops)
         try:
             g, id_map, report = load_edge_list(spec)
         except ValueError as exc:
@@ -176,7 +169,7 @@ def _reference_load(spec: EdgeListSpec):
                 pairs.append((min(u, v), max(u, v)))
     if not pairs:
         raise ValueError(f"{spec.path}: no edges survived ingestion")
-    unique = sorted(set(pairs)) if spec.dedupe or spec.directed else pairs
+    unique = sorted(set(pairs)) if spec.dedupe else pairs
     ids = sorted({x for pair in unique for x in pair})
     id_map = {x: i for i, x in enumerate(ids)}
     g = MultiGraph(len(ids), np.array([(id_map[u], id_map[v]) for u, v in unique], dtype=np.int64))
@@ -236,22 +229,21 @@ _FILTER_LINES = st.one_of(_NODE, _NODE, st.sampled_from(["", "# keep", "  3", "4
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=_edge_texts(), directed=st.booleans(), dedupe=st.booleans(), drop_loops=st.booleans(),
+@given(text=_edge_texts(), dedupe=st.booleans(), drop_loops=st.booleans(),
        keep=st.one_of(st.none(), st.lists(_CLEAN_FILTER_LINES, max_size=6),
                       st.lists(_FILTER_LINES, max_size=6)))
-@example(text="0 1\n1 0\n2 2\n1 0\n", directed=False, dedupe=True, drop_loops=True, keep=["0", "1"])
-@example(text="", directed=False, dedupe=False, drop_loops=False, keep=None)
-@example(text="# a\r5 7\n0 1\n", directed=False, dedupe=False, drop_loops=False, keep=None)
-@example(text="0 1 # note\n", directed=False, dedupe=False, drop_loops=False, keep=["0", "1 # c"])
-def test_edge_list_reader_matches_the_line_scan(text, directed, dedupe, drop_loops, keep):
+@example(text="0 1\n1 0\n2 2\n1 0\n", dedupe=True, drop_loops=True, keep=["0", "1"])
+@example(text="", dedupe=False, drop_loops=False, keep=None)
+@example(text="# a\r5 7\n0 1\n", dedupe=False, drop_loops=False, keep=None)
+@example(text="0 1 # note\n", dedupe=False, drop_loops=False, keep=["0", "1 # c"])
+def test_edge_list_reader_matches_the_line_scan(text, dedupe, drop_loops, keep):
     with tempfile.TemporaryDirectory() as tmp:
         path, node_filter = Path(tmp) / "edges.txt", None
         path.write_bytes(text.encode())
         if keep is not None:
             node_filter = Path(tmp) / "keep.txt"
             node_filter.write_bytes("\n".join(keep).encode())
-        spec = EdgeListSpec(path, directed=directed, node_filter=node_filter, dedupe=dedupe,
-                            drop_loops=drop_loops)
+        spec = EdgeListSpec(path, node_filter=node_filter, dedupe=dedupe, drop_loops=drop_loops)
         fast = _outcome(load_edge_list, spec)
         assert fast == _scan_outcome(spec)
         assert fast == _outcome(_reference_load, spec)

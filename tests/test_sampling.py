@@ -130,6 +130,22 @@ def test_rds_config_validation():
     assert RdsConfig(target_size=10, recruit_law=((np.int64(2), 1.0),)).recruit_law[0][0] == 2
 
 
+@pytest.mark.parametrize("num_seeds, seeds, message", [
+    (2, (1, 1), "explicit seeds must be distinct"),
+    (3, (1, 2), "explicit seeds must match num_seeds"),
+    (2, (-1, 2), "seed -1 out of range"),
+])
+def test_rds_config_checks_explicit_seeds_at_construction(num_seeds, seeds, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        RdsConfig(target_size=5, num_seeds=num_seeds, seeds=seeds)
+
+
+def test_rds_capture_rejects_an_explicit_seed_past_the_population():
+    cfg = RdsConfig(target_size=4, num_seeds=2, seeds=(1, 4))
+    with pytest.raises(ValueError, match="^seed 4 out of range$"):
+        rds_capture(CYCLE4, cfg, np.random.default_rng(0))
+
+
 class ScalarUniforms:
     """The scalar replay of ``sampling._uniforms``: one ``rng.random()`` per uniform."""
 
