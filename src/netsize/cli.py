@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +43,8 @@ from .sampling import (
     write_sample_dump,
 )
 
-def _header(command: str, args: argparse.Namespace, extras: dict) -> str:
-    shown = {"seed": args.rng_seed, **extras}
+def _header(command: str, shown: dict) -> str:
+    """The reproducibility line; a command that draws leads it with ``seed=``."""
     params = " ".join(f"{key}={value}" for key, value in shown.items())
     return f"netsize {__version__} | {command} | {params}"
 
@@ -54,7 +53,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     family = Family(args.family)
     rng = np.random.default_rng(args.rng_seed)
     g = sample_graph(family, args.lam, args.n, rng)
-    header = _header("generate", args, {"family": args.family, "lambda": args.lam, "n": args.n})
+    header = _header("generate", {"seed": args.rng_seed, "family": args.family, "lambda": args.lam,
+                                  "n": args.n})
     if args.out:
         write_edge_list(g, args.out, comments=[header, f"nodes={g.n} edges={g.num_edges}"])
         print(header)
@@ -77,12 +77,12 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         cfg = RdsConfig(target_size=args.size, num_seeds=args.num_seeds)
         sample = rds_capture(g, cfg, rng)
 
-    extras = {"mode": args.mode, "size": args.size, "graph": args.edges}
+    extras = {"seed": args.rng_seed, "mode": args.mode, "size": args.size, "graph": args.edges}
     if space is not None:
         sample = hashed_view(sample, assign_hashes(g.n, space, rng))
         extras.update({"omega": args.omega, "hash_mode": space.mode.value})
 
-    header = _header("sample", args, extras)
+    header = _header("sample", extras)
     if args.out:
         write_sample_dump(sample, args.out, header_comment=header)
         print(header)
@@ -103,7 +103,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     sample = read_sample_dump(args.sample)
     estimate = globals()[function]  # by name in this module: see harness.ESTIMATORS
     result = estimate(sample, args.omega) if reads == "hashed" else estimate(rows_to_sample(sample))
-    print(_header("estimate", args, {"estimator": name, "sample": args.sample, "omega": args.omega}))
+    print(_header("estimate", {"estimator": name, "sample": args.sample, "omega": args.omega}))
     if result.failed:
         print(f"estimator={name} estimate= failed=true cause={result.failure_cause.value}")
     else:
@@ -115,12 +115,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise ValueError(f"--threads must be at least 1, got {args.threads}")
     plan = load_plan(args.plan)
-    if args.rng_seed is not None:
-        plan = replace(plan, seed=args.rng_seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    print(_header("experiment", args, {"plan": args.plan, "runs": plan.run_count(),
-                                       "threads": args.threads, "plan_seed": plan.seed}))
+    print(_header("experiment", {"plan": args.plan, "runs": plan.run_count(),
+                                 "threads": args.threads, "plan_seed": plan.seed}))
     raw, summaries = run_plan(plan, workers=args.threads)
     raw_path = out_dir / "raw.csv"
     summary_path = out_dir / "summary.csv"
@@ -142,7 +140,7 @@ def _ingest_spec(args: argparse.Namespace) -> EdgeListSpec:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     g, id_map, report = load_edge_list(_ingest_spec(args))
-    print(_header("ingest", args, {"edges": args.edges}))
+    print(_header("ingest", {"edges": args.edges}))
     print(report.describe())
     if args.out:
         write_edge_list(g, args.out, comments=[f"normalized from {args.edges}"])
@@ -158,7 +156,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     g, _, report = load_edge_list(_ingest_spec(args))
-    print(_header("stats", args, {"edges": args.edges}))
+    print(_header("stats", {"edges": args.edges}))
     print(report.describe())
     try:
         avg, trans = clustering_stats(g)
@@ -174,14 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"netsize {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, default_seed: int | None = 0) -> None:
-        p.add_argument("--rng-seed", type=int, default=default_seed, help="master random seed")
-
     p = sub.add_parser("generate", help="emit a random graph as an edge list")
     p.add_argument("--family", choices=sorted(fam.value for fam in Family), required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True, help="target mean degree")
     p.add_argument("--n", type=int, required=True, help="number of vertices")
-    common(p)
+    p.add_argument("--rng-seed", type=int, default=0, help="master random seed")
     p.add_argument("--out", type=str, default=None, help="output path")
     p.set_defaults(func=_cmd_generate)
 
@@ -194,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hash-mode", choices=[m.value for m in HashMode], default=None,
                    help="needs --omega (default random); telefunken takes its digit count "
                         "from --omega, a power of 4")
-    common(p)
+    p.add_argument("--rng-seed", type=int, default=0, help="master random seed")
     p.add_argument("--out", type=str, default=None, help="output path")
     p.set_defaults(func=_cmd_sample)
 
@@ -202,13 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", choices=tuple(ESTIMATORS), required=True)
     p.add_argument("--sample", required=True, help="sample dump CSV")
     p.add_argument("--omega", type=int, default=None, help="hash space size (n2psi and n3psi only)")
-    common(p, default_seed=None)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("experiment", help="run a plan file")
     p.add_argument("--plan", required=True, help="plan file (key=value lines)")
     p.add_argument("--threads", type=int, default=1, help="worker processes")
-    p.add_argument("--rng-seed", type=int, default=None, help="override the plan's seed")
     p.add_argument("--out", type=str, required=True, help="output directory")
     p.set_defaults(func=_cmd_experiment)
 
@@ -225,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "ingest":
             p.add_argument("--id-map", type=str, default=None, help="write original->new id map")
             p.add_argument("--out", type=str, default=None, help="output path")
-        common(p, default_seed=None)
         p.set_defaults(func=func)
     return parser
 

@@ -7,7 +7,7 @@ are n2/n3 on hash codes from a space of omega codes, with each match weighted
 by the chance ``collision_prob`` that it is the true alter.  Every estimator
 reads the sample's ``Counts`` and ends in one solve, n' = numerator / m(n'):
 m is the matched mass (a closed form) without omega, else its expected true
-mass ``true_mass``.  ``hashing`` owns code spaces and code assignment; its
+mass (``_true_mass_of``).  ``hashing`` owns code spaces and code assignment; its
 hashed entry points are thin calls into this module.  Zero denominators are
 failure values, not exceptions, so a driver can tally failure rates.
 """
@@ -104,7 +104,9 @@ def _live_prob(n_prime: float, omega: int, d_tilde_s: float, d_minus_1):
 
 
 def _true_mass_of(counts: Counts, mass: np.ndarray, omega: int) -> Callable[[float], float]:
-    """n' -> ``true_mass(counts, mass, n', omega)``, with the degrees read once.
+    """n' -> the expected true mass sum_d mass_d * collision_prob(n', omega, d~, d) of
+    degree-grouped match counts (``mass`` is a row over ``counts.mass_degrees``),
+    with the degrees read once.
 
     Each call computes the probabilities of the live degrees (d > 1) as
     ``collision_prob`` does, and the dead ones carry weight 0.0 in place of
@@ -120,12 +122,6 @@ def _true_mass_of(counts: Counts, mass: np.ndarray, omega: int) -> Callable[[flo
     d_minus_1 = np.where(live, d_w - 1.0, 1.0)
     d_tilde = counts.harmonic_degree
     return lambda n_prime: float(weight @ _live_prob(n_prime, omega, d_tilde, d_minus_1))
-
-
-def true_mass(counts: Counts, mass: np.ndarray, n_prime: float, omega: int) -> float:
-    """Expected true mass sum_d mass_d * collision_prob(n', omega, d~, d) of
-    degree-grouped match counts (``mass`` is a row over ``counts.mass_degrees``)."""
-    return _true_mass_of(counts, mass, omega)(n_prime)
 
 
 def _solve_fixed_point(f: Callable[[float], float], sample_size: int) -> Optional[float]:
@@ -178,7 +174,7 @@ def _solve_fixed_point(f: Callable[[float], float], sample_size: int) -> Optiona
 
 def _fixed_point(numerator: float, mass: np.ndarray, counts: Counts, omega: Optional[int],
                  size: int) -> EstimateResult:
-    """n' = numerator / m(n'): m is mass.sum() without omega, else ``true_mass``."""
+    """n' = numerator / m(n'): m is mass.sum() without omega, else the expected true mass."""
     if omega is None:
         # n3's numerator is zero when every component with free ends faces a
         # complement of mean degree 1

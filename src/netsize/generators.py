@@ -394,15 +394,6 @@ def sample_graph(family: Family, lam: float, n: int, rng: np.random.Generator) -
     return configuration_graph(sample_degrees(family, lam, n, rng), rng)
 
 
-def average_clustering(neighbor_sets: Sequence[set[int]]) -> float:
-    """Mean local clustering over all vertices (degree < 2 contributes 0)."""
-    degrees = np.array([len(nbrs) for nbrs in neighbor_sets], dtype=np.int64)
-    heads = np.fromiter(itertools.chain.from_iterable(neighbor_sets), np.int64, int(degrees.sum()))
-    tails = np.repeat(np.arange(len(neighbor_sets)), degrees)
-    edges = np.stack([tails, heads], axis=1)[tails < heads]
-    return mean_local_clustering(degrees, triangle_counts(len(neighbor_sets), edges))
-
-
 _MAX_SWAPS = 500_000    # accepted swaps before rewiring gives up
 _CHECK_EVERY = 1000     # accepted swaps between two clustering checks
 

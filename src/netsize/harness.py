@@ -130,6 +130,8 @@ class ExperimentPlan:
                 raise PlanError(name, "replicate counts must be >= 1")
             if getattr(self, name) > sys.maxsize:  # a run index must fit in a C ssize_t
                 raise PlanError(name, f"replicate counts must be <= {sys.maxsize}")
+        if not 0 <= self.seed < 2**64:  # derive_rng keeps 64 bits, so a wider seed would alias
+            raise PlanError("seed", f"the seed must be in [0, 2**64), got {self.seed}")
         if any(name in HASHED_ESTIMATORS for name in self.estimators) and not self.omegas:
             raise PlanError("estimators", "hashed estimators need at least one code-space size")
         if min(self.sample_sizes) < 1:

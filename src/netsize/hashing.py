@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import EstimateResult, collision_prob, estimate_n2, estimate_n3, true_mass  # noqa: F401
+from .estimators import EstimateResult, _true_mass_of, collision_prob, estimate_n2, estimate_n3  # noqa: F401
 from .sampling import Sample
 
 
@@ -109,7 +109,7 @@ def hashed_view(sample: Sample, assignment: np.ndarray) -> Sample:
 
 def m_hat(hs: Sample, n_prime: float, omega: int) -> float:
     """Expected true-match mass among all observed code matches."""
-    return true_mass(hs.counts, hs.counts.match_mass, n_prime, omega)
+    return _true_mass_of(hs.counts, hs.counts.match_mass, omega)(n_prime)
 
 
 def x_hat(hs: Sample, component_label: int, n_prime: float, omega: int) -> float:
@@ -117,7 +117,7 @@ def x_hat(hs: Sample, component_label: int, n_prime: float, omega: int) -> float
     index = np.flatnonzero(hs.counts.labels == component_label)
     if not len(index):
         raise ValueError(f"no referral component labelled {component_label}")
-    return true_mass(hs.counts, hs.counts.cross_mass[index[0]], n_prime, omega)
+    return _true_mass_of(hs.counts, hs.counts.cross_mass[index[0]], omega)(n_prime)
 
 
 def estimate_n2_hashed(hs: Sample, omega: int) -> EstimateResult:

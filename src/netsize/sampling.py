@@ -73,7 +73,9 @@ class Sample:
     -1 for a seed (the default for every row).  Row i's alter codes are
     ``alter_codes[alter_offsets[i]:alter_offsets[i + 1]]``, which construction
     sorts.  Without ``alter_offsets``, ``alter_codes`` is one bag of codes per row.
-    Every sum of reported degrees must fit in int64, as the counts add them there.
+    Each column must be a flat sequence of ints: a float, a bool or a nested column is
+    rejected, never truncated.  Every sum of reported degrees must fit in int64, as the
+    counts add them there.
     """
 
     codes: np.ndarray
@@ -96,7 +98,7 @@ class Sample:
             "alter_codes": alters, "alter_offsets": offsets,
         }
         for name, column in columns.items():
-            object.__setattr__(self, name, np.asarray(column, dtype=np.int64).reshape(-1))
+            object.__setattr__(self, name, _flat_ids(column, name))
         if not len(self.degrees) == len(self.components) == len(self.recruiters) == k:
             raise ValueError("per-subject columns must have equal length")
         if not _degree_sums_fit(self.degrees):
@@ -520,7 +522,7 @@ def rds_capture(g: MultiGraph, cfg: RdsConfig, rng: np.random.Generator) -> Samp
                 recruiters.append(recruiter)
                 frontier.append(v)
 
-    return _plaintext_sample(g, np.array(order, dtype=np.int64), components,
+    return _plaintext_sample(g, np.array(order, dtype=np.int64), np.array(components, dtype=np.int64),
                              np.array(recruiters, dtype=np.int64))
 
 

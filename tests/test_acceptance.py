@@ -221,11 +221,7 @@ def test_criterion_8_clustering_correction():
         rng = derive_rng(MASTER_SEED, "cluster-graph", gi)
         base = ns.sample_graph(ns.Family.CONFIG_POISSON, 8.0, n, rng)
         g = rewire_to_clustering(base, 0.16, rng)
-        adj = [set() for _ in range(g.n)]
-        for u, v in g.edge_array.tolist():
-            adj[u].add(v)
-            adj[v].add(u)
-        clusterings.append(ns.generators.average_clustering(adj))
+        clusterings.append(clustering_stats(g)[0])
         for si in range(50):
             sample = rds_capture(g, RdsConfig(target_size=r),
                                  derive_rng(MASTER_SEED, "cluster-rds", gi, si))

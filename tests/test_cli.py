@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -305,15 +306,55 @@ def test_ingest_and_stats(tmp_path, capsys):
     assert "average_clustering=" in out and "transitivity=" in out
 
 
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def _options(parser: argparse.ArgumentParser) -> dict[str, set[str]]:
+    """Each command's flags, without ``--help``."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return {name: {flag for action in command._actions for flag in action.option_strings} - {"-h", "--help"}
+            for name, command in commands.items()}
+
+
 def test_ingest_and_stats_take_the_flags_the_readme_documents():
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    shared, extra = re.search(r"`ingest` and `stats` take (.*?); `ingest` also takes (.*?)\.\n", text, re.S).groups()
+    shared, extra = re.search(r"`ingest` and `stats` take (.*?); `ingest` also takes (.*?)\.\n", README, re.S).groups()
     documented = {"stats": set(re.findall(r"`(--[a-z-]+)`", shared))}
     documented["ingest"] = documented["stats"] | set(re.findall(r"`(--[a-z-]+)`", extra))
-    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    options = _options(cli.build_parser())
     for name, flags in documented.items():
-        options = {flag for action in commands[name]._actions for flag in action.option_strings}
-        assert options - {"-h", "--help"} == flags, name
+        assert options[name] == flags, name
+
+
+def test_every_readme_command_line_parses():
+    lines = [line for block in re.findall(r"```bash\n(.*?)```", README, re.S)
+             for line in block.splitlines() if line.startswith("netsize ")]
+    assert lines
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line)[1:])  # a flag the CLI lacks exits 2
+
+
+def test_only_the_commands_that_draw_take_a_seed(tmp_path, capsys, monkeypatch):
+    options = _options(cli.build_parser())
+    assert {name for name, flags in options.items() if "--rng-seed" in flags} == {"generate", "sample"}
+    monkeypatch.chdir(tmp_path)
+    _generate_edges(tmp_path, name="g.txt", n=120, lam=6.0)
+    assert main(["sample", "--edges", "g.txt", "--size", "20", "--out", "s.csv"]) == 0
+    (tmp_path / "tiny.plan").write_text("families = er\nlambdas = 6\nsizes = 120\nr = 20\nestimators = n2\n")
+    runs = {
+        "estimate": ["--estimator", "n2", "--sample", "s.csv"],
+        "experiment": ["--plan", "tiny.plan", "--out", "out"],
+        "ingest": ["--edges", "g.txt"],
+        "stats": ["--edges", "g.txt"],
+    }
+    capsys.readouterr()
+    for name, args in runs.items():
+        assert main([name, *args]) == 0
+        version, command, params = capsys.readouterr().out.splitlines()[0].split(" | ")
+        assert (version, command) == (f"netsize {cli.__version__}", name)
+        assert "seed" not in dict(field.split("=", 1) for field in params.split()), name
+        with pytest.raises(SystemExit) as exc:
+            main([name, *args, "--rng-seed", "1"])
+        assert exc.value.code == 2
 
 
 def test_stats_on_triangle(tmp_path, capsys):
@@ -419,7 +460,9 @@ def test_reused_parser_prints_what_fresh_processes_print(tmp_path, capsys, monke
                  "--rng-seed", "1", "--out", "h.csv"]) == 0
     capsys.readouterr()
     calls = [
-        ["estimate", "--estimator", "n2psi", "--omega", "4096", "--rng-seed", "5", "--sample", "h.csv"],
+        ["sample", "--edges", "g.txt", "--size", "20", "--rng-seed", "5"],
+        ["sample", "--edges", "g.txt", "--size", "20"],
+        ["estimate", "--estimator", "n2psi", "--omega", "4096", "--sample", "h.csv"],
         ["estimate", "--estimator", "n2", "--sample", "p.csv"],
         ["estimate", "--estimator", "n3psi", "--sample", "h.csv"],
         ["estimate", "--estimator", "n9", "--sample", "p.csv"],
@@ -428,8 +471,9 @@ def test_reused_parser_prints_what_fresh_processes_print(tmp_path, capsys, monke
         ["estimate", "--estimator", "n1", "--sample", "p.csv"],
     ]
     here = [_run_here(args, capsys) for args in calls]
-    assert [code for code, _, _ in here] == [0, 0, 1, 2, 1, 0, 0]
-    assert "omega=None" in here[1][1] and "seed=None" in here[1][1]
+    assert [code for code, _, _ in here] == [0, 0, 0, 0, 1, 2, 1, 0, 0]
+    assert "| sample | seed=5 " in here[0][1] and "| sample | seed=0 " in here[1][1]
+    assert "omega=None" in here[3][1]
     assert here == [_python(["-m", "netsize", *args], cwd=tmp_path) for args in calls]
 
 

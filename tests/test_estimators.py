@@ -327,7 +327,7 @@ def grouped_counts(draw):
 
 
 def _reference_fixed_point(numerator, mass, counts, omega, size):
-    """The solve with ``collision_prob`` rebuilt at every step, as ``true_mass`` once was."""
+    """The solve with the expected true mass rebuilt from ``collision_prob`` at every step."""
     def f(n_prime):
         m = float(mass @ collision_prob(n_prime, omega, counts.harmonic_degree, counts.mass_degrees))
         return numerator / m if m > 0 else math.inf

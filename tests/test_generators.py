@@ -13,7 +13,6 @@ from netsize import generators, sampling
 from netsize.generators import (
     Family,
     _pairs_from_indices,
-    average_clustering,
     barabasi_albert,
     check_family,
     check_size,
@@ -24,6 +23,7 @@ from netsize.generators import (
     sample_graph,
 )
 from netsize.graph import INT64_MAX, MultiGraph, mean_local_clustering, triangle_counts
+from netsize.ingest import clustering_stats
 from test_sampling import CountingGenerator, ScalarUniforms, counting_uniforms
 
 
@@ -207,20 +207,13 @@ def test_rewire_reaches_clustering_and_preserves_degrees():
 
     rewired = rewire_to_clustering(g, 0.2, rng)
     assert np.array_equal(np.asarray(rewired.degrees()), want)
-    adj = [set() for _ in range(rewired.n)]
-    for u, v in rewired.edge_array.tolist():
-        adj[u].add(v)
-        adj[v].add(u)
-    assert average_clustering(adj) >= 0.2
+    assert clustering_stats(rewired)[0] >= 0.2
 
 
-def test_average_clustering_brute_force_small():
-    adj = [set() for _ in range(4)]
-    for u, v in [(0, 1), (1, 2), (0, 2), (2, 3)]:
-        adj[u].add(v)
-        adj[v].add(u)
+def test_mean_clustering_brute_force_small():
+    g = MultiGraph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
     # triangle 0-1-2 plus pendant 3: locals are 1, 1, 1/3, 0
-    assert average_clustering(adj) == pytest.approx((1 + 1 + 1 / 3 + 0) / 4)
+    assert clustering_stats(g)[0] == pytest.approx((1 + 1 + 1 / 3 + 0) / 4)
 
 
 def test_rewire_state_annotations_resolve():

@@ -350,6 +350,9 @@ _VALID_PLAN = "families = er\nlambdas = 3\nsizes = 100\nr = 10\nestimators = n1\
     ("sizes = 1e3", "plan line 6: sizes: invalid literal for int"),
     ("graph_replicates = two", "plan line 6: graph_replicates: invalid literal for int"),
     ("seed =", "plan line 6: seed: invalid literal for int"),
+    ("seed = -5", "plan line 6: seed: the seed must be in [0, 2**64), got -5"),
+    ("seed = 18446744073709551616",
+     "plan line 6: seed: the seed must be in [0, 2**64), got 18446744073709551616"),
     ("omegas = 2000, 3.5", "plan line 6: omegas: invalid literal for int"),
     ("families = er, marslink", "plan line 6: families: unknown family 'marslink'"),
     ("lambdas = nan", "plan line 6: lambdas: a mean degree must be finite and non-negative, got nan"),
@@ -377,6 +380,12 @@ def test_parse_plan_names_the_line_of_a_bad_value(line, message):
     valid = re.sub(f"(?m)^{key} =", f"# {key} =", _VALID_PLAN)
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         parse_plan(valid + line)
+
+
+def test_plan_seeds_span_the_64_bits_the_run_streams_keep():
+    # derive_rng keeps a seed's low 64 bits, so a seed outside them would share its streams
+    for seed in (0, 2**64 - 1):
+        assert parse_plan(f"{_VALID_PLAN}seed = {seed}").seed == seed
 
 
 @pytest.mark.parametrize("lines, message", [

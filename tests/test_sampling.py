@@ -690,8 +690,8 @@ def test_the_row_sort_matches_lexsort(rows):
     got = sampling._sort_within_rows(values, row)
     assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
     k = len(rows)
-    sample = Sample(codes=np.arange(k), degrees=lengths, alter_codes=values, components=np.zeros(k),
-                    alter_offsets=np.r_[0, np.cumsum(lengths)])
+    sample = Sample(codes=np.arange(k), degrees=lengths, alter_codes=values,
+                    components=np.zeros(k, dtype=np.int64), alter_offsets=np.r_[0, np.cumsum(lengths)])
     assert (sample.alter_codes.dtype, sample.alter_codes.tobytes()) == (want.dtype, want.tobytes())
 
 
@@ -719,3 +719,24 @@ def test_alter_offsets_whose_differences_wrap_are_rejected():
     with pytest.raises(ValueError, match="alter offsets must run from 0"):
         Sample(codes=[1, 2, 3], degrees=[1, 1, 1], alter_codes=[1, 2, 3], components=[0, 1, 2],
                alter_offsets=[0, INT64_MAX, INT64_MIN + 4, 3])
+
+
+_VALID_COLUMNS = {"codes": [0, 1], "degrees": [2, 1], "alter_codes": [1, 0], "components": [0, 1],
+                  "recruiters": [-1, -1], "alter_offsets": [0, 1, 2]}
+
+
+@pytest.mark.parametrize("name", sorted(_VALID_COLUMNS))
+@pytest.mark.parametrize("bad, message", [
+    (lambda column: [v + 0.25 for v in column], "must be integers, got float64 values"),
+    (lambda column: [True, *column[1:]], "must be integers, got bool values"),
+    (lambda column: [[v] for v in column], "must be a flat sequence of ints"),
+], ids=["float", "bool", "2-D"])
+def test_sample_rejects_a_column_that_is_not_flat_ints(name, bad, message):
+    assert Sample(**_VALID_COLUMNS).counts.matches == 2
+    with pytest.raises(ValueError, match=f"^{name} {message}$"):
+        Sample(**{**_VALID_COLUMNS, name: bad(_VALID_COLUMNS[name])})
+
+
+def test_sample_does_not_truncate_float_codes_into_matches():
+    with pytest.raises(ValueError, match="^codes must be integers"):
+        Sample(codes=[0.9, 1.2], degrees=[2.7, 1], alter_codes=[[1.9], [0.2]], components=[0, 1])
