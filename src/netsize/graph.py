@@ -23,6 +23,11 @@ INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 MAX_VERTICES = 3_037_000_499  # isqrt(INT64_MAX): keys source * n + target fit in int64
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer; a bool is neither here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def vertex_ids(values: Iterable | np.ndarray, what: str) -> np.ndarray:
     """``values``, an integer array or a (nested) sequence of ints, as an int64
     array of its shape, converted in one step.  A float or a bool, alone or
@@ -68,8 +73,7 @@ class MultiGraph:
     holds 16 bytes per edge in ``edge_array`` and, for the CSR, 16 per edge
     and 16 per vertex.  The CSR is built in one buffer of keys, sorted and
     reduced to targets in place, so drawing a graph of any family at mean
-    degree 10 peaks at no more than 1.25 times those bytes (1.8 to 2.3 times
-    when the build made full-size temporaries).
+    degree 10 peaks at no more than 1.25 times those bytes.
     """
 
     __slots__ = ("n", "edge_array", "_offsets", "_targets", "_degrees")

@@ -25,6 +25,7 @@ import numpy as np
 
 from .estimators import EstimateResult, _check_omega, estimate_n1_from_view, estimate_n2, estimate_n3
 from .generators import Family, check_family, check_size, sample_graph
+from .graph import is_int
 from .hashing import HashMode, HashSpace, assign_hashes, estimate_n2_hashed, estimate_n3_hashed, hashed_view
 from .ingest import open_text, open_written
 from .sampling import RdsConfig, as_sample_view, rds_capture, uniform_sample
@@ -104,6 +105,16 @@ class ExperimentPlan:
             object.__setattr__(self, "families", tuple(map(Family, self.families)))
         if not self.estimators:
             raise PlanError("estimators", "at least one estimator is required")
+        for name in ("sizes", "sample_sizes"):  # HashSpace checks each omega
+            for value in getattr(self, name):
+                if not is_int(value):
+                    raise PlanError(name, f"{name} must be integers, got {value!r}")
+        for name in ("graph_replicates", "sample_replicates", "seed", "num_seeds"):
+            if not is_int(getattr(self, name)):
+                raise PlanError(name, f"{name} must be an integer, got {getattr(self, name)!r}")
+        for lam in self.lambdas:
+            if not (is_int(lam) or isinstance(lam, (float, np.floating))):
+                raise PlanError("lambdas", f"a mean degree must be an int or a float, got {lam!r}")
         for name in ("families", "lambdas", "sizes", "sample_sizes", "estimators", "omegas"):
             values = getattr(self, name)
             for i, value in enumerate(values):
@@ -253,6 +264,8 @@ def _run_graph_task(args: tuple[ExperimentPlan, Family, float, int, int]) -> lis
 
 def run_plan(plan: ExperimentPlan, workers: int = 1) -> tuple[list[RawRow], list[SummaryRow]]:
     """Execute every run of the plan on ``workers`` >= 1 processes; output is independent of their count."""
+    if not is_int(workers):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     grid = itertools.product(plan.families, plan.lambdas, plan.sizes, range(plan.graph_replicates))

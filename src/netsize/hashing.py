@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .estimators import EstimateResult, _true_mass_of, collision_prob, estimate_n2, estimate_n3  # noqa: F401
+from .graph import is_int
 from .sampling import Sample
 
 
@@ -38,6 +39,8 @@ class HashSpace:
     mode: HashMode = HashMode.RANDOM_FUNCTION
 
     def __post_init__(self):
+        if not is_int(self.size):
+            raise ValueError(f"hash space size must be an integer, got {self.size!r}")
         if self.size < 1:
             raise ValueError("hash space must contain at least one code")
         if self.size > 2**63:  # every code in [0, size) is an int64
@@ -50,7 +53,7 @@ class HashSpace:
     @property
     def telefunken_digits(self) -> int:
         """floor(log4(size)): a telefunken space of size 4**k codes the last k phone digits."""
-        return (self.size.bit_length() - 1) // 2
+        return (int(self.size).bit_length() - 1) // 2
 
 
 def telefunken_encode(digits: str, k: int) -> int:

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graph import INT64_MAX, INT64_MIN, MultiGraph, ReferralForest, vertex_ids
+from .graph import INT64_MAX, INT64_MIN, MultiGraph, ReferralForest, is_int, vertex_ids
 from .ingest import comment_lines, open_text, open_written
 from .multiset import Multiset
 
@@ -41,6 +41,9 @@ class RdsConfig:
     seeds: Optional[tuple[int, ...]] = None  # explicit seed vertices (testing/repro)
 
     def __post_init__(self):
+        for name in ("target_size", "num_seeds"):
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.target_size < 1:
             raise ValueError("target size must be >= 1")
         if not 1 <= self.num_seeds <= self.target_size:
@@ -52,7 +55,7 @@ class RdsConfig:
         total = sum(p for _, p in self.recruit_law)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"recruit law probabilities sum to {total}, not 1")
-        if not all(isinstance(k, (int, np.integer)) and k >= 0 for k, _ in self.recruit_law):
+        if not all(is_int(k) and k >= 0 for k, _ in self.recruit_law):
             raise ValueError(f"recruit counts must be integers >= 0, got {self.recruit_law}")
         if self.seeds is not None:  # stored converted, so a one-shot iterable is read once
             object.__setattr__(self, "seeds", tuple(_flat_ids(self.seeds, "explicit seeds").tolist()))

@@ -5,23 +5,29 @@ the paper's text; ``Sample.counts`` must agree with them on every capture,
 and with a direct ``mintersect`` computation under non-injective codes.
 Metamorphic tests then change what no count may depend on (the code values,
 the component labels, a trip through a dump) and require the same counts
-and the same five estimates.
+and the same five estimates.  Last, the match lookup's code table and its
+sorted search must give the same counts.
 """
 
 import dataclasses
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from netsize import sampling
 from netsize.estimators import EstimateResult, estimate_n1_from_view, estimate_n2, estimate_n3
 from netsize.graph import (
     INT64_MAX, INT64_MIN, MultiGraph, cross_seed_matches, free_ends, harmonic_mean, matches,
 )
-from netsize.hashing import collision_prob, estimate_n2_hashed, estimate_n3_hashed, hashed_view, m_hat, x_hat
+from netsize.generators import Family, sample_graph
+from netsize.hashing import (
+    HashSpace, assign_hashes, collision_prob, estimate_n2_hashed, estimate_n3_hashed, hashed_view, m_hat, x_hat,
+)
 from netsize.multiset import Multiset, mintersect
 from netsize.sampling import (
     Counts, RdsConfig, Sample, as_sample_view, rds_capture, read_sample_dump, write_sample_dump,
@@ -48,12 +54,19 @@ def captures(draw):
 def coded_samples(draw):
     """A sample whose subject and alter codes collide freely.
 
+    The codes sit near one or two of 0, -40 and the two ends of the int64
+    range, so the match lookup meets both its code table and its search.
     Component labels may already run 0, 1, 2, ... in order of first appearance
     (as in a capture) or be negative, gapped or out of that order; degrees may
     span a few values or more than 2**16.  So the counts meet both sides of
     each relabelling shortcut.
     """
     k = draw(st.integers(1, 8))
+    bases = st.sampled_from(draw(st.lists(st.sampled_from([0, -40, INT64_MIN, INT64_MAX - 30]),
+                                          min_size=1, max_size=2, unique=True)))
+
+    def codes(top):
+        return st.tuples(bases, st.integers(0, top)).map(sum)
 
     def column(values):
         return draw(st.lists(values, min_size=k, max_size=k))
@@ -66,9 +79,9 @@ def coded_samples(draw):
         components = [c * 2**40 + 7 for c in components]
     wide = draw(st.booleans())
     return Sample(
-        codes=column(st.integers(0, 4)),
+        codes=column(codes(4)),
         degrees=column(st.sampled_from([1, 2, 6, 2**16, 2**16 + 1, 2**20]) if wide else st.integers(1, 6)),
-        alter_codes=[draw(st.lists(st.integers(0, 5), max_size=6)) for _ in range(k)],
+        alter_codes=[draw(st.lists(codes(5), max_size=6)) for _ in range(k)],
         components=components,
     )
 
@@ -196,13 +209,13 @@ def _estimates(sample, omega):
 
 
 def _assert_same_counts(a, b, labels=None):
-    """Field by field, values and dtypes; ``labels`` replaces ``a``'s component labels."""
+    """Field by field, dtypes, shapes and bytes; ``labels`` replaces ``a``'s component labels."""
     for field in dataclasses.fields(Counts):
         left, right = getattr(a, field.name), getattr(b, field.name)
         if field.name == "labels" and labels is not None:
             left = np.asarray(labels, dtype=left.dtype)
         if isinstance(left, np.ndarray):
-            assert left.dtype == right.dtype and np.array_equal(left, right), field.name
+            assert (left.dtype, left.shape, left.tobytes()) == (right.dtype, right.shape, right.tobytes()), field.name
         else:
             assert type(left) is type(right) and left == right, field.name
 
@@ -252,3 +265,57 @@ def test_a_dump_written_and_read_back_changes_no_count_or_estimate(capture, code
         read = read_sample_dump(path)
     _assert_same_counts(sample.counts, read.counts)
     assert _estimates(read, omega) == _estimates(sample, omega)
+
+
+# ---------------------------------------------------------------------------
+# the match lookup of Sample.counts: the code table and the sorted search
+
+
+def _counts_on_both_paths(sample):
+    """The counts of ``sample`` with the lookup forced onto the table, and onto the search."""
+    with mock.patch.object(sampling, "_TABLE_MIN", 2**62):
+        table = sampling._count(sample)
+    with mock.patch.object(sampling, "_TABLE_MIN", 0):
+        search = sampling._count(sample)
+    return table, search
+
+
+@settings(max_examples=200, deadline=None)
+@given(coded_samples())
+@example(Sample(codes=[], degrees=[], alter_codes=[], components=[]))
+@example(Sample(codes=[INT64_MIN, INT64_MAX], degrees=[2, 2], alter_codes=[[INT64_MAX, 0], [INT64_MIN, INT64_MIN]],
+                components=[0, 1]))
+def test_the_code_table_and_the_search_count_alike(sample):
+    table, search = _counts_on_both_paths(sample)
+    _assert_same_counts(table, search)
+    _assert_same_counts(sample.counts, search)
+
+
+def test_the_lookup_uses_the_table_up_to_its_bound():
+    # a miss names some valid index, and the two paths name different ones:
+    # the table reads the entry of the clipped query, the search its insertion point
+    codes, queries = np.array([0, 9], dtype=np.int64), np.array([5, 9, -3, 12], dtype=np.int64)
+    with mock.patch.object(sampling, "_TABLE_MIN", 10):
+        assert sampling._lookup(codes, queries).tolist() == [0, 1, 0, 1]  # span 10: the table
+    with mock.patch.object(sampling, "_TABLE_MIN", 9):
+        assert sampling._lookup(codes, queries).tolist() == [1, 1, 0, 1]  # one past the bound: the search
+    assert sampling._lookup(codes, queries[:0]).tolist() == []
+
+
+def test_codes_across_the_whole_int64_range_take_the_search():
+    # the span, 2**64, is a Python int: in int64 it would wrap to 0 and pick the table
+    codes = np.array([INT64_MIN, -1, INT64_MAX], dtype=np.int64)
+    queries = np.array([INT64_MAX, INT64_MIN, 0, -1], dtype=np.int64)
+    assert sampling._lookup(codes, queries).tolist() == [2, 0, 2, 1]  # the miss, 0, at its insertion point
+
+
+@pytest.mark.parametrize("omega", [1, 2, 2000, 32000, 256000, 2**63])
+def test_hashed_and_plaintext_counts_agree_on_both_paths(omega):
+    g = sample_graph(Family.CONFIG_POISSON, 10.0, 3000, np.random.default_rng(3))
+    for r, seed in ((250, 1), (750, 2)):
+        sample = rds_capture(g, RdsConfig(target_size=r), np.random.default_rng(seed))
+        hashed = hashed_view(sample, assign_hashes(g.n, HashSpace(omega), np.random.default_rng(seed)))
+        for s in (sample, hashed):
+            table, search = _counts_on_both_paths(s)  # codes spanning past 2**62 take the search twice
+            _assert_same_counts(table, search)
+            _assert_same_counts(s.counts, search)

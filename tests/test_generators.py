@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import logging
 import math
@@ -226,10 +227,11 @@ def test_rewire_state_annotations_resolve():
 
 @st.composite
 def multigraphs(draw):
-    """A small multigraph with loops and parallel edges."""
+    """A small multigraph with loops and parallel edges, and at least n of them:
+    with fewer, a pick that never took the last neighbor passed 2 rewiring runs of 80."""
     n = draw(st.integers(2, 12))
     vertex = st.integers(0, n - 1)
-    return MultiGraph(n, draw(st.lists(st.tuples(vertex, vertex), max_size=40)))
+    return MultiGraph(n, draw(st.lists(st.tuples(vertex, vertex), min_size=n, max_size=40)))
 
 
 def _simple_view(g):
@@ -369,29 +371,54 @@ def _reference_rewire(g, target, rng):
         state.swap(v, a, w, b)
         swaps += 1
     draw.close()
-    return state.edge_array()
+    reached = mean_local_clustering(state.degrees, state.tri)
+    warnings = [f"rewiring stopped at mean clustering {reached:.6g}, short of the target {target:.6g}, "
+                f"after {swaps} swaps in {attempts} attempts"] if reached < target else []
+    return state.edge_array(), warnings
+
+
+@contextlib.contextmanager
+def _warnings():
+    """The messages the ``netsize`` logger emits inside the block (caplog is
+    function-scoped, which a hypothesis test cannot use)."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("netsize")
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
 
 
 def _assert_same_rewiring(g, target, seed):
+    """The rewired edges, the warnings and the generator's next draw against the reference; returns the warnings."""
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    rewired = rewire_to_clustering(g, target, rng)
-    assert np.array_equal(rewired.edge_array, _reference_rewire(g, target, ref_rng))
+    with _warnings() as warned:
+        rewired = rewire_to_clustering(g, target, rng).edge_array
+    edges, expected = _reference_rewire(g, target, ref_rng)
+    assert (rewired.dtype, rewired.tobytes()) == (edges.dtype, edges.tobytes())
+    assert warned == expected
     assert rng.random() == ref_rng.random()
+    return warned
 
 
 @settings(max_examples=150, deadline=None)
-@given(g=multigraphs(), seed=st.integers(0, 2**32 - 1))
-def test_rewire_matches_the_flat_slot_reference(g, seed):
+@given(g=multigraphs(), target=st.sampled_from([0.0, 0.2, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_rewire_matches_the_flat_slot_reference(g, target, seed):
     if not any(d >= 2 for d in _degrees(g.n, _simple_view(g))):
         return
     with mock.patch.object(generators, "_MAX_SWAPS", 50), mock.patch.object(generators, "_CHECK_EVERY", 7):
-        _assert_same_rewiring(g, 1.0, seed)
+        _assert_same_rewiring(g, target, seed)
 
 
 def test_rewire_matches_the_flat_slot_reference_on_a_poisson_graph():
     g = sample_graph(Family.CONFIG_POISSON, 6.0, 600, np.random.default_rng(5))
     for seed in range(2):
-        _assert_same_rewiring(g, 0.2, seed)
+        assert _assert_same_rewiring(g, 0.2, seed) == []
+    with mock.patch.object(generators, "_MAX_SWAPS", 200):  # gives up far short of the target
+        assert len(_assert_same_rewiring(g, 0.9, 1)) == 1
 
 
 @pytest.mark.parametrize("block", [1, 3, 7])

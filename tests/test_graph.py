@@ -131,6 +131,18 @@ def test_edge_endpoints_must_be_integers():
         assert g.edge_array.dtype == np.int64 and g.edge_array.tolist() == [[0, 1], [1, 2]]
 
 
+@pytest.mark.parametrize("edges", [[(0, True)], [(np.True_, 2)], ((1, 2), (False, 0)), iter([(0, 1), (True, 2)])])
+def test_a_multigraph_rejects_a_bool_endpoint_next_to_ints(edges):
+    with pytest.raises(ValueError, match="^edge endpoints must be integers, got bool values$"):
+        MultiGraph(3, edges)
+
+
+def test_a_multigraph_reads_pair_lists_of_any_integer_type():
+    g = MultiGraph(3, [(0, 1), (1, 2)])
+    for edges in ([(np.int64(0), 1), (1, np.uint8(2))], list(g.edge_array), iter([[0, 1], [1, 2]])):
+        assert MultiGraph(3, edges).edge_array.tobytes() == g.edge_array.tobytes()
+
+
 def test_neighbor_bags_are_fresh_copies():
     bag = K3.neighbors(0)
     bag[5] += 1

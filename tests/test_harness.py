@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import re
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from netsize.estimators import EstimateResult, FailureCause
 from netsize import harness
 from netsize.generators import Family
+from netsize.hashing import HashMode, HashSpace
 from netsize.harness import (
     ExperimentPlan,
     PlanError,
@@ -24,6 +26,7 @@ from netsize.harness import (
     summarize_rows,
     summary_csv_lines,
 )
+from netsize.sampling import RdsConfig
 
 OK = EstimateResult.success
 FAIL = EstimateResult.failure
@@ -253,6 +256,47 @@ def test_a_raw_row_outside_the_plan_raises():
 def test_run_plan_needs_at_least_one_worker(workers):
     with pytest.raises(ValueError, match=f"^need at least one worker, got {workers}$"):
         run_plan(TINY, workers=workers)
+
+
+def _tiny(**changes):
+    return ExperimentPlan(**{**dataclasses.asdict(TINY), **changes})
+
+
+@pytest.mark.parametrize("build, key, message", [
+    (lambda: _tiny(seed=1.5), "seed", "seed must be an integer, got 1.5"),
+    (lambda: _tiny(seed=True), "seed", "seed must be an integer, got True"),
+    (lambda: _tiny(graph_replicates=1.5), "graph_replicates", "graph_replicates must be an integer, got 1.5"),
+    (lambda: _tiny(sample_replicates=True), "sample_replicates", "sample_replicates must be an integer, got True"),
+    (lambda: _tiny(num_seeds=2.0), "num_seeds", "num_seeds must be an integer, got 2.0"),
+    (lambda: _tiny(sizes=(50.0,)), "sizes", "sizes must be integers, got 50.0"),
+    (lambda: _tiny(sample_sizes=(10.0,)), "sample_sizes", "sample_sizes must be integers, got 10.0"),
+    (lambda: _tiny(estimators=("n2psi",), omegas=(True,)), "omegas", "hash space size must be an integer, got True"),
+    (lambda: _tiny(lambdas=(True,)), "lambdas", "a mean degree must be an int or a float, got True"),
+    (lambda: _tiny(lambdas=("6",)), "lambdas", "a mean degree must be an int or a float, got '6'"),
+    (lambda: RdsConfig(target_size=2.5, num_seeds=1), None, "target_size must be an integer, got 2.5"),
+    (lambda: RdsConfig(target_size=True, num_seeds=1), None, "target_size must be an integer, got True"),
+    (lambda: RdsConfig(target_size=5, num_seeds=2.0), None, "num_seeds must be an integer, got 2.0"),
+    (lambda: RdsConfig(target_size=10, recruit_law=((True, 1.0),)), None,
+     "recruit counts must be integers >= 0, got ((True, 1.0),)"),
+    (lambda: HashSpace(2.5), None, "hash space size must be an integer, got 2.5"),
+    (lambda: HashSpace(True), None, "hash space size must be an integer, got True"),
+    (lambda: run_plan(TINY, workers=2.5), None, "workers must be an integer, got 2.5"),
+    (lambda: run_plan(TINY, workers=True), None, "workers must be an integer, got True"),
+])
+def test_an_integer_setting_rejects_floats_and_bools_at_construction(build, key, message):
+    with pytest.raises(PlanError if key else ValueError, match="^" + re.escape(message) + "$") as caught:
+        build()
+    assert getattr(caught.value, "key", None) == key
+
+
+def test_an_integer_setting_takes_numpy_integers():
+    plan = _tiny(sizes=(np.int64(120),), sample_sizes=(np.uint16(30),), lambdas=(np.int64(6), 6.5, np.float32(7)),
+                 graph_replicates=np.int8(1), seed=np.uint64(2**64 - 1), num_seeds=np.int32(3))
+    assert plan.run_count() == 9
+    assert RdsConfig(target_size=np.int64(5), num_seeds=np.uint8(2)).target_size == 5
+    assert HashSpace(np.int64(4096)).size == 4096
+    assert HashSpace(np.int64(16), HashMode.TELEFUNKEN).telefunken_digits == 2
+    assert len(run_plan(TINY, workers=np.int64(1))[0]) == 6
 
 
 @st.composite

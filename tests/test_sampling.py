@@ -1,4 +1,5 @@
 import collections
+import itertools
 import math
 import re
 import tempfile
@@ -146,6 +147,50 @@ def test_rds_capture_rejects_an_explicit_seed_past_the_population():
         rds_capture(CYCLE4, cfg, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("seeds, kind", [((1.5, 3), "float64"), ((True,), "bool"), ((True, 3), "bool"),
+                                         ((np.float64(2.0), 3), "float64")])
+def test_explicit_seeds_must_be_integers(seeds, kind):
+    with pytest.raises(ValueError, match=f"^explicit seeds must be integers, got {kind} values$"):
+        RdsConfig(target_size=5, num_seeds=len(seeds), seeds=seeds)
+
+
+# numpy makes [2**63] uint64, but [1, 2**63] and (0, 2**63) float64 and [2**64] object values
+@pytest.mark.parametrize("ids", [[2**63], np.array([2**63], dtype=np.uint64), [1, 2**63], [2**64], [-2**63 - 1]])
+def test_ids_past_int64_are_rejected_not_wrapped(ids):
+    with pytest.raises(ValueError, match="^subjects must fit in int64$"):
+        as_sample_view(MultiGraph(10, []), ids)
+    with pytest.raises(ValueError, match="^explicit seeds must fit in int64$"):
+        RdsConfig(target_size=5, num_seeds=1, seeds=ids)
+    with pytest.raises(ValueError, match="^edge endpoints must fit in int64$"):
+        MultiGraph(10, [(ids[-1], ids[-1])])
+    with pytest.raises(ValueError, match="^edge endpoints must fit in int64$"):
+        MultiGraph(10, [(0, ids[-1])])
+
+
+@pytest.mark.parametrize("ids", [[(1, 2)], [[3], [4]], np.array([[1, 2]]), np.array(3)])
+def test_subjects_and_seeds_must_be_flat(ids):
+    with pytest.raises(ValueError, match="^subjects must be a flat sequence of ints$"):
+        as_sample_view(MultiGraph(10, []), ids)
+    with pytest.raises(ValueError, match="^explicit seeds must be a flat sequence of ints$"):
+        RdsConfig(target_size=5, num_seeds=1, seeds=ids)
+
+
+def test_explicit_seeds_are_kept_as_a_tuple_of_python_ints():
+    g = MultiGraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    for seeds in (iter([3, 5]), [3, 5], (np.int64(3), np.uint8(5)), np.array([3, 5]), range(3, 6, 2)):
+        cfg = RdsConfig(target_size=6, num_seeds=2, seeds=seeds)
+        assert cfg.seeds == (3, 5) and all(type(v) is int for v in cfg.seeds)
+        sample = rds_capture(g, cfg, np.random.default_rng(0))  # a one-shot iterable is not used up
+        assert sample.codes[:2].tolist() == [3, 5]
+
+
+def test_integer_seeds_of_any_integer_type_still_work():
+    g = MultiGraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    for seeds in ((np.int64(1), 4), (np.uint8(1), 4), (1, 4)):
+        sample = rds_capture(g, RdsConfig(target_size=6, num_seeds=2, seeds=seeds), np.random.default_rng(0))
+        assert sample.codes[:2].tolist() == [1, 4]
+
+
 class ScalarUniforms:
     """The scalar replay of ``sampling._uniforms``: one ``rng.random()`` per uniform."""
 
@@ -191,6 +236,13 @@ def _reference_fresh_seed(g, discovered, draw):
     return remaining[int(draw() * len(remaining))]
 
 
+def _reference_recruit_count(law, u):
+    """The first count whose cumulative probability exceeds ``u``; the last count
+    when rounding leaves the total at or below ``u``."""
+    bounds = itertools.accumulate(prob for _, prob in law)
+    return next((count for (count, _), bound in zip(law, bounds) if u < bound), law[-1][0])
+
+
 def _reference_capture(g, cfg, rng):
     draw = ScalarUniforms(rng)
     order, discovered, row_of = [], set(), {}
@@ -220,7 +272,7 @@ def _reference_capture(g, cfg, rng):
         candidates = sorted({int(w) for w in g.neighbor_ids(x)} - discovered)
         if candidates:
             m = len(candidates)
-            k = min(sampling._draw_recruit_count(cfg.recruit_law, draw()), m)
+            k = min(_reference_recruit_count(cfg.recruit_law, draw()), m)
             pool = list(candidates)
             if k < m:  # a partial Fisher-Yates shuffle
                 for t in range(k):
@@ -242,15 +294,43 @@ def _reference_capture(g, cfg, rng):
                   components=components, recruiters=rec, alter_offsets=offsets)
 
 
-_COLUMNS = ("codes", "degrees", "alter_codes", "components", "recruiters", "alter_offsets")
+_COLUMNS = ("codes", "degrees", "components", "recruiters", "alter_codes", "alter_offsets")
 
 
 def _assert_same_capture(g, cfg, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     sample, reference = rds_capture(g, cfg, rng), _reference_capture(g, cfg, ref_rng)
     for name in _COLUMNS:
-        assert np.array_equal(getattr(sample, name), getattr(reference, name)), name
+        column, expected = getattr(sample, name), getattr(reference, name)
+        assert (column.dtype, column.tobytes()) == (expected.dtype, expected.tobytes()), name
     assert rng.random() == ref_rng.random()
+
+
+LAWS = [((2, 0.9), (1, 0.1)), ((0, 1.0),), ((1, 1.0),), ((4, 1.0),), ((0, 0.3), (2, 0.3), (4, 0.4))]
+
+
+@st.composite
+def capture_plans(draw):
+    """A multigraph with loops, parallel edges and isolated vertices, and a capture plan.
+
+    At least n edges, so that recruits are often picked from several candidates:
+    with fewer, a pick that never took the last candidate passed 2 runs of 10."""
+    n = draw(st.integers(1, 30))
+    vertex = st.integers(0, n - 1)
+    g = MultiGraph(n, draw(st.lists(st.tuples(vertex, vertex), min_size=n, max_size=3 * n)))
+    r = draw(st.integers(1, n))
+    num_seeds = draw(st.integers(1, r))
+    seeds = None
+    if draw(st.booleans()):
+        seeds = tuple(draw(st.lists(vertex, min_size=num_seeds, max_size=num_seeds, unique=True)))
+    law = draw(st.sampled_from(LAWS))
+    return g, RdsConfig(target_size=r, num_seeds=num_seeds, recruit_law=law, seeds=seeds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(capture_plans(), st.integers(0, 2**32 - 1))
+def test_rds_capture_matches_the_reference_on_small_multigraphs(plan, seed):
+    _assert_same_capture(*plan, seed)
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -271,8 +351,10 @@ def test_rds_capture_matches_the_reference_through_both_reseed_fallbacks():
     # six tied vertices among 200: rejection mostly misses them, and once they
     # are all discovered every fresh seed comes from the isolated remainder
     g = MultiGraph(200, [(0, 1), (1, 2), (2, 0), (5, 5), (7, 8), (7, 8)])
-    for seed in range(6):
-        _assert_same_capture(g, RdsConfig(target_size=200, num_seeds=1), seed)
+    for law in LAWS:
+        for seed in range(6):
+            _assert_same_capture(g, RdsConfig(target_size=200, num_seeds=1, recruit_law=law), seed)
+            _assert_same_capture(g, RdsConfig(target_size=60, num_seeds=2, recruit_law=law, seeds=(7, 0)), seed)
 
 
 def test_rds_capture_matches_the_reference_with_larger_recruit_counts():
@@ -338,6 +420,27 @@ def test_rds_capture_reads_the_generator_only_in_whole_blocks():
         assert rng.calls == {"random": math.ceil(used[0] / sampling._UNIFORM_BLOCK)}
 
 
+_SPLIT_LAW = ((0, 0.3), (2, 0.3), (4, 0.4))
+_SHORT_LAW = RdsConfig(target_size=1, num_seeds=1, recruit_law=((1, 0.5), (2, 0.4999999995))).recruit_law
+
+
+@pytest.mark.parametrize("law, u, count", [
+    (sampling.DEFAULT_RECRUIT_LAW, 0.0, 2),
+    (sampling.DEFAULT_RECRUIT_LAW, float(np.nextafter(0.9, 0.0)), 2),
+    (sampling.DEFAULT_RECRUIT_LAW, 0.9, 1),
+    (sampling.DEFAULT_RECRUIT_LAW, float(np.nextafter(1.0, 0.0)), 1),
+    (_SPLIT_LAW, float(np.nextafter(0.3, 0.0)), 0),
+    (_SPLIT_LAW, 0.3, 2),
+    (_SPLIT_LAW, float(np.nextafter(0.6, 0.0)), 2),
+    (_SPLIT_LAW, 0.6, 4),
+    (_SHORT_LAW, float(np.nextafter(0.5, 0.0)), 1),
+    (_SHORT_LAW, 0.5, 2),
+    (_SHORT_LAW, 0.9999999999, 2),  # at or past the total, 1 - 5e-10: the last outcome
+])
+def test_a_recruit_count_is_drawn_at_the_law_boundaries(law, u, count):
+    assert sampling._draw_recruit_count(law, u) == _reference_recruit_count(law, u) == count
+
+
 def test_pick_draws_every_ordered_pair_equally_often():
     # 20 ordered pairs of 5 items; 200,000 draws give each about 10,000, with a
     # standard deviation near 98, so a 5% band is about five deviations wide
@@ -384,6 +487,37 @@ def test_sample_view_wraps_uniform_sample():
     assert view.order == subjects
     assert len(view.forest.edges) == 0
     assert all(len(view.alters(i)) == g.degree(v) for i, v in enumerate(subjects))
+
+
+def test_a_uniform_sample_is_a_tuple_of_python_ints():
+    g = MultiGraph(50, [])
+    subjects = uniform_sample(g, 20, np.random.default_rng(4))
+    assert type(subjects) is tuple and all(type(v) is int for v in subjects)
+    assert subjects == tuple(int(v) for v in np.random.default_rng(4).choice(50, size=20, replace=False))
+
+
+def test_a_uniform_view_reads_lists_tuples_ranges_and_arrays_alike():
+    g = sample_graph(Family.CONFIG_POISSON, 4.0, 200, np.random.default_rng(2))
+    subjects = [3, 17, 0, 199, 42]
+    views = [as_sample_view(g, s) for s in (subjects, tuple(subjects), np.array(subjects, dtype=np.uint32),
+                                             iter(subjects), [np.int64(v) for v in subjects])]
+    views.append(as_sample_view(g, range(0, 200, 40)))
+    for view in views[1:-1]:
+        for name in _COLUMNS:
+            assert np.array_equal(getattr(view, name), getattr(views[0], name)), name
+    assert views[-1].codes.tolist() == [0, 40, 80, 120, 160]
+    assert as_sample_view(g, []).size == as_sample_view(g, np.array([])).size == 0
+
+
+@pytest.mark.parametrize("subjects, kind", [
+    ([1.5, 2.9, 7], "float64"), ([1.0, 2], "float64"), ([True], "bool"), ([True, 2], "bool"),
+    ([np.True_, 2], "bool"), (np.array([1.5, 3.0]), "float64"), (np.array([True]), "bool"),
+    (["1", 2], "<U21"), ([1.5, 2**63], "float64"),
+])
+def test_a_uniform_view_rejects_non_integer_subjects(subjects, kind):
+    g = MultiGraph(10, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match=f"^subjects must be integers, got {kind} values$"):
+        as_sample_view(g, subjects)
 
 
 def test_dump_round_trip(tmp_path):
@@ -550,9 +684,6 @@ def _dump_texts(draw):
         lines[at] = ",".join(fields)
     text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
     return text.replace("\n", "\r\n") if draw(st.integers(0, 9)) == 0 else text
-
-
-_COLUMNS = ("codes", "degrees", "components", "recruiters", "alter_codes", "alter_offsets")
 
 
 def _read_outcome(reader, path):
