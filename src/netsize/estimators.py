@@ -78,7 +78,9 @@ def estimate_n1(g: MultiGraph, subjects: Iterable[int]) -> EstimateResult:
     return estimate_n1_from_view(as_sample_view(g, subjects))
 
 
-def _check_omega(omega: Optional[int]) -> None:
+def _check_omega(omega: Optional[float]) -> None:
+    if omega is not None and (isinstance(omega, (bool, np.bool_)) or not omega < math.inf):  # NaN fails too
+        raise ValueError(f"the code space size omega must be a finite number, got {omega!r}")
     if omega is not None and omega < 1:
         raise ValueError(f"the code space size omega must be at least 1, got {omega}")
 

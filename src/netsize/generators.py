@@ -413,11 +413,13 @@ class _RewireState:
         edges = edges[edges[:, 0] != edges[:, 1]]
         keys = np.minimum(edges[:, 0], edges[:, 1]) * n + np.maximum(edges[:, 0], edges[:, 1])
         simple = edges[np.sort(np.unique(keys, return_index=True)[1])]  # first copies, in order
+        del edges, keys
+        self.tri = triangle_counts(n, simple).tolist()  # its peak comes before the rows exist
         ends = simple.ravel()
         self.degrees = np.bincount(ends, minlength=n)
-        flat = iter(simple[:, ::-1].ravel()[np.argsort(ends, kind="stable")].tolist())
+        ids = list(range(n))  # one int object per vertex, shared by every row
+        flat = map(ids.__getitem__, memoryview(simple[:, ::-1].ravel()[np.argsort(ends, kind="stable")]))
         self.adj = [list(itertools.islice(flat, d)) for d in self.degrees.tolist()]
-        self.tri = triangle_counts(n, simple).tolist()
 
     def swap(self, v: int, a: int, w: int, b: int, common: tuple[set[int], ...]) -> None:
         """Replace the edges (v, a) and (w, b) by (v, w) and (a, b).
@@ -467,7 +469,9 @@ class _RewireState:
         heads = np.fromiter(itertools.chain.from_iterable(self.adj), np.int64, int(self.degrees.sum()))
         tails = np.repeat(np.arange(n), self.degrees)
         forward = tails < heads
-        return np.stack(np.divmod(np.sort(tails[forward] * n + heads[forward]), n), axis=1)
+        keys = np.sort(tails[forward] * n + heads[forward])
+        del heads, tails, forward
+        return np.stack(np.divmod(keys, n), axis=1)
 
 
 def rewire_to_clustering(g: MultiGraph, target: float, rng: np.random.Generator) -> MultiGraph:
@@ -533,4 +537,6 @@ def rewire_to_clustering(g: MultiGraph, target: float, rng: np.random.Generator)
         logging.getLogger("netsize").warning(
             "rewiring stopped at mean clustering %.6g, short of the target %.6g, after %d swaps in %d attempts",
             reached, target, swaps, attempts)
-    return MultiGraph(n, state.edge_array())
+    edges = state.edge_array()
+    del state, adj, eligible  # the rows go before the rewired graph is built
+    return MultiGraph(n, edges)

@@ -144,7 +144,7 @@ class MultiGraph:
         return Multiset(self.neighbor_ids(v).tolist())
 
 
-_WEDGE_BLOCK = 1 << 20  # wedges checked per numpy batch, to bound memory
+_WEDGE_BLOCK = 1 << 14  # wedges checked per numpy batch, to bound memory
 
 
 def triangle_counts(n: int, edges: np.ndarray) -> np.ndarray:
@@ -166,6 +166,7 @@ def triangle_counts(n: int, edges: np.ndarray) -> np.ndarray:
         if u[first_fault] == v[first_fault]:
             raise NotSimpleError("clustering statistics need a loop-free graph", loop=True)
         raise NotSimpleError("clustering statistics need a graph without parallel edges", loop=False)
+    del keys, order, repeats
 
     rank = np.empty(n, dtype=np.int64)
     rank[np.argsort(np.bincount(edges.ravel(), minlength=n), kind="stable")] = np.arange(n)

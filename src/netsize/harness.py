@@ -134,7 +134,7 @@ class ExperimentPlan:
                 check_family(family, lam, n)
         for omega in self.omegas:
             with _blame("omegas"):
-                _check_omega(omega)
+                _check_omega(omega if is_int(omega) else None)  # HashSpace names any other type
                 HashSpace(omega)  # the codes a run draws must fit in int64
         for name in ("graph_replicates", "sample_replicates"):
             if getattr(self, name) < 1:

@@ -141,10 +141,11 @@ class Sample:
         codes = self.codes.tolist()
         return [None if r < 0 else codes[r] for r in self.recruiters.tolist()]
 
-    @cached_property
+    @property
     def forest(self) -> ReferralForest:
         """The referral forest over subject codes (vertex ids for a plaintext sample).
 
+        Built on each read, as it weighs about as much as the columns: hold it to reuse it.
         Defined for distinct codes; colliding hash codes make ReferralForest raise.
         """
         codes = self.codes.tolist()

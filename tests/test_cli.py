@@ -15,7 +15,7 @@ from netsize.cli import main
 from netsize.harness import ESTIMATORS, parse_plan, run_plan
 from netsize.hashing import HashMode, HashSpace, assign_hashes, hashed_view
 from netsize.ingest import EdgeListSpec, load_edge_list
-from netsize.sampling import RdsConfig, rds_capture, sample_dump_lines
+from netsize.sampling import RdsConfig, Sample, rds_capture, sample_dump_lines, write_sample_dump
 
 
 def _generate_edges(tmp_path, name="g.txt", n=200, lam=6.0, seed=3, family="er"):
@@ -182,6 +182,16 @@ def test_estimate_rejects_omega_below_one(tmp_path, capsys, omega):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: the code space size omega must be at least 1, got {omega}\n"
+
+
+@pytest.mark.parametrize("name", ["n1", "n2", "n3"])
+def test_estimate_plaintext_rejects_a_dump_with_duplicate_subject_codes(tmp_path, capsys, name):
+    dump = tmp_path / "hashed.csv"
+    write_sample_dump(Sample(codes=(4, 4), degrees=(2, 2), alter_codes=((4,), (4,)), components=(0, 1)), dump)
+    assert main(["estimate", "--estimator", name, "--sample", str(dump)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: duplicate subject ids; hashed dumps cannot be read as plaintext\n"
 
 
 @pytest.mark.parametrize("name", ["n1", "n2", "n3"])

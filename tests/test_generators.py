@@ -3,6 +3,7 @@ import itertools
 import logging
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netsize import generators, sampling
+from netsize import generators, graph, sampling
 from netsize.generators import (
     Family,
     _pairs_from_indices,
@@ -26,6 +27,21 @@ from netsize.generators import (
 from netsize.graph import INT64_MAX, MultiGraph, mean_local_clustering, triangle_counts
 from netsize.ingest import clustering_stats
 from test_sampling import CountingGenerator, ScalarUniforms, counting_uniforms
+
+
+def traced_peak(fn, warm_up=None):
+    """The ``tracemalloc`` peak of one call of ``fn``, and what it returned.
+
+    ``warm_up`` (``fn`` itself by default) runs first, untraced, so that
+    first-call allocations such as lazy imports and caches are not counted.
+    """
+    (warm_up or fn)()
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def test_poisson_lam1_degenerate():
@@ -246,9 +262,15 @@ def _degrees(n, pairs):
     return degrees
 
 
+# The rewiring tests draw the swap limits with each example, so that a
+# failure shrinks them too and each shrink step reruns a short rewiring.
+swap_limits = st.integers(1, 50)
+check_intervals = st.integers(1, 10)
+
+
 @settings(max_examples=150, deadline=None)
-@given(g=multigraphs(), seed=st.integers(0, 2**32 - 1))
-def test_rewire_keeps_degrees_and_triangle_counts(g, seed):
+@given(g=multigraphs(), seed=st.integers(0, 2**32 - 1), max_swaps=swap_limits)
+def test_rewire_keeps_degrees_and_triangle_counts(g, seed, max_swaps):
     if not any(d >= 2 for d in _degrees(g.n, _simple_view(g))):
         return
     states = []
@@ -259,7 +281,7 @@ def test_rewire_keeps_degrees_and_triangle_counts(g, seed):
             states.append(self)
 
     with mock.patch.object(generators, "_RewireState", Recorded), \
-            mock.patch.object(generators, "_MAX_SWAPS", 50):
+            mock.patch.object(generators, "_MAX_SWAPS", max_swaps):
         rewired = rewire_to_clustering(g, 1.0, np.random.default_rng(seed))
     edges = [tuple(e) for e in rewired.edge_array.tolist()]
     assert edges == sorted(set(edges)) and all(u < v for u, v in edges)
@@ -405,11 +427,13 @@ def _assert_same_rewiring(g, target, seed):
 
 
 @settings(max_examples=150, deadline=None)
-@given(g=multigraphs(), target=st.sampled_from([0.0, 0.2, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
-def test_rewire_matches_the_flat_slot_reference(g, target, seed):
+@given(g=multigraphs(), target=st.sampled_from([0.0, 0.2, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1),
+       max_swaps=swap_limits, check_every=check_intervals)
+def test_rewire_matches_the_flat_slot_reference(g, target, seed, max_swaps, check_every):
     if not any(d >= 2 for d in _degrees(g.n, _simple_view(g))):
         return
-    with mock.patch.object(generators, "_MAX_SWAPS", 50), mock.patch.object(generators, "_CHECK_EVERY", 7):
+    with mock.patch.object(generators, "_MAX_SWAPS", max_swaps), \
+            mock.patch.object(generators, "_CHECK_EVERY", check_every):
         _assert_same_rewiring(g, target, seed)
 
 
@@ -721,21 +745,13 @@ def test_barabasi_albert_smallest_graphs(lam):
 
 
 def test_barabasi_albert_needs_no_more_memory_than_a_configuration_graph():
-    import tracemalloc
-
     def peak(make, seed):
-        tracemalloc.start()
-        try:
-            make(10.0, 40_000, np.random.default_rng(seed))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: make(10.0, 40_000, np.random.default_rng(seed)),
+                           warm_up=lambda: make(10.0, 500, np.random.default_rng(0)))[0]
 
     def poisson(lam, n, rng):
         return sample_graph(Family.CONFIG_POISSON, lam, n, rng)
 
-    barabasi_albert(10.0, 500, np.random.default_rng(0))  # first-call allocations are not the generator's
-    poisson(10.0, 500, np.random.default_rng(0))
     with mock.patch.object(generators, "_CANDIDATES", 1):
         for seed in range(10):
             assert peak(barabasi_albert, seed) <= peak(poisson, seed)
@@ -747,18 +763,35 @@ def test_building_a_graph_needs_at_most_a_quarter_more_memory_than_the_graph_hol
     # offsets and targets and degrees().  Barabasi-Albert at lam = 3 is left
     # out: there its 2**14-slot block arrays, whose size is part of its random
     # stream, outweigh a 60k-edge graph, and the peak reads about 2.5 times it.
-    import tracemalloc
-
-    sample_graph(family, 10.0, 500, np.random.default_rng(0))  # first-call allocations are not the build's
-    tracemalloc.start()
-    try:
-        g = sample_graph(family, 10.0, 40_000, np.random.default_rng(1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, g = traced_peak(lambda: sample_graph(family, 10.0, 40_000, np.random.default_rng(1)),
+                          warm_up=lambda: sample_graph(family, 10.0, 500, np.random.default_rng(0)))
     offsets, targets = g.adjacency
     held = g.edge_array.nbytes + offsets.nbytes + targets.nbytes + g.degrees().nbytes
     assert peak <= 1.25 * held
+
+
+def test_counting_triangles_needs_at_most_five_times_the_bytes_of_the_edges():
+    # The traced peak against the edge array, on a graph of several wedge
+    # blocks: 4.0 times at n = 10k, where 2**20-wedge blocks, with the
+    # fault-check arrays kept through the ranking, read 8.0.
+    n = 10_000
+    edges = erdos_renyi(8.0, n, np.random.default_rng(1)).edge_array
+    degrees = np.bincount(edges.ravel(), minlength=n)
+    order = degrees * n + np.arange(n)  # the (degree, id) order that orients each edge
+    out = np.bincount(np.where(order[edges[:, 0]] < order[edges[:, 1]], edges[:, 0], edges[:, 1]), minlength=n)
+    peak, _ = traced_peak(lambda: triangle_counts(n, edges))
+    assert peak <= 5 * edges.nbytes
+    assert (out * (out - 1) // 2).sum() > 4 * graph._WEDGE_BLOCK
+
+
+def test_rewiring_needs_at_most_nine_times_the_bytes_of_the_simple_edges():
+    # 7.5 times at n = 5k, where the state read 17.8 when it counted the
+    # triangles after building its rows, held one int object per row entry
+    # and lived on while the rewired graph was built.
+    g = sample_graph(Family.CONFIG_POISSON, 8.0, 5_000, np.random.default_rng(1))
+    with mock.patch.object(generators, "_MAX_SWAPS", 100):  # the peak is set before and after the swaps
+        peak, _ = traced_peak(lambda: rewire_to_clustering(g, 0.1, np.random.default_rng(2)))
+    assert peak <= 9 * 16 * len(_simple_view(g))
 
 
 @pytest.mark.parametrize("family, lam, n, message", [

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -156,6 +159,11 @@ def test_hashed_view_missing_assignment():
     sample = _cycle_sample()
     with pytest.raises(ValueError):
         hashed_view(sample, np.array([0, 1]))
+    # a negative code would wrap to the assignment's last entries
+    for codes, alters in (((-3, 1), ((1,), ())), ((0, 1), ((-3,), ()))):
+        sample = Sample(codes=codes, degrees=(1, 1), alter_codes=alters, components=(0, 1))
+        with pytest.raises(ValueError, match="identity -3 has no assigned code"):
+            hashed_view(sample, np.arange(4))
 
 
 # --- collision correction ------------------------------------------------
@@ -222,6 +230,29 @@ def test_public_omega_functions_reject_omega_below_one(omega):
     for call in calls:
         with pytest.raises(ValueError, match=f"omega must be at least 1, got {omega}"):
             call()
+
+
+@pytest.mark.parametrize("omega", [True, False, np.True_, math.nan, math.inf])
+def test_omega_must_be_a_finite_number_and_not_a_bool(omega):
+    hs = _single_match_sample()
+    calls = (
+        lambda: estimate_n2_hashed(hs, omega),
+        lambda: estimate_n3_hashed(hs, omega),
+        lambda: m_hat(hs, 10.0, omega),
+        lambda: x_hat(hs, 0, 10.0, omega),
+        lambda: collision_prob(10.0, omega, 2.0, 3),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(f"omega must be a finite number, got {omega!r}")):
+            call()
+
+
+def test_an_all_degree_one_sample_with_a_match_has_degenerate_degrees():
+    # two degree-1 seeds that name each other: the match must not hide the degrees
+    hs = Sample(codes=(1, 2), degrees=(1, 1), alter_codes=((2,), (1,)), components=(0, 1))
+    assert hs.counts.matches == 2
+    for result in (estimate_n2(hs), estimate_n3(hs), estimate_n2_hashed(hs, 1000), estimate_n3_hashed(hs, 1000)):
+        assert result.failure_cause is FailureCause.DEGENERATE_DEGREES
 
 
 def test_n2_hashed_zero_matches():

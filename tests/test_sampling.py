@@ -61,6 +61,13 @@ def test_rds_forced_single_seed_trace():
     assert all(sample.forest.seed_of[v] == 0 for v in sample.order)
 
 
+def test_the_forest_is_built_on_each_read_and_not_kept():
+    sample = rds_capture(CYCLE4, RdsConfig(target_size=4, num_seeds=2), np.random.default_rng(3))
+    first, second = sample.forest, sample.forest
+    assert (first, first.seed_of) == (second, second.seed_of)
+    assert "forest" not in vars(sample)
+
+
 def test_rds_isolated_graph_pure_reseeding():
     g = MultiGraph(5, [])
     cfg = RdsConfig(target_size=3, num_seeds=2)
