@@ -103,6 +103,10 @@ class MultiGraph:
         self._offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(self._degrees, out=self._offsets[1:])
 
+    def __repr__(self) -> str:
+        """``MultiGraph(n, [[u, v], ...])``, which ``eval`` reads back as an equal graph."""
+        return f"MultiGraph({self.n}, {self.edge_array.tolist()!r})"
+
     @property
     def num_edges(self) -> int:
         return len(self.edge_array)

@@ -2,7 +2,11 @@
 PASS/FAIL line with the measured numbers (run with -s to see them live).
 
 Statistical criteria run a few hundred Monte-Carlo replicates at a fixed
-master seed, so every run of this suite is deterministic.
+master seed, so every run of this suite is deterministic.  Criteria 2-7 and
+9 run their cells through ``run_plan`` and read its ``SummaryRow``s, the
+path ``netsize experiment`` takes.  Criteria 1, 8 and 10 build their own
+captures (exactness oracles, rewired graphs, injective codes), and 11 compares
+reruns of a small plan.  Every median and quartile is ``summarize``'s rule.
 """
 
 import os
@@ -19,12 +23,13 @@ from netsize.harness import (
     failure_curve,
     raw_csv_lines,
     run_plan,
+    summarize,
     summary_csv_lines,
 )
 from netsize.hashing import HashMode, HashSpace, assign_hashes, hashed_view
 from netsize.ingest import EdgeListSpec, clustering_stats, load_edge_list
 from netsize.multiset import Multiset
-from netsize.sampling import RdsConfig, rds_capture, uniform_sample
+from netsize.sampling import RdsConfig, rds_capture
 
 MASTER_SEED = 7
 WORKERS = min(4, os.cpu_count() or 1)
@@ -39,48 +44,22 @@ def _report(criterion: str, passed: bool, detail: str) -> bool:
     return passed
 
 
-def _median(values):
-    vals = sorted(values)
-    k = len(vals)
-    return vals[k // 2] if k % 2 == 1 else 0.5 * (vals[k // 2 - 1] + vals[k // 2])
-
-
-def _iqr(values):
-    vals = sorted(values)
-    k = len(vals)
-    half = k // 2
-    lower = vals[:half]
-    upper = vals[half + (k % 2):]
-    return _median(upper) - _median(lower)
-
-
-def _uniform_estimates(family, lam, n, r, graphs=30, samples=10):
-    values, failures = [], 0
-    for gi in range(graphs):
-        g = ns.sample_graph(family, lam, n, derive_rng(MASTER_SEED, "graph", family.value, lam, n, gi))
-        for si in range(samples):
-            rng = derive_rng(MASTER_SEED, "uniform", family.value, lam, n, gi, r, si)
-            res = ns.estimate_n1_from_view(ns.as_sample_view(g, uniform_sample(g, r, rng)))
-            if res.failed:
-                failures += 1
-            else:
-                values.append(res.value)
-    return values, failures
-
-
-def _rds_estimates(family, lam, n, r, estimator, graphs=30, samples=10):
-    values, failures = [], 0
-    for gi in range(graphs):
-        g = ns.sample_graph(family, lam, n, derive_rng(MASTER_SEED, "graph", family.value, lam, n, gi))
-        for si in range(samples):
-            rng = derive_rng(MASTER_SEED, "rds", family.value, lam, n, gi, r, si)
-            sample = rds_capture(g, RdsConfig(target_size=r), rng)
-            res = estimator(sample)
-            if res.failed:
-                failures += 1
-            else:
-                values.append(res.value)
-    return values, failures
+def _summaries(family, lam, sample_sizes, estimators, omegas=()):
+    """``run_plan``'s summary rows for one criterion's cells at n = 5000, 30
+    graphs x 10 samples each, keyed by ``(r, omega, estimator)``."""
+    plan = ExperimentPlan(
+        families=(family,),
+        lambdas=(lam,),
+        sizes=(5000,),
+        sample_sizes=sample_sizes,
+        estimators=estimators,
+        omegas=omegas,
+        graph_replicates=30,
+        sample_replicates=10,
+        seed=MASTER_SEED,
+    )
+    _, summaries = run_plan(plan, workers=WORKERS)
+    return {(row.r, row.omega, row.estimator): row for row in summaries}
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +101,12 @@ def test_criterion_2_n1_consistency():
     details = []
     ok = True
     for family in (ns.Family.ERDOS_RENYI, ns.Family.CONFIG_POISSON):
-        v750, _ = _uniform_estimates(family, 10.0, 5000, 750)
-        v250, _ = _uniform_estimates(family, 10.0, 5000, 250)
-        med = _median(v750)
-        ok &= abs(med - 5000) / 5000 <= 0.05
-        ok &= _iqr(v750) < _iqr(v250)
-        details.append(f"{family.value}: med750={med:.0f} iqr750={_iqr(v750):.0f} iqr250={_iqr(v250):.0f}")
+        cells = _summaries(family, 10.0, (250, 750), ("n1",))
+        s250, s750 = cells[250, None, "n1"], cells[750, None, "n1"]
+        iqr250, iqr750 = s250.q3 - s250.q1, s750.q3 - s750.q1
+        ok &= abs(s750.median - 5000) / 5000 <= 0.05
+        ok &= iqr750 < iqr250
+        details.append(f"{family.value}: med750={s750.median:.0f} iqr750={iqr750:.0f} iqr250={iqr250:.0f}")
     assert _report("2 n1-consistency", bool(ok), "; ".join(details))
 
 
@@ -135,8 +114,7 @@ def test_criterion_2_n1_consistency():
 # 3. n1 small-sample bias direction
 
 def test_criterion_3_n1_small_sample_bias():
-    values, _ = _uniform_estimates(ns.Family.CONFIG_EXPONENTIAL, 3.0, 5000, 250)
-    med = _median(values)
+    med = _summaries(ns.Family.CONFIG_EXPONENTIAL, 3.0, (250,), ("n1",))[250, None, "n1"].median
     offset = (med - 5000) / 5000
     ok = 0.05 <= offset <= 0.25
     assert _report("3 n1-bias", ok, f"median={med:.0f} offset={offset * 100:+.1f}% (required +5%..+25%)")
@@ -146,25 +124,25 @@ def test_criterion_3_n1_small_sample_bias():
 # 4. n2 consistency / dispersion shrink
 
 def test_criterion_4_n2_iqr_shrink():
-    v250, _ = _rds_estimates(ns.Family.CONFIG_POISSON, 3.0, 5000, 250, ns.estimate_n2)
-    v750, _ = _rds_estimates(ns.Family.CONFIG_POISSON, 3.0, 5000, 750, ns.estimate_n2)
-    shrink = 1.0 - _iqr(v750) / _iqr(v250)
+    cells = _summaries(ns.Family.CONFIG_POISSON, 3.0, (250, 750), ("n2",))
+    s250, s750 = cells[250, None, "n2"], cells[750, None, "n2"]
+    iqr250, iqr750 = s250.q3 - s250.q1, s750.q3 - s750.q1
+    shrink = 1.0 - iqr750 / iqr250
     ok = shrink >= 0.40
     assert _report("4 n2-iqr", ok,
-                   f"iqr250={_iqr(v250):.0f} iqr750={_iqr(v750):.0f} shrink={shrink * 100:.0f}% (need >=40%)")
+                   f"iqr250={iqr250:.0f} iqr750={iqr750:.0f} shrink={shrink * 100:.0f}% (need >=40%)")
 
 
 # ---------------------------------------------------------------------------
 # 5. n3 consistency / dispersion shrink
 
 def test_criterion_5_n3_consistency():
-    v250, _ = _rds_estimates(ns.Family.CONFIG_LOGNORMAL, 3.0, 5000, 250, ns.estimate_n3)
-    v750, _ = _rds_estimates(ns.Family.CONFIG_LOGNORMAL, 3.0, 5000, 750, ns.estimate_n3)
-    med = _median(v750)
-    shrink = 1.0 - _iqr(v750) / _iqr(v250)
-    ok = abs(med - 5000) / 5000 <= 0.10 and shrink >= 0.40
+    cells = _summaries(ns.Family.CONFIG_LOGNORMAL, 3.0, (250, 750), ("n3",))
+    s250, s750 = cells[250, None, "n3"], cells[750, None, "n3"]
+    shrink = 1.0 - (s750.q3 - s750.q1) / (s250.q3 - s250.q1)
+    ok = abs(s750.median - 5000) / 5000 <= 0.10 and shrink >= 0.40
     assert _report("5 n3-consistency", ok,
-                   f"med750={med:.0f} shrink={shrink * 100:.0f}% (need med within 10%, shrink >=40%)")
+                   f"med750={s750.median:.0f} shrink={shrink * 100:.0f}% (need med within 10%, shrink >=40%)")
 
 
 # ---------------------------------------------------------------------------
@@ -172,30 +150,13 @@ def test_criterion_5_n3_consistency():
 
 @pytest.fixture(scope="module")
 def hashed_medians():
-    """Median hashed estimates on Lognormal lam=3, n=5000, r=500 per code space."""
-    family, lam, n, r = ns.Family.CONFIG_LOGNORMAL, 3.0, 5000, 500
-    medians = {}
-    for omega in (2_000, 256_000):
-        v2, v3 = [], []
-        for gi in range(30):
-            g = ns.sample_graph(family, lam, n, derive_rng(MASTER_SEED, "graph", family.value, lam, n, gi))
-            for si in range(10):
-                rng = derive_rng(MASTER_SEED, "rds", family.value, lam, n, gi, r, si)
-                sample = rds_capture(g, RdsConfig(target_size=r), rng)
-                hrng = derive_rng(MASTER_SEED, "hash", family.value, lam, n, gi, r, si, omega)
-                hs = hashed_view(sample, assign_hashes(n, HashSpace(omega), hrng))
-                res2 = ns.estimate_n2_hashed(hs, omega)
-                res3 = ns.estimate_n3_hashed(hs, omega)
-                if not res2.failed:
-                    v2.append(res2.value)
-                if not res3.failed:
-                    v3.append(res3.value)
-        medians[omega] = (_median(v2), _median(v3))
-    return medians
+    """Median hashed estimates on Lognormal lam=3, n=5000, r=500, keyed by (omega, estimator)."""
+    cells = _summaries(ns.Family.CONFIG_LOGNORMAL, 3.0, (500,), ("n2psi", "n3psi"), omegas=(2_000, 256_000))
+    return {(omega, name): row.median for (_, omega, name), row in cells.items()}
 
 
 def test_criterion_6_n2_hashed_tradeoff(hashed_medians):
-    small, large = hashed_medians[2_000][0], hashed_medians[256_000][0]
+    small, large = hashed_medians[2_000, "n2psi"], hashed_medians[256_000, "n2psi"]
     ok = abs(large - 5000) < abs(small - 5000)
     ok &= 4400 <= small <= 5100 and 4400 <= large <= 5100
     assert _report("6 n2psi-tradeoff", bool(ok),
@@ -203,7 +164,7 @@ def test_criterion_6_n2_hashed_tradeoff(hashed_medians):
 
 
 def test_criterion_7_n3_hashed_tradeoff(hashed_medians):
-    small, large = hashed_medians[2_000][1], hashed_medians[256_000][1]
+    small, large = hashed_medians[2_000, "n3psi"], hashed_medians[256_000, "n3psi"]
     ok = abs(large - 5000) < abs(small - 5000)
     ok &= 4400 <= small <= 5100 and 4400 <= large <= 5100
     assert _report("7 n3psi-tradeoff", bool(ok),
@@ -215,7 +176,7 @@ def test_criterion_7_n3_hashed_tradeoff(hashed_medians):
 
 def test_criterion_8_clustering_correction():
     n, r, omega = 10_000, 500, 32_000
-    v2, v3 = [], []
+    r2, r3 = [], []
     clusterings = []
     for gi in range(4):
         rng = derive_rng(MASTER_SEED, "cluster-graph", gi)
@@ -227,13 +188,9 @@ def test_criterion_8_clustering_correction():
                                  derive_rng(MASTER_SEED, "cluster-rds", gi, si))
             hs = hashed_view(sample, assign_hashes(
                 n, HashSpace(omega), derive_rng(MASTER_SEED, "cluster-hash", gi, si)))
-            res2 = ns.estimate_n2_hashed(hs, omega)
-            res3 = ns.estimate_n3_hashed(hs, omega)
-            if not res2.failed:
-                v2.append(res2.value)
-            if not res3.failed:
-                v3.append(res3.value)
-    med2, med3 = _median(v2), _median(v3)
+            r2.append(ns.estimate_n2_hashed(hs, omega))
+            r3.append(ns.estimate_n3_hashed(hs, omega))
+    med2, med3 = summarize(r2).median, summarize(r3).median
     ok = min(clusterings) >= 0.15
     ok &= med2 < 0.9 * n
     ok &= 0.8 * n <= med3 <= 1.2 * n

@@ -12,6 +12,7 @@ from netsize.estimators import (
 )
 from netsize.generators import Family, sample_graph
 from netsize.graph import MultiGraph, harmonic_mean
+from netsize.harness import ExperimentPlan, run_plan
 from netsize.hashing import (
     HashSpace, assign_hashes, estimate_n2_hashed, estimate_n3_hashed, hashed_view, m_hat, x_hat,
 )
@@ -171,6 +172,22 @@ def test_clustering_depresses_n2_but_not_n3():
     med3 = sorted(v3)[len(v3) // 2]
     assert med2 < med3 <= 1.2 * n
     assert med2 < 0.9 * n
+
+
+def test_n1_overestimates_on_average_on_small_uniform_samples():
+    """n1 = r * R / M is biased upward at small r (Jensen's inequality on 1/M),
+    while its median sits near n, so acceptance criterion 3's median band
+    does not read this.  At seed 202, 150 graphs x 10 samples of Exponential
+    lam=3, n=5000, r=250 give a mean offset of +5.82% with a standard error
+    of 0.70%, so the bound at 0 lies more than 8 standard errors away."""
+    plan = ExperimentPlan(
+        families=(Family.CONFIG_EXPONENTIAL,), lambdas=(3.0,), sizes=(5000,), sample_sizes=(250,),
+        estimators=("n1",), graph_replicates=150, sample_replicates=10, seed=202,
+    )
+    raw, _ = run_plan(plan)
+    offsets = [row.result.value / 5000 - 1 for row in raw if not row.result.failed]
+    assert len(offsets) == 1500
+    assert sum(offsets) / len(offsets) > 0
 
 
 def test_n3_zero_numerator_is_a_failure_not_a_zero_estimate():

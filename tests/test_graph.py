@@ -143,6 +143,16 @@ def test_a_multigraph_reads_pair_lists_of_any_integer_type():
         assert MultiGraph(3, edges).edge_array.tobytes() == g.edge_array.tobytes()
 
 
+def test_a_multigraph_repr_reads_back_as_an_equal_graph():
+    g = MultiGraph(4, [(0, 0), (2, 1), (2, 1), (3, 0)])  # a loop and a parallel edge
+    assert repr(g) == "MultiGraph(4, [[0, 0], [2, 1], [2, 1], [3, 0]])"
+    for graph in (g, MultiGraph(0, []), MultiGraph(3, [])):
+        back = eval(repr(graph), {"MultiGraph": MultiGraph})
+        assert back.n == graph.n
+        assert back.edge_array.shape == graph.edge_array.shape
+        assert back.edge_array.tobytes() == graph.edge_array.tobytes()
+
+
 def test_neighbor_bags_are_fresh_copies():
     bag = K3.neighbors(0)
     bag[5] += 1
