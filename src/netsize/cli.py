@@ -6,7 +6,7 @@ Subcommands
     estimate    apply an estimator to a sample dump
     experiment  run a plan file and write raw + summary CSVs
     ingest      load/clean an edge list, write the normalized version
-    stats       clustering statistics of an ingested edge list
+    stats       clustering statistics of the simple graph of an edge list
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__
 from .estimators import estimate_n1_from_view, estimate_n2, estimate_n3
 from .generators import Family, sample_graph
-from .graph import NotSimpleError
 from .harness import ESTIMATORS, load_plan, raw_csv_lines, run_plan, summary_csv_lines, write_csv
 from .hashing import (
     HashMode,
@@ -129,17 +128,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _ingest_spec(args: argparse.Namespace) -> EdgeListSpec:
-    return EdgeListSpec(
-        path=args.edges,
-        node_filter=args.filter,
-        dedupe=args.dedupe,
-        drop_loops=args.drop_loops,
-    )
-
-
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    g, id_map, report = load_edge_list(_ingest_spec(args))
+    spec = EdgeListSpec(args.edges, node_filter=args.filter, dedupe=args.dedupe, drop_loops=args.drop_loops)
+    g, id_map, report = load_edge_list(spec)
     print(_header("ingest", {"edges": args.edges}))
     print(report.describe())
     if args.out:
@@ -155,14 +146,12 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    g, _, report = load_edge_list(_ingest_spec(args))
+    # clustering is defined on the simple graph, so every edge list is read as one
+    spec = EdgeListSpec(args.edges, node_filter=args.filter, dedupe=True, drop_loops=True)
+    g, _, report = load_edge_list(spec)
     print(_header("stats", {"edges": args.edges}))
     print(report.describe())
-    try:
-        avg, trans = clustering_stats(g)
-    except NotSimpleError as exc:  # name the file and the option that drops the fault
-        option = "--drop-loops" if exc.loop else "--dedupe"
-        raise ValueError(f"{args.edges}: {exc}; read it with {option}") from None
+    avg, trans = clustering_stats(g)
     print(f"average_clustering={avg:.6f} transitivity={trans:.6f}")
     return 0
 
@@ -205,20 +194,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, required=True, help="output directory")
     p.set_defaults(func=_cmd_experiment)
 
-    for name, func, help_text in (
-        ("ingest", _cmd_ingest, "load and normalize an edge list"),
-        ("stats", _cmd_stats, "clustering statistics of an edge list"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--edges", required=True)
-        p.add_argument("--dedupe", action="store_true",
-                       help="keep one edge per pair joined in either direction")
-        p.add_argument("--drop-loops", action="store_true", help="remove self-loops")
-        p.add_argument("--filter", type=str, default=None, help="file of node ids to keep")
-        if name == "ingest":
-            p.add_argument("--id-map", type=str, default=None, help="write original->new id map")
-            p.add_argument("--out", type=str, default=None, help="output path")
-        p.set_defaults(func=func)
+    p = sub.add_parser("ingest", help="load and normalize an edge list")
+    p.add_argument("--edges", required=True)
+    p.add_argument("--dedupe", action="store_true", help="keep one edge per pair joined in either direction")
+    p.add_argument("--drop-loops", action="store_true", help="remove self-loops")
+    p.add_argument("--filter", type=str, default=None, help="file of node ids to keep")
+    p.add_argument("--id-map", type=str, default=None, help="write original->new id map")
+    p.add_argument("--out", type=str, default=None, help="output path")
+    p.set_defaults(func=_cmd_ingest)
+
+    p = sub.add_parser("stats", help="clustering statistics of the simple graph of an edge list")
+    p.add_argument("--edges", required=True)
+    p.add_argument("--filter", type=str, default=None, help="file of node ids to keep")
+    p.set_defaults(func=_cmd_stats)
     return parser
 
 

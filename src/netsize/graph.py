@@ -57,14 +57,6 @@ def vertex_ids(values: Iterable | np.ndarray, what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-class NotSimpleError(ValueError):
-    """A loop or a parallel edge where a simple graph is needed; ``loop`` tells which."""
-
-    def __init__(self, message: str, loop: bool):
-        super().__init__(message)
-        self.loop = loop
-
-
 class MultiGraph:
     """Immutable undirected multigraph on vertices 0..n-1, with n <= ``MAX_VERTICES``.
 
@@ -168,8 +160,8 @@ def triangle_counts(n: int, edges: np.ndarray) -> np.ndarray:
     first_fault = np.r_[np.flatnonzero(u == v), repeats, len(u)].min()
     if first_fault < len(u):
         if u[first_fault] == v[first_fault]:
-            raise NotSimpleError("clustering statistics need a loop-free graph", loop=True)
-        raise NotSimpleError("clustering statistics need a graph without parallel edges", loop=False)
+            raise ValueError("clustering statistics need a loop-free graph")
+        raise ValueError("clustering statistics need a graph without parallel edges")
     del keys, order, repeats
 
     rank = np.empty(n, dtype=np.int64)

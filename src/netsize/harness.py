@@ -84,7 +84,8 @@ def _blame(key: str, prefix: str = ""):
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A plan grid; every plan rule lives in ``__post_init__`` and raises ``PlanError``."""
+    """A plan grid; every plan rule lives in ``__post_init__`` and raises ``PlanError``.
+    A plan keeps its numbers as Python floats (λ) and ints, however they were given."""
 
     families: tuple[Family, ...]
     lambdas: tuple[float, ...]
@@ -143,8 +144,11 @@ class ExperimentPlan:
                 raise PlanError(name, f"replicate counts must be <= {sys.maxsize}")
         if not 0 <= self.seed < 2**64:  # derive_rng keeps 64 bits, so a wider seed would alias
             raise PlanError("seed", f"the seed must be in [0, 2**64), got {self.seed}")
-        if any(name in HASHED_ESTIMATORS for name in self.estimators) and not self.omegas:
+        hashed = any(name in HASHED_ESTIMATORS for name in self.estimators)
+        if hashed and not self.omegas:
             raise PlanError("estimators", "hashed estimators need at least one code-space size")
+        if self.omegas and not hashed:
+            raise PlanError("omegas", "code-space sizes need at least one hashed estimator")
         if min(self.sample_sizes) < 1:
             raise PlanError("sample_sizes", f"sample sizes must be >= 1, got {min(self.sample_sizes)}")
         if any(r > min(self.sizes) for r in self.sample_sizes):
@@ -158,6 +162,11 @@ class ExperimentPlan:
                 raise PlanError("num_seeds", f"referral samples need num_seeds >= 1, got {self.num_seeds}")
             if any(r < self.num_seeds for r in self.sample_sizes):
                 raise PlanError("sample_sizes", "sample sizes must be >= the seed count")
+        # the run streams hash each value's repr, so every value is kept as the Python number it equals
+        for name, number in (("lambdas", float), ("sizes", int), ("sample_sizes", int), ("omegas", int)):
+            object.__setattr__(self, name, tuple(map(number, getattr(self, name))))
+        for name in ("graph_replicates", "sample_replicates", "seed", "num_seeds"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     def needs_rds(self) -> bool:
         return any(ESTIMATORS[name][1] != "uniform" for name in self.estimators)

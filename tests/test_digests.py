@@ -6,13 +6,14 @@ capture, and the ``netsize estimate`` result line of each estimator on
 those dumps.  The graphs are pinned too: for each family at n = 2000, the
 bytes and dtype of ``edge_array``, the CSR offsets and targets and
 ``degrees()``, the ``netsize generate`` output and one capture's dump; the
-same arrays of an Erdos-Renyi graph drawn in many small gap blocks and of a
-rewired graph; one hashed dump per hash mode; and the edges of two complete
+same arrays of an Erdos-Renyi graph drawn in many small gap blocks, of a
+Barabasi-Albert graph resolved in many small slot blocks and of a rewired
+graph; one hashed dump per hash mode; and the edges of two complete
 Erdos-Renyi graphs.  So is ``netsize ingest`` with every cleaning option
-on, and ``netsize stats`` with the same options, on a fixed edge list of
-reciprocal arcs, repeated lines, loops and ids outside the filter.  A
-change that moves an output byte moves its digest, and the failure names
-every output that moved.  A change that moves outputs on purpose updates
+on, and ``netsize stats``, which always cleans, with the same filter, on a
+fixed edge list of reciprocal arcs, repeated lines, loops and ids outside
+the filter.  A change that moves an output byte moves its digest, and the
+failure names every output that moved.  A change that moves outputs on purpose updates
 the digests here and says which moved and why.
 """
 
@@ -77,6 +78,10 @@ GRAPH_DIGESTS = {
     "er blocks offsets": "3c04208f1fbd2ce6081788fe74c0f48ebed5111f4100dc1f873659c4239b8671",
     "er blocks targets": "ee05cb764b17a1a638da6f25cef98229f156fbcc3d365564912367087894e272",
     "er blocks degrees": "1cb29406bf917c3efed28f19e2a0d797ddc182e4aef416c3b402efb4eabb4ae9",
+    "ba blocks edges": "748516386acaed273b45fdce2fd6a817d34c2861494e5145a5de406ce59bc7e6",
+    "ba blocks offsets": "228cc44dd5db753818afaa77957a486bd30b0807e624c53e40f5040164b259d6",
+    "ba blocks targets": "f98c707323c83d55c521fb4c58f5431f12e50a2878fdf019a6204753fd84b8cd",
+    "ba blocks degrees": "946f564e84baa1e0f4e367f664ae51366cde2fde67abb546c519b52271f808ed",
     "rewired edges": "8b82921b9c1573b9be9f84c2fa050b75312ae49a1d3cda1cec07f7d3fb047980",
     "rewired offsets": "1048b5682daf7512ecc84298dd0921e8a4de1ae771fa26aafbfad17c21908aa1",
     "rewired targets": "cec82301f6dd45ea033780950aae456b20ed0c7a727e7d6c569f88338d7b2b8f",
@@ -157,6 +162,9 @@ def _graph_outputs(capsys):
     with mock.patch.object(generators, "_GAP_BLOCK", 64):  # about 60 blocks
         outputs.update(_graph_arrays("er blocks", ns.sample_graph(ns.Family.ERDOS_RENYI, 4.0, 2000,
                                                                    np.random.default_rng(23))))
+    with mock.patch.object(generators, "_SLOT_BLOCK", 512):  # 20 blocks of pick slots
+        outputs.update(_graph_arrays("ba blocks", ns.sample_graph(ns.Family.BARABASI_ALBERT, 10.0, 2000,
+                                                                   np.random.default_rng(27))))
     rng = np.random.default_rng(24)
     g = ns.sample_graph(ns.Family.CONFIG_POISSON, 6.0, 2000, rng)
     outputs.update(_graph_arrays("rewired", generators.rewire_to_clustering(g, 0.1, rng)))
@@ -182,10 +190,10 @@ def _ingest_outputs(tmp_path, capsys, monkeypatch):
     lines = [f"{u} {v}" for u, v in arcs.tolist()] + ["1007 1014", "1014 1007", "1014 1007", "1021 1021"]
     (tmp_path / "edges.txt").write_text("# arcs\n" + "\n".join(lines) + "\n")
     (tmp_path / "keep.txt").write_text("\n".join(str(1000 + 7 * i) for i in range(35)) + "\n")
-    options = ["--edges", "edges.txt", "--dedupe", "--drop-loops", "--filter", "keep.txt"]
-    assert main(["ingest", *options, "--id-map", "ids.txt", "--out", "clean.txt"]) == 0
+    options = ["--edges", "edges.txt", "--filter", "keep.txt"]
+    assert main(["ingest", *options, "--dedupe", "--drop-loops", "--id-map", "ids.txt", "--out", "clean.txt"]) == 0
     report = capsys.readouterr().out.splitlines()[1]  # below the header, which names the run
-    assert main(["stats", *options]) == 0
+    assert main(["stats", *options]) == 0  # stats applies both cleaning rules itself
     stats = "\n".join(capsys.readouterr().out.splitlines()[1:])
     return {"ingest edges": (tmp_path / "clean.txt").read_bytes(), "ingest id map": (tmp_path / "ids.txt").read_bytes(),
             "ingest report": report.encode(), "stats": stats.encode()}

@@ -284,12 +284,3 @@ def test_referral_forest_validation():
         ReferralForest(edges=(), seeds=(0,), seed_of={0: 1})
     with pytest.raises(ValueError):  # forest identity broken
         ReferralForest(edges=(), seeds=(0,), seed_of={0: 0, 1: 0})
-
-
-def test_a_loop_or_a_parallel_edge_is_named_by_the_error_type():
-    from netsize.graph import NotSimpleError, triangle_counts
-
-    for edges, loop in (([(0, 1), (2, 2)], True), ([(0, 1), (1, 0)], False), ([(0, 1), (1, 0), (2, 2)], False)):
-        with pytest.raises(NotSimpleError) as caught:
-            triangle_counts(3, np.array(edges))
-        assert caught.value.loop is loop and isinstance(caught.value, ValueError)

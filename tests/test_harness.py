@@ -308,7 +308,7 @@ def _small_plans(draw):
     hashed = any(name in harness.HASHED_ESTIMATORS for name in estimators)
     return ExperimentPlan(
         families=axis(list(Family)), lambdas=axis([2.5, 4.0]), sizes=axis([40, 80]),
-        sample_sizes=axis([8, 12]), estimators=estimators, omegas=axis([3, 500, 4096], int(hashed)),
+        sample_sizes=axis([8, 12]), estimators=estimators, omegas=axis([3, 500, 4096]) if hashed else (),
         graph_replicates=draw(st.integers(1, 2)), sample_replicates=draw(st.integers(1, 2)),
         seed=draw(st.integers(0, 99)),
     )
@@ -328,6 +328,26 @@ def test_every_run_lands_in_a_plan_cell_in_plan_order(plan):
     assert plan.run_count() == len(raw)
     assert [(s.family, s.lam, s.n, s.r, s.omega, s.estimator) for s in summaries] == expected
     assert all(s.count == plan.graph_replicates * plan.sample_replicates for s in summaries)
+
+
+def test_a_plan_draws_the_same_streams_however_its_numbers_are_typed():
+    spellings = [
+        dict(lambdas=(3.0,), sizes=(120,), sample_sizes=(30,), omegas=(500,), graph_replicates=2,
+             sample_replicates=2, seed=5, num_seeds=3),
+        dict(lambdas=(3,), sizes=(120,), sample_sizes=(30,), omegas=(500,), graph_replicates=2,
+             sample_replicates=2, seed=5, num_seeds=3),
+        dict(lambdas=(np.float64(3.0),), sizes=(np.int64(120),), sample_sizes=(np.int32(30),), omegas=(np.int64(500),),
+             graph_replicates=np.int64(2), sample_replicates=np.uint8(2), seed=np.uint64(5), num_seeds=np.int16(3)),
+        dict(lambdas=(np.int64(3),), sizes=(np.uint16(120),), sample_sizes=(np.int64(30),), omegas=(np.uint64(500),),
+             graph_replicates=np.int8(2), sample_replicates=np.int64(2), seed=np.int64(5), num_seeds=np.uint32(3)),
+    ]
+    outputs = []
+    for numbers in spellings:
+        plan = ExperimentPlan(families=(Family.ERDOS_RENYI,), estimators=("n1", "n2", "n3psi"), **numbers)
+        raw, summaries = run_plan(plan)
+        outputs.append((raw_csv_lines(raw), summary_csv_lines(summaries)))
+    assert all(output == outputs[0] for output in outputs)
+    assert outputs[0][0][1].startswith("er,3.0,120,30,,n1,0,0,")
 
 
 def test_derive_rng_is_stable_and_distinct():
@@ -450,9 +470,11 @@ def test_parse_plan_names_the_later_line_of_a_repeated_key(lines, message):
      "plan line 7: num_seeds: cross-component estimators need num_seeds >= 2, got 1"),
     (_VALID_PLAN.replace("r = 10", "r = 101"),
      "plan line 4: r: sample sizes must not exceed the smallest population"),
+    (_VALID_PLAN.replace("n1", "n1, n2") + "omegas = 2000",
+     "plan line 6: omegas: code-space sizes need at least one hashed estimator"),
 ])
 def test_parse_plan_names_the_line_of_a_rule_across_keys(text, message):
-    # each plan would otherwise fail inside run_plan, after graphs are drawn
+    # each plan would otherwise fail inside run_plan, after graphs are drawn, or ignore a setting
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         parse_plan(text)
 
