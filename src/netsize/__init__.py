@@ -59,12 +59,10 @@ from .hashing import (
     x_hat,
 )
 from .ingest import EdgeListSpec, clustering_stats, load_edge_list, write_edge_list
-from .multiset import Multiset, mdiff, mintersect, msum
 from .sampling import RdsConfig, Sample, as_sample_view, rds_capture, uniform_sample
 
 __all__ = [
     "__version__",
-    "Multiset", "msum", "mintersect", "mdiff",
     "MultiGraph", "ReferralForest", "mean_degree", "harmonic_mean_degree",
     "free_neighborhood", "free_ends", "matches", "cross_seed_matches",
     "Family", "sample_degrees", "configuration_graph", "barabasi_albert", "erdos_renyi",

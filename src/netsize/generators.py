@@ -363,7 +363,7 @@ def check_family(family: Family, lam: float, n: int) -> None:
     """Raise ``ValueError`` unless ``family`` generates graphs of mean degree ``lam`` on ``n`` vertices."""
     family = Family(family)
     check_size(family, n)
-    if not math.isfinite(lam):
+    if not -math.inf < lam < math.inf:  # no float(): an int past its range meets the rules below
         raise ValueError(f"mean degree must be finite, got {lam}")
     if family is Family.BARABASI_ALBERT:
         if lam < 2:

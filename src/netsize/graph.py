@@ -6,17 +6,18 @@ bag).  On top of it live the sampled-subgraph quantities: the free
 neighborhood of a vertex once referral edges are removed, the pooled free
 ends R(S, F), the in-sample matches M(S, F), and the cross-seed matches
 X(s, F) that only count encounters between different referral components.
+Every bag is a ``collections.Counter``: ``+`` pools, ``&`` intersects and
+``total()`` is the cardinality the estimators divide.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-
-from .multiset import Multiset, mintersect
 
 Edge = tuple[int, int]
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
@@ -71,11 +72,13 @@ class MultiGraph:
     __slots__ = ("n", "edge_array", "_offsets", "_targets", "_degrees")
 
     def __init__(self, n: int, edges: Iterable[Edge] | np.ndarray):
+        if not is_int(n):
+            raise ValueError(f"vertex count must be an integer, got {n!r}")
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         if n > MAX_VERTICES:
             raise ValueError(f"multigraphs need n <= {MAX_VERTICES}, got {n}")
-        self.n = n
+        self.n = int(n)
         arr = vertex_ids(edges, "edge endpoints")
         if arr.size == 0:
             arr = arr.reshape(0, 2)
@@ -135,9 +138,9 @@ class MultiGraph:
         shift = np.repeat(self._offsets[vertices] - offsets[:-1], counts)
         return offsets, self._targets[np.arange(offsets[-1]) + shift]
 
-    def neighbors(self, v: int) -> Multiset:
+    def neighbors(self, v: int) -> Counter:
         """A fresh neighbor bag of v."""
-        return Multiset(self.neighbor_ids(v).tolist())
+        return Counter(self.neighbor_ids(v).tolist())
 
 
 _WEDGE_BLOCK = 1 << 14  # wedges checked per numpy batch, to bound memory
@@ -224,57 +227,50 @@ def harmonic_mean(values: Iterable[int | float]) -> float:
     return count / inv
 
 
-def _removals_by_vertex(forest_edges: Iterable[Edge]) -> dict[int, Multiset]:
+def _removals_by_vertex(forest_edges: Iterable[Edge]) -> dict[int, Counter]:
     """Per-vertex bag of neighbor occurrences consumed by forest edges."""
-    removals: dict[int, Multiset] = {}
+    removals: dict[int, Counter] = {}
     for a, b in forest_edges:
-        removals.setdefault(a, Multiset())[b] += 1
-        removals.setdefault(b, Multiset())[a] += 1
+        removals.setdefault(a, Counter())[b] += 1
+        removals.setdefault(b, Counter())[a] += 1
     return removals
 
 
-def _free_bag(g: MultiGraph, u: int, removals: Multiset | None) -> Multiset:
+def _free_bag(g: MultiGraph, u: int, removals: Counter | None) -> Counter:
     base = g.neighbors(u)
     if not removals:
         return base
-    result = Multiset()
-    for w, count in base.items():
-        kept = count - removals[w]
-        if kept > 0:
-            result[w] = kept
-    removed = base.cardinality() - result.cardinality()
-    if removed != removals.cardinality():
+    if not removals <= base:
         raise ValueError(f"a forest edge at vertex {u} is not present in the graph")
-    return result
+    return base - removals
 
 
-def free_neighborhood(g: MultiGraph, u: int, forest_edges: Iterable[Edge]) -> Multiset:
+def free_neighborhood(g: MultiGraph, u: int, forest_edges: Iterable[Edge]) -> Counter:
     """Neighbor bag of u with one occurrence removed per incident forest edge."""
     return _free_bag(g, u, _removals_by_vertex(forest_edges).get(u))
 
 
-def free_ends(g: MultiGraph, subjects: Iterable[int], forest_edges: Sequence[Edge]) -> Multiset:
+def free_ends(g: MultiGraph, subjects: Iterable[int], forest_edges: Sequence[Edge]) -> Counter:
     """R(S, F): pooled free neighborhoods over the sample."""
     removals = _removals_by_vertex(forest_edges)
-    pooled = Multiset()
+    pooled = Counter()
     for u in subjects:
         pooled.update(_free_bag(g, u, removals.get(u)))
     return pooled
 
 
-def matches(g: MultiGraph, subjects: Iterable[int], forest_edges: Sequence[Edge]) -> Multiset:
+def matches(g: MultiGraph, subjects: Iterable[int], forest_edges: Sequence[Edge]) -> Counter:
     """M(S, F): free ends that land back inside the sample.
 
     The sample enters the intersection with multiplicity 1 per member, so a
     neighbor reached twice through parallel edges still matches only once.
     """
     subject_list = list(subjects)
-    subject_bag = Multiset(set(subject_list))
+    subject_bag = Counter(set(subject_list))
     removals = _removals_by_vertex(forest_edges)
-    pooled = Multiset()
+    pooled = Counter()
     for u in subject_list:
-        bag = _free_bag(g, u, removals.get(u))
-        pooled.update(mintersect(bag, subject_bag))
+        pooled.update(_free_bag(g, u, removals.get(u)) & subject_bag)
     return pooled
 
 
@@ -284,18 +280,17 @@ def cross_seed_matches(
     forest_edges: Sequence[Edge],
     seed_of: Mapping[int, int],
     seed: int,
-) -> Multiset:
+) -> Counter:
     """X(s, F): free ends from seed s's component landing in other components."""
     members = set(subjects)
     if seed not in members or seed_of.get(seed) != seed:
         raise ValueError(f"{seed} is not a seed of this sample")
     component = [u for u in members if seed_of[u] == seed]
-    complement = Multiset(u for u in members if seed_of[u] != seed)
+    complement = Counter(u for u in members if seed_of[u] != seed)
     removals = _removals_by_vertex(forest_edges)
-    pooled = Multiset()
+    pooled = Counter()
     for u in component:
-        bag = _free_bag(g, u, removals.get(u))
-        pooled.update(mintersect(bag, complement))
+        pooled.update(_free_bag(g, u, removals.get(u)) & complement)
     return pooled
 
 

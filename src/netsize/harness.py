@@ -19,6 +19,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from statistics import median
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -125,7 +126,7 @@ class ExperimentPlan:
             if name not in ESTIMATORS:
                 raise PlanError("estimators", f"unknown estimator {name!r}")
         for lam in self.lambdas:
-            if not (math.isfinite(lam) and lam >= 0):
+            if not 0 <= lam < math.inf:  # no float(): an int past its range fails check_family
                 raise PlanError("lambdas", f"a mean degree must be finite and non-negative, got {lam!r}")
         for family, n in itertools.product(self.families, self.sizes):
             with _blame("sizes", f"{family.value} graphs on {n} vertices: "):
@@ -213,14 +214,6 @@ class SummaryRow:
     failure_rate: float = 0.0
 
 
-def _median(values: Sequence[float]) -> float:
-    k = len(values)
-    mid = k // 2
-    if k % 2 == 1:
-        return values[mid]
-    return 0.5 * (values[mid - 1] + values[mid])
-
-
 def summarize(results: Sequence[EstimateResult], **cell) -> SummaryRow:
     """Tukey-hinge summary: quartiles are medians of the sorted halves,
     excluding the overall median when the count is odd."""
@@ -231,14 +224,9 @@ def summarize(results: Sequence[EstimateResult], **cell) -> SummaryRow:
     row = SummaryRow(count=len(results), failure_rate=failures / len(results), **cell)
     if not values:
         return row
-    med = _median(values)
-    k = len(values)
-    if k == 1:
-        q1 = q3 = med
-    else:
-        half = k // 2
-        q1 = _median(values[:half])
-        q3 = _median(values[half + (k % 2):])
+    med = median(values)
+    half = len(values) // 2
+    q1, q3 = (median(values[:half]), median(values[-half:])) if half else (med, med)
     return replace(row, median=med, q1=q1, q3=q3, minimum=values[0], maximum=values[-1])
 
 

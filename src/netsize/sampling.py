@@ -18,6 +18,7 @@ cross-component matches once, in numpy (``Sample.counts``).
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -26,7 +27,6 @@ import numpy as np
 
 from .graph import INT64_MAX, INT64_MIN, MultiGraph, ReferralForest, is_int, vertex_ids
 from .ingest import comment_lines, open_text, open_written
-from .multiset import Multiset
 
 DEFAULT_RECRUIT_LAW = ((2, 0.9), (1, 0.1))
 
@@ -75,9 +75,10 @@ class Sample:
     row of subject i's recruiter, an earlier row of the same component, or
     -1 for a seed (the default for every row).  Row i's alter codes are
     ``alter_codes[alter_offsets[i]:alter_offsets[i + 1]]``, which construction
-    sorts.  Without ``alter_offsets``, ``alter_codes`` is one bag of codes per row.
-    Each column must be a flat sequence of ints: a float, a bool or a nested column is
-    rejected, never truncated.  Every sum of reported degrees must fit in int64, as the
+    sorts.  Without ``alter_offsets``, ``alter_codes`` is one bag per row: a sequence
+    of codes or a ``Counter`` of code -> count, where a count below 1 adds nothing.
+    Each column must be a flat sequence of ints, and each count an int: a float, a
+    bool or a nested column is rejected, never truncated.  Every sum of reported degrees must fit in int64, as the
     counts add them there.
     """
 
@@ -92,7 +93,11 @@ class Sample:
         k = len(self.codes)
         alters, offsets = self.alter_codes, self.alter_offsets
         if offsets is None:
-            bags = [list(Multiset(bag).elements()) for bag in alters]
+            bags = [Counter(bag) for bag in alters]
+            for count in itertools.chain.from_iterable(bag.values() for bag in bags):
+                if not is_int(count):
+                    raise ValueError(f"alter_codes multiplicities must be integers, got {count!r}")
+            bags = [list(bag.elements()) for bag in bags]
             offsets = np.cumsum([0] + [len(bag) for bag in bags])
             alters = [code for bag in bags for code in bag]
         columns = {

@@ -10,6 +10,7 @@ reruns of a small plan.  Every median and quartile is ``summarize``'s rule.
 """
 
 import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,6 @@ from netsize.harness import (
 )
 from netsize.hashing import HashMode, HashSpace, assign_hashes, hashed_view
 from netsize.ingest import EdgeListSpec, clustering_stats, load_edge_list
-from netsize.multiset import Multiset
 from netsize.sampling import RdsConfig, rds_capture
 
 MASTER_SEED = 7
@@ -85,7 +85,7 @@ def test_criterion_1_exactness_oracles():
     ok &= prob == 0.5
 
     hs = ns.HashedSample(codes=(1, 2, 3), degrees=(2, 2, 2),
-                         alter_codes=(Multiset([2, 9]), Multiset(), Multiset()),
+                         alter_codes=(Counter([2, 9]), Counter(), Counter()),
                          components=(0, 0, 0))
     root = ns.estimate_n2_hashed(hs, 10).value
     ok &= abs(root - 6.0) <= 1e-9 * 6.0  # root solver converges to its stated tolerance

@@ -1,8 +1,8 @@
-"""Property tests: the sample's numpy counts against the Multiset definitions.
+"""Property tests: the sample's numpy counts against the Counter definitions.
 
 ``graph.free_ends``, ``graph.matches`` and ``graph.cross_seed_matches`` follow
 the paper's text; ``Sample.counts`` must agree with them on every capture,
-and with a direct ``mintersect`` computation under non-injective codes.
+and with a direct ``Counter`` intersection under non-injective codes.
 Metamorphic tests then change what no count may depend on (the code values,
 the component labels, a trip through a dump) and require the same counts
 and the same five estimates.  Last, the match lookup's code table and its
@@ -11,6 +11,7 @@ sorted search must give the same counts.
 
 import dataclasses
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -28,7 +29,6 @@ from netsize.generators import Family, sample_graph
 from netsize.hashing import (
     HashSpace, assign_hashes, collision_prob, estimate_n2_hashed, estimate_n3_hashed, hashed_view, m_hat, x_hat,
 )
-from netsize.multiset import Multiset, mintersect
 from netsize.sampling import (
     Counts, RdsConfig, Sample, as_sample_view, rds_capture, read_sample_dump, write_sample_dump,
 )
@@ -104,19 +104,19 @@ def test_mass_degrees_are_the_sorted_distinct_degrees(degrees):
 
 
 def _bags(sample):
-    return [Multiset(sample.alters(i).tolist()) for i in range(sample.size)]
+    return [Counter(sample.alters(i).tolist()) for i in range(sample.size)]
 
 
 def _reference_matches(sample):
-    """(M, X per component label) by mintersect over the subject-code bags."""
+    """(M, X per component label) by intersecting each bag with the subject-code bag."""
     codes, comps = sample.codes.tolist(), sample.components.tolist()
     bags = _bags(sample)
-    subjects = Multiset(codes)
-    m = sum(mintersect(bag, subjects).cardinality() for bag in bags)
+    subjects = Counter(codes)
+    m = sum((bag & subjects).total() for bag in bags)
     x = {}
     for label in dict.fromkeys(comps):
-        outside = Multiset(c for c, comp in zip(codes, comps) if comp != label)
-        x[label] = sum(mintersect(bag, outside).cardinality()
+        outside = Counter(c for c, comp in zip(codes, comps) if comp != label)
+        x[label] = sum((bag & outside).total()
                        for bag, comp in zip(bags, comps) if comp == label)
     return m, x
 
@@ -127,10 +127,10 @@ def test_counts_equal_graph_definitions(capture):
     g, sample = capture
     subjects, forest = sample.order, sample.forest
     counts = sample.counts
-    assert counts.free == free_ends(g, subjects, forest.edges).cardinality()
-    assert counts.matches == matches(g, subjects, forest.edges).cardinality()
+    assert counts.free == free_ends(g, subjects, forest.edges).total()
+    assert counts.matches == matches(g, subjects, forest.edges).total()
     # components open in seed order, so the k-th component is the k-th seed's
-    per_seed = [cross_seed_matches(g, subjects, forest.edges, forest.seed_of, s).cardinality()
+    per_seed = [cross_seed_matches(g, subjects, forest.edges, forest.seed_of, s).total()
                 for s in forest.seeds]
     assert counts.cross.tolist() == per_seed
     assert counts.comp_size.sum() == sample.size
@@ -138,7 +138,7 @@ def test_counts_equal_graph_definitions(capture):
 
 @SETTINGS
 @given(coded_samples())
-def test_counts_equal_mintersect_under_colliding_codes(sample):
+def test_counts_equal_counter_intersection_under_colliding_codes(sample):
     m, x = _reference_matches(sample)
     assert sample.counts.matches == m
     assert dict(zip(sample.counts.labels.tolist(), sample.counts.cross.tolist())) == x
@@ -146,7 +146,7 @@ def test_counts_equal_mintersect_under_colliding_codes(sample):
 
 @SETTINGS
 @given(captures(), st.integers(1, 6), st.integers(0, 2**32 - 1))
-def test_hashed_view_counts_equal_mintersect(capture, omega, seed):
+def test_hashed_view_counts_equal_counter_intersection(capture, omega, seed):
     g, sample = capture
     hs = hashed_view(sample, np.random.default_rng(seed).integers(0, omega, size=g.n))
     m, x = _reference_matches(hs)
@@ -160,7 +160,7 @@ def _per_code_mass(sample, bags_against, n_prime, omega):
     d_tilde = harmonic_mean(sample.degrees.tolist())
     total = 0.0
     for bag, against in bags_against:
-        for code, mult in mintersect(bag, Multiset(c for c, _ in against)).items():
+        for code, mult in (bag & Counter(c for c, _ in against)).items():
             total += mult * sum(collision_prob(n_prime, omega, d_tilde, d) for c, d in against if c == code)
     return total
 

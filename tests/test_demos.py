@@ -1,6 +1,7 @@
-"""Every walkthrough in demos/ runs to completion against the source tree."""
+"""Every walkthrough in demos/ and every python example of README.md runs against the source tree."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +22,17 @@ def test_demo_exits_zero(demo):
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+
+def test_every_readme_python_example_prints_the_text_block_after_it():
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
+    examples = [(code, shown) for (lang, code), (_, shown) in zip(blocks, blocks[1:] + [("", None)])
+                if lang == "python"]
+    assert examples
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for code, shown in examples:
+        done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == shown, code

@@ -803,6 +803,12 @@ def test_rewiring_needs_at_most_nine_times_the_bytes_of_the_simple_edges():
     (Family.CONFIG_POISSON, 0.5, 100, "target mean degree must be >= 1, got 0.5"),
     (Family.CONFIG_EXPONENTIAL, 0.99, 100, "target mean degree must be >= 1, got 0.99"),
     (Family.CONFIG_POISSON, float("nan"), 100, "mean degree must be finite, got nan"),
+    # an int past the float range
+    pytest.param(Family.BARABASI_ALBERT, 10**400, 100, f"need n > lam, got n=100, lam={10**400}", id="ba-10**400"),
+    pytest.param(Family.CONFIG_POISSON, 10**400, 100, f"mean degree {10**400} on 100 vertices puts the expected "
+                 "stub total past the 64-bit range", id="poisson-10**400"),
+    pytest.param(Family.ERDOS_RENYI, 10**400, 100, f"mean degree must lie in [0, n-1], got {10**400}",
+                 id="er-10**400"),
 ])
 def test_a_mean_degree_the_family_cannot_generate_is_rejected_before_drawing(family, lam, n, message):
     rng = np.random.default_rng(0)

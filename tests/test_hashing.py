@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from netsize.hashing import (
     telefunken_encode,
     x_hat,
 )
-from netsize.multiset import Multiset
 from netsize.sampling import RdsConfig, Sample, rds_capture, read_sample_dump, write_sample_dump
 from netsize.graph import MultiGraph
 
@@ -180,7 +180,7 @@ def _single_match_sample() -> HashedSample:
     return HashedSample(
         codes=(1, 2, 3),
         degrees=(2, 2, 2),
-        alter_codes=(Multiset([2, 9]), Multiset(), Multiset()),
+        alter_codes=(Counter([2, 9]), Counter(), Counter()),
         components=(0, 0, 0),
     )
 
@@ -199,7 +199,7 @@ def test_m_hat_strictly_decreasing():
 
 def test_m_hat_no_matches_zero():
     hs = HashedSample(codes=(1, 2), degrees=(3, 3),
-                      alter_codes=(Multiset([7]), Multiset([8])), components=(0, 0))
+                      alter_codes=(Counter([7]), Counter([8])), components=(0, 0))
     assert m_hat(hs, 50.0, 10) == 0.0
 
 
@@ -257,7 +257,7 @@ def test_an_all_degree_one_sample_with_a_match_has_degenerate_degrees():
 
 def test_n2_hashed_zero_matches():
     hs = HashedSample(codes=(1, 2), degrees=(3, 3),
-                      alter_codes=(Multiset([7]), Multiset([8])), components=(0, 0))
+                      alter_codes=(Counter([7]), Counter([8])), components=(0, 0))
     res = estimate_n2_hashed(hs, 10)
     assert res.failed and res.failure_cause is FailureCause.ZERO_MATCHES
 
@@ -267,7 +267,7 @@ def test_n2_hashed_no_root_when_matched_degrees_are_one():
     hs = HashedSample(
         codes=(1, 2, 3),
         degrees=(1, 2, 2),
-        alter_codes=(Multiset(), Multiset([1]), Multiset()),
+        alter_codes=(Counter(), Counter([1]), Counter()),
         components=(0, 0, 0),
     )
     res = estimate_n2_hashed(hs, 10)
@@ -309,7 +309,7 @@ def test_x_hat_no_cross_edges():
     hs = HashedSample(
         codes=(1, 2, 3, 4),
         degrees=(2, 2, 2, 2),
-        alter_codes=(Multiset([2]), Multiset([1]), Multiset([4]), Multiset([3])),
+        alter_codes=(Counter([2]), Counter([1]), Counter([4]), Counter([3])),
         components=(0, 0, 1, 1),
     )
     assert x_hat(hs, 0, 10.0, 100) == 0.0

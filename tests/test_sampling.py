@@ -16,7 +16,6 @@ from netsize.cli import main
 from netsize.generators import Family, sample_graph
 from netsize.graph import INT64_MAX, INT64_MIN, MultiGraph, harmonic_mean
 from netsize.hashing import HashSpace, assign_hashes, hashed_view
-from netsize.multiset import Multiset
 from netsize.sampling import (
     RdsConfig,
     Sample,
@@ -95,7 +94,7 @@ def test_rds_forest_identity_and_no_repeats():
 def test_rds_alter_bags_exclude_referral_ties():
     cfg = RdsConfig(target_size=4, num_seeds=1, recruit_law=((2, 1.0),), seeds=(0,))
     sample = rds_capture(CYCLE4, cfg, np.random.default_rng(3))
-    tree_degree = Multiset()
+    tree_degree = collections.Counter()
     for a, b in sample.forest.edges:
         tree_degree[a] += 1
         tree_degree[b] += 1
@@ -873,6 +872,15 @@ def test_sample_rejects_a_column_that_is_not_flat_ints(name, bad, message):
     assert Sample(**_VALID_COLUMNS).counts.matches == 2
     with pytest.raises(ValueError, match=f"^{name} {message}$"):
         Sample(**{**_VALID_COLUMNS, name: bad(_VALID_COLUMNS[name])})
+
+
+@pytest.mark.parametrize("count", [2.7, np.float64(2.0), True], ids=["float", "np.float64", "bool"])
+def test_sample_rejects_a_bag_count_that_is_not_an_int(count):
+    message = f"alter_codes multiplicities must be integers, got {count!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        Sample(codes=(5,), degrees=(3,), alter_codes=({5: count},), components=(0,))
+    bags = (collections.Counter({5: np.int64(2), 6: 0}),)  # a count below 1 adds nothing
+    assert Sample(codes=(5,), degrees=(3,), alter_codes=bags, components=(0,)).alter_codes.tolist() == [5, 5]
 
 
 def test_sample_does_not_truncate_float_codes_into_matches():
