@@ -1,3 +1,4 @@
+import random
 import re
 from collections import Counter
 
@@ -118,10 +119,15 @@ def test_vertex_count_bounds():
     with pytest.raises(ValueError, match="n <= 3037000499"):
         # the top vertex's loop key, n**2 - 1, would not fit in int64
         MultiGraph(MAX_VERTICES + 1, [(MAX_VERTICES, MAX_VERTICES)])
-    for n in (3.0, np.float64(3.0), True):
-        with pytest.raises(ValueError, match=f"^vertex count must be an integer, got {re.escape(repr(n))}$"):
-            MultiGraph(n, [(0, 0)])
     assert MultiGraph(np.int64(3), [(0, 1)]).n == 3
+
+
+@pytest.mark.parametrize("n", [
+    pytest.param(3.0, id="float"), pytest.param(np.float64(3.0), id="np.float64"), pytest.param(True, id="bool"),
+])
+def test_a_vertex_count_that_is_not_an_int_is_rejected(n):
+    with pytest.raises(ValueError, match=f"^vertex count must be an integer, got {re.escape(repr(n))}$"):
+        MultiGraph(n, [(0, 0)])
 
 
 def test_edge_endpoints_must_be_integers():
@@ -266,6 +272,30 @@ def test_pooled_quantities_consistency():
     assert r_bag.total() == sum(g.degree(v) for v in subjects)
     # matches are a sub-multiset of the free ends
     assert m_bag <= r_bag
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pooled_bags_obey_the_multiset_algebra(seed):
+    # random multigraphs with parallel edges and loops on 8 vertices
+    rng = random.Random(seed)
+    for _ in range(100):
+        edges = [tuple(rng.choices(range(8), k=2)) for _ in range(rng.randrange(0, 14))]
+        g = MultiGraph(8, edges)
+        subjects = rng.sample(range(8), rng.randrange(0, 9))
+        cut = rng.randrange(0, len(subjects) + 1)
+        r_bag = free_ends(g, subjects, [])
+        m_bag = matches(g, subjects, [])
+        # pooling over disjoint samples adds
+        assert r_bag == free_ends(g, subjects[:cut], []) + free_ends(g, subjects[cut:], [])
+        # matches are a sub-multiset of the free ends and land inside the sample
+        assert m_bag <= r_bag and set(m_bag) <= set(subjects)
+        # removing one incident edge and adding its ends back restores the bag
+        for a, b in edges[:3]:
+            restored = Counter([b, a] if a == b else [b])
+            assert free_neighborhood(g, a, [(a, b)]) + restored == g.neighbors(a)
+        # no zero or negative count is stored anywhere
+        for bag in (r_bag, m_bag, *(free_neighborhood(g, a, [(a, b)]) for a, b in edges[:3])):
+            assert all(count > 0 for count in bag.values())
 
 
 def test_cross_seed_matches_bounded_by_matches():

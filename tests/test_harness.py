@@ -131,9 +131,9 @@ def test_plan_rejects_a_repeated_value(field, values, shown):
     ("lambdas", (3.0, float("nan")), "a mean degree must be finite and non-negative, got nan"),
     ("lambdas", (-0.5,), "a mean degree must be finite and non-negative, got -0.5"),
     ("lambdas", (float("-inf"),), "a mean degree must be finite and non-negative, got -inf"),
+    ("omegas", (512, -5), "the code space size omega must be at least 1, got -5"),
     pytest.param("lambdas", (10**400,), f"er graphs on 100 vertices: mean degree must lie in [0, n-1], "
                  f"got {10**400}", id="lambdas-10**400"),
-    ("omegas", (512, -5), "the code space size omega must be at least 1, got -5"),
 ])
 def test_experiment_plan_rejects_out_of_range_lambdas_and_omegas(field, values, message):
     base = dict(families=(Family.ERDOS_RENYI,), lambdas=(3.0,), sizes=(100,), sample_sizes=(10,),
