@@ -28,7 +28,6 @@ from .generators import (
 )
 from .graph import (
     MultiGraph,
-    ReferralForest,
     cross_seed_matches,
     free_ends,
     free_neighborhood,
@@ -63,7 +62,7 @@ from .sampling import RdsConfig, Sample, as_sample_view, rds_capture, uniform_sa
 
 __all__ = [
     "__version__",
-    "MultiGraph", "ReferralForest", "mean_degree", "harmonic_mean_degree",
+    "MultiGraph", "mean_degree", "harmonic_mean_degree",
     "free_neighborhood", "free_ends", "matches", "cross_seed_matches",
     "Family", "sample_degrees", "configuration_graph", "barabasi_albert", "erdos_renyi",
     "sample_graph", "rewire_to_clustering",

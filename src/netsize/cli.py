@@ -67,7 +67,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     if args.hash_mode is not None and args.omega is None:
         raise ValueError("--hash-mode needs --omega")
-    space = None if args.omega is None else HashSpace(args.omega, HashMode(args.hash_mode or "random"))
+    space = None if args.omega is None else HashSpace(args.omega, args.hash_mode or "random")
     g, _, _ = load_edge_list(EdgeListSpec(args.edges))
     rng = np.random.default_rng(args.rng_seed)
     if args.mode == "uniform":

@@ -85,6 +85,11 @@ def _check_omega(omega: Optional[float]) -> None:
         raise ValueError(f"the code space size omega must be at least 1, got {omega}")
 
 
+def _check_n_prime(n_prime: float) -> None:
+    if not n_prime >= 1:  # NaN fails too
+        raise ValueError(f"n_prime must be at least 1, got {n_prime!r}")
+
+
 def collision_prob(n_prime: float, omega: int, d_tilde_s: float, d_w):
     """Probability that a code match against a sampled subject is the true alter.
 
@@ -93,6 +98,9 @@ def collision_prob(n_prime: float, omega: int, d_tilde_s: float, d_w):
     as d_w -> 1).
     """
     _check_omega(omega)
+    _check_n_prime(n_prime)
+    if not 0 < d_tilde_s < math.inf:  # NaN fails too
+        raise ValueError(f"d_tilde_s must be positive and finite, got {d_tilde_s!r}")
     d_w = np.asarray(d_w, dtype=float)
     live = d_w > 1
     prob = np.zeros(d_w.shape)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from decimal import Decimal
 from enum import Enum
 from typing import Sequence
 
@@ -359,6 +360,14 @@ def check_size(family: Family, n: int) -> None:
         raise ValueError("need at least one vertex")
 
 
+def _shown(lam: float) -> str:
+    """``lam`` as a message prints it: an int too long for ``str`` in 4 significant digits."""
+    try:
+        return str(lam)
+    except ValueError:  # past Python's int-to-str digit limit
+        return f"{Decimal(lam):.3e}"
+
+
 def check_family(family: Family, lam: float, n: int) -> None:
     """Raise ``ValueError`` unless ``family`` generates graphs of mean degree ``lam`` on ``n`` vertices."""
     family = Family(family)
@@ -367,19 +376,19 @@ def check_family(family: Family, lam: float, n: int) -> None:
         raise ValueError(f"mean degree must be finite, got {lam}")
     if family is Family.BARABASI_ALBERT:
         if lam < 2:
-            raise ValueError(f"mean degree must be >= 2, got {lam}")
+            raise ValueError(f"mean degree must be >= 2, got {_shown(lam)}")
         if n <= lam:
-            raise ValueError(f"need n > lam, got n={n}, lam={lam}")
+            raise ValueError(f"need n > lam, got n={n}, lam={_shown(lam)}")
     elif family is Family.ERDOS_RENYI:
         if lam < 0 or lam > n - 1:
-            raise ValueError(f"mean degree must lie in [0, n-1], got {lam}")
+            raise ValueError(f"mean degree must lie in [0, n-1], got {_shown(lam)}")
     elif family in _CONFIG_FAMILIES:
         if lam < 1.0:
-            raise ValueError(f"target mean degree must be >= 1, got {lam}")
+            raise ValueError(f"target mean degree must be >= 1, got {_shown(lam)}")
         if family is Family.CONFIG_LOGNORMAL and lam <= 1.0:
             raise ValueError("lognormal degrees need a target mean degree > 1")
         if lam * n > INT64_MAX:
-            raise ValueError(f"mean degree {lam} on {n} vertices puts the expected stub total "
+            raise ValueError(f"mean degree {_shown(lam)} on {n} vertices puts the expected stub total "
                              "past the 64-bit range")
 
 

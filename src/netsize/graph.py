@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -292,35 +291,3 @@ def cross_seed_matches(
     for u in component:
         pooled.update(_free_bag(g, u, removals.get(u)) & complement)
     return pooled
-
-
-@dataclass(frozen=True)
-class ReferralForest:
-    """Referral structure of a sample: who recruited whom, rooted at seeds."""
-
-    edges: tuple[Edge, ...]          # ordered (recruiter, recruit) pairs
-    seeds: tuple[int, ...]
-    seed_of: dict[int, int] = field(compare=False)
-
-    def __post_init__(self):
-        seeds = set(self.seeds)
-        recruits = [b for _, b in self.edges]
-        if len(set(recruits)) != len(recruits):
-            raise ValueError("a vertex was recruited more than once")
-        if seeds & set(recruits):
-            raise ValueError("a seed cannot also be a recruit")
-        sampled = seeds | set(recruits)
-        for a, _ in self.edges:
-            if a not in sampled:
-                raise ValueError(f"recruiter {a} is not part of the sample")
-        if set(self.seed_of) != sampled:
-            raise ValueError("seed map must cover exactly the sampled vertices")
-        for s in seeds:
-            if self.seed_of[s] != s:
-                raise ValueError(f"seed {s} must map to itself")
-        if len(self.edges) != len(sampled) - len(seeds):
-            raise ValueError("edge count breaks the forest identity |F| = |S| - |D|")
-
-    @property
-    def size(self) -> int:
-        return len(self.seed_of)

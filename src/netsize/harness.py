@@ -27,7 +27,7 @@ import numpy as np
 from .estimators import EstimateResult, _check_omega, estimate_n1_from_view, estimate_n2, estimate_n3
 from .generators import Family, check_family, check_size, sample_graph
 from .graph import is_int
-from .hashing import HashMode, HashSpace, assign_hashes, estimate_n2_hashed, estimate_n3_hashed, hashed_view
+from .hashing import HashSpace, assign_hashes, estimate_n2_hashed, estimate_n3_hashed, hashed_view
 from .ingest import open_text, open_written
 from .sampling import RdsConfig, as_sample_view, rds_capture, uniform_sample
 
@@ -249,7 +249,7 @@ def _run_graph_task(args: tuple[ExperimentPlan, Family, float, int, int]) -> lis
             for omega in (None, *(plan.omegas if "hashed" in reads else ())):
                 if omega is not None:
                     hash_rng = derive_rng(plan.seed, "hash", *coords, omega)
-                    assignment = assign_hashes(n, HashSpace(omega, HashMode.RANDOM_FUNCTION), hash_rng)
+                    assignment = assign_hashes(n, HashSpace(omega), hash_rng)
                     samples["hashed"] = hashed_view(samples["rds"], assignment)
                 for name, function, kind in wanted:
                     if (kind == "hashed") == (omega is not None):

@@ -20,7 +20,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import EstimateResult, _true_mass_of, collision_prob, estimate_n2, estimate_n3  # noqa: F401
+from .estimators import (  # noqa: F401
+    EstimateResult, _check_n_prime, _true_mass_of, collision_prob, estimate_n2, estimate_n3,
+)
 from .graph import is_int
 from .sampling import Sample
 
@@ -33,12 +35,13 @@ class HashMode(Enum):
 
 @dataclass(frozen=True)
 class HashSpace:
-    """A code space and the rule for assigning codes to identities."""
+    """A code space and the rule for assigning codes to identities (a ``HashMode`` or its plan name)."""
 
     size: int
     mode: HashMode = HashMode.RANDOM_FUNCTION
 
     def __post_init__(self):
+        object.__setattr__(self, "mode", HashMode(self.mode))
         if not is_int(self.size):
             raise ValueError(f"hash space size must be an integer, got {self.size!r}")
         if self.size < 1:
@@ -88,9 +91,7 @@ def assign_hashes(n: int, space: HashSpace, rng: np.random.Generator) -> np.ndar
             out[i] = state.get(j, j)
             state[j] = state.get(i, i)
         return out
-    if space.mode is HashMode.TELEFUNKEN:
-        return _phone_codes(rng.integers(0, 10, size=(n, space.telefunken_digits)))
-    raise ValueError(f"unknown hash mode {space.mode}")  # pragma: no cover
+    return _phone_codes(rng.integers(0, 10, size=(n, space.telefunken_digits)))  # telefunken
 
 
 # The hashed view of a sample is a ``Sample`` whose codes are hash codes.
@@ -112,11 +113,13 @@ def hashed_view(sample: Sample, assignment: np.ndarray) -> Sample:
 
 def m_hat(hs: Sample, n_prime: float, omega: int) -> float:
     """Expected true-match mass among all observed code matches."""
+    _check_n_prime(n_prime)
     return _true_mass_of(hs.counts, hs.counts.match_mass, omega)(n_prime)
 
 
 def x_hat(hs: Sample, component_label: int, n_prime: float, omega: int) -> float:
     """Expected true cross-component match mass for one referral component."""
+    _check_n_prime(n_prime)
     index = np.flatnonzero(hs.counts.labels == component_label)
     if not len(index):
         raise ValueError(f"no referral component labelled {component_label}")

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graph import INT64_MAX, INT64_MIN, MultiGraph, ReferralForest, is_int, vertex_ids
+from .graph import INT64_MAX, INT64_MIN, Edge, MultiGraph, is_int, vertex_ids
 from .ingest import comment_lines, open_text, open_written
 
 DEFAULT_RECRUIT_LAW = ((2, 0.9), (1, 0.1))
@@ -67,6 +67,15 @@ class RdsConfig:
                 raise ValueError(f"seed {min(self.seeds)} out of range")
 
 
+@dataclass(frozen=True)
+class ReferralForest:
+    """Who recruited whom in a sample, over its subject codes, as ``Sample.forest`` builds it."""
+
+    edges: tuple[Edge, ...]          # (recruiter, recruit) pairs, in the recruits' row order
+    seeds: tuple[int, ...]
+    seed_of: dict[int, int] = field(compare=False)
+
+
 @dataclass(frozen=True, eq=False)
 class Sample:
     """A captured sample as columns: everything the estimators may see.
@@ -76,10 +85,10 @@ class Sample:
     -1 for a seed (the default for every row).  Row i's alter codes are
     ``alter_codes[alter_offsets[i]:alter_offsets[i + 1]]``, which construction
     sorts.  Without ``alter_offsets``, ``alter_codes`` is one bag per row: a sequence
-    of codes or a ``Counter`` of code -> count, where a count below 1 adds nothing.
-    Each column must be a flat sequence of ints, and each count an int: a float, a
-    bool or a nested column is rejected, never truncated.  Every sum of reported degrees must fit in int64, as the
-    counts add them there.
+    of codes or a ``Counter`` of code -> count, where a count below 1 adds nothing and
+    the counts of all bags sum to at most 2**63 - 1.  Each column must be a flat sequence
+    of ints, and each count an int: a float, a bool or a nested column is rejected, never
+    truncated.  Every sum of reported degrees must fit in int64, as the counts add them there.
     """
 
     codes: np.ndarray
@@ -94,10 +103,13 @@ class Sample:
         alters, offsets = self.alter_codes, self.alter_offsets
         if offsets is None:
             bags = [Counter(bag) for bag in alters]
-            for count in itertools.chain.from_iterable(bag.values() for bag in bags):
+            counts = [count for bag in bags for count in bag.values()]
+            for count in counts:
                 if not is_int(count):
                     raise ValueError(f"alter_codes multiplicities must be integers, got {count!r}")
-            bags = [list(bag.elements()) for bag in bags]
+            if sum(int(count) for count in counts if count > 0) > INT64_MAX:  # the offsets' range
+                raise ValueError("alter_codes multiplicities sum past the 64-bit range")
+            bags = [list((+bag).elements()) for bag in bags]  # unary + drops counts below 1
             offsets = np.cumsum([0] + [len(bag) for bag in bags])
             alters = [code for bag in bags for code in bag]
         columns = {
@@ -151,18 +163,18 @@ class Sample:
         """The referral forest over subject codes (vertex ids for a plaintext sample).
 
         Built on each read, as it weighs about as much as the columns: hold it to reuse it.
-        Defined for distinct codes; colliding hash codes make ReferralForest raise.
+        A forest over codes needs distinct codes: when two subjects share one (hash codes
+        may collide), this raises ``ValueError``.
         """
-        codes = self.codes.tolist()
-        seed_row: list[int] = []
-        edges = []
-        for i, r in enumerate(self.recruiters.tolist()):
-            seed_row.append(i if r < 0 else seed_row[r])
-            if r >= 0:
-                edges.append((codes[r], codes[i]))
-        seeds = tuple(codes[i] for i, s in enumerate(seed_row) if s == i)
-        seed_of = {codes[i]: codes[s] for i, s in enumerate(seed_row)}
-        return ReferralForest(edges=tuple(edges), seeds=seeds, seed_of=seed_of)
+        if _has_duplicates(self.codes):
+            raise ValueError("the referral forest needs distinct subject codes")
+        codes, recruiters = self.codes.tolist(), self.recruiters.tolist()
+        seed_of: dict[int, int] = {}
+        for code, r in zip(codes, recruiters):  # a recruiter's row comes first
+            seed_of[code] = code if r < 0 else seed_of[codes[r]]
+        edges = tuple((codes[r], codes[i]) for i, r in enumerate(recruiters) if r >= 0)
+        seeds = tuple(code for code, r in zip(codes, recruiters) if r < 0)
+        return ReferralForest(edges=edges, seeds=seeds, seed_of=seed_of)
 
     @cached_property
     def counts(self) -> Counts:

@@ -809,6 +809,17 @@ def test_rewiring_needs_at_most_nine_times_the_bytes_of_the_simple_edges():
                  "stub total past the 64-bit range", id="poisson-10**400"),
     pytest.param(Family.ERDOS_RENYI, 10**400, 100, f"mean degree must lie in [0, n-1], got {10**400}",
                  id="er-10**400"),
+    # ints past Python's int-to-str limit, given in 4 significant digits
+    pytest.param(Family.BARABASI_ALBERT, 10**5000, 100, "need n > lam, got n=100, lam=1.000e+5000",
+                 id="ba-10**5000"),
+    pytest.param(Family.BARABASI_ALBERT, -10**5000, 100, "mean degree must be >= 2, got -1.000e+5000",
+                 id="ba--10**5000"),
+    pytest.param(Family.CONFIG_POISSON, 10**5000, 100, "mean degree 1.000e+5000 on 100 vertices puts the "
+                 "expected stub total past the 64-bit range", id="poisson-10**5000"),
+    pytest.param(Family.CONFIG_EXPONENTIAL, -10**5000, 100, "target mean degree must be >= 1, got -1.000e+5000",
+                 id="exponential--10**5000"),
+    pytest.param(Family.ERDOS_RENYI, 2**20000 - 1, 100, "mean degree must lie in [0, n-1], got 3.980e+6020",
+                 id="er-2**20000-1"),
 ])
 def test_a_mean_degree_the_family_cannot_generate_is_rejected_before_drawing(family, lam, n, message):
     rng = np.random.default_rng(0)

@@ -12,7 +12,6 @@ from netsize.graph import (
     INT64_MAX,
     MAX_VERTICES,
     MultiGraph,
-    ReferralForest,
     cross_seed_matches,
     free_ends,
     free_neighborhood,
@@ -309,13 +308,3 @@ def test_cross_seed_matches_bounded_by_matches():
         for s in (subjects[0], subjects[half])
     )
     assert total_cross <= matches(g, subjects, []).total()
-
-
-def test_referral_forest_validation():
-    ReferralForest(edges=((0, 1),), seeds=(0,), seed_of={0: 0, 1: 0})
-    with pytest.raises(ValueError):  # recruited twice
-        ReferralForest(edges=((0, 1), (2, 1)), seeds=(0, 2), seed_of={0: 0, 1: 0, 2: 2})
-    with pytest.raises(ValueError):  # seed maps elsewhere
-        ReferralForest(edges=(), seeds=(0,), seed_of={0: 1})
-    with pytest.raises(ValueError):  # forest identity broken
-        ReferralForest(edges=(), seeds=(0,), seed_of={0: 0, 1: 0})

@@ -134,6 +134,8 @@ def test_plan_rejects_a_repeated_value(field, values, shown):
     ("omegas", (512, -5), "the code space size omega must be at least 1, got -5"),
     pytest.param("lambdas", (10**400,), f"er graphs on 100 vertices: mean degree must lie in [0, n-1], "
                  f"got {10**400}", id="lambdas-10**400"),
+    pytest.param("lambdas", (10**5000,), "er graphs on 100 vertices: mean degree must lie in [0, n-1], "
+                 "got 1.000e+5000", id="lambdas-10**5000"),
 ])
 def test_experiment_plan_rejects_out_of_range_lambdas_and_omegas(field, values, message):
     base = dict(families=(Family.ERDOS_RENYI,), lambdas=(3.0,), sizes=(100,), sample_sizes=(10,),

@@ -65,6 +65,18 @@ def test_hash_space_holds_at_most_2_63_codes():
             HashSpace(size, mode)
 
 
+@pytest.mark.parametrize("mode", list(HashMode), ids=lambda mode: mode.value)
+def test_a_hash_space_takes_its_mode_by_plan_name(mode):
+    space = HashSpace(4**5, mode.value)
+    assert space == HashSpace(4**5, mode) and space.mode is mode
+    codes = assign_hashes(50, space, np.random.default_rng(4))
+    assert codes.tolist() == assign_hashes(50, HashSpace(4**5, mode), np.random.default_rng(4)).tolist()
+    with pytest.raises(ValueError, match="^'bogus' is not a valid HashMode$"):
+        HashSpace(16, "bogus")
+    with pytest.raises(ValueError, match=r"^telefunken mode needs size == 4\*\*digits$"):
+        HashSpace(8, "telefunken")
+
+
 # --- assignment ----------------------------------------------------------
 
 def test_single_code_space():
@@ -230,6 +242,26 @@ def test_public_omega_functions_reject_omega_below_one(omega):
     for call in calls:
         with pytest.raises(ValueError, match=f"omega must be at least 1, got {omega}"):
             call()
+
+
+@pytest.mark.parametrize("n_prime", [-1.0, 0.5, 0.0, math.nan, -math.inf])
+def test_public_psi_functions_reject_n_prime_below_one(n_prime):
+    hs = _single_match_sample()
+    calls = (
+        lambda: m_hat(hs, n_prime, 10),
+        lambda: x_hat(hs, 0, n_prime, 10),
+        lambda: collision_prob(n_prime, 10, 2.0, 3),
+        lambda: collision_prob(n_prime, 1, 1.0, np.array([2, 3])),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^n_prime must be at least 1, got {n_prime!r}$"):
+            call()
+
+
+@pytest.mark.parametrize("d_tilde", [-2.0, 0.0, math.nan, math.inf])
+def test_collision_prob_rejects_a_harmonic_degree_that_is_not_positive_and_finite(d_tilde):
+    with pytest.raises(ValueError, match=f"^d_tilde_s must be positive and finite, got {d_tilde!r}$"):
+        collision_prob(10.0, 10, d_tilde, 3)
 
 
 @pytest.mark.parametrize("omega", [True, False, np.True_, math.nan, math.inf])

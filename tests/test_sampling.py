@@ -67,6 +67,18 @@ def test_the_forest_is_built_on_each_read_and_not_kept():
     assert "forest" not in vars(sample)
 
 
+@pytest.mark.parametrize("columns", [
+    dict(codes=(4, 4), degrees=(2, 2), alter_codes=((4,), (4,)), components=(0, 1)),
+    dict(codes=(4, 7, 4), degrees=(2, 2, 2), alter_codes=((), (), ()), components=(0, 0, 1),
+         recruiters=(-1, 0, -1)),
+], ids=["two-seeds", "seed-recruit-seed"])
+def test_a_sample_whose_codes_collide_has_no_forest(columns):
+    sample = Sample(**columns)
+    assert sample.counts.matches >= 0  # the counts are defined on colliding codes
+    with pytest.raises(ValueError, match="^the referral forest needs distinct subject codes$"):
+        sample.forest
+
+
 def test_rds_isolated_graph_pure_reseeding():
     g = MultiGraph(5, [])
     cfg = RdsConfig(target_size=3, num_seeds=2)
@@ -719,6 +731,38 @@ def test_dump_reader_matches_the_line_scan_on_each_junk_token(tmp_path, field, j
     assert _read_outcome(read_sample_dump, path) == _read_outcome(sampling._scan_sample_dump, path)
 
 
+def _reference_forest(sample):
+    """The forest read off the columns: a (recruiter code, recruit code) edge per recruited
+    row in row order, the codes of the rows without a recruiter, and each row's code mapped
+    to the code of the row its chain of recruiters ends at."""
+    codes, recruiters = sample.codes.tolist(), sample.recruiters.tolist()
+    edges = tuple((codes[r], codes[i]) for i, r in enumerate(recruiters) if r >= 0)
+    seeds = tuple(code for code, r in zip(codes, recruiters) if r == -1)
+    seed_of = {}
+    for i, code in enumerate(codes):
+        root = i
+        while recruiters[root] >= 0:
+            root = recruiters[root]
+        seed_of[code] = codes[root]
+    return edges, seeds, seed_of
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_samples())
+def test_the_forest_matches_the_columns_directly_and_through_a_dump(sample):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dump.csv"
+        write_sample_dump(sample, path)
+        back = read_sample_dump(path)
+    for built in (sample, back):
+        if len(set(built.order)) < built.size:
+            with pytest.raises(ValueError, match="^the referral forest needs distinct subject codes$"):
+                built.forest
+            continue
+        forest = built.forest
+        assert (forest.edges, forest.seeds, forest.seed_of) == _reference_forest(sample)
+
+
 def test_written_dumps_read_back_without_the_line_scan(tmp_path, monkeypatch):
     def refuse(path):
         raise AssertionError(f"{path} fell back to the line scan")
@@ -881,6 +925,17 @@ def test_sample_rejects_a_bag_count_that_is_not_an_int(count):
         Sample(codes=(5,), degrees=(3,), alter_codes=({5: count},), components=(0,))
     bags = (collections.Counter({5: np.int64(2), 6: 0}),)  # a count below 1 adds nothing
     assert Sample(codes=(5,), degrees=(3,), alter_codes=bags, components=(0,)).alter_codes.tolist() == [5, 5]
+
+
+@pytest.mark.parametrize("bags", [
+    ({5: 10**20},), ({5: 2}, {5: 2**63}), ({5: np.uint64(2**63)},),
+], ids=["10**20", "second-row-2**63", "np.uint64"])
+def test_sample_rejects_bag_counts_past_the_offsets_range_before_listing_them(bags):
+    with pytest.raises(ValueError, match="^alter_codes multiplicities sum past the 64-bit range$"):
+        Sample(codes=(5,) * len(bags), degrees=(3,) * len(bags), alter_codes=bags,
+               components=range(len(bags)))
+    rows = ({5: 2, 6: -10**20},)  # a count below 1 adds nothing, however large
+    assert Sample(codes=(5,), degrees=(3,), alter_codes=rows, components=(0,)).alter_codes.tolist() == [5, 5]
 
 
 def test_sample_does_not_truncate_float_codes_into_matches():
