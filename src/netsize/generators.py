@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import INT64_MAX, MAX_VERTICES, MultiGraph, mean_local_clustering, triangle_counts
+from .graph import INT64_MAX, MAX_VERTICES, MultiGraph, mean_local_clustering, stable_order, triangle_counts
 from .sampling import _degree_sums_fit, _flat_ids, _pick, _uniforms
 
 
@@ -203,8 +203,9 @@ def _resolve_block(pool: np.ndarray, e0: int, starts: np.ndarray, delta: np.ndar
             return
         more_slot, more_x = _draw_candidates(rng, exhausted + s0, high[exhausted], count[exhausted])
         count[exhausted] *= 2
-        order = np.argsort(np.r_[slot, more_slot - s0], kind="stable")
-        slot = np.r_[slot, more_slot - s0][order]
+        merged = np.r_[slot, more_slot - s0]
+        order = stable_order(merged)
+        slot = merged[order]
         x = np.r_[x, more_x][order]
         moved = np.empty_like(order)
         moved[order] = np.arange(len(order))
@@ -421,13 +422,18 @@ class _RewireState:
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         edges = edges[edges[:, 0] != edges[:, 1]]
         keys = np.minimum(edges[:, 0], edges[:, 1]) * n + np.maximum(edges[:, 0], edges[:, 1])
-        simple = edges[np.sort(np.unique(keys, return_index=True)[1])]  # first copies, in order
-        del edges, keys
+        order = np.argsort(keys)
+        keys = keys[order]
+        # the least place in each run of equal keys is that pair's first copy
+        first = np.minimum.reduceat(order, np.flatnonzero(np.diff(keys, prepend=-1)))
+        first.sort()
+        simple = edges[first]
+        del edges, keys, order, first
         self.tri = triangle_counts(n, simple).tolist()  # its peak comes before the rows exist
         ends = simple.ravel()
         self.degrees = np.bincount(ends, minlength=n)
         ids = list(range(n))  # one int object per vertex, shared by every row
-        flat = map(ids.__getitem__, memoryview(simple[:, ::-1].ravel()[np.argsort(ends, kind="stable")]))
+        flat = map(ids.__getitem__, memoryview(simple[:, ::-1].ravel()[stable_order(ends)]))
         self.adj = [list(itertools.islice(flat, d)) for d in self.degrees.tolist()]
 
     def swap(self, v: int, a: int, w: int, b: int, common: tuple[set[int], ...]) -> None:

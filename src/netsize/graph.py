@@ -57,6 +57,44 @@ def vertex_ids(values: Iterable | np.ndarray, what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+TABLE_MIN = 1 << 16  # integers spanning at most this many values are ranked by a table (512 KB at most)
+
+
+def unique_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)``, through a presence table
+    when the values span at most ``TABLE_MIN``."""
+    if len(values):
+        low, high = int(values.min()), int(values.max())
+        if high - low < TABLE_MIN:
+            place = values - low
+            present = np.zeros(high - low + 1, dtype=bool)
+            present[place] = True
+            rank = np.cumsum(present) - 1
+            return present.nonzero()[0] + low, rank[place]
+    return np.unique(values, return_inverse=True)
+
+
+def stable_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` of int64 ``values``, from one default sort.
+
+    numpy sorts int64 with its fast kind only by default; a stable kind falls
+    back to a merge sort or timsort.  The keys ``(value - low) * len + place``
+    are distinct and ordered as the stable sort orders the places, so their
+    sort taken ``% len`` is that order.  Where a key could pass int64 (the
+    span of the values times their count past 2**63), the stable argsort stays.
+    """
+    size = len(values)
+    if size:
+        low, high = int(values.min()), int(values.max())
+        if (high - low + 1) * size <= 1 << 63:
+            keys = np.subtract(values, low, dtype=np.int64)
+            keys *= size
+            keys += np.arange(size)
+            keys.sort()
+            return np.remainder(keys, size, out=keys)
+    return np.argsort(values, kind="stable")
+
+
 class MultiGraph:
     """Immutable undirected multigraph on vertices 0..n-1, with n <= ``MAX_VERTICES``.
 
@@ -157,17 +195,19 @@ def triangle_counts(n: int, edges: np.ndarray) -> np.ndarray:
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     u, v = edges[:, 0], edges[:, 1]
     keys = np.minimum(u, v) * n + np.maximum(u, v)
-    order = np.argsort(keys, kind="stable")
-    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]  # later copies of a pair
-    first_fault = np.r_[np.flatnonzero(u == v), repeats, len(u)].min()
-    if first_fault < len(u):
+    ascending = np.sort(keys)
+    if (u == v).any() or (ascending[1:] == ascending[:-1]).any():
+        # a fault is there: the stable order names the one met first in edge order
+        order = np.argsort(keys, kind="stable")
+        repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]  # later copies of a pair
+        first_fault = np.r_[np.flatnonzero(u == v), repeats].min()
         if u[first_fault] == v[first_fault]:
             raise ValueError("clustering statistics need a loop-free graph")
         raise ValueError("clustering statistics need a graph without parallel edges")
-    del keys, order, repeats
+    del keys, ascending
 
     rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(np.bincount(edges.ravel(), minlength=n), kind="stable")] = np.arange(n)
+    rank[stable_order(np.bincount(edges.ravel(), minlength=n))] = np.arange(n)
     keys = np.sort(np.minimum(rank[u], rank[v]) * n + np.maximum(rank[u], rank[v]))
     low, high = np.divmod(keys, n)
     # a rank's out-neighbors form one ascending run of `keys`; each position

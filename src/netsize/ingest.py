@@ -19,7 +19,7 @@ from typing import Iterator, Optional, TextIO
 
 import numpy as np
 
-from .graph import INT64_MAX, INT64_MIN, MultiGraph, mean_local_clustering, triangle_counts
+from .graph import INT64_MAX, INT64_MIN, MultiGraph, mean_local_clustering, triangle_counts, unique_inverse
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ def load_edge_list(spec: EdgeListSpec) -> tuple[MultiGraph, dict[int, int], Inge
 
     m = len(pairs)
     # orientation is meaningless: relabel every pair's lower id, then its higher one
-    ids, labels = np.unique(np.concatenate((pairs.min(axis=1), pairs.max(axis=1))), return_inverse=True)
+    ids, labels = unique_inverse(np.concatenate((pairs.min(axis=1), pairs.max(axis=1))))
     n = len(ids)
     lo, hi = labels[:m], labels[m:]
     if spec.dedupe:

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graph import INT64_MAX, INT64_MIN, Edge, MultiGraph, is_int, vertex_ids
+from .graph import INT64_MAX, INT64_MIN, TABLE_MIN, Edge, MultiGraph, is_int, unique_inverse, vertex_ids
 from .ingest import comment_lines, open_text, open_written
 
 DEFAULT_RECRUIT_LAW = ((2, 0.9), (1, 0.1))
@@ -88,7 +88,8 @@ class Sample:
     of codes or a ``Counter`` of code -> count, where a count below 1 adds nothing and
     the counts of all bags sum to at most 2**63 - 1.  Each column must be a flat sequence
     of ints, and each count an int: a float, a bool or a nested column is rejected, never
-    truncated.  Every sum of reported degrees must fit in int64, as the counts add them there.
+    truncated.  As in a dump, a reported degree is non-negative and at least its row's
+    alter count, and the reported degrees sum to at most 2**63 - 1.
     """
 
     codes: np.ndarray
@@ -100,37 +101,50 @@ class Sample:
 
     def __post_init__(self):
         k = len(self.codes)
-        alters, offsets = self.alter_codes, self.alter_offsets
-        if offsets is None:
-            bags = [Counter(bag) for bag in alters]
-            counts = [count for bag in bags for count in bag.values()]
-            for count in counts:
-                if not is_int(count):
-                    raise ValueError(f"alter_codes multiplicities must be integers, got {count!r}")
-            if sum(int(count) for count in counts if count > 0) > INT64_MAX:  # the offsets' range
-                raise ValueError("alter_codes multiplicities sum past the 64-bit range")
-            bags = [list((+bag).elements()) for bag in bags]  # unary + drops counts below 1
-            offsets = np.cumsum([0] + [len(bag) for bag in bags])
-            alters = [code for bag in bags for code in bag]
+        alters, offsets, bags = self.alter_codes, self.alter_offsets, None
         columns = {
             "codes": self.codes, "degrees": self.degrees, "components": self.components,
             "recruiters": np.full(k, -1) if self.recruiters is None else self.recruiters,
-            "alter_codes": alters, "alter_offsets": offsets,
         }
         for name, column in columns.items():
             object.__setattr__(self, name, _flat_ids(column, name))
-        if not len(self.degrees) == len(self.components) == len(self.recruiters) == k:
+        if offsets is None:
+            bags = [Counter(bag) for bag in alters]
+            for count in (count for bag in bags for count in bag.values()):
+                if not is_int(count):
+                    raise ValueError(f"alter_codes multiplicities must be integers, got {count!r}")
+            bags = [+bag for bag in bags]  # unary + drops counts below 1
+            sizes = [sum(map(int, bag.values())) for bag in bags]
+            if sum(sizes) > INT64_MAX:  # the offsets' range
+                raise ValueError("alter_codes multiplicities sum past the 64-bit range")
+            offsets = np.cumsum([0] + sizes)
+        offsets = _flat_ids(offsets, "alter_offsets")
+        object.__setattr__(self, "alter_offsets", offsets)
+        degrees = self.degrees
+        if not len(degrees) == len(self.components) == len(self.recruiters) == k:
             raise ValueError("per-subject columns must have equal length")
-        if not _degree_sums_fit(self.degrees):
-            raise ValueError("the reported degrees sum past the 64-bit range")
         # neighbors are compared, not subtracted: a difference of int64 values can wrap
-        offsets, alters = self.alter_offsets, self.alter_codes
-        if len(offsets) != k + 1 or offsets[0] != 0 or offsets[-1] != len(alters) \
-                or (offsets[1:] < offsets[:-1]).any():
+        if len(offsets) != k + 1 or offsets[0] != 0 or (offsets[1:] < offsets[:-1]).any():
+            raise ValueError("alter offsets must run from 0 to the alter count, one per subject")
+        # the dump reader's rules and wording, checked before a bag is listed
+        sizes = offsets[1:] - offsets[:-1]
+        faults = (sizes > degrees).nonzero()[0]  # every negative degree among them
+        if len(faults):
+            i = faults[0]
+            if degrees[i] < 0:
+                raise ValueError(f"negative reported degree {degrees[i]}")
+            raise ValueError(f"{sizes[i]} alter codes exceed the reported degree {degrees[i]}")
+        if not _degree_sums_fit(degrees):
+            raise ValueError("the reported degrees sum past the 64-bit range")
+        if bags is not None:
+            alters = [code for bag in bags for code in bag.elements()]
+        alters = _flat_ids(alters, "alter_codes")
+        object.__setattr__(self, "alter_codes", alters)
+        if offsets[-1] != len(alters):
             raise ValueError("alter offsets must run from 0 to the alter count, one per subject")
         falls = alters[1:] < alters[:-1]
         if falls.any():  # only then can a row be unsorted
-            row = np.repeat(np.arange(k), offsets[1:] - offsets[:-1])
+            row = np.repeat(np.arange(k), sizes)
             if (falls & (row[1:] == row[:-1])).any():
                 object.__setattr__(self, "alter_codes", _sort_within_rows(alters, row))
         recruit = (self.recruiters >= 0).nonzero()[0]
@@ -182,16 +196,25 @@ class Sample:
 
 
 def _sort_within_rows(values: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """``values`` sorted within each run of equal ``row`` (ascending rows): the
-    values of ``values[np.lexsort((values, row))]``, from two plain sorts.
+    """``values`` sorted within each run of equal ``row`` (non-negative,
+    ascending rows): the values of ``values[np.lexsort((values, row))]``, from one plain sort.
 
-    Each value is replaced by its rank among the distinct values, and one sort
-    of ``row * distinct + rank`` orders rows, then values.  The key stays below
-    the row count times the value count, so it fits in int64.
+    One sort of the keys ``row * span + (value - low)`` orders rows, then
+    values, where the values span ``span`` from ``low``.  Where such a key
+    could pass int64, each value is replaced by its rank among the distinct
+    values, which keeps the key below the row count times the value count.
     """
-    distinct, rank = np.unique(values, return_inverse=True)
-    key = np.sort(row * len(distinct) + rank)
-    return distinct[key - row * len(distinct)]
+    if not len(values):
+        return values.copy()
+    low = int(values.min())
+    span = int(values.max()) - low + 1
+    distinct = None
+    if (int(row[-1]) + 1) * span >= 1 << 63:  # a key or the span itself could pass int64
+        distinct, values = np.unique(values, return_inverse=True)
+        low, span = 0, len(distinct)
+    shift = row * span
+    key = np.sort(shift + (values - low)) - shift + low
+    return key if distinct is None else distinct[key]
 
 
 def _flat_ids(values: Iterable[int], what: str) -> np.ndarray:
@@ -209,14 +232,12 @@ def _has_duplicates(values: np.ndarray) -> bool:
 
 
 def _degree_sums_fit(degrees: np.ndarray) -> bool:
-    """Whether every sum of some of ``degrees`` lies in the int64 range.
-
-    Only when max |degree| times the count could leave it are the degrees summed.
+    """Whether the non-negative ``degrees`` sum to at most 2**63 - 1, so every
+    sum of some of them lies in the int64 range.  Only when the largest times
+    the count could pass it are the degrees summed.
     """
-    if not len(degrees) or max(int(degrees.max()), -int(degrees.min())) * len(degrees) <= INT64_MAX:
-        return True
-    values = degrees.tolist()
-    return sum(v for v in values if v > 0) <= INT64_MAX and sum(v for v in values if v < 0) >= INT64_MIN
+    return not len(degrees) or int(degrees.max()) * len(degrees) <= INT64_MAX \
+        or sum(degrees.tolist()) <= INT64_MAX
 
 
 @dataclass(frozen=True)
@@ -278,7 +299,7 @@ def _count(s: Sample) -> Counts:
     outside = np.bincount(pair[other], minlength=len(hit))
     m_pair = np.minimum(mult, reps)
     x_pair = np.minimum(mult, outside)
-    mass_degrees, degree_index = _distinct(s.degrees)
+    mass_degrees, degree_index = unique_inverse(s.degrees)
     comp_degree = np.zeros(n_comp, dtype=np.int64)
     np.add.at(comp_degree, comp, s.degrees)  # exact, where float bincount weights round past 2**53
     n_deg = len(mass_degrees)
@@ -329,23 +350,6 @@ def _first_appearance(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct[by_first], np.argsort(by_first)[index]
 
 
-def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(values, return_inverse=True)``, through a presence table
-    when the values span at most ``_TABLE_MIN``."""
-    if len(values):
-        low, high = int(values.min()), int(values.max())
-        if high - low < _TABLE_MIN:
-            place = values - low
-            present = np.zeros(high - low + 1, dtype=bool)
-            present[place] = True
-            rank = np.cumsum(present) - 1
-            return present.nonzero()[0] + low, rank[place]
-    return np.unique(values, return_inverse=True)
-
-
-_TABLE_MIN = 1 << 16  # codes or degrees spanning at most this many values use a table (512 KB at most)
-
-
 def _lookup(codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """An index into the sorted distinct ``codes`` for each query: the query's
     own place when ``codes`` holds it, some valid index otherwise.
@@ -359,7 +363,7 @@ def _lookup(codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
         return np.zeros(len(queries), dtype=np.intp)
     low, high = int(codes[0]), int(codes[-1])
     span = high - low + 1
-    if span <= _TABLE_MIN:
+    if span <= TABLE_MIN:
         table = np.zeros(span, dtype=np.intp)
         table[codes - low] = np.arange(len(codes))
         return table[np.minimum(np.maximum(queries, low), high) - low]
@@ -497,7 +501,7 @@ def rds_capture(g: MultiGraph, cfg: RdsConfig, rng: np.random.Generator) -> Samp
     frontier: list[int] = []
     new_component = itertools.count()
     law = cfg.recruit_law
-    offsets, targets = g.adjacency
+    offsets, targets = map(memoryview, g.adjacency)  # indexed as Python ints, not numpy scalars
 
     def enroll_seed(v: int) -> None:
         row_of[v] = len(order)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netsize import sampling
+from netsize import graph, sampling
 from netsize.estimators import EstimateResult, estimate_n1_from_view, estimate_n2, estimate_n3
 from netsize.graph import (
     INT64_MAX, INT64_MIN, MultiGraph, cross_seed_matches, free_ends, harmonic_mean, matches,
@@ -78,10 +78,13 @@ def coded_samples(draw):
     elif layout == "gapped":
         components = [c * 2**40 + 7 for c in components]
     wide = draw(st.booleans())
+    subject_codes = column(codes(4))
+    degrees = column(st.sampled_from([1, 2, 6, 2**16, 2**16 + 1, 2**20]) if wide else st.integers(1, 6))
+    alters = [draw(st.lists(codes(5), max_size=6)) for _ in range(k)]
     return Sample(
-        codes=column(codes(4)),
-        degrees=column(st.sampled_from([1, 2, 6, 2**16, 2**16 + 1, 2**20]) if wide else st.integers(1, 6)),
-        alter_codes=[draw(st.lists(codes(5), max_size=6)) for _ in range(k)],
+        codes=subject_codes,
+        degrees=[max(d, len(bag)) for d, bag in zip(degrees, alters)],  # a degree covers its alters
+        alter_codes=alters,
         components=components,
     )
 
@@ -98,7 +101,7 @@ def test_components_are_labelled_in_order_of_first_appearance(components):
 @pytest.mark.parametrize("degrees", [[3, 1, 3, 2], [5], [2**16 + 1, 1, 2**16 + 1], [0, 2**40, 7]])
 def test_mass_degrees_are_the_sorted_distinct_degrees(degrees):
     k = len(degrees)
-    counts = Sample(codes=[0] * k, degrees=degrees, alter_codes=[[0]] + [[]] * (k - 1), components=[0] * k).counts
+    counts = Sample(codes=[0] * k, degrees=degrees, alter_codes=[[]] * (k - 1) + [[0]], components=[0] * k).counts
     assert counts.mass_degrees.tolist() == sorted(set(degrees))
     assert counts.match_mass.tolist() == [degrees.count(d) for d in sorted(set(degrees))]
 
@@ -272,10 +275,11 @@ def test_a_dump_written_and_read_back_changes_no_count_or_estimate(capture, code
 
 
 def _counts_on_both_paths(sample):
-    """The counts of ``sample`` with the lookup forced onto the table, and onto the search."""
-    with mock.patch.object(sampling, "_TABLE_MIN", 2**62):
+    """The counts of ``sample`` with the code lookup and the degree ranking forced onto their
+    tables, and off them (the search and ``np.unique``)."""
+    with mock.patch.object(sampling, "TABLE_MIN", 2**62), mock.patch.object(graph, "TABLE_MIN", 2**62):
         table = sampling._count(sample)
-    with mock.patch.object(sampling, "_TABLE_MIN", 0):
+    with mock.patch.object(sampling, "TABLE_MIN", 0), mock.patch.object(graph, "TABLE_MIN", 0):
         search = sampling._count(sample)
     return table, search
 
@@ -295,9 +299,9 @@ def test_the_lookup_uses_the_table_up_to_its_bound():
     # a miss names some valid index, and the two paths name different ones:
     # the table reads the entry of the clipped query, the search its insertion point
     codes, queries = np.array([0, 9], dtype=np.int64), np.array([5, 9, -3, 12], dtype=np.int64)
-    with mock.patch.object(sampling, "_TABLE_MIN", 10):
+    with mock.patch.object(sampling, "TABLE_MIN", 10):
         assert sampling._lookup(codes, queries).tolist() == [0, 1, 0, 1]  # span 10: the table
-    with mock.patch.object(sampling, "_TABLE_MIN", 9):
+    with mock.patch.object(sampling, "TABLE_MIN", 9):
         assert sampling._lookup(codes, queries).tolist() == [1, 1, 0, 1]  # one past the bound: the search
     assert sampling._lookup(codes, queries[:0]).tolist() == []
 

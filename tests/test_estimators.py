@@ -320,7 +320,9 @@ def test_a_sample_rejects_degrees_whose_sums_leave_int64(degrees, fits):
     if fits:
         assert build().counts.comp_degree.tolist() == [degrees[0] + degrees[1], degrees[2] + degrees[3]]
     else:
-        with pytest.raises(ValueError, match="^the reported degrees sum past the 64-bit range$"):
+        negative = [d for d in degrees if d < 0]  # a negative degree is rejected before any sum
+        message = f"negative reported degree {negative[0]}" if negative else "the reported degrees sum past the 64-bit range"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             build()
 
 

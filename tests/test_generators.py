@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netsize import generators, graph, sampling
@@ -977,3 +977,34 @@ def test_huge_means_that_pass_the_bound_draw_or_fail_cleanly():
             assert 1 <= degrees[0] <= INT64_MAX
             outcomes.add("kept")
     assert outcomes == {"rejected", "kept"}
+
+
+# ---------------------------------------------------------------------------
+# the key sorts of the rewiring state and of the copy model against the calls they replace
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=multigraphs())
+@example(g=MultiGraph(3, [(0, 0), (1, 1), (1, 1)]))  # every edge a loop: no simple edge is left
+@example(g=MultiGraph(2, []))
+@example(g=MultiGraph(4, [(2, 3), (0, 1), (1, 0), (3, 2), (0, 1), (1, 1)]))  # first copies out of key order
+def test_the_rewire_state_starts_as_the_unique_first_copy_construction(g):
+    state = generators._RewireState(g.n, g.edge_array)
+    reference = _ReferenceRewireState(g.n, g.edge_array)  # np.unique(return_index=True), a stable argsort
+    assert state.adj == [reference.row(v) for v in range(g.n)]
+    assert state.degrees.tolist() == reference.degrees.tolist()
+    assert state.tri == reference.tri
+
+
+@pytest.mark.parametrize("lam, n, seed", [(10.0, 40, 0), (6.0, 20, 3), (3.0, 30, 4)])
+def test_barabasi_albert_merges_redrawn_candidates_as_the_stable_argsort_does(lam, n, seed):
+    merges = []
+
+    def stable_argsort(values):
+        merges.append(len(values))
+        return np.argsort(values, kind="stable")
+
+    with mock.patch.object(generators, "stable_order", stable_argsort):
+        want = barabasi_albert(lam, n, np.random.default_rng(seed)).edge_array
+    assert merges  # this draw redraws the candidates of an exhausted slot
+    assert barabasi_albert(lam, n, np.random.default_rng(seed)).edge_array.tobytes() == want.tobytes()

@@ -1,6 +1,7 @@
 import random
 import re
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from netsize.generators import Family, sample_graph
 from netsize.graph import (
     INT64_MAX,
+    INT64_MIN,
     MAX_VERTICES,
     MultiGraph,
     cross_seed_matches,
@@ -18,6 +20,7 @@ from netsize.graph import (
     harmonic_mean_degree,
     matches,
     mean_degree,
+    stable_order,
 )
 
 K3 = MultiGraph(3, [(0, 1), (1, 2), (0, 2)])
@@ -308,3 +311,37 @@ def test_cross_seed_matches_bounded_by_matches():
         for s in (subjects[0], subjects[half])
     )
     assert total_cross <= matches(g, subjects, []).total()
+
+
+# ---------------------------------------------------------------------------
+# stable_order: one default sort of distinct keys in place of a stable argsort
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.integers(-3, 3), st.integers(0, 2**20), st.integers(INT64_MIN, INT64_MAX)),
+                max_size=40))
+@example([])
+@example([7])
+@example([2, 2, 2])
+@example([INT64_MAX, INT64_MIN, 0, INT64_MAX, INT64_MIN])
+def test_stable_order_is_the_stable_argsort(values):
+    values = np.array(values, dtype=np.int64)
+    got = stable_order(values)
+    assert got.tolist() == np.argsort(values, kind="stable").tolist()
+
+
+@pytest.mark.parametrize("values, keyed", [
+    ([], False),                              # nothing to key: the argsort of nothing
+    ([INT64_MIN], True),                      # one value spans 1
+    ([5, 5, 5, 5], True),
+    ([2**62 - 1, 0, 2**62 - 1], False),       # span 2**62 times 3 values passes 2**63
+    ([2**62 - 1, 0], True),                   # span 2**62 times 2 values is 2**63: the last key is 2**63 - 1
+    ([2**62, 0], False),                      # one more passes int64
+    ([INT64_MAX, INT64_MIN, INT64_MAX], False),
+])
+def test_stable_order_keys_only_what_fits_in_int64(values, keyed):
+    values = np.array(values, dtype=np.int64)
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        got = stable_order(values)
+    assert argsort.called is not keyed
+    assert got.tolist() == np.argsort(values, kind="stable").tolist()

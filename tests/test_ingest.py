@@ -5,6 +5,7 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -380,11 +381,30 @@ def test_clustering_stats_requires_simple_graph():
         clustering_stats(MultiGraph(2, [(0, 0)]))
 
 
-def test_simple_graph_check_names_the_first_fault():
-    with pytest.raises(ValueError, match="loop-free"):
-        clustering_stats(MultiGraph(3, [(0, 0), (0, 1), (1, 0)]))
-    with pytest.raises(ValueError, match="parallel"):
-        clustering_stats(MultiGraph(3, [(0, 1), (1, 0), (2, 2)]))
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                                    max_size=12).map(lambda edges: (n, edges))))
+@example((3, [(0, 0), (0, 1), (1, 0)]))   # a loop before the repeat
+@example((3, [(0, 1), (2, 2), (1, 0)]))
+@example((3, [(0, 1), (1, 0), (2, 2)]))   # a repeat before the loop
+@example((3, [(1, 2), (0, 1), (2, 1), (0, 0)]))
+def test_the_simple_graph_check_names_the_first_fault_in_edge_order(inputs):
+    n, edges = inputs
+    seen, want = set(), None
+    for u, v in edges:
+        if u == v:
+            want = "loop-free"
+            break
+        if (min(u, v), max(u, v)) in seen:
+            want = "parallel edges"
+            break
+        seen.add((min(u, v), max(u, v)))
+    g = MultiGraph(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    if want is None:
+        assert len(clustering_stats(g)) == 2
+    else:
+        with pytest.raises(ValueError, match=want):
+            clustering_stats(g)
 
 
 def _brute_force_stats(g: MultiGraph):
@@ -479,3 +499,67 @@ def test_a_comment_that_is_not_utf8_fails_with_its_line(tmp_path):
     assert ingest._parse_edges(path.read_bytes()) is None
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: byte 0xe9 is not UTF-8"):
         load_edge_list(EdgeListSpec(path))
+
+
+# ---------------------------------------------------------------------------
+# networkx as an outside reference for triangles, clustering and the cleaned graph
+
+
+def _nx_graph(g: MultiGraph) -> nx.Graph:
+    graph_ = nx.Graph()
+    graph_.add_nodes_from(range(g.n))
+    graph_.add_edges_from(g.edge_array.tolist())
+    return graph_
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=simple_graphs().filter(lambda g: g.n > 0))
+@example(g=_complete(7))
+@example(g=MultiGraph(6, [(0, v) for v in range(1, 6)]))
+def test_triangles_and_clustering_match_networkx(g):
+    reference = _nx_graph(g)
+    triangles = nx.triangles(reference)
+    assert triangle_counts(g.n, g.edge_array).tolist() == [triangles[v] for v in range(g.n)]
+    average, transitivity = clustering_stats(g)
+    assert average == pytest.approx(nx.average_clustering(reference), rel=1e-12, abs=1e-15)
+    assert transitivity == nx.transitivity(reference)
+
+
+_NX_IDS = st.one_of(st.integers(0, 6), st.integers(-3, 3), st.sampled_from([INT64_MIN, INT64_MAX, 2**40]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_NX_IDS, _NX_IDS), max_size=12))
+@example([(INT64_MAX, INT64_MIN), (INT64_MIN, 0), (0, INT64_MAX), (5, 5)])
+@example([(3, 3), (4, 4)])
+def test_a_cleaned_edge_list_is_the_networkx_graph_of_its_lines(lines):
+    reference = nx.Graph(lines)
+    reference.remove_edges_from(list(nx.selfloop_edges(reference)))
+    reference.remove_nodes_from(list(nx.isolates(reference)))
+    relabel = {node: i for i, node in enumerate(sorted(reference))}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in lines))
+        spec = EdgeListSpec(path, dedupe=True, drop_loops=True)
+        if not reference.number_of_edges():
+            with pytest.raises(ValueError, match="no edges survived ingestion"):
+                load_edge_list(spec)
+            return
+        g, id_map, _ = load_edge_list(spec)
+    assert id_map == relabel
+    assert g.n == reference.number_of_nodes()
+    edges = g.edge_array.tolist()
+    assert len(edges) == reference.number_of_edges()
+    assert {tuple(sorted(e)) for e in edges} == {tuple(sorted((relabel[u], relabel[v]))) for u, v in reference.edges}
+
+
+@pytest.mark.parametrize("lines, ids", [
+    ([(INT64_MAX, INT64_MIN), (INT64_MIN, 0), (0, INT64_MAX)], [INT64_MIN, 0, INT64_MAX]),  # past the table
+    ([(7, -2**15), (7, 9)], [-2**15, 7, 9]),                                              # inside it
+])
+def test_the_relabel_maps_ids_at_both_int64_ends_in_sorted_order(tmp_path, lines, ids):
+    path = _write(tmp_path, "".join(f"{u} {v}\n" for u, v in lines))
+    g, id_map, _ = load_edge_list(EdgeListSpec(path))
+    place = {x: i for i, x in enumerate(ids)}
+    assert id_map == place
+    assert g.edge_array.tolist() == [sorted((place[u], place[v])) for u, v in lines]

@@ -731,6 +731,53 @@ def test_dump_reader_matches_the_line_scan_on_each_junk_token(tmp_path, field, j
     assert _read_outcome(read_sample_dump, path) == _read_outcome(sampling._scan_sample_dump, path)
 
 
+@st.composite
+def _degree_rows(draw):
+    """Dump rows of seeds whose reported degrees may be negative or short of their alter count."""
+    rows = []
+    for code in range(draw(st.integers(1, 5))):
+        alters = draw(st.lists(st.integers(0, 4), max_size=5))
+        degree = draw(st.one_of(st.integers(-2, 6), st.just(len(alters)), st.just(len(alters) - 1)))
+        rows.append((code, degree, alters))
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=_degree_rows(), bags=st.booleans())
+@example(rows=[(5, 1, [6] * 10), (6, 2, [5])], bags=True)
+@example(rows=[(0, 1, [1]), (1, -1, [0, 0])], bags=False)
+def test_a_sample_rejects_the_degrees_the_dump_reader_rejects(rows, bags):
+    text = DUMP_HEADER + "".join(f"{code},SEED,{code},{degree},{';'.join(map(str, alters))}\n"
+                                 for code, degree, alters in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dump.csv"
+        path.write_text(text)
+        try:
+            scanned = sampling._scan_sample_dump(path)
+            want = None
+        except ValueError as exc:
+            want = re.sub(r"^.*?:\d+: ", "", str(exc))  # the reader's wording, without its location
+    columns = dict(codes=[r[0] for r in rows], degrees=[r[1] for r in rows], components=[r[0] for r in rows])
+    if bags:
+        columns["alter_codes"] = [collections.Counter(r[2]) for r in rows]
+    else:
+        columns["alter_codes"] = [a for r in rows for a in r[2]]
+        columns["alter_offsets"] = np.cumsum([0] + [len(r[2]) for r in rows])
+    if want is None:
+        sample = Sample(**columns)
+        assert sample.alter_codes.tolist() == scanned.alter_codes.tolist()
+    else:
+        with pytest.raises(ValueError, match="^" + re.escape(want) + "$"):
+            Sample(**columns)
+
+
+def test_a_sample_checks_a_bag_against_its_degree_before_listing_it():
+    # a count such as 10**11 would be listed as 10**11 codes; no bag is listed here
+    with mock.patch.object(collections.Counter, "elements", side_effect=AssertionError("listed")), \
+            pytest.raises(ValueError, match="^3 alter codes exceed the reported degree 1$"):
+        Sample(codes=(5, 6), degrees=(1, 1), alter_codes=({6: 1}, {5: 2, 7: 1}), components=(0, 0))
+
+
 def _reference_forest(sample):
     """The forest read off the columns: a (recruiter code, recruit code) edge per recruited
     row in row order, the codes of the rows without a recruiter, and each row's code mapped
@@ -874,6 +921,23 @@ def test_the_row_sort_matches_lexsort(rows):
     sample = Sample(codes=np.arange(k), degrees=lengths, alter_codes=values,
                     components=np.zeros(k, dtype=np.int64), alter_offsets=np.r_[0, np.cumsum(lengths)])
     assert (sample.alter_codes.dtype, sample.alter_codes.tobytes()) == (want.dtype, want.tobytes())
+
+
+@pytest.mark.parametrize("rows, keyed", [
+    ([[3, 1, 2], [2, -1]], True),
+    ([[INT64_MAX - 1, 0]], True),               # one row spanning 2**63 - 1: the key fits
+    ([[INT64_MAX, 0]], False),                  # spanning 2**63: the span itself does not
+    ([[2**62 - 2, 0], [1, 0]], True),           # two rows times a span of 2**62 - 1 stay below 2**63
+    ([[2**62 - 1, 0], [1, 0]], False),          # two rows times a span of 2**62 reach it: the values are ranked
+    ([[INT64_MIN, INT64_MAX], [INT64_MAX, INT64_MIN, -1]], False),
+])
+def test_the_row_sort_keys_only_what_fits_in_int64(rows, keyed):
+    values = np.array([code for row in rows for code in row], dtype=np.int64)
+    row = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        got = sampling._sort_within_rows(values, row)
+    assert unique.called is not keyed
+    assert got.tobytes() == values[np.lexsort((values, row))].tobytes()
 
 
 @pytest.mark.parametrize("omega", [1, 2, 4096, 2**63])
