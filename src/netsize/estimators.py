@@ -2,14 +2,15 @@
 
 Each estimator is a ratio of pooled free ends to matched mass, scaled to
 undo the sampling bias: n1 for uniform samples, n2 for referral samples,
-and n3, which only counts matches across referral components.  n2psi/n3psi
-are n2/n3 on hash codes from a space of omega codes, with each match weighted
-by the chance ``collision_prob`` that it is the true alter.  Every estimator
-reads the sample's ``Counts`` and ends in one solve, n' = numerator / m(n'):
-m is the matched mass (a closed form) without omega, else its expected true
-mass (``_true_mass_of``).  ``hashing`` owns code spaces and code assignment; its
-hashed entry points are thin calls into this module.  Zero denominators are
-failure values, not exceptions, so a driver can tally failure rates.
+and n3, which only counts matches across referral components; none takes a
+code-space size.  n2psi/n3psi (``estimate_n2_hashed``/``estimate_n3_hashed``)
+are n2/n3 on hash codes from a space of omega codes, a finite real of at least
+1, with each match weighted by the chance ``collision_prob`` that it is the
+true alter (``m_hat``, ``x_hat``).  Every estimator reads the sample's
+``Counts`` and ends in one solve, n' = numerator / m(n'): m is the matched
+mass (a closed form) in plaintext, else its expected true mass.  ``hashing``
+owns code spaces and code assignment.  Zero denominators are failure values,
+not exceptions, so an experiment loop can tally failure rates.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .graph import MultiGraph
+from .graph import MultiGraph, is_int
 from .sampling import Counts, Sample, as_sample_view
 
 BRACKET_CEILING = 1e12
@@ -78,10 +79,10 @@ def estimate_n1(g: MultiGraph, subjects: Iterable[int]) -> EstimateResult:
     return estimate_n1_from_view(as_sample_view(g, subjects))
 
 
-def _check_omega(omega: Optional[float]) -> None:
-    if omega is not None and (isinstance(omega, (bool, np.bool_)) or not omega < math.inf):  # NaN fails too
+def _check_omega(omega: float) -> None:
+    if not (is_int(omega) or isinstance(omega, (float, np.floating))) or not omega < math.inf:  # NaN fails too
         raise ValueError(f"the code space size omega must be a finite number, got {omega!r}")
-    if omega is not None and omega < 1:
+    if omega < 1:
         raise ValueError(f"the code space size omega must be at least 1, got {omega}")
 
 
@@ -90,30 +91,33 @@ def _check_n_prime(n_prime: float) -> None:
         raise ValueError(f"n_prime must be at least 1, got {n_prime!r}")
 
 
-def collision_prob(n_prime: float, omega: int, d_tilde_s: float, d_w):
+def collision_prob(n_prime: float, omega: float, d_tilde_s: float, d_w):
     """Probability that a code match against a sampled subject is the true alter.
 
-    ``d_w`` is one subject degree or an array of them.  Degree-1 subjects
-    have no free ends, so they can never be the match (the formula's limit
-    as d_w -> 1).
+    ``d_w`` is one finite non-negative subject degree or an array of them.
+    Degree-1 subjects have no free ends, so they can never be the match (the
+    formula's limit as d_w -> 1).
     """
     _check_omega(omega)
     _check_n_prime(n_prime)
     if not 0 < d_tilde_s < math.inf:  # NaN fails too
         raise ValueError(f"d_tilde_s must be positive and finite, got {d_tilde_s!r}")
     d_w = np.asarray(d_w, dtype=float)
+    bad = ~((0 <= d_w) & (d_w < math.inf))  # NaN fails too
+    if bad.any():
+        raise ValueError(f"d_w must be finite and non-negative, got {float(d_w[bad][0])!r}")
     live = d_w > 1
     prob = np.zeros(d_w.shape)
     prob[live] = _live_prob(n_prime, omega, d_tilde_s, d_w[live] - 1.0)
     return prob if prob.ndim else float(prob)
 
 
-def _live_prob(n_prime: float, omega: int, d_tilde_s: float, d_minus_1):
+def _live_prob(n_prime: float, omega: float, d_tilde_s: float, d_minus_1):
     """``collision_prob`` of subjects of degree d_w > 1, given d_w - 1."""
     return 1.0 / ((n_prime - 1.0) / omega * d_tilde_s / d_minus_1 + 1.0)
 
 
-def _true_mass_of(counts: Counts, mass: np.ndarray, omega: int) -> Callable[[float], float]:
+def _true_mass_of(counts: Counts, mass: np.ndarray, omega: float) -> Callable[[float], float]:
     """n' -> the expected true mass sum_d mass_d * collision_prob(n', omega, d~, d) of
     degree-grouped match counts (``mass`` is a row over ``counts.mass_degrees``),
     with the degrees read once.
@@ -132,6 +136,23 @@ def _true_mass_of(counts: Counts, mass: np.ndarray, omega: int) -> Callable[[flo
     d_minus_1 = np.where(live, d_w - 1.0, 1.0)
     d_tilde = counts.harmonic_degree
     return lambda n_prime: float(weight @ _live_prob(n_prime, omega, d_tilde, d_minus_1))
+
+
+def m_hat(hs: Sample, n_prime: float, omega: float) -> float:
+    """Expected true-match mass among all observed code matches."""
+    _check_n_prime(n_prime)
+    return _true_mass_of(hs.counts, hs.counts.match_mass, omega)(n_prime)
+
+
+def x_hat(hs: Sample, component_label: int, n_prime: float, omega: float) -> float:
+    """Expected true cross-component match mass for one referral component."""
+    _check_n_prime(n_prime)
+    if not is_int(component_label):
+        raise ValueError(f"a component label must be an integer, got {component_label!r}")
+    index = np.flatnonzero(hs.counts.labels == component_label)
+    if not len(index):
+        raise ValueError(f"no referral component labelled {component_label}")
+    return _true_mass_of(hs.counts, hs.counts.cross_mass[index[0]], omega)(n_prime)
 
 
 def _solve_fixed_point(f: Callable[[float], float], sample_size: int) -> Optional[float]:
@@ -182,12 +203,11 @@ def _solve_fixed_point(f: Callable[[float], float], sample_size: int) -> Optiona
     return 0.5 * (kept + last)
 
 
-def _fixed_point(numerator: float, mass: np.ndarray, counts: Counts, omega: Optional[int],
+def _fixed_point(numerator: float, mass: np.ndarray, counts: Counts, omega: Optional[float],
                  size: int) -> EstimateResult:
-    """n' = numerator / m(n'): m is mass.sum() without omega, else the expected true mass."""
+    """n' = numerator / m(n'): m is mass.sum() in plaintext (omega None), else the expected true mass."""
     if omega is None:
-        # n3's numerator is zero when every component with free ends faces a
-        # complement of mean degree 1
+        # n3's numerator is zero when every component with free ends faces a complement of mean degree 1
         value = numerator / mass.sum()
         return EstimateResult.success(value) if value > 0 else \
             EstimateResult.failure(FailureCause.DEGENERATE_DEGREES)
@@ -204,14 +224,18 @@ def _fixed_point(numerator: float, mass: np.ndarray, counts: Counts, omega: Opti
     return EstimateResult.success(root)
 
 
-def estimate_n2(sample: Sample, omega: Optional[int] = None) -> EstimateResult:
-    """Referral estimator n' = [(d(S)-1)/d~(S)] * |S| * <R(S,F)> / m(n').
+def estimate_n2(sample: Sample) -> EstimateResult:
+    """Referral estimator n' = [(d(S)-1)/d~(S)] * |S| * <R(S,F)> / M(S), M the matched mass."""
+    return _n2(sample, None)
 
-    m is the matched mass sum_d C_d (M itself for distinct plaintext codes)
-    without omega, and its expected true mass for codes from a space of
-    omega codes.
-    """
+
+def estimate_n2_hashed(hs: Sample, omega: float) -> EstimateResult:
+    """n2 on codes from a space of omega codes: n' = [(d(S)-1)/d~(S)] * |S| * <R> / m_hat(n')."""
     _check_omega(omega)
+    return _n2(hs, omega)
+
+
+def _n2(sample: Sample, omega: Optional[float]) -> EstimateResult:
     if sample.size == 0:
         raise ValueError("cannot estimate from an empty sample")
     counts = sample.counts
@@ -224,15 +248,20 @@ def estimate_n2(sample: Sample, omega: Optional[int] = None) -> EstimateResult:
     return _fixed_point(numerator, counts.match_mass, counts, omega, sample.size)
 
 
-def estimate_n3(sample: Sample, omega: Optional[int] = None) -> EstimateResult:
-    """Cross-component estimator: discounts matches inside a referral tree.
+def estimate_n3(sample: Sample) -> EstimateResult:
+    """Cross-component estimator: each referral component's free ends, scaled by its
+    complement's size and mean degree, over the cross-component match count X.
+    Fewer than two components is a caller error, not an estimation failure."""
+    return _n3(sample, None)
 
-    Each component contributes its free ends scaled by its complement's size
-    and mean degree; the denominator is the cross-component match count X
-    (no omega) or its expected true mass.  Requires more than one referral
-    component; anything less is a caller error, not an estimation failure.
-    """
+
+def estimate_n3_hashed(hs: Sample, omega: float) -> EstimateResult:
+    """n3 on codes from a space of omega codes: X becomes its expected true mass, the x_hat sum."""
     _check_omega(omega)
+    return _n3(hs, omega)
+
+
+def _n3(sample: Sample, omega: Optional[float]) -> EstimateResult:
     counts = sample.counts
     if len(counts.labels) <= 1:
         raise ValueError("cross-seed estimation needs more than one referral component")
@@ -245,4 +274,3 @@ def estimate_n3(sample: Sample, omega: Optional[int] = None) -> EstimateResult:
     rest_mean = (counts.comp_degree.sum() - counts.comp_degree) / rest
     numerator = float(np.cumsum((rest_mean - 1.0) / counts.harmonic_degree * rest * counts.comp_free)[-1])
     return _fixed_point(numerator, counts.cross_mass.sum(axis=0), counts, omega, sample.size)
-

@@ -56,7 +56,9 @@ SUMMARY_COLUMNS = (
 
 
 def derive_rng(master_seed: int, *coords) -> np.random.Generator:
-    """Deterministic per-run stream from the master seed and run coordinates."""
+    """Deterministic per-run stream from the master seed, an int in [0, 2**64), and run coordinates."""
+    if not (is_int(master_seed) and 0 <= master_seed < 2**64):  # only 64 bits are kept: no aliasing
+        raise ValueError(f"the master seed must be an int in [0, 2**64), got {master_seed!r}")
     words = [master_seed & 0xFFFFFFFF, (master_seed >> 32) & 0xFFFFFFFF]
     for part in coords:
         digest = hashlib.blake2b(repr(part).encode(), digest_size=8).digest()
@@ -136,7 +138,8 @@ class ExperimentPlan:
                 check_family(family, lam, n)
         for omega in self.omegas:
             with _blame("omegas"):
-                _check_omega(omega if is_int(omega) else None)  # HashSpace names any other type
+                if is_int(omega):  # HashSpace names any other type
+                    _check_omega(omega)
                 HashSpace(omega)  # the codes a run draws must fit in int64
         for name in ("graph_replicates", "sample_replicates"):
             if getattr(self, name) < 1:

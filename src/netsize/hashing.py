@@ -2,11 +2,10 @@
 
 Subjects reveal only hash codes: their own, their alters', and their degree.
 This module owns the code spaces, the code assignment and the hashed view
-of a sample.  A many-to-one code space produces false matches; the
-correction for them (``collision_prob``, re-exported here, the expected
-true-match mass and the root solve) is estimator math in ``estimators``.
-``estimate_n2_hashed``/``estimate_n3_hashed``, ``m_hat`` and ``x_hat``
-stay here as thin calls into it.
+of a sample.  A many-to-one code space produces false matches; their
+correction is estimator math that lives in ``estimators`` and is re-exported
+here: ``collision_prob``, ``m_hat``, ``x_hat`` and the ψ entry points
+``estimate_n2_hashed``/``estimate_n3_hashed``, which need a finite ω >= 1.
 
 Includes the phone-digit codec: each of the last k digits of a phone
 number contributes a (parity, low/high) bit pair, giving a 2k-bit code.
@@ -20,9 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import (  # noqa: F401
-    EstimateResult, _check_n_prime, _true_mass_of, collision_prob, estimate_n2, estimate_n3,
-)
+from .estimators import collision_prob, estimate_n2_hashed, estimate_n3_hashed, m_hat, x_hat  # noqa: F401
 from .graph import is_int
 from .sampling import Sample
 
@@ -109,34 +106,6 @@ def hashed_view(sample: Sample, assignment: np.ndarray) -> Sample:
         if len(missing):
             raise ValueError(f"identity {missing[0]} has no assigned code")
     return replace(sample, codes=assignment[sample.codes], alter_codes=assignment[sample.alter_codes])
-
-
-def m_hat(hs: Sample, n_prime: float, omega: int) -> float:
-    """Expected true-match mass among all observed code matches."""
-    _check_n_prime(n_prime)
-    return _true_mass_of(hs.counts, hs.counts.match_mass, omega)(n_prime)
-
-
-def x_hat(hs: Sample, component_label: int, n_prime: float, omega: int) -> float:
-    """Expected true cross-component match mass for one referral component."""
-    _check_n_prime(n_prime)
-    index = np.flatnonzero(hs.counts.labels == component_label)
-    if not len(index):
-        raise ValueError(f"no referral component labelled {component_label}")
-    return _true_mass_of(hs.counts, hs.counts.cross_mass[index[0]], omega)(n_prime)
-
-
-def estimate_n2_hashed(hs: Sample, omega: int) -> EstimateResult:
-    """Collision-corrected referral estimator on hashed data.
-
-    Solves n' = [(d(S)-1)/d~(S)] * |S| * <R> / m_hat(n').
-    """
-    return estimate_n2(hs, omega)
-
-
-def estimate_n3_hashed(hs: Sample, omega: int) -> EstimateResult:
-    """Collision-corrected cross-component estimator on hashed data."""
-    return estimate_n3(hs, omega)
 
 
 # ---------------------------------------------------------------------------

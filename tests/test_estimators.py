@@ -291,7 +291,25 @@ def test_collision_prob_still_imports_from_hashing():
     import netsize
     from netsize import hashing
 
-    assert hashing.collision_prob is estimators.collision_prob is netsize.collision_prob
+    # the public names of ``hashing`` before the ψ entry points and m_hat/x_hat moved to ``estimators``
+    names = (
+        "HashMode", "HashSpace", "HashedSample", "assign_hashes", "collision_prob", "estimate_n2_hashed",
+        "estimate_n3_hashed", "hashed_to_rows", "hashed_view", "m_hat", "rows_to_hashed", "telefunken_encode",
+        "x_hat",
+    )
+    assert [name for name in names if not hasattr(hashing, name)] == []
+    for name in ("collision_prob", "m_hat", "x_hat", "estimate_n2_hashed", "estimate_n3_hashed"):
+        assert getattr(hashing, name) is getattr(estimators, name) is getattr(netsize, name), name
+
+
+def test_plaintext_estimators_take_no_omega():
+    sample = Sample(codes=(0, 1, 2), degrees=(2, 2, 2), alter_codes=([1], [2], [0]), components=(0, 1, 1))
+    for solve in (estimate_n2, estimate_n3):
+        assert not solve(sample).failed
+        with pytest.raises(TypeError):
+            solve(sample, 2000)
+        with pytest.raises(TypeError):
+            solve(sample, omega=2000)
 
 
 def test_degree_sums_are_exact_past_float_precision():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from netsize import generators, graph, sampling
 from netsize.generators import (
@@ -61,6 +62,46 @@ def test_continuous_families_have_integer_degrees_near_target():
         assert degrees.dtype.kind == "i"
         assert degrees.min() >= 1
         assert degrees.mean() == pytest.approx(5.0, rel=0.02)
+
+
+def _documented_law(family, lam):
+    """X of the documented degree law 1 + X: Poisson or exponential with mean lam - 1,
+    or the lognormal with mean lam - 1 and standard deviation 1."""
+    mean = lam - 1.0
+    if family is Family.CONFIG_POISSON:
+        return stats.poisson(mean)
+    if family is Family.CONFIG_EXPONENTIAL:
+        return stats.expon(scale=mean)
+    sigma2 = math.log(1.0 + 1.0 / (mean * mean))
+    return stats.lognorm(s=math.sqrt(sigma2), scale=math.exp(math.log(mean) - sigma2 / 2.0))
+
+
+def _chi_square_against_the_law(degrees, x):
+    """Pearson's statistic of ``degrees`` against D = max(round_half_up(1 + X), 1), whose
+    CDF is P(D <= k) = P(X < k - 0.5) for either kind of X.  The end bins are pooled
+    until each expects at least 5 degrees."""
+    n = len(degrees)
+    k = np.arange(1, int(degrees.max()) + 200)
+    cdf = x.cdf(k - 0.5)
+    lo = k[np.argmax(n * cdf >= 5)]
+    hi = k[np.flatnonzero(n * (1 - np.r_[0.0, cdf[:-1]]) >= 5)[-1]]
+    bins = np.arange(lo, hi + 1)
+    probs = np.diff(np.r_[0.0, x.cdf(bins[:-1] - 0.5), 1.0])
+    observed = np.bincount(np.clip(degrees, lo, hi) - lo, minlength=len(bins))
+    return stats.chisquare(observed, n * probs).statistic
+
+
+# each bound is the largest statistic over the 1,000 draws of 50,000 degrees at seeds
+# [7, 0] .. [7, 999], rounded up to a multiple of 5; its bins give 8 to 83 degrees of freedom
+@pytest.mark.parametrize("family, lam, bound", [
+    (Family.CONFIG_LOGNORMAL, 3.0, 30), (Family.CONFIG_LOGNORMAL, 10.0, 30),
+    (Family.CONFIG_POISSON, 3.0, 35), (Family.CONFIG_POISSON, 10.0, 45),
+    (Family.CONFIG_EXPONENTIAL, 3.0, 50), (Family.CONFIG_EXPONENTIAL, 10.0, 140),
+])
+def test_configuration_degrees_follow_the_documented_law(family, lam, bound):
+    # scipy.stats as an outside reference for the three laws and the half-up rounding
+    degrees = sample_degrees(family, lam, 50_000, np.random.default_rng([11, 0]))
+    assert _chi_square_against_the_law(degrees, _documented_law(family, lam)) <= bound
 
 
 @pytest.mark.parametrize("family", [Family.BARABASI_ALBERT, Family.ERDOS_RENYI, "poisson"])

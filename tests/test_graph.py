@@ -3,6 +3,7 @@ import re
 from collections import Counter
 from unittest import mock
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -111,6 +112,24 @@ def test_the_csr_build_matches_the_full_size_reference(inputs):
             assert a.dtype == b.dtype and np.array_equal(a, b), (layout, name)
         assert np.array_equal(g.edge_array, edges) and g.edge_array.dtype == np.int64, layout
         assert arr.dtype == before.dtype and np.array_equal(arr, before), layout
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csr_inputs())
+@example((3, np.array([[1, 1], [1, 1], [0, 1], [1, 0]])))  # parallel loops, parallel edges, vertex 2 isolated
+def test_the_csr_is_the_networkx_multigraph_of_its_edges(inputs):
+    # networkx as an outside reference: a loop adds 2 to its vertex's degree and
+    # appears twice in its row, a parallel edge once per copy
+    n, edges = inputs
+    g = MultiGraph(n, edges)
+    reference = nx.MultiGraph()
+    reference.add_nodes_from(range(n))
+    reference.add_edges_from(edges.tolist())
+    assert g.degrees().tolist() == [reference.degree(v) for v in range(n)]
+    offsets, targets = g.adjacency
+    for v in range(n):
+        row = [w for w, keys in reference.adj[v].items() for _ in range(len(keys) * (1 + (w == v)))]
+        assert targets[offsets[v]:offsets[v + 1]].tolist() == sorted(row)
 
 
 def test_vertex_count_bounds():

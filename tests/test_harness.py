@@ -355,6 +355,26 @@ def test_a_plan_draws_the_same_streams_however_its_numbers_are_typed():
     assert outputs[0][0][1].startswith("er,3.0,120,30,,n1,0,0,")
 
 
+@pytest.mark.parametrize("seed", [-5, -1, 2**64, 2**64 + 3, 1.5, 3.0, True, np.True_, "1", None])
+def test_derive_rng_takes_only_an_int_seed_in_64_bits(seed):
+    # it keeps a seed's low 64 bits, so -5 and 2**64 - 5 once drew the same stream
+    with pytest.raises(ValueError, match=re.escape(f"the master seed must be an int in [0, 2**64), got {seed!r}")):
+        derive_rng(seed, "graph")
+
+
+def test_derive_rng_streams_of_valid_seeds_are_pinned():
+    pinned = {
+        0: [3922595970, 1702729520, 859294302],
+        1: [3935446291, 1949093549, 1418062006],
+        7: [3936054871, 3612703478, 3039063077],
+        2**64 - 1: [2370602860, 3389894545, 2732128363],
+    }
+    for seed, head in pinned.items():
+        for spelling in (seed, np.uint64(seed)):
+            assert derive_rng(spelling, "graph", "er", 3.0, 100, 0).integers(0, 2**32, 3).tolist() == head
+    assert derive_rng(np.int64(7), "graph", "er", 3.0, 100, 0).integers(0, 2**32, 3).tolist() == pinned[7]
+
+
 def test_derive_rng_is_stable_and_distinct():
     a = derive_rng(1, "graph", "er", 3.0, 100, 0).integers(0, 2**32, 4)
     b = derive_rng(1, "graph", "er", 3.0, 100, 0).integers(0, 2**32, 4)

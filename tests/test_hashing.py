@@ -182,7 +182,8 @@ def test_hashed_view_missing_assignment():
 
 def test_collision_prob_substitution():
     assert collision_prob(101, 100, 2.0, 3) == 0.5
-    assert collision_prob(101, 100, 2.0, 1) == 0.0
+    assert collision_prob(101, 100, 2.0, 1) == collision_prob(101, 100, 2.0, 0) == 0.0
+    assert collision_prob(101, 100, 2.0, [0, 1, 3, 2**62]).tolist() == [0.0, 0.0, 0.5, 1.0]
     assert collision_prob(5000, 10**12, 3.0, 4) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -264,7 +265,7 @@ def test_collision_prob_rejects_a_harmonic_degree_that_is_not_positive_and_finit
         collision_prob(10.0, 10, d_tilde, 3)
 
 
-@pytest.mark.parametrize("omega", [True, False, np.True_, math.nan, math.inf])
+@pytest.mark.parametrize("omega", [True, False, np.True_, math.nan, math.inf, None, "5"])
 def test_omega_must_be_a_finite_number_and_not_a_bool(omega):
     hs = _single_match_sample()
     calls = (
@@ -277,6 +278,21 @@ def test_omega_must_be_a_finite_number_and_not_a_bool(omega):
     for call in calls:
         with pytest.raises(ValueError, match=re.escape(f"omega must be a finite number, got {omega!r}")):
             call()
+
+
+@pytest.mark.parametrize("d_w", [math.nan, math.inf, -3, -0.5, [3, math.nan, math.inf], np.array([[2, -1]])])
+def test_collision_prob_rejects_a_subject_degree_that_is_not_finite_and_non_negative(d_w):
+    with pytest.raises(ValueError, match="^d_w must be finite and non-negative, got "):
+        collision_prob(10, 10, 2.0, d_w)
+
+
+@pytest.mark.parametrize("label", [True, False, np.True_, 0.0, 1.0, "0", None])
+def test_x_hat_takes_only_an_int_component_label(label):
+    hs = HashedSample(codes=(1, 2, 3, 4), degrees=(2, 2, 2, 2),
+                      alter_codes=(Counter([3]), Counter([1]), Counter([1]), Counter([3])), components=(0, 0, 1, 1))
+    with pytest.raises(ValueError, match=f"^a component label must be an integer, got {re.escape(repr(label))}$"):
+        x_hat(hs, label, 10.0, 100)
+    assert x_hat(hs, np.int64(1), 10.0, 100) == x_hat(hs, 1, 10.0, 100) > 0
 
 
 def test_an_all_degree_one_sample_with_a_match_has_degenerate_degrees():
@@ -371,12 +387,13 @@ def test_hashed_dump_round_trip(tmp_path):
     assert a.value == b.value
 
 
-@pytest.mark.parametrize("omega", [0, -5])
+@pytest.mark.parametrize("omega", [0, -5, None])  # None once meant plaintext: n2/n3 with no correction
 def test_hashed_estimators_check_omega_before_anything_else(omega):
     empty = Sample(codes=(), degrees=(), alter_codes=(), components=())
     zero_degree = Sample(codes=(0, 1), degrees=(0, 2), alter_codes=([], [0]), components=(0, 1))
     one_component = Sample(codes=(0, 1), degrees=(2, 2), alter_codes=([1], [0]), components=(0, 0))
+    message = "a finite number, got None" if omega is None else f"at least 1, got {omega}"
     for sample in (empty, zero_degree, one_component):
         for solve in (estimate_n2_hashed, estimate_n3_hashed):
-            with pytest.raises(ValueError, match=f"omega must be at least 1, got {omega}"):
+            with pytest.raises(ValueError, match=f"omega must be {message}"):
                 solve(sample, omega)

@@ -47,3 +47,12 @@ def test_every_module_level_name_is_used_or_exported():
     unused = [name for name in unused_names(SOURCES)
               if name.split(".")[1] not in set(netsize.__all__) | CALLED_BY_THE_BENCHMARK]
     assert unused == []
+
+
+def test_hashing_imports_no_private_name_of_estimators():
+    # hashing re-exports the estimator math it once wrapped; it reaches into none of its helpers
+    tree = ast.parse(Path(netsize.__file__).resolve().parent.joinpath("hashing.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module in ("estimators", "netsize.estimators") for alias in node.names]
+    assert "collision_prob" in imported
+    assert [name for name in imported if name.startswith("_")] == []
