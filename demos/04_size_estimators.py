@@ -13,6 +13,7 @@ import numpy as np
 from netsize import (
     Family,
     RdsConfig,
+    as_sample_view,
     estimate_n1,
     estimate_n2,
     estimate_n3,
@@ -29,7 +30,7 @@ g = sample_graph(Family.CONFIG_POISSON, 8.0, n, rng)
 print(f"hidden population size (ground truth): {n}")
 
 uniform = uniform_sample(g, 500, rng)
-print(f"uniform sample of 500  -> n1 = {estimate_n1(g, uniform).value:8.0f}")
+print(f"uniform sample of 500  -> n1 = {estimate_n1(as_sample_view(g, uniform)).value:8.0f}")
 
 sample = rds_capture(g, RdsConfig(target_size=500), rng)
 print(f"referral sample of 500 -> n2 = {estimate_n2(sample).value:8.0f}")
@@ -62,5 +63,5 @@ print(f"same, on a clustered graph: n2 median {np.median(vals2):8.0f}   "
 
 # estimators fail explicitly, never by exception
 edgeless = sample_graph(Family.ERDOS_RENYI, 0.0, 50, rng)
-res = estimate_n1(edgeless, range(20))
+res = estimate_n1(as_sample_view(edgeless, range(20)))
 print(f"\nedgeless graph: failed={res.failed}, cause={res.failure_cause.value}")

@@ -12,10 +12,14 @@ __version__ = "0.1.0"
 from .estimators import (
     EstimateResult,
     FailureCause,
+    collision_prob,
     estimate_n1,
-    estimate_n1_from_view,
     estimate_n2,
+    estimate_n2_hashed,
     estimate_n3,
+    estimate_n3_hashed,
+    m_hat,
+    x_hat,
 )
 from .generators import (
     Family,
@@ -49,13 +53,8 @@ from .hashing import (
     HashSpace,
     HashedSample,
     assign_hashes,
-    collision_prob,
-    estimate_n2_hashed,
-    estimate_n3_hashed,
     hashed_view,
-    m_hat,
     telefunken_encode,
-    x_hat,
 )
 from .ingest import EdgeListSpec, clustering_stats, load_edge_list, write_edge_list
 from .sampling import RdsConfig, Sample, as_sample_view, rds_capture, uniform_sample
@@ -68,7 +67,7 @@ __all__ = [
     "sample_graph", "rewire_to_clustering",
     "RdsConfig", "Sample", "uniform_sample", "rds_capture", "as_sample_view",
     "EstimateResult", "FailureCause",
-    "estimate_n1", "estimate_n1_from_view", "estimate_n2", "estimate_n3",
+    "estimate_n1", "estimate_n2", "estimate_n3",
     "HashMode", "HashSpace", "HashedSample", "telefunken_encode", "assign_hashes",
     "hashed_view", "collision_prob", "m_hat", "x_hat",
     "estimate_n2_hashed", "estimate_n3_hashed",

@@ -19,17 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimators import estimate_n1_from_view, estimate_n2, estimate_n3
+from .estimators import estimate_n2, estimate_n2_hashed, estimate_n3, estimate_n3_hashed
+# ESTIMATORS and perfbench/spans.py use the old name; ROADMAP item 12 removes the alias
+from .estimators import estimate_n1 as estimate_n1_from_view
 from .generators import Family, sample_graph
 from .harness import ESTIMATORS, load_plan, raw_csv_lines, run_plan, summary_csv_lines, write_csv
-from .hashing import (
-    HashMode,
-    HashSpace,
-    assign_hashes,
-    estimate_n2_hashed,
-    estimate_n3_hashed,
-    hashed_view,
-)
+from .hashing import HashMode, HashSpace, assign_hashes, hashed_view
 from .ingest import EdgeListSpec, clustering_stats, load_edge_list, open_written, write_edge_list, write_edges
 from .sampling import (
     RdsConfig,

@@ -8,9 +8,11 @@ are n2/n3 on hash codes from a space of omega codes, a finite real of at least
 1, with each match weighted by the chance ``collision_prob`` that it is the
 true alter (``m_hat``, ``x_hat``).  Every estimator reads the sample's
 ``Counts`` and ends in one solve, n' = numerator / m(n'): m is the matched
-mass (a closed form) in plaintext, else its expected true mass.  ``hashing``
-owns code spaces and code assignment.  Zero denominators are failure values,
-not exceptions, so an experiment loop can tally failure rates.
+mass (a closed form) in plaintext, else its expected true mass.  Each entry
+point is ``f(sample)`` or ``f(sample, omega)``.  ``hashing`` owns code spaces
+and re-exports only the ψ entry points, which the benchmark calls there.
+Zero denominators are failure values, not exceptions, so an experiment loop
+can tally failure rates.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .graph import MultiGraph, is_int
-from .sampling import Counts, Sample, as_sample_view
+from .graph import is_int
+from .sampling import Counts, Sample
 
 BRACKET_CEILING = 1e12
 ROOT_RTOL = 1e-9
@@ -63,8 +65,8 @@ class EstimateResult:
         return cls(failure_cause=cause)
 
 
-def estimate_n1_from_view(sample: Sample) -> EstimateResult:
-    """Uniform-sample estimator on an already materialized sample view."""
+def estimate_n1(sample: Sample) -> EstimateResult:
+    """Population size from a uniform vertex sample: |T| * <R(T)> / <M(T)>."""
     if sample.size == 0:
         raise ValueError("cannot estimate from an empty sample")
     counts = sample.counts
@@ -72,11 +74,6 @@ def estimate_n1_from_view(sample: Sample) -> EstimateResult:
         return EstimateResult.failure(FailureCause.ZERO_MATCHES)
     # M itself: the degree-grouped mass counts a colliding code once per subject carrying it
     return _fixed_point(sample.size * counts.free, np.array([counts.matches]), counts, None, sample.size)
-
-
-def estimate_n1(g: MultiGraph, subjects: Iterable[int]) -> EstimateResult:
-    """Population size from a uniform vertex sample: |T| * <R(T)> / <M(T)>."""
-    return estimate_n1_from_view(as_sample_view(g, subjects))
 
 
 def _check_omega(omega: float) -> None:

@@ -24,10 +24,12 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .estimators import EstimateResult, _check_omega, estimate_n1_from_view, estimate_n2, estimate_n3
+from .estimators import EstimateResult, estimate_n2, estimate_n2_hashed, estimate_n3, estimate_n3_hashed
+# ESTIMATORS and perfbench/spans.py use the old name; ROADMAP item 12 removes the alias
+from .estimators import estimate_n1 as estimate_n1_from_view
 from .generators import Family, check_family, check_size, sample_graph
 from .graph import is_int
-from .hashing import HashSpace, assign_hashes, estimate_n2_hashed, estimate_n3_hashed, hashed_view
+from .hashing import HashSpace, assign_hashes, hashed_view
 from .ingest import open_text, open_written
 from .sampling import RdsConfig, as_sample_view, rds_capture, uniform_sample
 
@@ -61,6 +63,8 @@ def derive_rng(master_seed: int, *coords) -> np.random.Generator:
         raise ValueError(f"the master seed must be an int in [0, 2**64), got {master_seed!r}")
     words = [master_seed & 0xFFFFFFFF, (master_seed >> 32) & 0xFFFFFFFF]
     for part in coords:
+        if isinstance(part, np.generic):  # a numpy scalar draws the stream of the Python scalar it equals
+            part = part.item()
         digest = hashlib.blake2b(repr(part).encode(), digest_size=8).digest()
         value = int.from_bytes(digest, "little")
         words.append(value & 0xFFFFFFFF)
@@ -138,9 +142,7 @@ class ExperimentPlan:
                 check_family(family, lam, n)
         for omega in self.omegas:
             with _blame("omegas"):
-                if is_int(omega):  # HashSpace names any other type
-                    _check_omega(omega)
-                HashSpace(omega)  # the codes a run draws must fit in int64
+                HashSpace(omega)  # at least one code, and the codes a run draws must fit in int64
         for name in ("graph_replicates", "sample_replicates"):
             if getattr(self, name) < 1:
                 raise PlanError(name, "replicate counts must be >= 1")

@@ -3,9 +3,10 @@
 Subjects reveal only hash codes: their own, their alters', and their degree.
 This module owns the code spaces, the code assignment and the hashed view
 of a sample.  A many-to-one code space produces false matches; their
-correction is estimator math that lives in ``estimators`` and is re-exported
-here: ``collision_prob``, ``m_hat``, ``x_hat`` and the ψ entry points
-``estimate_n2_hashed``/``estimate_n3_hashed``, which need a finite ω >= 1.
+correction (``collision_prob``, ``m_hat``, ``x_hat`` and the ψ entry points)
+is estimator math and lives in ``estimators``.  Only the ψ entry points
+``estimate_n2_hashed``/``estimate_n3_hashed`` are still re-exported here,
+because ``perfbench/workloads.py`` calls them through this module.
 
 Includes the phone-digit codec: each of the last k digits of a phone
 number contributes a (parity, low/high) bit pair, giving a 2k-bit code.
@@ -19,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import collision_prob, estimate_n2_hashed, estimate_n3_hashed, m_hat, x_hat  # noqa: F401
+from .estimators import estimate_n2_hashed, estimate_n3_hashed  # noqa: F401  perfbench calls them here
 from .graph import is_int
 from .sampling import Sample
 
@@ -42,7 +43,7 @@ class HashSpace:
         if not is_int(self.size):
             raise ValueError(f"hash space size must be an integer, got {self.size!r}")
         if self.size < 1:
-            raise ValueError("hash space must contain at least one code")
+            raise ValueError(f"hash space must contain at least one code, got {self.size}")
         if self.size > 2**63:  # every code in [0, size) is an int64
             raise ValueError(f"hash space must contain at most 2**63 codes, got {self.size}")
         if self.mode is HashMode.TELEFUNKEN:

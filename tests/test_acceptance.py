@@ -70,7 +70,7 @@ def test_criterion_1_exactness_oracles():
     cycle = ns.MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 
     ok = True
-    n1 = ns.estimate_n1(k3, [0, 1]).value
+    n1 = ns.estimate_n1(ns.as_sample_view(k3, [0, 1])).value
     ok &= n1 == 4.0
 
     cfg = RdsConfig(target_size=4, num_seeds=1, recruit_law=((2, 1.0),), seeds=(0,))

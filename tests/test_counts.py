@@ -21,14 +21,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netsize import graph, sampling
-from netsize.estimators import EstimateResult, estimate_n1_from_view, estimate_n2, estimate_n3
+from netsize.estimators import (
+    EstimateResult, collision_prob, estimate_n1, estimate_n2, estimate_n2_hashed, estimate_n3, estimate_n3_hashed,
+    m_hat, x_hat,
+)
 from netsize.graph import (
     INT64_MAX, INT64_MIN, MultiGraph, cross_seed_matches, free_ends, harmonic_mean, matches,
 )
 from netsize.generators import Family, sample_graph
-from netsize.hashing import (
-    HashSpace, assign_hashes, collision_prob, estimate_n2_hashed, estimate_n3_hashed, hashed_view, m_hat, x_hat,
-)
+from netsize.hashing import HashSpace, assign_hashes, hashed_view
 from netsize.sampling import (
     Counts, RdsConfig, Sample, as_sample_view, rds_capture, read_sample_dump, write_sample_dump,
 )
@@ -193,7 +194,7 @@ _ONE_COMPONENT = "cross-seed estimation needs more than one referral component"
 def _estimates(sample, omega):
     """Each estimator's result on the sample, or the message of the error it raises."""
     calls = {
-        "n1": lambda: estimate_n1_from_view(sample),
+        "n1": lambda: estimate_n1(sample),
         "n2": lambda: estimate_n2(sample),
         "n3": lambda: estimate_n3(sample),
         "n2psi": lambda: estimate_n2_hashed(sample, omega),

@@ -131,7 +131,7 @@ def test_plan_rejects_a_repeated_value(field, values, shown):
     ("lambdas", (3.0, float("nan")), "a mean degree must be finite and non-negative, got nan"),
     ("lambdas", (-0.5,), "a mean degree must be finite and non-negative, got -0.5"),
     ("lambdas", (float("-inf"),), "a mean degree must be finite and non-negative, got -inf"),
-    ("omegas", (512, -5), "the code space size omega must be at least 1, got -5"),
+    ("omegas", (512, -5), "hash space must contain at least one code, got -5"),
     pytest.param("lambdas", (10**400,), f"er graphs on 100 vertices: mean degree must lie in [0, n-1], "
                  f"got {10**400}", id="lambdas-10**400"),
     pytest.param("lambdas", (10**5000,), "er graphs on 100 vertices: mean degree must lie in [0, n-1], "
@@ -375,6 +375,18 @@ def test_derive_rng_streams_of_valid_seeds_are_pinned():
     assert derive_rng(np.int64(7), "graph", "er", 3.0, 100, 0).integers(0, 2**32, 3).tolist() == pinned[7]
 
 
+@pytest.mark.parametrize("python, numpy_spellings, head", [
+    (3.0, (np.float64(3.0),), [66, 39, 69]),
+    (3, (np.int64(3), np.int32(3), np.uint8(3)), [78, 67, 38]),
+    (True, (np.True_,), [90, 96, 14]),
+])
+def test_derive_rng_draws_one_stream_for_equal_python_and_numpy_coordinates(python, numpy_spellings, head):
+    # a numpy scalar's repr ("np.float64(3.0)") is not its Python value's, so the stream hashes the value
+    assert derive_rng(1, "graph", python).integers(0, 100, 3).tolist() == head
+    for spelling in numpy_spellings:
+        assert derive_rng(1, "graph", spelling).integers(0, 100, 3).tolist() == head
+
+
 def test_derive_rng_is_stable_and_distinct():
     a = derive_rng(1, "graph", "er", 3.0, 100, 0).integers(0, 2**32, 4)
     b = derive_rng(1, "graph", "er", 3.0, 100, 0).integers(0, 2**32, 4)
@@ -447,7 +459,7 @@ _VALID_PLAN = "families = er\nlambdas = 3\nsizes = 100\nr = 10\nestimators = n1\
     ("lambdas = nan", "plan line 6: lambdas: a mean degree must be finite and non-negative, got nan"),
     ("lambdas = -3", "plan line 6: lambdas: a mean degree must be finite and non-negative, got -3.0"),
     ("lambdas = 3, inf", "plan line 6: lambdas: a mean degree must be finite and non-negative, got inf"),
-    ("omegas = -5", "plan line 6: omegas: the code space size omega must be at least 1, got -5"),
+    ("omegas = -5", "plan line 6: omegas: hash space must contain at least one code, got -5"),
     ("omegas = 99999999999999999999",
      "plan line 6: omegas: hash space must contain at most 2**63 codes, got 99999999999999999999"),
     ("estimators = n9", "plan line 6: estimators: unknown estimator 'n9'"),

@@ -5,22 +5,19 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from netsize.estimators import FailureCause, estimate_n2, estimate_n3
+from netsize.estimators import (
+    FailureCause, collision_prob, estimate_n2, estimate_n2_hashed, estimate_n3, estimate_n3_hashed, m_hat, x_hat,
+)
 from netsize.generators import Family, sample_graph
 from netsize.hashing import (
     HashMode,
     HashSpace,
     HashedSample,
     assign_hashes,
-    collision_prob,
-    estimate_n2_hashed,
-    estimate_n3_hashed,
     hashed_to_rows,
     hashed_view,
-    m_hat,
     rows_to_hashed,
     telefunken_encode,
-    x_hat,
 )
 from netsize.sampling import RdsConfig, Sample, rds_capture, read_sample_dump, write_sample_dump
 from netsize.graph import MultiGraph

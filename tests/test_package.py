@@ -5,6 +5,7 @@ import ast
 from pathlib import Path
 
 import netsize
+from netsize import cli, estimators, harness
 
 SOURCES = sorted(Path(netsize.__file__).resolve().parent.glob("*.py"))
 
@@ -50,9 +51,23 @@ def test_every_module_level_name_is_used_or_exported():
 
 
 def test_hashing_imports_no_private_name_of_estimators():
-    # hashing re-exports the estimator math it once wrapped; it reaches into none of its helpers
+    # the benchmark calls these two through hashing; the rest of the ψ math is imported from estimators
     tree = ast.parse(Path(netsize.__file__).resolve().parent.joinpath("hashing.py").read_text())
     imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 and node.module in ("estimators", "netsize.estimators") for alias in node.names]
-    assert "collision_prob" in imported
-    assert [name for name in imported if name.startswith("_")] == []
+    assert sorted(imported) == ["estimate_n2_hashed", "estimate_n3_hashed"]
+
+
+def test_every_dispatch_table_entry_is_its_estimator_in_estimators():
+    # harness and cli look each function up by name in their own module (ESTIMATORS)
+    expected = {
+        "n1": estimators.estimate_n1,
+        "n2": estimators.estimate_n2,
+        "n3": estimators.estimate_n3,
+        "n2psi": estimators.estimate_n2_hashed,
+        "n3psi": estimators.estimate_n3_hashed,
+    }
+    assert set(harness.ESTIMATORS) == set(expected)
+    for name, (function, _) in harness.ESTIMATORS.items():
+        assert getattr(harness, function) is expected[name]
+        assert getattr(cli, function) is expected[name]
