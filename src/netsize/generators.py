@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import INT64_MAX, MAX_VERTICES, MultiGraph, mean_local_clustering, stable_order, triangle_counts
-from .sampling import _degree_sums_fit, _flat_ids, _pick, _uniforms
+from .graph import (INT64_MAX, MAX_VERTICES, MultiGraph, degree_sums_fit, flat_ids, is_int, mean_local_clustering,
+                    pick, stable_order, triangle_counts, uniforms)
 
 
 def sample_degrees(family: Family, lam: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -59,7 +59,7 @@ def sample_degrees(family: Family, lam: float, n: int, rng: np.random.Generator)
         if not rounded.max() < 2.0 ** 63:  # NaN fails too
             raise too_large
         degrees = np.maximum(rounded.astype(np.int64), 1)
-    if not _degree_sums_fit(degrees):
+    if not degree_sums_fit(degrees):
         raise ValueError(f"{family.value} degrees drawn at mean degree {lam} on {n} vertices "
                          "sum past the 64-bit range")
     return degrees
@@ -72,12 +72,12 @@ def configuration_graph(degrees: Sequence[int], rng: np.random.Generator) -> Mul
     degree by 1 (an O(1/n) perturbation).  The degrees must be ints, not
     floats or bools, and their total, bump included, must fit in int64.
     """
-    degrees = _flat_ids(degrees, "degrees")
+    degrees = flat_ids(degrees, "degrees")
     if len(degrees) == 0:
         raise ValueError("empty degree sequence")
     if (degrees < 0).any():
         raise ValueError("degrees must be non-negative")
-    if not _degree_sums_fit(degrees) or degrees.sum() == INT64_MAX:  # INT64_MAX is odd: no room to bump
+    if not degree_sums_fit(degrees) or degrees.sum() == INT64_MAX:  # INT64_MAX is odd: no room to bump
         raise ValueError("the degrees sum past the 64-bit range")
     if int(degrees.sum()) % 2 == 1:
         degrees = degrees.copy()  # the caller's sequence is never written
@@ -350,6 +350,8 @@ _CONFIG_FAMILIES = (Family.CONFIG_LOGNORMAL, Family.CONFIG_POISSON, Family.CONFI
 def check_size(family: Family, n: int) -> None:
     """The rules on ``n`` alone of ``check_family`` (``ba``'s n > lam involves the mean degree)."""
     family = Family(family)
+    if not is_int(n):
+        raise ValueError(f"vertex count must be an integer, got {n!r}")
     if n > MAX_VERTICES:  # checked before any draw sized by n
         raise ValueError(f"graphs need n <= {MAX_VERTICES}, got {n}")
     if family is Family.ERDOS_RENYI:
@@ -373,6 +375,8 @@ def check_family(family: Family, lam: float, n: int) -> None:
     """Raise ``ValueError`` unless ``family`` generates graphs of mean degree ``lam`` on ``n`` vertices."""
     family = Family(family)
     check_size(family, n)
+    if not (is_int(lam) or isinstance(lam, (float, np.floating))):
+        raise ValueError(f"a mean degree must be an int or a float, got {lam!r}")
     if not -math.inf < lam < math.inf:  # no float(): an int past its range meets the rules below
         raise ValueError(f"mean degree must be finite, got {lam}")
     if family is Family.BARABASI_ALBERT:
@@ -510,7 +514,7 @@ def rewire_to_clustering(g: MultiGraph, target: float, rng: np.random.Generator)
     n = g.n
     state = _RewireState(n, g.edge_array)
     adj = state.adj
-    draw = _uniforms(rng).__next__
+    draw = uniforms(rng).__next__
 
     eligible = np.flatnonzero(state.degrees >= 2).tolist()
     if not eligible:
@@ -527,7 +531,7 @@ def rewire_to_clustering(g: MultiGraph, target: float, rng: np.random.Generator)
             break
         attempts += 1
         u = eligible[int(draw() * len(eligible))]
-        v, w = _pick(adj[u], 2, draw)  # permutes u's row, whose order nothing relies on
+        v, w = pick(adj[u], 2, draw)  # permutes u's row, whose order nothing relies on
         row_v, row_w = adj[v], adj[w]
         if w in row_v:
             continue

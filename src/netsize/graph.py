@@ -8,13 +8,19 @@ ends R(S, F), the in-sample matches M(S, F), and the cross-seed matches
 X(s, F) that only count encounters between different referral components.
 Every bag is a ``collections.Counter``: ``+`` pools, ``&`` intersects and
 ``total()`` is the cardinality the estimators divide.
+
+This module also owns the rules that other modules share: the int64 rules
+(``is_int``, ``vertex_ids``, ``flat_ids``, ``degree_sums_fit``), the rank
+tables up to ``TABLE_MIN`` (``unique_inverse``, ``lookup``), and the index
+draws that the referral capture and the rewiring share (``uniforms``,
+``pick``).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -57,6 +63,23 @@ def vertex_ids(values: Iterable | np.ndarray, what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def flat_ids(values: Iterable[int], what: str) -> np.ndarray:
+    """``values`` as a 1-D int64 array, checked by ``vertex_ids``."""
+    ids = vertex_ids(values, what)
+    if ids.ndim != 1:
+        raise ValueError(f"{what} must be a flat sequence of ints")
+    return ids
+
+
+def degree_sums_fit(degrees: np.ndarray) -> bool:
+    """Whether the non-negative ``degrees`` sum to at most 2**63 - 1, so every
+    sum of some of them lies in the int64 range.  Only when the largest times
+    the count could pass it are the degrees summed.
+    """
+    return not len(degrees) or int(degrees.max()) * len(degrees) <= INT64_MAX \
+        or sum(degrees.tolist()) <= INT64_MAX
+
+
 TABLE_MIN = 1 << 16  # integers spanning at most this many values are ranked by a table (512 KB at most)
 
 
@@ -72,6 +95,29 @@ def unique_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             rank = np.cumsum(present) - 1
             return present.nonzero()[0] + low, rank[place]
     return np.unique(values, return_inverse=True)
+
+
+def lookup(codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """An index into the sorted distinct ``codes`` for each query: the query's
+    own place when ``codes`` holds it, some valid index otherwise.
+
+    Codes that span few values are looked up in a table indexed by
+    ``code - codes[0]``; others by ``searchsorted`` on sorted queries, whose
+    indices are scattered back to query order.  Spans are Python ints, as
+    codes may sit at both ends of the int64 range.
+    """
+    if not len(codes) or not len(queries):
+        return np.zeros(len(queries), dtype=np.intp)
+    low, high = int(codes[0]), int(codes[-1])
+    span = high - low + 1
+    if span <= TABLE_MIN:
+        table = np.zeros(span, dtype=np.intp)
+        table[codes - low] = np.arange(len(codes))
+        return table[np.minimum(np.maximum(queries, low), high) - low]
+    by_query = np.argsort(queries)
+    j = np.empty(len(queries), dtype=np.intp)
+    j[by_query] = np.minimum(np.searchsorted(codes, queries[by_query]), len(codes) - 1)
+    return j
 
 
 def stable_order(values: np.ndarray) -> np.ndarray:
@@ -93,6 +139,36 @@ def stable_order(values: np.ndarray) -> np.ndarray:
             keys.sort()
             return np.remainder(keys, size, out=keys)
     return np.argsort(values, kind="stable")
+
+
+_UNIFORM_BLOCK = 1024  # uniforms drawn from the generator at once
+
+
+def uniforms(rng: np.random.Generator) -> Iterator[float]:
+    """Uniforms on [0, 1), taken in order from ``rng.random(_UNIFORM_BLOCK)`` blocks.
+
+    A block is drawn only when the previous one is used up, so after N
+    uniforms ``rng`` stands where ``ceil(N / _UNIFORM_BLOCK) * _UNIFORM_BLOCK``
+    scalar ``rng.random()`` calls leave it, and gives the same values.
+    An index below m is ``int(u * m)``, which is below m for every u < 1 and
+    m <= 2**53.  As u is a multiple of 2**-53, each index has probability
+    1/m to within 2**-52 (the rounding of u * m moves each cell boundary by
+    at most one grid point), a relative bias below m / 2**52.
+    """
+    return itertools.chain.from_iterable(iter(lambda: rng.random(_UNIFORM_BLOCK).tolist(), None))
+
+
+def pick(items: list, k: int, draw: Callable[[], float]) -> list:
+    """Move a uniform k-subset of ``items`` (``k <= len(items)``) to its front, in pick order, and return it.
+
+    A partial Fisher-Yates shuffle (Durstenfeld, CACM 7(7), 1964): pick t
+    swaps in a uniform one of the items from place t on, one uniform of ``draw`` each.
+    """
+    m = len(items)
+    for t in range(k):
+        j = t + int(draw() * (m - t))
+        items[t], items[j] = items[j], items[t]
+    return items[:k]
 
 
 class MultiGraph:

@@ -21,11 +21,12 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .graph import INT64_MAX, INT64_MIN, TABLE_MIN, Edge, MultiGraph, is_int, unique_inverse, vertex_ids
+from .graph import (INT64_MAX, INT64_MIN, Edge, MultiGraph, degree_sums_fit, flat_ids, is_int, lookup, pick,
+                    uniforms, unique_inverse)
 from .ingest import comment_lines, open_text, open_written
 
 DEFAULT_RECRUIT_LAW = ((2, 0.9), (1, 0.1))
@@ -58,7 +59,7 @@ class RdsConfig:
         if not all(is_int(k) and k >= 0 for k, _ in self.recruit_law):
             raise ValueError(f"recruit counts must be integers >= 0, got {self.recruit_law}")
         if self.seeds is not None:  # stored converted, so a one-shot iterable is read once
-            object.__setattr__(self, "seeds", tuple(_flat_ids(self.seeds, "explicit seeds").tolist()))
+            object.__setattr__(self, "seeds", tuple(flat_ids(self.seeds, "explicit seeds").tolist()))
             if len(set(self.seeds)) != len(self.seeds):
                 raise ValueError("explicit seeds must be distinct")
             if len(self.seeds) != self.num_seeds:
@@ -107,7 +108,7 @@ class Sample:
             "recruiters": np.full(k, -1) if self.recruiters is None else self.recruiters,
         }
         for name, column in columns.items():
-            object.__setattr__(self, name, _flat_ids(column, name))
+            object.__setattr__(self, name, flat_ids(column, name))
         if offsets is None:
             bags = [Counter(bag) for bag in alters]
             for count in (count for bag in bags for count in bag.values()):
@@ -118,7 +119,7 @@ class Sample:
             if sum(sizes) > INT64_MAX:  # the offsets' range
                 raise ValueError("alter_codes multiplicities sum past the 64-bit range")
             offsets = np.cumsum([0] + sizes)
-        offsets = _flat_ids(offsets, "alter_offsets")
+        offsets = flat_ids(offsets, "alter_offsets")
         object.__setattr__(self, "alter_offsets", offsets)
         degrees = self.degrees
         if not len(degrees) == len(self.components) == len(self.recruiters) == k:
@@ -134,11 +135,11 @@ class Sample:
             if degrees[i] < 0:
                 raise ValueError(f"negative reported degree {degrees[i]}")
             raise ValueError(f"{sizes[i]} alter codes exceed the reported degree {degrees[i]}")
-        if not _degree_sums_fit(degrees):
+        if not degree_sums_fit(degrees):
             raise ValueError("the reported degrees sum past the 64-bit range")
         if bags is not None:
             alters = [code for bag in bags for code in bag.elements()]
-        alters = _flat_ids(alters, "alter_codes")
+        alters = flat_ids(alters, "alter_codes")
         object.__setattr__(self, "alter_codes", alters)
         if offsets[-1] != len(alters):
             raise ValueError("alter offsets must run from 0 to the alter count, one per subject")
@@ -217,27 +218,10 @@ def _sort_within_rows(values: np.ndarray, row: np.ndarray) -> np.ndarray:
     return key if distinct is None else distinct[key]
 
 
-def _flat_ids(values: Iterable[int], what: str) -> np.ndarray:
-    """``values`` as a 1-D int64 array, checked by ``vertex_ids``."""
-    ids = vertex_ids(values, what)
-    if ids.ndim != 1:
-        raise ValueError(f"{what} must be a flat sequence of ints")
-    return ids
-
-
 def _has_duplicates(values: np.ndarray) -> bool:
     """Whether two of ``values`` are equal, by a sort (``np.unique`` without arguments hashes, which is slower)."""
     ascending = np.sort(values)
     return bool((ascending[1:] == ascending[:-1]).any())
-
-
-def _degree_sums_fit(degrees: np.ndarray) -> bool:
-    """Whether the non-negative ``degrees`` sum to at most 2**63 - 1, so every
-    sum of some of them lies in the int64 range.  Only when the largest times
-    the count could pass it are the degrees summed.
-    """
-    return not len(degrees) or int(degrees.max()) * len(degrees) <= INT64_MAX \
-        or sum(degrees.tolist()) <= INT64_MAX
 
 
 @dataclass(frozen=True)
@@ -286,7 +270,7 @@ def _count(s: Sample) -> Counts:
     ordered = s.codes[by_code]
     code_start, code_count = _runs(ordered)
     codes = ordered[code_start]
-    j = _lookup(codes, pair_code)
+    j = lookup(codes, pair_code)
     hit = (codes[j] == pair_code).nonzero()[0]
     pair_row, mult, j = pair_row[hit], mult[hit], j[hit]
     # expand each matched pair over the subjects that carry its code
@@ -350,31 +334,10 @@ def _first_appearance(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct[by_first], np.argsort(by_first)[index]
 
 
-def _lookup(codes: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """An index into the sorted distinct ``codes`` for each query: the query's
-    own place when ``codes`` holds it, some valid index otherwise.
-
-    Codes that span few values are looked up in a table indexed by
-    ``code - codes[0]``; others by ``searchsorted`` on sorted queries, whose
-    indices are scattered back to query order.  Spans are Python ints, as
-    codes may sit at both ends of the int64 range.
-    """
-    if not len(codes) or not len(queries):
-        return np.zeros(len(queries), dtype=np.intp)
-    low, high = int(codes[0]), int(codes[-1])
-    span = high - low + 1
-    if span <= TABLE_MIN:
-        table = np.zeros(span, dtype=np.intp)
-        table[codes - low] = np.arange(len(codes))
-        return table[np.minimum(np.maximum(queries, low), high) - low]
-    by_query = np.argsort(queries)
-    j = np.empty(len(queries), dtype=np.intp)
-    j[by_query] = np.minimum(np.searchsorted(codes, queries[by_query]), len(codes) - 1)
-    return j
-
-
 def uniform_sample(g: MultiGraph, r: int, rng: np.random.Generator) -> tuple[int, ...]:
     """A uniformly random r-subset of the vertices, without replacement."""
+    if not is_int(r):
+        raise ValueError(f"sample size must be an integer, got {r!r}")
     if not 0 <= r <= g.n:
         raise ValueError(f"cannot sample {r} vertices from {g.n}")
     if r == 0:
@@ -408,27 +371,10 @@ def as_sample_view(g: MultiGraph, subjects: Iterable[int]) -> Sample:
     Every subject reports their full neighbor bag, which is what the
     uniform-sampling estimator consumes.
     """
-    vertices = _flat_ids(subjects, "subjects")
+    vertices = flat_ids(subjects, "subjects")
     if _has_duplicates(vertices):
         raise ValueError("subjects must be distinct")
     return _plaintext_sample(g, vertices, np.arange(len(vertices)), np.full(len(vertices), -1))
-
-
-_UNIFORM_BLOCK = 1024  # uniforms drawn from the generator at once
-
-
-def _uniforms(rng: np.random.Generator) -> Iterator[float]:
-    """Uniforms on [0, 1), taken in order from ``rng.random(_UNIFORM_BLOCK)`` blocks.
-
-    A block is drawn only when the previous one is used up, so after N
-    uniforms ``rng`` stands where ``ceil(N / _UNIFORM_BLOCK) * _UNIFORM_BLOCK``
-    scalar ``rng.random()`` calls leave it, and gives the same values.
-    An index below m is ``int(u * m)``, which is below m for every u < 1 and
-    m <= 2**53.  As u is a multiple of 2**-53, each index has probability
-    1/m to within 2**-52 (the rounding of u * m moves each cell boundary by
-    at most one grid point), a relative bias below m / 2**52.
-    """
-    return itertools.chain.from_iterable(iter(lambda: rng.random(_UNIFORM_BLOCK).tolist(), None))
 
 
 def _draw_recruit_count(law: Sequence[tuple[int, float]], u: float) -> int:
@@ -439,19 +385,6 @@ def _draw_recruit_count(law: Sequence[tuple[int, float]], u: float) -> int:
         if u < acc:
             return count
     return law[-1][0]
-
-
-def _pick(items: list, k: int, draw: Callable[[], float]) -> list:
-    """Move a uniform k-subset of ``items`` (``k <= len(items)``) to its front, in pick order, and return it.
-
-    A partial Fisher-Yates shuffle (Durstenfeld, CACM 7(7), 1964): pick t
-    swaps in a uniform one of the items from place t on, one uniform of ``draw`` each.
-    """
-    m = len(items)
-    for t in range(k):
-        j = t + int(draw() * (m - t))
-        items[t], items[j] = items[j], items[t]
-    return items[:k]
 
 
 def _draw_fresh_seed(g: MultiGraph, row_of: list[int], draw: Callable[[], float]) -> int:
@@ -492,7 +425,7 @@ def rds_capture(g: MultiGraph, cfg: RdsConfig, rng: np.random.Generator) -> Samp
 
     if cfg.seeds is not None and max(cfg.seeds) >= n:
         raise ValueError(f"seed {max(cfg.seeds)} out of range")
-    draw = _uniforms(rng).__next__  # every pick, seeds included, reads the generator through blocks
+    draw = uniforms(rng).__next__  # every pick, seeds included, reads the generator through blocks
 
     row_of: list[int] = [-1] * n  # each vertex's row, -1 while undiscovered
     order: list[int] = []
@@ -537,7 +470,7 @@ def rds_capture(g: MultiGraph, cfg: RdsConfig, rng: np.random.Generator) -> Samp
             m = len(candidates)
             k = min(_draw_recruit_count(law, draw()), m)
             if k < m:
-                candidates = _pick(candidates, k, draw)
+                candidates = pick(candidates, k, draw)
             recruiter = row_of[x]
             component = components[recruiter]
             for v in candidates:
@@ -683,7 +616,7 @@ def _parse_dump(data: bytes) -> Optional[Sample]:
     offsets = np.zeros(len(last) + 1, dtype=np.int64)
     offsets[1:] = alter.cumsum()[last]
     codes, recruiter_codes, components, degrees = values[fields]
-    if (degrees < offsets[1:] - offsets[:-1]).any() or not _degree_sums_fit(degrees):
+    if (degrees < offsets[1:] - offsets[:-1]).any() or not degree_sums_fit(degrees):
         return None
     recruiters = _link_recruiters(codes, components, recruiter_codes, recruited)
     if recruiters is None:

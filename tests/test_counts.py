@@ -278,9 +278,9 @@ def test_a_dump_written_and_read_back_changes_no_count_or_estimate(capture, code
 def _counts_on_both_paths(sample):
     """The counts of ``sample`` with the code lookup and the degree ranking forced onto their
     tables, and off them (the search and ``np.unique``)."""
-    with mock.patch.object(sampling, "TABLE_MIN", 2**62), mock.patch.object(graph, "TABLE_MIN", 2**62):
+    with mock.patch.object(graph, "TABLE_MIN", 2**62):
         table = sampling._count(sample)
-    with mock.patch.object(sampling, "TABLE_MIN", 0), mock.patch.object(graph, "TABLE_MIN", 0):
+    with mock.patch.object(graph, "TABLE_MIN", 0):
         search = sampling._count(sample)
     return table, search
 
@@ -300,18 +300,18 @@ def test_the_lookup_uses_the_table_up_to_its_bound():
     # a miss names some valid index, and the two paths name different ones:
     # the table reads the entry of the clipped query, the search its insertion point
     codes, queries = np.array([0, 9], dtype=np.int64), np.array([5, 9, -3, 12], dtype=np.int64)
-    with mock.patch.object(sampling, "TABLE_MIN", 10):
-        assert sampling._lookup(codes, queries).tolist() == [0, 1, 0, 1]  # span 10: the table
-    with mock.patch.object(sampling, "TABLE_MIN", 9):
-        assert sampling._lookup(codes, queries).tolist() == [1, 1, 0, 1]  # one past the bound: the search
-    assert sampling._lookup(codes, queries[:0]).tolist() == []
+    with mock.patch.object(graph, "TABLE_MIN", 10):
+        assert graph.lookup(codes, queries).tolist() == [0, 1, 0, 1]  # span 10: the table
+    with mock.patch.object(graph, "TABLE_MIN", 9):
+        assert graph.lookup(codes, queries).tolist() == [1, 1, 0, 1]  # one past the bound: the search
+    assert graph.lookup(codes, queries[:0]).tolist() == []
 
 
 def test_codes_across_the_whole_int64_range_take_the_search():
     # the span, 2**64, is a Python int: in int64 it would wrap to 0 and pick the table
     codes = np.array([INT64_MIN, -1, INT64_MAX], dtype=np.int64)
     queries = np.array([INT64_MAX, INT64_MIN, 0, -1], dtype=np.int64)
-    assert sampling._lookup(codes, queries).tolist() == [2, 0, 2, 1]  # the miss, 0, at its insertion point
+    assert graph.lookup(codes, queries).tolist() == [2, 0, 2, 1]  # the miss, 0, at its insertion point
 
 
 @pytest.mark.parametrize("omega", [1, 2, 2000, 32000, 256000, 2**63])

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from netsize import generators, graph, sampling
+from netsize import generators, graph
 from netsize.generators import (
     Family,
     _pairs_from_indices,
@@ -489,7 +489,7 @@ def test_rewire_matches_the_flat_slot_reference_on_a_poisson_graph():
 @pytest.mark.parametrize("block", [1, 3, 7])
 def test_rewire_matches_the_flat_slot_reference_across_block_ends(block):
     g = sample_graph(Family.CONFIG_POISSON, 6.0, 300, np.random.default_rng(6))
-    with mock.patch.object(sampling, "_UNIFORM_BLOCK", block):
+    with mock.patch.object(graph, "_UNIFORM_BLOCK", block):
         _assert_same_rewiring(g, 0.15, block)
 
 
@@ -500,7 +500,7 @@ def test_rewire_reads_the_generator_only_in_whole_blocks():
     with patch:
         rewire_to_clustering(g, 0.2, rng)
     assert used[0] > 0
-    assert rng.calls == {"random": math.ceil(used[0] / sampling._UNIFORM_BLOCK)}
+    assert rng.calls == {"random": math.ceil(used[0] / graph._UNIFORM_BLOCK)}
 
 
 @pytest.mark.parametrize("target", [float("nan"), -0.1, 1.5, float("inf")])

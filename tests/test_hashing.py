@@ -175,6 +175,16 @@ def test_hashed_view_missing_assignment():
             hashed_view(sample, np.arange(4))
 
 
+@pytest.mark.parametrize("assignment, message", [
+    (np.arange(4.0), "code assignment must be integers, got float64 values"),
+    ([True, False, True, True], "code assignment must be integers, got bool values"),
+    (np.arange(4).reshape(2, 2), "code assignment must be a flat sequence of ints"),
+])
+def test_hashed_view_names_a_bad_assignment(assignment, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        hashed_view(_cycle_sample(), assignment)
+
+
 # --- collision correction ------------------------------------------------
 
 def test_collision_prob_substitution():

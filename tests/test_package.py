@@ -58,6 +58,38 @@ def test_hashing_imports_no_private_name_of_estimators():
     assert sorted(imported) == ["estimate_n2_hashed", "estimate_n3_hashed"]
 
 
+# each module imports only the modules before it; a helper two of them need lives in the lower one
+LAYERS = ("graph", "ingest", "generators", "sampling", "estimators", "hashing", "harness", "cli")
+
+
+def netsize_imports(path):
+    """``(module, name)`` for each name that ``path`` imports from a netsize module, with
+    name None where the module itself is imported; the package itself is ``__init__``."""
+    modules = {source.stem for source in SOURCES}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name.split(".")[1], None) for alias in node.names
+                        if alias.name.startswith("netsize."))
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "netsize"):
+            module = (node.module or "").removeprefix("netsize").lstrip(".") or "__init__"
+            for alias in node.names:
+                yield (alias.name, None) if module == "__init__" and alias.name in modules else (module, alias.name)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    reached = [f"{path.stem} <- {module}.{name}" for path in SOURCES for module, name in netsize_imports(path)
+               if name and name.startswith("_") and not (name.startswith("__") and name.endswith("__"))]
+    assert reached == []
+
+
+def test_each_module_imports_only_the_modules_before_it():
+    assert {path.stem for path in SOURCES} - {"__init__", "__main__"} == set(LAYERS)
+    upward = [f"{path.stem} <- {module}" for path in SOURCES if path.stem in LAYERS
+              for module in dict.fromkeys(module for module, _ in netsize_imports(path))
+              if module in LAYERS and LAYERS.index(module) >= LAYERS.index(path.stem)]
+    assert upward == []
+
+
 def test_every_dispatch_table_entry_is_its_estimator_in_estimators():
     # harness and cli look each function up by name in their own module (ESTIMATORS)
     expected = {

@@ -11,11 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netsize import sampling
+from netsize import graph, sampling
 from netsize.cli import main
 from netsize.generators import Family, sample_graph
 from netsize.graph import INT64_MAX, INT64_MIN, MultiGraph, harmonic_mean
-from netsize.hashing import HashSpace, assign_hashes, hashed_view
+from netsize.hashing import HashSpace, assign_hashes, hashed_view, telefunken_encode
 from netsize.sampling import (
     RdsConfig,
     Sample,
@@ -29,6 +29,24 @@ from netsize.sampling import (
 )
 
 CYCLE4 = MultiGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda rng: sample_graph("poisson", 4.0, 2.5, rng), "vertex count must be an integer, got 2.5"),
+    (lambda rng: sample_graph("poisson", 4.0, True, rng), "vertex count must be an integer, got True"),
+    (lambda rng: sample_graph("ba", 4.0, 10.5, rng), "vertex count must be an integer, got 10.5"),
+    (lambda rng: sample_graph("er", 4.0, 10.0, rng), "vertex count must be an integer, got 10.0"),
+    (lambda rng: sample_graph("poisson", True, 10, rng), "a mean degree must be an int or a float, got True"),
+    (lambda rng: sample_graph("er", "4", 10, rng), "a mean degree must be an int or a float, got '4'"),
+    (lambda rng: uniform_sample(CYCLE4, True, rng), "sample size must be an integer, got True"),
+    (lambda rng: uniform_sample(CYCLE4, 2.0, rng), "sample size must be an integer, got 2.0"),
+    (lambda rng: assign_hashes(2.5, HashSpace(10), rng), "identity count must be an integer, got 2.5"),
+    (lambda rng: assign_hashes(-1, HashSpace(10), rng), "identity count must be non-negative, got -1"),
+    (lambda rng: telefunken_encode("12345", True), "digit count must be an integer, got True"),
+])
+def test_public_draws_name_a_bad_count(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(np.random.default_rng(0))
 
 
 def test_uniform_sample_extremes():
@@ -210,7 +228,7 @@ def test_integer_seeds_of_any_integer_type_still_work():
 
 
 class ScalarUniforms:
-    """The scalar replay of ``sampling._uniforms``: one ``rng.random()`` per uniform."""
+    """The scalar replay of ``graph.uniforms``: one ``rng.random()`` per uniform."""
 
     def __init__(self, rng):
         self.rng, self.used = rng, 0
@@ -221,7 +239,7 @@ class ScalarUniforms:
 
     def close(self):
         """Advance ``rng`` to the end of the block the last uniform came from."""
-        self.rng.random(-self.used % sampling._UNIFORM_BLOCK)
+        self.rng.random(-self.used % graph._UNIFORM_BLOCK)
 
 
 # The capture as it was written before MultiGraph kept its neighbor rows
@@ -386,7 +404,7 @@ def test_rds_capture_matches_the_reference_with_larger_recruit_counts():
 @pytest.mark.parametrize("block", [1, 3, 7])
 def test_rds_capture_matches_the_reference_across_block_ends(block):
     g = sample_graph(Family.CONFIG_LOGNORMAL, 3.0, 800, np.random.default_rng(4))
-    with mock.patch.object(sampling, "_UNIFORM_BLOCK", block):
+    with mock.patch.object(graph, "_UNIFORM_BLOCK", block):
         for seed in range(3):
             _assert_same_capture(g, RdsConfig(target_size=200), seed)
 
@@ -415,15 +433,15 @@ class CountingGenerator:
 
 
 def counting_uniforms(module):
-    """Patch ``module._uniforms`` to count the uniforms taken; returns the patch and the count."""
+    """Patch ``module.uniforms`` to count the uniforms taken; returns the patch and the count."""
     used = [0]
-    real = sampling._uniforms
+    real = graph.uniforms
 
     def counted(rng):
         for u in real(rng):
             used[0] += 1
             yield u
-    return mock.patch.object(module, "_uniforms", counted), used
+    return mock.patch.object(module, "uniforms", counted), used
 
 
 def test_rds_capture_reads_the_generator_only_in_whole_blocks():
@@ -435,7 +453,7 @@ def test_rds_capture_reads_the_generator_only_in_whole_blocks():
         with patch:
             rds_capture(g, RdsConfig(target_size=250), rng)
         assert used[0] > 0
-        assert rng.calls == {"random": math.ceil(used[0] / sampling._UNIFORM_BLOCK)}
+        assert rng.calls == {"random": math.ceil(used[0] / graph._UNIFORM_BLOCK)}
 
 
 _SPLIT_LAW = ((0, 0.3), (2, 0.3), (4, 0.4))
@@ -462,15 +480,15 @@ def test_a_recruit_count_is_drawn_at_the_law_boundaries(law, u, count):
 def test_pick_draws_every_ordered_pair_equally_often():
     # 20 ordered pairs of 5 items; 200,000 draws give each about 10,000, with a
     # standard deviation near 98, so a 5% band is about five deviations wide
-    draw = sampling._uniforms(np.random.default_rng(11)).__next__
-    counts = collections.Counter(tuple(sampling._pick(list(range(5)), 2, draw)) for _ in range(200_000))
+    draw = graph.uniforms(np.random.default_rng(11)).__next__
+    counts = collections.Counter(tuple(graph.pick(list(range(5)), 2, draw)) for _ in range(200_000))
     assert set(counts) == {(a, b) for a in range(5) for b in range(5) if a != b}
     assert all(abs(c - 10_000) < 500 for c in counts.values())
 
 
 def test_pick_moves_its_picks_to_the_front_of_a_permutation():
     items = list(range(9))
-    picks = sampling._pick(items, 4, sampling._uniforms(np.random.default_rng(3)).__next__)
+    picks = graph.pick(items, 4, graph.uniforms(np.random.default_rng(3)).__next__)
     assert items[:4] == picks and sorted(items) == list(range(9))
 
 
