@@ -180,7 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="apply an estimator to a sample dump")
     p.add_argument("--estimator", choices=tuple(ESTIMATORS), required=True)
     p.add_argument("--sample", required=True, help="sample dump CSV")
-    p.add_argument("--omega", type=int, default=None, help="hash space size (n2psi and n3psi only)")
+    p.add_argument("--omega", type=int, default=None,
+                   help="hash space size (n2psi and n3psi only); the correction assumes equally likely "
+                        "codes, so a telefunken dump is estimated at this nominal size and reads low")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("experiment", help="run a plan file")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -57,10 +56,14 @@ SUMMARY_COLUMNS = (
 )
 
 
+def _check_seed(seed) -> None:
+    if not (is_int(seed) and 0 <= seed < 2**64):  # derive_rng keeps 64 bits, so a wider seed would alias
+        raise ValueError(f"the master seed must be an int in [0, 2**64), got {seed!r}")
+
+
 def derive_rng(master_seed: int, *coords) -> np.random.Generator:
     """Deterministic per-run stream from the master seed, an int in [0, 2**64), and run coordinates."""
-    if not (is_int(master_seed) and 0 <= master_seed < 2**64):  # only 64 bits are kept: no aliasing
-        raise ValueError(f"the master seed must be an int in [0, 2**64), got {master_seed!r}")
+    _check_seed(master_seed)
     words = [master_seed & 0xFFFFFFFF, (master_seed >> 32) & 0xFFFFFFFF]
     for part in coords:
         if isinstance(part, np.generic):  # a numpy scalar draws the stream of the Python scalar it equals
@@ -91,7 +94,8 @@ def _blame(key: str, prefix: str = ""):
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A plan grid; every plan rule lives in ``__post_init__`` and raises ``PlanError``.
+    """A plan grid; ``__post_init__`` states only the plan's own rules, asks ``check_size``/``check_family``,
+    ``HashSpace``, ``RdsConfig`` and the seed check of ``derive_rng`` for the rest, and raises ``PlanError``.
     A plan keeps its numbers as Python floats (λ) and ints, however they were given."""
 
     families: tuple[Family, ...]
@@ -113,27 +117,17 @@ class ExperimentPlan:
             object.__setattr__(self, "families", tuple(map(Family, self.families)))
         if not self.estimators:
             raise PlanError("estimators", "at least one estimator is required")
-        for name in ("sizes", "sample_sizes"):  # HashSpace checks each omega
-            for value in getattr(self, name):
-                if not is_int(value):
-                    raise PlanError(name, f"{name} must be integers, got {value!r}")
-        for name in ("graph_replicates", "sample_replicates", "seed", "num_seeds"):
+        for r in self.sample_sizes:
+            if not is_int(r):
+                raise PlanError("sample_sizes", f"sample_sizes must be integers, got {r!r}")
+        for name in ("graph_replicates", "sample_replicates", "num_seeds"):
             if not is_int(getattr(self, name)):
                 raise PlanError(name, f"{name} must be an integer, got {getattr(self, name)!r}")
-        for lam in self.lambdas:
-            if not (is_int(lam) or isinstance(lam, (float, np.floating))):
-                raise PlanError("lambdas", f"a mean degree must be an int or a float, got {lam!r}")
-        for name in ("families", "lambdas", "sizes", "sample_sizes", "estimators", "omegas"):
-            values = getattr(self, name)
-            for i, value in enumerate(values):
-                if value in values[:i]:  # a family is shown by its plan name
-                    raise PlanError(name, f"{name} lists {getattr(value, 'value', value)!r} more than once")
+        with _blame("seed"):
+            _check_seed(self.seed)
         for name in self.estimators:
             if name not in ESTIMATORS:
                 raise PlanError("estimators", f"unknown estimator {name!r}")
-        for lam in self.lambdas:
-            if not 0 <= lam < math.inf:  # no float(): an int past its range fails check_family
-                raise PlanError("lambdas", f"a mean degree must be finite and non-negative, got {lam!r}")
         for family, n in itertools.product(self.families, self.sizes):
             with _blame("sizes", f"{family.value} graphs on {n} vertices: "):
                 check_size(family, n)
@@ -143,13 +137,16 @@ class ExperimentPlan:
         for omega in self.omegas:
             with _blame("omegas"):
                 HashSpace(omega)  # at least one code, and the codes a run draws must fit in int64
+        for name in ("families", "lambdas", "sizes", "sample_sizes", "estimators", "omegas"):
+            values = getattr(self, name)
+            for i, value in enumerate(values):
+                if value in values[:i]:  # a family is shown by its plan name
+                    raise PlanError(name, f"{getattr(value, 'value', value)!r} is listed more than once")
         for name in ("graph_replicates", "sample_replicates"):
             if getattr(self, name) < 1:
                 raise PlanError(name, "replicate counts must be >= 1")
             if getattr(self, name) > sys.maxsize:  # a run index must fit in a C ssize_t
                 raise PlanError(name, f"replicate counts must be <= {sys.maxsize}")
-        if not 0 <= self.seed < 2**64:  # derive_rng keeps 64 bits, so a wider seed would alias
-            raise PlanError("seed", f"the seed must be in [0, 2**64), got {self.seed}")
         hashed = any(name in HASHED_ESTIMATORS for name in self.estimators)
         if hashed and not self.omegas:
             raise PlanError("estimators", "hashed estimators need at least one code-space size")
@@ -164,10 +161,9 @@ class ExperimentPlan:
             if any(name in CROSS_COMPONENT_ESTIMATORS for name in self.estimators) and self.num_seeds < 2:
                 raise PlanError("num_seeds", f"cross-component estimators need num_seeds >= 2, "
                                              f"got {self.num_seeds}")
-            if self.num_seeds < 1:
-                raise PlanError("num_seeds", f"referral samples need num_seeds >= 1, got {self.num_seeds}")
-            if any(r < self.num_seeds for r in self.sample_sizes):
-                raise PlanError("sample_sizes", "sample sizes must be >= the seed count")
+            for r in self.sample_sizes:
+                with _blame("num_seeds"):
+                    RdsConfig(target_size=r, num_seeds=self.num_seeds)
         # the run streams hash each value's repr, so every value is kept as the Python number it equals
         for name, number in (("lambdas", float), ("sizes", int), ("sample_sizes", int), ("omegas", int)):
             object.__setattr__(self, name, tuple(map(number, getattr(self, name))))
@@ -389,11 +385,8 @@ def parse_plan(text: str) -> ExperimentPlan:
                 given["sample_sizes" if key == "r" else key] = _PLAN_KEYS[key](value)
         return ExperimentPlan(**given)
     except PlanError as exc:
-        key, message = exc.key, str(exc)
-        if key == "sample_sizes":  # blame the key the plan wrote
-            key = "r"
-            message = message.replace("sample_sizes lists", "r lists", 1)
-        raise ValueError(f"plan line {line_of[key]}: {key}: {message}") from None
+        key = "r" if exc.key == "sample_sizes" else exc.key  # blame the key the plan wrote
+        raise ValueError(f"plan line {line_of[key]}: {key}: {exc}") from None
 
 
 def load_plan(path) -> ExperimentPlan:

@@ -48,7 +48,8 @@ class RdsConfig:
         if self.target_size < 1:
             raise ValueError("target size must be >= 1")
         if not 1 <= self.num_seeds <= self.target_size:
-            raise ValueError("need 1 <= num_seeds <= target_size")
+            raise ValueError(f"need between 1 and {self.target_size} seeds for {self.target_size} subjects, "
+                             f"got {self.num_seeds}")
         if not self.recruit_law:
             raise ValueError("recruit law must have at least one outcome")
         if not all(0 <= p <= 1 for _, p in self.recruit_law):  # NaN fails too

@@ -140,6 +140,15 @@ def test_sample_telefunken_rejects_omega_off_the_powers_of_four(tmp_path, capsys
     assert captured.err == "error: telefunken mode needs size == 4**digits\n"
 
 
+def test_estimate_help_says_a_telefunken_dump_reads_low(capsys):
+    # the ψ correction assumes equally likely codes, which telefunken codes are not
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--help"])
+    assert exc.value.code == 0
+    shown = " ".join(capsys.readouterr().out.split())
+    assert "a telefunken dump is estimated at this nominal size and reads low" in shown
+
+
 @pytest.mark.parametrize("mode", ["telefunken", "injective", "random"])
 def test_sample_hash_mode_needs_omega(tmp_path, capsys, mode):
     edges = _generate_edges(tmp_path, n=60)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from netsize.estimators import EstimateResult, FailureCause
 from netsize import harness
-from netsize.generators import Family
+from netsize.generators import Family, check_family, check_size
+from netsize.graph import MAX_VERTICES
 from netsize.hashing import HashMode, HashSpace
 from netsize.harness import (
     ExperimentPlan,
@@ -123,14 +125,15 @@ def test_plan_validation():
 def test_plan_rejects_a_repeated_value(field, values, shown):
     base = dict(families=(Family.ERDOS_RENYI,), lambdas=(6.0,), sizes=(120,), sample_sizes=(30,),
                 estimators=("n2", "n2psi"), omegas=(500,))
-    with pytest.raises(ValueError, match=f"^{field} lists {re.escape(shown)}"):
+    with pytest.raises(PlanError, match=f"^{re.escape(shown)} is listed more than once$") as caught:
         ExperimentPlan(**{**base, field: values})
+    assert caught.value.key == field
 
 
 @pytest.mark.parametrize("field, values, message", [
-    ("lambdas", (3.0, float("nan")), "a mean degree must be finite and non-negative, got nan"),
-    ("lambdas", (-0.5,), "a mean degree must be finite and non-negative, got -0.5"),
-    ("lambdas", (float("-inf"),), "a mean degree must be finite and non-negative, got -inf"),
+    ("lambdas", (3.0, float("nan")), "er graphs on 100 vertices: mean degree must be finite, got nan"),
+    ("lambdas", (-0.5,), "er graphs on 100 vertices: mean degree must lie in [0, n-1], got -0.5"),
+    ("lambdas", (float("-inf"),), "er graphs on 100 vertices: mean degree must be finite, got -inf"),
     ("omegas", (512, -5), "hash space must contain at least one code, got -5"),
     pytest.param("lambdas", (10**400,), f"er graphs on 100 vertices: mean degree must lie in [0, n-1], "
                  f"got {10**400}", id="lambdas-10**400"),
@@ -143,6 +146,34 @@ def test_experiment_plan_rejects_out_of_range_lambdas_and_omegas(field, values, 
     with pytest.raises(PlanError, match="^" + re.escape(message) + "$") as caught:
         ExperimentPlan(**{**base, field: values})
     assert caught.value.key == field
+
+
+def _raised(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return exc
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(Family),
+       lam=st.one_of(st.integers(-5, 200), st.floats(-5, 200), st.sampled_from([math.nan, math.inf, -math.inf]),
+                     st.booleans(), st.text(max_size=3), st.integers(2**1024, 2**1100)),
+       n=st.one_of(st.integers(-3, 300), st.floats(-3, 300), st.booleans(),
+                   st.sampled_from([0, 1, MAX_VERTICES, MAX_VERTICES + 1, 10**20])))
+def test_a_plan_rejects_a_graph_exactly_when_its_owner_does(family, lam, n):
+    # the plan states no rule of its own on λ or n: it reports the owner's message and blames sizes for check_size
+    owner = _raised(check_family, family, lam, n)
+    with_size = _raised(check_size, family, n)
+    try:
+        ExperimentPlan(families=(family,), lambdas=(lam,), sizes=(n,), sample_sizes=(1,), estimators=("n1",))
+    except PlanError as exc:
+        assert owner is not None
+        assert exc.key == ("sizes" if with_size else "lambdas")
+        assert str(exc) == f"{family.value} graphs on {n} vertices: {owner}"
+    else:
+        assert owner is None
 
 
 @pytest.mark.parametrize("family, lam, n, message", [
@@ -268,19 +299,24 @@ def _tiny(**changes):
 
 
 @pytest.mark.parametrize("build, key, message", [
-    (lambda: _tiny(seed=1.5), "seed", "seed must be an integer, got 1.5"),
-    (lambda: _tiny(seed=True), "seed", "seed must be an integer, got True"),
+    (lambda: _tiny(seed=1.5), "seed", "the master seed must be an int in [0, 2**64), got 1.5"),
+    (lambda: _tiny(seed=True), "seed", "the master seed must be an int in [0, 2**64), got True"),
     (lambda: _tiny(graph_replicates=1.5), "graph_replicates", "graph_replicates must be an integer, got 1.5"),
     (lambda: _tiny(sample_replicates=True), "sample_replicates", "sample_replicates must be an integer, got True"),
     (lambda: _tiny(num_seeds=2.0), "num_seeds", "num_seeds must be an integer, got 2.0"),
-    (lambda: _tiny(sizes=(50.0,)), "sizes", "sizes must be integers, got 50.0"),
+    (lambda: _tiny(sizes=(50.0,)), "sizes",
+     "er graphs on 50.0 vertices: vertex count must be an integer, got 50.0"),
     (lambda: _tiny(sample_sizes=(10.0,)), "sample_sizes", "sample_sizes must be integers, got 10.0"),
     (lambda: _tiny(estimators=("n2psi",), omegas=(True,)), "omegas", "hash space size must be an integer, got True"),
-    (lambda: _tiny(lambdas=(True,)), "lambdas", "a mean degree must be an int or a float, got True"),
-    (lambda: _tiny(lambdas=("6",)), "lambdas", "a mean degree must be an int or a float, got '6'"),
+    (lambda: _tiny(lambdas=(True,)), "lambdas",
+     "er graphs on 120 vertices: a mean degree must be an int or a float, got True"),
+    (lambda: _tiny(lambdas=("6",)), "lambdas",
+     "er graphs on 120 vertices: a mean degree must be an int or a float, got '6'"),
     (lambda: RdsConfig(target_size=2.5, num_seeds=1), None, "target_size must be an integer, got 2.5"),
     (lambda: RdsConfig(target_size=True, num_seeds=1), None, "target_size must be an integer, got True"),
     (lambda: RdsConfig(target_size=5, num_seeds=2.0), None, "num_seeds must be an integer, got 2.0"),
+    (lambda: RdsConfig(target_size=10, num_seeds=0), None,
+     "need between 1 and 10 seeds for 10 subjects, got 0"),
     (lambda: RdsConfig(target_size=10, recruit_law=((True, 1.0),)), None,
      "recruit counts must be integers >= 0, got ((True, 1.0),)"),
     (lambda: HashSpace(2.5), None, "hash space size must be an integer, got 2.5"),
@@ -451,26 +487,27 @@ _VALID_PLAN = "families = er\nlambdas = 3\nsizes = 100\nr = 10\nestimators = n1\
     ("sizes = 1e3", "plan line 6: sizes: invalid literal for int"),
     ("graph_replicates = two", "plan line 6: graph_replicates: invalid literal for int"),
     ("seed =", "plan line 6: seed: invalid literal for int"),
-    ("seed = -5", "plan line 6: seed: the seed must be in [0, 2**64), got -5"),
+    ("seed = -5", "plan line 6: seed: the master seed must be an int in [0, 2**64), got -5"),
     ("seed = 18446744073709551616",
-     "plan line 6: seed: the seed must be in [0, 2**64), got 18446744073709551616"),
+     "plan line 6: seed: the master seed must be an int in [0, 2**64), got 18446744073709551616"),
     ("omegas = 2000, 3.5", "plan line 6: omegas: invalid literal for int"),
     ("families = er, marslink", "plan line 6: families: unknown family 'marslink'"),
-    ("lambdas = nan", "plan line 6: lambdas: a mean degree must be finite and non-negative, got nan"),
-    ("lambdas = -3", "plan line 6: lambdas: a mean degree must be finite and non-negative, got -3.0"),
-    ("lambdas = 3, inf", "plan line 6: lambdas: a mean degree must be finite and non-negative, got inf"),
+    ("lambdas = nan", "plan line 6: lambdas: er graphs on 100 vertices: mean degree must be finite, got nan"),
+    ("lambdas = -3",
+     "plan line 6: lambdas: er graphs on 100 vertices: mean degree must lie in [0, n-1], got -3.0"),
+    ("lambdas = 3, inf", "plan line 6: lambdas: er graphs on 100 vertices: mean degree must be finite, got inf"),
     ("omegas = -5", "plan line 6: omegas: hash space must contain at least one code, got -5"),
     ("omegas = 99999999999999999999",
      "plan line 6: omegas: hash space must contain at most 2**63 codes, got 99999999999999999999"),
     ("estimators = n9", "plan line 6: estimators: unknown estimator 'n9'"),
-    ("estimators = n2, n2", "plan line 6: estimators: estimators lists 'n2' more than once"),
+    ("estimators = n2, n2", "plan line 6: estimators: 'n2' is listed more than once"),
     ("estimators = n2psi", "plan line 6: estimators: hashed estimators need at least one code-space size"),
     ("sizes = 1", "plan line 6: sizes: er graphs on 1 vertices: need at least two vertices"),
-    ("sizes = 100, 100", "plan line 6: sizes: sizes lists 100 more than once"),
+    ("sizes = 100, 100", "plan line 6: sizes: 100 is listed more than once"),
     ("r = 101", "plan line 6: r: sample sizes must not exceed the smallest population"),
     ("r = 0", "plan line 6: r: sample sizes must be >= 1, got 0"),
     ("r = -3", "plan line 6: r: sample sizes must be >= 1, got -3"),
-    ("r = 10, 10", "plan line 6: r: r lists 10 more than once"),
+    ("r = 10, 10", "plan line 6: r: 10 is listed more than once"),
     ("sample_replicates = 0", "plan line 6: sample_replicates: replicate counts must be >= 1"),
     ("sample_replicates = 9223372036854775808",
      "plan line 6: sample_replicates: replicate counts must be <= 9223372036854775807"),
@@ -500,7 +537,9 @@ def test_parse_plan_names_the_later_line_of_a_repeated_key(lines, message):
 
 @pytest.mark.parametrize("text, message", [
     (_VALID_PLAN.replace("n1", "n2") + "num_seeds = 0",
-     "plan line 6: num_seeds: referral samples need num_seeds >= 1, got 0"),
+     "plan line 6: num_seeds: need between 1 and 10 seeds for 10 subjects, got 0"),
+    (_VALID_PLAN.replace("n1", "n2") + "num_seeds = 11",
+     "plan line 6: num_seeds: need between 1 and 10 seeds for 10 subjects, got 11"),
     (_VALID_PLAN.replace("n1", "n1, n3") + "num_seeds = 1",
      "plan line 6: num_seeds: cross-component estimators need num_seeds >= 2, got 1"),
     (_VALID_PLAN.replace("n1", "n2, n3psi") + "omegas = 50\nnum_seeds = 1",
@@ -529,8 +568,9 @@ def test_a_plan_error_names_its_field_and_keeps_its_message():
     with pytest.raises(PlanError, match="^unknown family 'marslink'") as caught:
         ExperimentPlan(families=("marslink",), **grid)
     assert caught.value.key == "families"
-    with pytest.raises(PlanError, match="^families lists 'er' more than once$"):
+    with pytest.raises(PlanError, match="^'er' is listed more than once$") as caught:
         ExperimentPlan(families=("er", Family.ERDOS_RENYI), **grid)
+    assert caught.value.key == "families"
 
 
 def test_two_seeds_are_enough_for_the_cross_component_estimators():
