@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .graph import is_int
+from .graph import check_int, is_int
 from .sampling import Counts, Sample
 
 BRACKET_CEILING = 1e12
@@ -144,8 +144,7 @@ def m_hat(hs: Sample, n_prime: float, omega: float) -> float:
 def x_hat(hs: Sample, component_label: int, n_prime: float, omega: float) -> float:
     """Expected true cross-component match mass for one referral component."""
     _check_n_prime(n_prime)
-    if not is_int(component_label):
-        raise ValueError(f"a component label must be an integer, got {component_label!r}")
+    check_int(component_label, "a component label")
     index = np.flatnonzero(hs.counts.labels == component_label)
     if not len(index):
         raise ValueError(f"no referral component labelled {component_label}")

@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import (INT64_MAX, MAX_VERTICES, MultiGraph, degree_sums_fit, flat_ids, is_int, mean_local_clustering,
-                    pick, stable_order, triangle_counts, uniforms)
+from .graph import (INT64_MAX, MAX_VERTICES, MultiGraph, check_int, degree_sums_fit, flat_ids, is_int,
+                    mean_local_clustering, pick, stable_order, triangle_counts, uniforms)
 
 
 def sample_degrees(family: Family, lam: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -348,10 +348,9 @@ _CONFIG_FAMILIES = (Family.CONFIG_LOGNORMAL, Family.CONFIG_POISSON, Family.CONFI
 
 
 def check_size(family: Family, n: int) -> None:
-    """The rules on ``n`` alone of ``check_family`` (``ba``'s n > lam involves the mean degree)."""
+    """The rules on ``n`` alone of ``check_family``; ``ba``'s 2 <= lam < n leaves it a floor of three vertices."""
     family = Family(family)
-    if not is_int(n):
-        raise ValueError(f"vertex count must be an integer, got {n!r}")
+    check_int(n, "vertex count")
     if n > MAX_VERTICES:  # checked before any draw sized by n
         raise ValueError(f"graphs need n <= {MAX_VERTICES}, got {n}")
     if family is Family.ERDOS_RENYI:
@@ -359,6 +358,8 @@ def check_size(family: Family, n: int) -> None:
             raise ValueError("need at least two vertices")
         if n > _MAX_ER_N:
             raise ValueError(f"Erdos-Renyi graphs need n <= {_MAX_ER_N}, got {n}")
+    elif family is Family.BARABASI_ALBERT and n < 3:
+        raise ValueError("need at least three vertices")
     elif family in _CONFIG_FAMILIES and n < 1:
         raise ValueError("need at least one vertex")
 

@@ -10,10 +10,10 @@ Every bag is a ``collections.Counter``: ``+`` pools, ``&`` intersects and
 ``total()`` is the cardinality the estimators divide.
 
 This module also owns the rules that other modules share: the int64 rules
-(``is_int``, ``vertex_ids``, ``flat_ids``, ``degree_sums_fit``), the rank
-tables up to ``TABLE_MIN`` (``unique_inverse``, ``lookup``), and the index
-draws that the referral capture and the rewiring share (``uniforms``,
-``pick``).
+(``is_int``, ``check_int``, ``vertex_ids``, ``flat_ids``,
+``degree_sums_fit``), the rank tables up to ``TABLE_MIN`` (``unique_inverse``,
+``lookup``), and the index draws that the referral capture and the rewiring
+share (``uniforms``, ``pick``).
 """
 
 from __future__ import annotations
@@ -32,6 +32,12 @@ MAX_VERTICES = 3_037_000_499  # isqrt(INT64_MAX): keys source * n + target fit i
 def is_int(value) -> bool:
     """Whether ``value`` is an int or a numpy integer; a bool is neither here."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_int(value, what: str) -> None:
+    """Raise ``ValueError`` naming ``what`` unless ``value`` passes ``is_int``."""
+    if not is_int(value):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def vertex_ids(values: Iterable | np.ndarray, what: str) -> np.ndarray:
@@ -185,8 +191,7 @@ class MultiGraph:
     __slots__ = ("n", "edge_array", "_offsets", "_targets", "_degrees")
 
     def __init__(self, n: int, edges: Iterable[Edge] | np.ndarray):
-        if not is_int(n):
-            raise ValueError(f"vertex count must be an integer, got {n!r}")
+        check_int(n, "vertex count")
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         if n > MAX_VERTICES:

@@ -27,7 +27,7 @@ from .estimators import EstimateResult, estimate_n2, estimate_n2_hashed, estimat
 # ESTIMATORS and perfbench/spans.py use the old name; ROADMAP item 12 removes the alias
 from .estimators import estimate_n1 as estimate_n1_from_view
 from .generators import Family, check_family, check_size, sample_graph
-from .graph import is_int
+from .graph import check_int, is_int
 from .hashing import HashSpace, assign_hashes, hashed_view
 from .ingest import open_text, open_written
 from .sampling import RdsConfig, as_sample_view, rds_capture, uniform_sample
@@ -117,12 +117,12 @@ class ExperimentPlan:
             object.__setattr__(self, "families", tuple(map(Family, self.families)))
         if not self.estimators:
             raise PlanError("estimators", "at least one estimator is required")
-        for r in self.sample_sizes:
-            if not is_int(r):
-                raise PlanError("sample_sizes", f"sample_sizes must be integers, got {r!r}")
+        with _blame("sample_sizes"):
+            for r in self.sample_sizes:
+                check_int(r, "a sample size")
         for name in ("graph_replicates", "sample_replicates", "num_seeds"):
-            if not is_int(getattr(self, name)):
-                raise PlanError(name, f"{name} must be an integer, got {getattr(self, name)!r}")
+            with _blame(name):
+                check_int(getattr(self, name), name)
         with _blame("seed"):
             _check_seed(self.seed)
         for name in self.estimators:
@@ -262,8 +262,7 @@ def _run_graph_task(args: tuple[ExperimentPlan, Family, float, int, int]) -> lis
 
 def run_plan(plan: ExperimentPlan, workers: int = 1) -> tuple[list[RawRow], list[SummaryRow]]:
     """Execute every run of the plan on ``workers`` >= 1 processes; output is independent of their count."""
-    if not is_int(workers):
-        raise ValueError(f"workers must be an integer, got {workers!r}")
+    check_int(workers, "workers")
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     grid = itertools.product(plan.families, plan.lambdas, plan.sizes, range(plan.graph_replicates))

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .estimators import estimate_n2_hashed, estimate_n3_hashed  # noqa: F401  perfbench calls them here
-from .graph import flat_ids, is_int
+from .graph import check_int, flat_ids
 from .sampling import Sample
 
 
@@ -44,8 +44,7 @@ class HashSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", HashMode(self.mode))
-        if not is_int(self.size):
-            raise ValueError(f"hash space size must be an integer, got {self.size!r}")
+        check_int(self.size, "hash space size")
         if self.size < 1:
             raise ValueError(f"hash space must contain at least one code, got {self.size}")
         if self.size > 2**63:  # every code in [0, size) is an int64
@@ -63,8 +62,7 @@ class HashSpace:
 
 def telefunken_encode(digits: str, k: int) -> int:
     """Encode the last k digits (last to first) as parity/low-high bit pairs."""
-    if not is_int(k):
-        raise ValueError(f"digit count must be an integer, got {k!r}")
+    check_int(k, "digit count")
     if not 1 <= k <= 31:  # 4**31 is the largest telefunken space with int64 codes
         raise ValueError(f"need 1 to 31 digits, got {k}")
     if len(digits) < k:
@@ -82,8 +80,7 @@ def _phone_codes(d: np.ndarray) -> np.ndarray:
 
 def assign_hashes(n: int, space: HashSpace, rng: np.random.Generator) -> np.ndarray:
     """Assign one code per identity 0..n-1 under the space's rule."""
-    if not is_int(n):
-        raise ValueError(f"identity count must be an integer, got {n!r}")
+    check_int(n, "identity count")
     if n < 0:
         raise ValueError(f"identity count must be non-negative, got {n}")
     if space.mode is HashMode.RANDOM_FUNCTION:

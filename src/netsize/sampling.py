@@ -25,8 +25,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .graph import (INT64_MAX, INT64_MIN, Edge, MultiGraph, degree_sums_fit, flat_ids, is_int, lookup, pick,
-                    uniforms, unique_inverse)
+from .graph import (INT64_MAX, INT64_MIN, Edge, MultiGraph, check_int, degree_sums_fit, flat_ids, is_int,
+                    lookup, pick, uniforms, unique_inverse)
 from .ingest import comment_lines, open_text, open_written
 
 DEFAULT_RECRUIT_LAW = ((2, 0.9), (1, 0.1))
@@ -43,8 +43,7 @@ class RdsConfig:
 
     def __post_init__(self):
         for name in ("target_size", "num_seeds"):
-            if not is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            check_int(getattr(self, name), name)
         if self.target_size < 1:
             raise ValueError("target size must be >= 1")
         if not 1 <= self.num_seeds <= self.target_size:
@@ -113,8 +112,7 @@ class Sample:
         if offsets is None:
             bags = [Counter(bag) for bag in alters]
             for count in (count for bag in bags for count in bag.values()):
-                if not is_int(count):
-                    raise ValueError(f"alter_codes multiplicities must be integers, got {count!r}")
+                check_int(count, "an alter_codes multiplicity")
             bags = [+bag for bag in bags]  # unary + drops counts below 1
             sizes = [sum(map(int, bag.values())) for bag in bags]
             if sum(sizes) > INT64_MAX:  # the offsets' range
@@ -337,8 +335,7 @@ def _first_appearance(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def uniform_sample(g: MultiGraph, r: int, rng: np.random.Generator) -> tuple[int, ...]:
     """A uniformly random r-subset of the vertices, without replacement."""
-    if not is_int(r):
-        raise ValueError(f"sample size must be an integer, got {r!r}")
+    check_int(r, "sample size")
     if not 0 <= r <= g.n:
         raise ValueError(f"cannot sample {r} vertices from {g.n}")
     if r == 0:

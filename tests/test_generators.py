@@ -876,6 +876,8 @@ def test_a_mean_degree_the_family_cannot_generate_is_rejected_before_drawing(fam
 
 @pytest.mark.parametrize("family, n, message", [
     (Family.ERDOS_RENYI, 1, "need at least two vertices"),
+    (Family.BARABASI_ALBERT, 2, "need at least three vertices"),
+    (Family.BARABASI_ALBERT, -4, "need at least three vertices"),
     (Family.ERDOS_RENYI, 2**31, "Erdos-Renyi graphs need n <= 2147483647, got 2147483648"),
     (Family.CONFIG_POISSON, 0, "need at least one vertex"),
     (Family.CONFIG_LOGNORMAL, -4, "need at least one vertex"),

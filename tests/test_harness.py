@@ -176,6 +176,27 @@ def test_a_plan_rejects_a_graph_exactly_when_its_owner_does(family, lam, n):
         assert owner is None
 
 
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(Family),
+       n=st.one_of(st.integers(-3, 300), st.sampled_from([MAX_VERTICES, MAX_VERTICES + 1])))
+def test_check_size_is_exactly_the_rules_of_check_family_on_n_alone(family, n):
+    # a size check_size accepts fits some mean degree, so a plan that fails on λ blames lambdas rightly
+    witness = {Family.BARABASI_ALBERT: 2, Family.ERDOS_RENYI: 0}.get(family, 2.0)
+    with_size = _raised(check_size, family, n)
+    owner = _raised(check_family, family, witness, n)
+    if with_size:
+        assert str(owner) == str(with_size)
+    else:
+        assert owner is None
+
+
+@pytest.mark.parametrize("n", [-4, 0, 1, 2])
+def test_a_plan_blames_sizes_for_a_ba_size_below_three(n):
+    message = f"plan line 3: sizes: ba graphs on {n} vertices: need at least three vertices"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        parse_plan(f"families = ba\nlambdas = 3\nsizes = {n}\nr = 1\nestimators = n1\n")
+
+
 @pytest.mark.parametrize("family, lam, n, message", [
     ("ba", "0.5", "100", "ba graphs on 100 vertices: mean degree must be >= 2, got 0.5"),
     ("ba", "3", "3", "ba graphs on 3 vertices: need n > lam, got n=3, lam=3.0"),
@@ -306,7 +327,7 @@ def _tiny(**changes):
     (lambda: _tiny(num_seeds=2.0), "num_seeds", "num_seeds must be an integer, got 2.0"),
     (lambda: _tiny(sizes=(50.0,)), "sizes",
      "er graphs on 50.0 vertices: vertex count must be an integer, got 50.0"),
-    (lambda: _tiny(sample_sizes=(10.0,)), "sample_sizes", "sample_sizes must be integers, got 10.0"),
+    (lambda: _tiny(sample_sizes=(10.0,)), "sample_sizes", "a sample size must be an integer, got 10.0"),
     (lambda: _tiny(estimators=("n2psi",), omegas=(True,)), "omegas", "hash space size must be an integer, got True"),
     (lambda: _tiny(lambdas=(True,)), "lambdas",
      "er graphs on 120 vertices: a mean degree must be an int or a float, got True"),

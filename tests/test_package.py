@@ -50,6 +50,20 @@ def test_every_module_level_name_is_used_or_exported():
     assert unused == []
 
 
+def test_each_name_excused_for_the_benchmark_is_still_called_by_it():
+    workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    called = {node.func.attr for node in ast.walk(ast.parse(workloads.read_text()))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert CALLED_BY_THE_BENCHMARK - called == set()
+
+
+def test_only_graph_words_the_integer_rule():
+    # graph.check_int raises "<what> must be an integer, got <value>" for every module
+    wording = {path.stem for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str) and "must be an integer" in node.value}
+    assert wording == {"graph"}
+
+
 def test_hashing_imports_no_private_name_of_estimators():
     # the benchmark calls these two through hashing; the rest of the ψ math is imported from estimators
     tree = ast.parse(Path(netsize.__file__).resolve().parent.joinpath("hashing.py").read_text())

@@ -1002,7 +1002,7 @@ def test_sample_rejects_a_column_that_is_not_flat_ints(name, bad, message):
 
 @pytest.mark.parametrize("count", [2.7, np.float64(2.0), True], ids=["float", "np.float64", "bool"])
 def test_sample_rejects_a_bag_count_that_is_not_an_int(count):
-    message = f"alter_codes multiplicities must be integers, got {count!r}"
+    message = f"an alter_codes multiplicity must be an integer, got {count!r}"
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         Sample(codes=(5,), degrees=(3,), alter_codes=({5: count},), components=(0,))
     bags = (collections.Counter({5: np.int64(2), 6: 0}),)  # a count below 1 adds nothing
