@@ -11,7 +11,9 @@ estimators' harmonic means need degrees >= 1).
 from __future__ import annotations
 
 import io
+import os
 import re
+import stat
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,11 +67,37 @@ def open_text(path, where: str = "{path}:{line}", newline: Optional[str] = None)
                          f"is not UTF-8 ({exc.reason})") from None
 
 
-def open_written(path, newline: Optional[str] = None) -> TextIO:
+@contextmanager
+def open_written(path, newline: Optional[str] = None) -> Iterator[TextIO]:
     """``path`` opened to write UTF-8 text whatever the locale, as every reader
     decodes UTF-8.  A lone surrogate, which is how ``sys.argv`` carries a byte
-    of a path that the locale cannot decode, is written back as that byte."""
-    return open(path, "w", encoding="utf-8", errors="surrogateescape", newline=newline)
+    of a path that the locale cannot decode, is written back as that byte.
+
+    An existing regular file is rewritten in place: on exit, whether the body
+    returned or raised, it is cut to exactly the bytes written.  Before the
+    body runs it is shrunk to one byte, so a write cut short never leaves old
+    rows behind new ones.  One byte, not zero: ext4 (``auto_da_alloc``), xfs
+    and btrfs flush a file truncated to zero when it is closed, which made a
+    rewrite cost several times the write.  Any other target, such as
+    ``os.devnull`` or a pipe, is written as ``open(path, "w")`` writes it.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        info = os.fstat(fd)
+        regular = stat.S_ISREG(info.st_mode)
+        if regular and info.st_size > 1:
+            os.ftruncate(fd, 1)
+        fh = open(fd, "w", encoding="utf-8", errors="surrogateescape", newline=newline)
+    except BaseException:
+        os.close(fd)
+        raise
+    with fh:
+        try:
+            yield fh
+        finally:
+            if regular:
+                fh.flush()
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 _EDGE_BYTES = b"0123456789- \t\n"  # every byte the numpy parse takes outside a comment line

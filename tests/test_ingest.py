@@ -1,7 +1,12 @@
+import errno
+import io
 import itertools
+import os
 import re
+import stat
 import tempfile
 import warnings
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netsize import graph, ingest
+from netsize import cli, graph, harness, ingest, sampling
 from netsize.cli import main
 from netsize.generators import Family, rewire_to_clustering, sample_graph
 from netsize.graph import INT64_MAX, INT64_MIN, MultiGraph, triangle_counts
@@ -563,3 +568,149 @@ def test_the_relabel_maps_ids_at_both_int64_ends_in_sorted_order(tmp_path, lines
     place = {x: i for i, x in enumerate(ids)}
     assert id_map == place
     assert g.edge_array.tolist() == [sorted((place[u], place[v])) for u, v in lines]
+
+
+# Every output file goes through ``ingest.open_written``, as each writer's module names it.
+WRITERS = ["sample dump", "csv", "edge list", "id map"]
+
+
+@pytest.fixture(scope="module")
+def writers(tmp_path_factory):
+    """Each writer as (the module whose ``open_written`` it calls, a call that writes ``path``)."""
+    g = sample_graph(Family.ERDOS_RENYI, 3.0, 40, np.random.default_rng(1))
+    edges = tmp_path_factory.mktemp("writers") / "edges.txt"
+    edges.write_text("".join(f"{u} {v}\n" for u, v in g.edge_array.tolist()))
+
+    def id_map(path):
+        """``netsize ingest --id-map``; the error it prints is raised again as an ``OSError``."""
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["ingest", "--edges", str(edges), "--id-map", os.fsdecode(path)])
+        if code:
+            printed = err.getvalue()
+            assert printed.startswith("error: ") and printed.endswith("\n"), printed
+            raise OSError(printed[len("error: "):-1])
+
+    return {
+        "sample dump": (sampling, lambda path: sampling.write_sample_dump(
+            sampling.as_sample_view(g, range(12)), path, header_comment="a dump")),
+        "csv": (harness, lambda path: harness.write_csv(["a,b", "1,2", "3,4"], path)),
+        "edge list": (ingest, lambda path: write_edge_list(g, path, comments=["an edge list"])),
+        "id map": (cli, id_map),
+    }
+
+
+def _fresh(write, tmp_path):
+    """The bytes ``write`` puts in a file that did not exist."""
+    path = tmp_path / "fresh"
+    write(path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("old", ["longer", "shorter", "one byte", "empty"])
+@pytest.mark.parametrize("name", WRITERS)
+def test_a_rewritten_file_holds_what_a_fresh_write_holds(writers, tmp_path, name, old):
+    write = writers[name][1]
+    fresh = _fresh(write, tmp_path)
+    size = {"longer": 2 * len(fresh) + 5, "shorter": len(fresh) // 2, "one byte": 1, "empty": 0}[old]
+    path = tmp_path / "out"
+    path.write_bytes(b"\xff" * size)  # a byte no writer writes
+    write(path)
+    assert path.read_bytes() == fresh
+
+
+class _CutShort:
+    """A written file that takes ``budget`` characters, then fails as a full disk does."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget = fh, budget
+
+    def write(self, text):
+        self.fh.write(text[:self.budget])
+        if len(text) > self.budget:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.budget -= len(text)
+        return len(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+@pytest.mark.parametrize("share", [0, 0.5])
+@pytest.mark.parametrize("name", WRITERS)
+def test_a_write_cut_short_leaves_exactly_the_bytes_written(writers, tmp_path, monkeypatch, name, share):
+    module, write = writers[name]
+    fresh = _fresh(write, tmp_path)
+    budget = int(len(fresh) * share)
+    opened = ingest.open_written
+
+    @contextmanager
+    def cut_short(path, newline=None):
+        with opened(path, newline=newline) as fh:
+            yield _CutShort(fh, budget)
+
+    path = tmp_path / "out"
+    path.write_bytes(b"\xff" * (len(fresh) + 100))
+    monkeypatch.setattr(module, "open_written", cut_short)
+    with pytest.raises(OSError, match="No space left on device"):
+        write(path)
+    assert path.read_bytes() == fresh[:budget]
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_a_writer_writes_through_a_symlink(writers, tmp_path, name):
+    write = writers[name][1]
+    fresh = _fresh(write, tmp_path)
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_bytes(b"\xff" * (len(fresh) + 100))
+    link.symlink_to(target)
+    write(link)
+    assert link.is_symlink() and link.readlink() == target
+    assert target.read_bytes() == fresh
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0])
+@pytest.mark.parametrize("name", WRITERS)
+def test_a_new_file_gets_the_mode_open_gives_it(writers, tmp_path, name, umask):
+    before = os.umask(umask)
+    try:
+        writers[name][1](tmp_path / "new")
+        open(tmp_path / "by open", "w").close()
+    finally:
+        os.umask(before)
+    mode = stat.S_IMODE((tmp_path / "new").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "by open").stat().st_mode) == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_a_writer_writes_to_the_null_device(writers, name):
+    writers[name][1](os.devnull)
+
+
+@pytest.mark.parametrize("target", ["a directory", "a missing parent"])
+@pytest.mark.parametrize("name", WRITERS)
+def test_a_writer_fails_as_open_does(writers, tmp_path, name, target):
+    path = tmp_path if target == "a directory" else tmp_path / "missing" / "out"
+    with pytest.raises(OSError) as expected:
+        open(path, "w")
+    with pytest.raises(OSError) as got:
+        writers[name][1](path)
+    assert str(got.value) == str(expected.value)
+
+
+def test_rewriting_a_dump_never_truncates_it_to_zero(writers, tmp_path, monkeypatch):
+    """A file truncated to zero is flushed to disk when it is closed, which made
+    each rewrite cost several times the write itself."""
+    write = writers["sample dump"][1]
+    path = tmp_path / "dump.csv"
+    write(path)
+    size = path.stat().st_size
+    opened, cut = [], []
+    real_open, real_ftruncate = os.open, os.ftruncate
+    monkeypatch.setattr(ingest.os, "open", lambda file, flags, *args, **kwargs:
+                        opened.append(flags) or real_open(file, flags, *args, **kwargs))
+    monkeypatch.setattr(ingest.os, "ftruncate", lambda fd, length: cut.append(length) or real_ftruncate(fd, length))
+    write(path)
+    assert len(opened) == 1 and not opened[0] & os.O_TRUNC
+    assert cut == [1, size] and path.stat().st_size == size

@@ -2,6 +2,8 @@
 module-level name that nothing uses."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import netsize
@@ -117,3 +119,16 @@ def test_every_dispatch_table_entry_is_its_estimator_in_estimators():
     for name, (function, _) in harness.ESTIMATORS.items():
         assert getattr(harness, function) is expected[name]
         assert getattr(cli, function) is expected[name]
+
+
+def test_a_failing_hypothesis_test_reports_as_one_failure(tmp_path):
+    """Under the repo's pytest config, where every warning is an error, a
+    falsifying example is reported as a failure, not an ``INTERNALERROR``."""
+    (tmp_path / "test_falsified.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_falsified(x):\n    assert x < 1\n")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = subprocess.run([sys.executable, "-m", "pytest", "-c", str(config), "-p", "no:cacheprovider",
+                           "test_falsified.py"], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "1 failed" in done.stdout and "INTERNALERROR" not in done.stdout + done.stderr
