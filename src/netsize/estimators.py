@@ -202,11 +202,11 @@ def _solve_fixed_point(f: Callable[[float], float], sample_size: int) -> Optiona
 def _fixed_point(numerator: float, mass: np.ndarray, counts: Counts, omega: Optional[float],
                  size: int) -> EstimateResult:
     """n' = numerator / m(n'): m is mass.sum() in plaintext (omega None), else the expected true mass."""
+    # n3's numerator is zero when every component with free ends faces a complement of mean degree 1
+    if numerator <= 0:
+        return EstimateResult.failure(FailureCause.DEGENERATE_DEGREES)
     if omega is None:
-        # n3's numerator is zero when every component with free ends faces a complement of mean degree 1
-        value = numerator / mass.sum()
-        return EstimateResult.success(value) if value > 0 else \
-            EstimateResult.failure(FailureCause.DEGENERATE_DEGREES)
+        return EstimateResult.success(numerator / mass.sum())
 
     m_of = _true_mass_of(counts, mass, omega)
 

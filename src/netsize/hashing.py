@@ -13,7 +13,7 @@ number contributes a (parity, low/high) bit pair, giving a 2k-bit code.
 The four pairs are not equally likely (0.3, 0.2, 0.2, 0.3), but the ψ
 correction assumes they are: a ψ estimate of telefunken codes, such as
 ``netsize estimate --omega 4096`` on a telefunken dump, uses the nominal
-ω and reads low, about 24% for n2ψ at k = 6 and about 9% for n3ψ at k = 7.
+ω and reads low (the README gives the measured figures).
 """
 
 from __future__ import annotations

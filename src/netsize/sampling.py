@@ -18,7 +18,6 @@ cross-component matches once, in numpy (``Sample.counts``).
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
@@ -77,7 +76,7 @@ class ReferralForest:
     seed_of: dict[int, int] = field(compare=False)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class Sample:
     """A captured sample as columns: everything the estimators may see.
 
@@ -85,12 +84,10 @@ class Sample:
     row of subject i's recruiter, an earlier row of the same component, or
     -1 for a seed (the default for every row).  Row i's alter codes are
     ``alter_codes[alter_offsets[i]:alter_offsets[i + 1]]``, which construction
-    sorts.  Without ``alter_offsets``, ``alter_codes`` is one bag per row: a sequence
-    of codes or a ``Counter`` of code -> count, where a count below 1 adds nothing and
-    the counts of all bags sum to at most 2**63 - 1.  Each column must be a flat sequence
-    of ints, and each count an int: a float, a bool or a nested column is rejected, never
-    truncated.  As in a dump, a reported degree is non-negative and at least its row's
-    alter count, and the reported degrees sum to at most 2**63 - 1.
+    sorts: ``alter_codes`` is flat, and ``alter_offsets`` (k + 1 of them) is required.
+    Each column must be a flat sequence of ints: a float, a bool or a nested column is
+    rejected, never truncated.  As in a dump, a reported degree is non-negative and at
+    least its row's alter count, and the reported degrees sum to at most 2**63 - 1.
     """
 
     codes: np.ndarray
@@ -98,35 +95,24 @@ class Sample:
     alter_codes: np.ndarray
     components: np.ndarray
     recruiters: Optional[np.ndarray] = None
-    alter_offsets: Optional[np.ndarray] = None
+    alter_offsets: np.ndarray
 
     def __post_init__(self):
         k = len(self.codes)
-        alters, offsets, bags = self.alter_codes, self.alter_offsets, None
         columns = {
             "codes": self.codes, "degrees": self.degrees, "components": self.components,
             "recruiters": np.full(k, -1) if self.recruiters is None else self.recruiters,
+            "alter_offsets": self.alter_offsets, "alter_codes": self.alter_codes,
         }
         for name, column in columns.items():
             object.__setattr__(self, name, flat_ids(column, name))
-        if offsets is None:
-            bags = [Counter(bag) for bag in alters]
-            for count in (count for bag in bags for count in bag.values()):
-                check_int(count, "an alter_codes multiplicity")
-            bags = [+bag for bag in bags]  # unary + drops counts below 1
-            sizes = [sum(map(int, bag.values())) for bag in bags]
-            if sum(sizes) > INT64_MAX:  # the offsets' range
-                raise ValueError("alter_codes multiplicities sum past the 64-bit range")
-            offsets = np.cumsum([0] + sizes)
-        offsets = flat_ids(offsets, "alter_offsets")
-        object.__setattr__(self, "alter_offsets", offsets)
-        degrees = self.degrees
+        degrees, offsets, alters = self.degrees, self.alter_offsets, self.alter_codes
         if not len(degrees) == len(self.components) == len(self.recruiters) == k:
             raise ValueError("per-subject columns must have equal length")
         # neighbors are compared, not subtracted: a difference of int64 values can wrap
         if len(offsets) != k + 1 or offsets[0] != 0 or (offsets[1:] < offsets[:-1]).any():
             raise ValueError("alter offsets must run from 0 to the alter count, one per subject")
-        # the dump reader's rules and wording, checked before a bag is listed
+        # the dump reader's rules and wording
         sizes = offsets[1:] - offsets[:-1]
         faults = (sizes > degrees).nonzero()[0]  # every negative degree among them
         if len(faults):
@@ -136,10 +122,6 @@ class Sample:
             raise ValueError(f"{sizes[i]} alter codes exceed the reported degree {degrees[i]}")
         if not degree_sums_fit(degrees):
             raise ValueError("the reported degrees sum past the 64-bit range")
-        if bags is not None:
-            alters = [code for bag in bags for code in bag.elements()]
-        alters = flat_ids(alters, "alter_codes")
-        object.__setattr__(self, "alter_codes", alters)
         if offsets[-1] != len(alters):
             raise ValueError("alter offsets must run from 0 to the alter count, one per subject")
         falls = alters[1:] < alters[:-1]

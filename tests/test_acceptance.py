@@ -10,7 +10,6 @@ reruns of a small plan.  Every median and quartile is ``summarize``'s rule.
 """
 
 import os
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -85,7 +84,7 @@ def test_criterion_1_exactness_oracles():
     ok &= prob == 0.5
 
     hs = ns.HashedSample(codes=(1, 2, 3), degrees=(2, 2, 2),
-                         alter_codes=(Counter([2, 9]), Counter(), Counter()),
+                         alter_codes=(2, 9), alter_offsets=(0, 2, 2, 2),
                          components=(0, 0, 0))
     root = ns.estimate_n2_hashed(hs, 10).value
     ok &= abs(root - 6.0) <= 1e-9 * 6.0  # root solver converges to its stated tolerance

@@ -198,7 +198,8 @@ def test_estimate_rejects_omega_below_one(tmp_path, capsys, omega):
 @pytest.mark.parametrize("name", ["n1", "n2", "n3"])
 def test_estimate_plaintext_rejects_a_dump_with_duplicate_subject_codes(tmp_path, capsys, name):
     dump = tmp_path / "hashed.csv"
-    write_sample_dump(Sample(codes=(4, 4), degrees=(2, 2), alter_codes=((4,), (4,)), components=(0, 1)), dump)
+    write_sample_dump(Sample(codes=(4, 4), degrees=(2, 2), alter_codes=(4, 4), alter_offsets=(0, 1, 2),
+                             components=(0, 1)), dump)
     assert main(["estimate", "--estimator", name, "--sample", str(dump)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

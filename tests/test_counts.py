@@ -84,8 +84,9 @@ def coded_samples(draw):
     alters = [draw(st.lists(codes(5), max_size=6)) for _ in range(k)]
     return Sample(
         codes=subject_codes,
-        degrees=[max(d, len(bag)) for d, bag in zip(degrees, alters)],  # a degree covers its alters
-        alter_codes=alters,
+        degrees=[max(d, len(row)) for d, row in zip(degrees, alters)],  # a degree covers its alters
+        alter_codes=[code for row in alters for code in row],
+        alter_offsets=np.cumsum([0] + [len(row) for row in alters]),
         components=components,
     )
 
@@ -93,7 +94,8 @@ def coded_samples(draw):
 @pytest.mark.parametrize("components", [[0, -1], [0, 2, 1], [1, 0], [0, 0, 1, 0, 2], [-1, -1], [0, 2**63 - 1, 1]])
 def test_components_are_labelled_in_order_of_first_appearance(components):
     k = len(components)
-    counts = Sample(codes=range(k), degrees=[1] * k, alter_codes=[[]] * k, components=components).counts
+    counts = Sample(codes=range(k), degrees=[1] * k, alter_codes=[], alter_offsets=[0] * (k + 1),
+                    components=components).counts
     labels = list(dict.fromkeys(components))
     assert counts.labels.tolist() == labels
     assert counts.comp_size.tolist() == [components.count(label) for label in labels]
@@ -102,7 +104,8 @@ def test_components_are_labelled_in_order_of_first_appearance(components):
 @pytest.mark.parametrize("degrees", [[3, 1, 3, 2], [5], [2**16 + 1, 1, 2**16 + 1], [0, 2**40, 7]])
 def test_mass_degrees_are_the_sorted_distinct_degrees(degrees):
     k = len(degrees)
-    counts = Sample(codes=[0] * k, degrees=degrees, alter_codes=[[]] * (k - 1) + [[0]], components=[0] * k).counts
+    counts = Sample(codes=[0] * k, degrees=degrees, alter_codes=[0], alter_offsets=[0] * k + [1],
+                    components=[0] * k).counts
     assert counts.mass_degrees.tolist() == sorted(set(degrees))
     assert counts.match_mass.tolist() == [degrees.count(d) for d in sorted(set(degrees))]
 
@@ -287,9 +290,9 @@ def _counts_on_both_paths(sample):
 
 @settings(max_examples=200, deadline=None)
 @given(coded_samples())
-@example(Sample(codes=[], degrees=[], alter_codes=[], components=[]))
-@example(Sample(codes=[INT64_MIN, INT64_MAX], degrees=[2, 2], alter_codes=[[INT64_MAX, 0], [INT64_MIN, INT64_MIN]],
-                components=[0, 1]))
+@example(Sample(codes=[], degrees=[], alter_codes=[], alter_offsets=[0], components=[]))
+@example(Sample(codes=[INT64_MIN, INT64_MAX], degrees=[2, 2], alter_codes=[INT64_MAX, 0, INT64_MIN, INT64_MIN],
+                alter_offsets=[0, 2, 4], components=[0, 1]))
 def test_the_code_table_and_the_search_count_alike(sample):
     table, search = _counts_on_both_paths(sample)
     _assert_same_counts(table, search)

@@ -191,9 +191,12 @@ def test_n1_overestimates_on_average_on_small_uniform_samples():
 
 def test_n3_zero_numerator_is_a_failure_not_a_zero_estimate():
     # subject 0 reports subject 1, but both other components have mean degree 1
-    sample = Sample(codes=(0, 1, 2), degrees=(5, 1, 1), alter_codes=([1], [], []), components=(0, 1, 2))
+    sample = Sample(codes=(0, 1, 2), degrees=(5, 1, 1), alter_codes=(1,), alter_offsets=(0, 1, 1, 1),
+                    components=(0, 1, 2))
+    injective = hashed_view(sample, assign_hashes(3, HashSpace(10**9, "injective"), np.random.default_rng(0)))
     assert estimate_n3(sample).failure_cause is FailureCause.DEGENERATE_DEGREES
-    assert estimate_n3_hashed(sample, 10**9).failure_cause is FailureCause.NO_ROOT
+    for hs in (sample, injective):  # the psi estimator reduces to plaintext under injective codes
+        assert estimate_n3_hashed(hs, 10**9).failure_cause is FailureCause.DEGENERATE_DEGREES
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +277,8 @@ def test_every_estimator_ends_in_the_shared_solve():
 
 
 def test_harmonic_degree_is_none_with_a_zero_degree_subject():
-    sample = Sample(codes=(0, 1, 2), degrees=(2, 0, 3), alter_codes=([1, 2], [], [0]), components=(0, 1, 1))
+    sample = Sample(codes=(0, 1, 2), degrees=(2, 0, 3), alter_codes=(1, 2, 0), alter_offsets=(0, 2, 2, 3),
+                    components=(0, 1, 1))
     assert sample.counts.harmonic_degree is None
     assert sample.counts.mean_degree == 5 / 3
     for call in (lambda: m_hat(sample, 10.0, 50), lambda: x_hat(sample, 0, 10.0, 50)):
@@ -296,7 +300,8 @@ def test_the_psi_math_is_exported_from_estimators_and_only_its_entry_points_from
 
 
 def test_plaintext_estimators_take_no_omega():
-    sample = Sample(codes=(0, 1, 2), degrees=(2, 2, 2), alter_codes=([1], [2], [0]), components=(0, 1, 1))
+    sample = Sample(codes=(0, 1, 2), degrees=(2, 2, 2), alter_codes=(1, 2, 0), alter_offsets=(0, 1, 2, 3),
+                    components=(0, 1, 1))
     for solve in (estimate_n2, estimate_n3):
         assert not solve(sample).failed
         with pytest.raises(TypeError):
@@ -307,8 +312,8 @@ def test_plaintext_estimators_take_no_omega():
 
 def test_degree_sums_are_exact_past_float_precision():
     big = 2**53 + 1  # float64 bincount weights would round this sum
-    sample = Sample(codes=(0, 1, 2, 3), degrees=(big, 3, 3, 2), alter_codes=([1], [0, 2], [1], []),
-                    components=(0, 0, 0, 1))
+    sample = Sample(codes=(0, 1, 2, 3), degrees=(big, 3, 3, 2), alter_codes=(1, 0, 2, 1),
+                    alter_offsets=(0, 1, 3, 4, 4), components=(0, 0, 0, 1))
     counts = sample.counts
     assert counts.comp_degree.tolist() == [big + 6, 2]
     mean, harm = _loop_mean_degrees(sample)
@@ -325,7 +330,7 @@ def test_degree_sums_are_exact_past_float_precision():
 ])
 def test_a_sample_rejects_degrees_whose_sums_leave_int64(degrees, fits):
     def build():
-        return Sample(codes=(0, 1, 2, 3), degrees=degrees, alter_codes=([], [], [], []),
+        return Sample(codes=(0, 1, 2, 3), degrees=degrees, alter_codes=(), alter_offsets=(0, 0, 0, 0, 0),
                       components=(0, 0, 1, 1))
 
     if fits:

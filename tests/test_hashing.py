@@ -1,6 +1,5 @@
 import math
 import re
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -169,8 +168,8 @@ def test_hashed_view_missing_assignment():
     with pytest.raises(ValueError):
         hashed_view(sample, np.array([0, 1]))
     # a negative code would wrap to the assignment's last entries
-    for codes, alters in (((-3, 1), ((1,), ())), ((0, 1), ((-3,), ()))):
-        sample = Sample(codes=codes, degrees=(1, 1), alter_codes=alters, components=(0, 1))
+    for codes, alters in (((-3, 1), (1,)), ((0, 1), (-3,))):
+        sample = Sample(codes=codes, degrees=(1, 1), alter_codes=alters, alter_offsets=(0, 1, 1), components=(0, 1))
         with pytest.raises(ValueError, match="identity -3 has no assigned code"):
             hashed_view(sample, np.arange(4))
 
@@ -200,7 +199,8 @@ def _single_match_sample() -> HashedSample:
     return HashedSample(
         codes=(1, 2, 3),
         degrees=(2, 2, 2),
-        alter_codes=(Counter([2, 9]), Counter(), Counter()),
+        alter_codes=(2, 9),
+        alter_offsets=(0, 2, 2, 2),
         components=(0, 0, 0),
     )
 
@@ -219,7 +219,7 @@ def test_m_hat_strictly_decreasing():
 
 def test_m_hat_no_matches_zero():
     hs = HashedSample(codes=(1, 2), degrees=(3, 3),
-                      alter_codes=(Counter([7]), Counter([8])), components=(0, 0))
+                      alter_codes=(7, 8), alter_offsets=(0, 1, 2), components=(0, 0))
     assert m_hat(hs, 50.0, 10) == 0.0
 
 
@@ -296,7 +296,7 @@ def test_collision_prob_rejects_a_subject_degree_that_is_not_finite_and_non_nega
 @pytest.mark.parametrize("label", [True, False, np.True_, 0.0, 1.0, "0", None])
 def test_x_hat_takes_only_an_int_component_label(label):
     hs = HashedSample(codes=(1, 2, 3, 4), degrees=(2, 2, 2, 2),
-                      alter_codes=(Counter([3]), Counter([1]), Counter([1]), Counter([3])), components=(0, 0, 1, 1))
+                      alter_codes=(3, 1, 1, 3), alter_offsets=(0, 1, 2, 3, 4), components=(0, 0, 1, 1))
     with pytest.raises(ValueError, match=f"^a component label must be an integer, got {re.escape(repr(label))}$"):
         x_hat(hs, label, 10.0, 100)
     assert x_hat(hs, np.int64(1), 10.0, 100) == x_hat(hs, 1, 10.0, 100) > 0
@@ -304,7 +304,7 @@ def test_x_hat_takes_only_an_int_component_label(label):
 
 def test_an_all_degree_one_sample_with_a_match_has_degenerate_degrees():
     # two degree-1 seeds that name each other: the match must not hide the degrees
-    hs = Sample(codes=(1, 2), degrees=(1, 1), alter_codes=((2,), (1,)), components=(0, 1))
+    hs = Sample(codes=(1, 2), degrees=(1, 1), alter_codes=(2, 1), alter_offsets=(0, 1, 2), components=(0, 1))
     assert hs.counts.matches == 2
     for result in (estimate_n2(hs), estimate_n3(hs), estimate_n2_hashed(hs, 1000), estimate_n3_hashed(hs, 1000)):
         assert result.failure_cause is FailureCause.DEGENERATE_DEGREES
@@ -312,7 +312,7 @@ def test_an_all_degree_one_sample_with_a_match_has_degenerate_degrees():
 
 def test_n2_hashed_zero_matches():
     hs = HashedSample(codes=(1, 2), degrees=(3, 3),
-                      alter_codes=(Counter([7]), Counter([8])), components=(0, 0))
+                      alter_codes=(7, 8), alter_offsets=(0, 1, 2), components=(0, 0))
     res = estimate_n2_hashed(hs, 10)
     assert res.failed and res.failure_cause is FailureCause.ZERO_MATCHES
 
@@ -322,7 +322,8 @@ def test_n2_hashed_no_root_when_matched_degrees_are_one():
     hs = HashedSample(
         codes=(1, 2, 3),
         degrees=(1, 2, 2),
-        alter_codes=(Counter(), Counter([1]), Counter()),
+        alter_codes=(1,),
+        alter_offsets=(0, 0, 1, 1),
         components=(0, 0, 0),
     )
     res = estimate_n2_hashed(hs, 10)
@@ -364,7 +365,8 @@ def test_x_hat_no_cross_edges():
     hs = HashedSample(
         codes=(1, 2, 3, 4),
         degrees=(2, 2, 2, 2),
-        alter_codes=(Counter([2]), Counter([1]), Counter([4]), Counter([3])),
+        alter_codes=(2, 1, 4, 3),
+        alter_offsets=(0, 1, 2, 3, 4),
         components=(0, 0, 1, 1),
     )
     assert x_hat(hs, 0, 10.0, 100) == 0.0
@@ -396,9 +398,9 @@ def test_hashed_dump_round_trip(tmp_path):
 
 @pytest.mark.parametrize("omega", [0, -5, None])  # None once meant plaintext: n2/n3 with no correction
 def test_hashed_estimators_check_omega_before_anything_else(omega):
-    empty = Sample(codes=(), degrees=(), alter_codes=(), components=())
-    zero_degree = Sample(codes=(0, 1), degrees=(0, 2), alter_codes=([], [0]), components=(0, 1))
-    one_component = Sample(codes=(0, 1), degrees=(2, 2), alter_codes=([1], [0]), components=(0, 0))
+    empty = Sample(codes=(), degrees=(), alter_codes=(), alter_offsets=(0,), components=())
+    zero_degree = Sample(codes=(0, 1), degrees=(0, 2), alter_codes=(0,), alter_offsets=(0, 0, 1), components=(0, 1))
+    one_component = Sample(codes=(0, 1), degrees=(2, 2), alter_codes=(1, 0), alter_offsets=(0, 1, 2), components=(0, 0))
     message = "a finite number, got None" if omega is None else f"at least 1, got {omega}"
     for sample in (empty, zero_degree, one_component):
         for solve in (estimate_n2_hashed, estimate_n3_hashed):

@@ -66,6 +66,15 @@ def test_only_graph_words_the_integer_rule():
     assert wording == {"graph"}
 
 
+def test_only_graph_imports_counter():
+    # Counter is the type of graph's reference definitions; a Sample's columns are flat int arrays
+    importers = {path.stem for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Import) and any(alias.name == "collections" for alias in node.names)
+                 or isinstance(node, ast.ImportFrom) and node.module == "collections"
+                 and any(alias.name == "Counter" for alias in node.names)}
+    assert importers == {"graph"}
+
+
 def test_hashing_imports_no_private_name_of_estimators():
     # the benchmark calls these two through hashing; the rest of the ψ math is imported from estimators
     tree = ast.parse(Path(netsize.__file__).resolve().parent.joinpath("hashing.py").read_text())

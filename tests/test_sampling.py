@@ -86,8 +86,8 @@ def test_the_forest_is_built_on_each_read_and_not_kept():
 
 
 @pytest.mark.parametrize("columns", [
-    dict(codes=(4, 4), degrees=(2, 2), alter_codes=((4,), (4,)), components=(0, 1)),
-    dict(codes=(4, 7, 4), degrees=(2, 2, 2), alter_codes=((), (), ()), components=(0, 0, 1),
+    dict(codes=(4, 4), degrees=(2, 2), alter_codes=(4, 4), alter_offsets=(0, 1, 2), components=(0, 1)),
+    dict(codes=(4, 7, 4), degrees=(2, 2, 2), alter_codes=(), alter_offsets=(0, 0, 0, 0), components=(0, 0, 1),
          recruiters=(-1, 0, -1)),
 ], ids=["two-seeds", "seed-recruit-seed"])
 def test_a_sample_whose_codes_collide_has_no_forest(columns):
@@ -570,7 +570,7 @@ def test_dump_round_trip(tmp_path):
 
 
 def test_rows_to_sample_rejects_duplicate_codes():
-    hashed = Sample(codes=(4, 4), degrees=(1, 1), alter_codes=((4,), (4,)), components=(0, 1))
+    hashed = Sample(codes=(4, 4), degrees=(1, 1), alter_codes=(4, 4), alter_offsets=(0, 1, 2), components=(0, 1))
     with pytest.raises(ValueError, match="duplicate"):
         rows_to_sample(hashed)
 
@@ -761,10 +761,10 @@ def _degree_rows(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(rows=_degree_rows(), bags=st.booleans())
-@example(rows=[(5, 1, [6] * 10), (6, 2, [5])], bags=True)
-@example(rows=[(0, 1, [1]), (1, -1, [0, 0])], bags=False)
-def test_a_sample_rejects_the_degrees_the_dump_reader_rejects(rows, bags):
+@given(rows=_degree_rows())
+@example(rows=[(5, 1, [6] * 10), (6, 2, [5])])
+@example(rows=[(0, 1, [1]), (1, -1, [0, 0])])
+def test_a_sample_rejects_the_degrees_the_dump_reader_rejects(rows):
     text = DUMP_HEADER + "".join(f"{code},SEED,{code},{degree},{';'.join(map(str, alters))}\n"
                                  for code, degree, alters in rows)
     with tempfile.TemporaryDirectory() as tmp:
@@ -775,25 +775,15 @@ def test_a_sample_rejects_the_degrees_the_dump_reader_rejects(rows, bags):
             want = None
         except ValueError as exc:
             want = re.sub(r"^.*?:\d+: ", "", str(exc))  # the reader's wording, without its location
-    columns = dict(codes=[r[0] for r in rows], degrees=[r[1] for r in rows], components=[r[0] for r in rows])
-    if bags:
-        columns["alter_codes"] = [collections.Counter(r[2]) for r in rows]
-    else:
-        columns["alter_codes"] = [a for r in rows for a in r[2]]
-        columns["alter_offsets"] = np.cumsum([0] + [len(r[2]) for r in rows])
+    columns = dict(codes=[r[0] for r in rows], degrees=[r[1] for r in rows], components=[r[0] for r in rows],
+                   alter_codes=[a for r in rows for a in r[2]],
+                   alter_offsets=np.cumsum([0] + [len(r[2]) for r in rows]))
     if want is None:
         sample = Sample(**columns)
         assert sample.alter_codes.tolist() == scanned.alter_codes.tolist()
     else:
         with pytest.raises(ValueError, match="^" + re.escape(want) + "$"):
             Sample(**columns)
-
-
-def test_a_sample_checks_a_bag_against_its_degree_before_listing_it():
-    # a count such as 10**11 would be listed as 10**11 codes; no bag is listed here
-    with mock.patch.object(collections.Counter, "elements", side_effect=AssertionError("listed")), \
-            pytest.raises(ValueError, match="^3 alter codes exceed the reported degree 1$"):
-        Sample(codes=(5, 6), degrees=(1, 1), alter_codes=({6: 1}, {5: 2, 7: 1}), components=(0, 0))
 
 
 def _reference_forest(sample):
@@ -984,6 +974,22 @@ def test_alter_offsets_whose_differences_wrap_are_rejected():
                alter_offsets=[0, INT64_MAX, INT64_MIN + 4, 3])
 
 
+@pytest.mark.parametrize("degrees, offsets", [
+    ((2, 1), (0, 1)),
+    ((2, 1), (0, 1, 2, 2)),
+    ((2, 1), (1, 1, 2)),
+    ((2, 1), (0, 2, 1)),
+    ((2, 1), (0, 1, 1)),
+    ((3, 3), (0, 1, 3)),
+    ((2**62, 1), (0, 2**62, 2**62)),
+], ids=["one-short", "one-over", "not-from-0", "falling", "short-of-the-count", "past-the-count",
+        "far-past-the-count"])
+def test_sample_rejects_alter_offsets_that_do_not_run_from_0_to_the_alter_count(degrees, offsets):
+    # every row is within its degree, so only the offsets are at fault
+    with pytest.raises(ValueError, match="^alter offsets must run from 0 to the alter count, one per subject$"):
+        Sample(codes=(0, 1), degrees=degrees, alter_codes=(1, 0), alter_offsets=offsets, components=(0, 1))
+
+
 _VALID_COLUMNS = {"codes": [0, 1], "degrees": [2, 1], "alter_codes": [1, 0], "components": [0, 1],
                   "recruiters": [-1, -1], "alter_offsets": [0, 1, 2]}
 
@@ -1000,26 +1006,15 @@ def test_sample_rejects_a_column_that_is_not_flat_ints(name, bad, message):
         Sample(**{**_VALID_COLUMNS, name: bad(_VALID_COLUMNS[name])})
 
 
-@pytest.mark.parametrize("count", [2.7, np.float64(2.0), True], ids=["float", "np.float64", "bool"])
-def test_sample_rejects_a_bag_count_that_is_not_an_int(count):
-    message = f"an alter_codes multiplicity must be an integer, got {count!r}"
-    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-        Sample(codes=(5,), degrees=(3,), alter_codes=({5: count},), components=(0,))
-    bags = (collections.Counter({5: np.int64(2), 6: 0}),)  # a count below 1 adds nothing
-    assert Sample(codes=(5,), degrees=(3,), alter_codes=bags, components=(0,)).alter_codes.tolist() == [5, 5]
-
-
-@pytest.mark.parametrize("bags", [
-    ({5: 10**20},), ({5: 2}, {5: 2**63}), ({5: np.uint64(2**63)},),
-], ids=["10**20", "second-row-2**63", "np.uint64"])
-def test_sample_rejects_bag_counts_past_the_offsets_range_before_listing_them(bags):
-    with pytest.raises(ValueError, match="^alter_codes multiplicities sum past the 64-bit range$"):
-        Sample(codes=(5,) * len(bags), degrees=(3,) * len(bags), alter_codes=bags,
-               components=range(len(bags)))
-    rows = ({5: 2, 6: -10**20},)  # a count below 1 adds nothing, however large
-    assert Sample(codes=(5,), degrees=(3,), alter_codes=rows, components=(0,)).alter_codes.tolist() == [5, 5]
+def test_a_sample_is_built_only_from_flat_alter_codes_with_their_offsets():
+    with pytest.raises(TypeError, match="alter_offsets"):
+        Sample(codes=(5, 6), degrees=(1, 1), alter_codes=(6, 5), components=(0, 1))
+    for rows in (([6], [5]), (collections.Counter([6]), collections.Counter([5]))):  # never flattened
+        with pytest.raises(ValueError, match="^alter_codes must be "):
+            Sample(codes=(5, 6), degrees=(1, 1), alter_codes=rows, alter_offsets=(0, 1, 2), components=(0, 1))
 
 
 def test_sample_does_not_truncate_float_codes_into_matches():
     with pytest.raises(ValueError, match="^codes must be integers"):
-        Sample(codes=[0.9, 1.2], degrees=[2.7, 1], alter_codes=[[1.9], [0.2]], components=[0, 1])
+        Sample(codes=[0.9, 1.2], degrees=[2.7, 1], alter_codes=[1.9, 0.2], alter_offsets=[0, 1, 2],
+               components=[0, 1])
