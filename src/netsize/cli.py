@@ -37,6 +37,7 @@ from .sampling import (
     write_sample_dump,
 )
 
+
 def _header(command: str, shown: dict) -> str:
     """The reproducibility line; a command that draws leads it with ``seed=``."""
     params = " ".join(f"{key}={value}" for key, value in shown.items())
@@ -223,7 +224,3 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:  # numpy's message names the allocation that failed
         print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

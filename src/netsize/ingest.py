@@ -52,26 +52,28 @@ class IngestReport:
 
 
 @contextmanager
-def open_text(path, where: str = "{path}:{line}", newline: Optional[str] = None) -> Iterator[TextIO]:
+def open_text(path, where: str = "{path}:{line}") -> Iterator[TextIO]:
     """``path`` opened to read UTF-8 text, without a leading byte-order mark.  A
     byte that is not UTF-8 fails with a ``ValueError`` located by ``where``,
     filled in with the path and its line number."""
     try:
-        with open(path, encoding="utf-8-sig", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         # the lines as read, with each bad byte escaped to a lone surrogate U+DC80..U+DCFF
-        with open(path, encoding="utf-8-sig", newline=newline, errors="surrogateescape") as fh:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
             line = next(i for i, text in enumerate(fh, start=1) if re.search("[\udc80-\udcff]", text))
         raise ValueError(f"{where.format(path=path, line=line)}: byte {exc.object[exc.start]:#04x} "
                          f"is not UTF-8 ({exc.reason})") from None
 
 
 @contextmanager
-def open_written(path, newline: Optional[str] = None) -> Iterator[TextIO]:
-    """``path`` opened to write UTF-8 text whatever the locale, as every reader
+def open_written(path) -> Iterator[TextIO]:
+    r"""``path`` opened to write UTF-8 text whatever the locale, as every reader
     decodes UTF-8.  A lone surrogate, which is how ``sys.argv`` carries a byte
     of a path that the locale cannot decode, is written back as that byte.
+    Lines are written as given, ending in ``\n`` on every platform, as the
+    numpy readers require.
 
     An existing regular file is rewritten in place: on exit, whether the body
     returned or raised, it is cut to exactly the bytes written.  Before the
@@ -87,7 +89,7 @@ def open_written(path, newline: Optional[str] = None) -> Iterator[TextIO]:
         regular = stat.S_ISREG(info.st_mode)
         if regular and info.st_size > 1:
             os.ftruncate(fd, 1)
-        fh = open(fd, "w", encoding="utf-8", errors="surrogateescape", newline=newline)
+        fh = open(fd, "w", encoding="utf-8", errors="surrogateescape", newline="")
     except BaseException:
         os.close(fd)
         raise

@@ -110,7 +110,8 @@ class Sample:
         if not len(degrees) == len(self.components) == len(self.recruiters) == k:
             raise ValueError("per-subject columns must have equal length")
         # neighbors are compared, not subtracted: a difference of int64 values can wrap
-        if len(offsets) != k + 1 or offsets[0] != 0 or (offsets[1:] < offsets[:-1]).any():
+        if len(offsets) != k + 1 or offsets[0] != 0 or offsets[-1] != len(alters) \
+                or (offsets[1:] < offsets[:-1]).any():
             raise ValueError("alter offsets must run from 0 to the alter count, one per subject")
         # the dump reader's rules and wording
         sizes = offsets[1:] - offsets[:-1]
@@ -122,8 +123,6 @@ class Sample:
             raise ValueError(f"{sizes[i]} alter codes exceed the reported degree {degrees[i]}")
         if not degree_sums_fit(degrees):
             raise ValueError("the reported degrees sum past the 64-bit range")
-        if offsets[-1] != len(alters):
-            raise ValueError("alter offsets must run from 0 to the alter count, one per subject")
         falls = alters[1:] < alters[:-1]
         if falls.any():  # only then can a row be unsorted
             row = np.repeat(np.arange(k), sizes)
@@ -498,7 +497,7 @@ def sample_dump_lines(sample: Sample, header_comment: str | None = None) -> list
 
 
 def write_sample_dump(sample: Sample, path, header_comment: str | None = None) -> None:
-    with open_written(path, newline="") as fh:
+    with open_written(path) as fh:
         fh.write("\n".join(sample_dump_lines(sample, header_comment)) + "\n")
 
 
@@ -643,7 +642,7 @@ def _scan_sample_dump(path) -> Sample:
     total = 0  # of the reported degrees so far
     row_of: dict[tuple[int, int], int] = {}  # (component, code) -> latest row
     header = None
-    with open_text(path, newline="") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.startswith("#") or not line.strip():
                 continue

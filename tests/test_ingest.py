@@ -646,8 +646,8 @@ def test_a_write_cut_short_leaves_exactly_the_bytes_written(writers, tmp_path, m
     opened = ingest.open_written
 
     @contextmanager
-    def cut_short(path, newline=None):
-        with opened(path, newline=newline) as fh:
+    def cut_short(path):
+        with opened(path) as fh:
             yield _CutShort(fh, budget)
 
     path = tmp_path / "out"

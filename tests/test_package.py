@@ -2,12 +2,13 @@
 module-level name that nothing uses."""
 
 import ast
+import inspect
 import subprocess
 import sys
 from pathlib import Path
 
 import netsize
-from netsize import cli, estimators, harness
+from netsize import cli, estimators, harness, ingest
 
 SOURCES = sorted(Path(netsize.__file__).resolve().parent.glob("*.py"))
 
@@ -73,6 +74,15 @@ def test_only_graph_imports_counter():
                  or isinstance(node, ast.ImportFrom) and node.module == "collections"
                  and any(alias.name == "Counter" for alias in node.names)}
     assert importers == {"graph"}
+
+
+def test_only_ingest_sets_a_line_end_rule():
+    # every writer ends lines in \n and every reader reads universal newlines, whatever the caller
+    setters = {path.stem for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and any(kw.arg == "newline" for kw in node.keywords)}
+    assert setters <= {"ingest"}
+    for helper in (ingest.open_text, ingest.open_written):
+        assert "newline" not in inspect.signature(helper).parameters
 
 
 def test_hashing_imports_no_private_name_of_estimators():
