@@ -18,6 +18,7 @@ can tally failure rates.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -76,30 +77,28 @@ def estimate_n1(sample: Sample) -> EstimateResult:
     return _fixed_point(sample.size * counts.free, np.array([counts.matches]), counts, None, sample.size)
 
 
-def _check_omega(omega: float) -> None:
-    if not (is_int(omega) or isinstance(omega, (float, np.floating))) or not omega < math.inf:  # NaN fails too
-        raise ValueError(f"the code space size omega must be a finite number, got {omega!r}")
-    if omega < 1:
-        raise ValueError(f"the code space size omega must be at least 1, got {omega}")
-
-
-def _check_n_prime(n_prime: float) -> None:
-    if not n_prime >= 1:  # NaN fails too
-        raise ValueError(f"n_prime must be at least 1, got {n_prime!r}")
+def _at_least_one(value: float, what: str) -> None:
+    """The rule of the ψ math's two sizes, omega and n': an int or a float, not a bool, in [1, the largest float]."""
+    if not ((is_int(value) or isinstance(value, (float, np.floating))) and 1 <= value <= sys.float_info.max):
+        raise ValueError(f"{what} must be a finite number of at least 1, got {value!r}")  # NaN fails the bounds
 
 
 def collision_prob(n_prime: float, omega: float, d_tilde_s: float, d_w):
     """Probability that a code match against a sampled subject is the true alter.
 
-    ``d_w`` is one finite non-negative subject degree or an array of them.
-    Degree-1 subjects have no free ends, so they can never be the match (the
-    formula's limit as d_w -> 1).
+    ``n_prime`` and ``omega`` are ints or floats, not bools, from 1 to the
+    largest float.  ``d_w`` is one finite non-negative subject degree or an
+    array of them.  Degree-1 subjects have no free ends, so they can never be
+    the match (the formula's limit as d_w -> 1).
     """
-    _check_omega(omega)
-    _check_n_prime(n_prime)
-    if not 0 < d_tilde_s < math.inf:  # NaN fails too
+    _at_least_one(omega, "the code space size omega")
+    _at_least_one(n_prime, "n_prime")
+    if not 0 < d_tilde_s <= sys.float_info.max:  # NaN fails too
         raise ValueError(f"d_tilde_s must be positive and finite, got {d_tilde_s!r}")
-    d_w = np.asarray(d_w, dtype=float)
+    try:
+        d_w = np.asarray(d_w, dtype=float)
+    except OverflowError:  # an int past the float range
+        raise ValueError("d_w must be finite and non-negative, got a value past the float range") from None
     bad = ~((0 <= d_w) & (d_w < math.inf))  # NaN fails too
     if bad.any():
         raise ValueError(f"d_w must be finite and non-negative, got {float(d_w[bad][0])!r}")
@@ -126,7 +125,7 @@ def _true_mass_of(counts: Counts, mass: np.ndarray, omega: float) -> Callable[[f
     """
     if counts.harmonic_degree is None:
         raise ValueError("harmonic mean requires strictly positive values")
-    _check_omega(omega)
+    _at_least_one(omega, "the code space size omega")
     d_w = counts.mass_degrees.astype(float)
     live = d_w > 1
     weight = np.where(live, mass, 0.0)
@@ -136,14 +135,15 @@ def _true_mass_of(counts: Counts, mass: np.ndarray, omega: float) -> Callable[[f
 
 
 def m_hat(hs: Sample, n_prime: float, omega: float) -> float:
-    """Expected true-match mass among all observed code matches."""
-    _check_n_prime(n_prime)
+    """Expected true-match mass among all observed code matches; n_prime and omega obey collision_prob's rule."""
+    _at_least_one(n_prime, "n_prime")
     return _true_mass_of(hs.counts, hs.counts.match_mass, omega)(n_prime)
 
 
 def x_hat(hs: Sample, component_label: int, n_prime: float, omega: float) -> float:
-    """Expected true cross-component match mass for one referral component."""
-    _check_n_prime(n_prime)
+    """Expected true cross-component match mass for one referral component;
+    n_prime and omega obey collision_prob's rule."""
+    _at_least_one(n_prime, "n_prime")
     check_int(component_label, "a component label")
     index = np.flatnonzero(hs.counts.labels == component_label)
     if not len(index):
@@ -227,7 +227,7 @@ def estimate_n2(sample: Sample) -> EstimateResult:
 
 def estimate_n2_hashed(hs: Sample, omega: float) -> EstimateResult:
     """n2 on codes from a space of omega codes: n' = [(d(S)-1)/d~(S)] * |S| * <R> / m_hat(n')."""
-    _check_omega(omega)
+    _at_least_one(omega, "the code space size omega")
     return _n2(hs, omega)
 
 
@@ -253,7 +253,7 @@ def estimate_n3(sample: Sample) -> EstimateResult:
 
 def estimate_n3_hashed(hs: Sample, omega: float) -> EstimateResult:
     """n3 on codes from a space of omega codes: X becomes its expected true mass, the x_hat sum."""
-    _check_omega(omega)
+    _at_least_one(omega, "the code space size omega")
     return _n3(hs, omega)
 
 

@@ -292,12 +292,10 @@ def _pairs_from_indices(t: np.ndarray, n: int) -> np.ndarray:
 
     Returns the (len(t), 2) int64 array of the pairs with indices ``t``.  The
     pairs are decoded in place, with one float scratch array of len(t).
+    ``erdos_renyi`` guarantees the preconditions, which are not checked here:
+    2 <= n <= 2**31 - 1, and ``t`` is an int64 array of indices in
+    [0, n * (n - 1) // 2).
     """
-    if n > _MAX_ER_N:
-        raise ValueError(f"pair indices need n <= {_MAX_ER_N}, got {n}")
-    t = np.asarray(t, dtype=np.int64)
-    if len(t) and (t.min() < 0 or t.max() >= n * (n - 1) // 2):
-        raise ValueError(f"pair index out of range for n={n}")
     pairs = np.empty((len(t), 2), dtype=np.int64)
     i, b = pairs[:, 0], pairs[:, 1]  # b is scratch for before(i) until it becomes j
 

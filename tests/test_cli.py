@@ -181,7 +181,7 @@ def test_estimate_hashed_requires_omega(tmp_path, capsys):
     assert main(["estimate", "--estimator", "n2psi", "--sample", str(dump)]) == 1
 
 
-@pytest.mark.parametrize("omega", ["0", "-5"])
+@pytest.mark.parametrize("omega", ["0", "-5", "1" + "0" * 400], ids=["0", "-5", "10**400"])
 def test_estimate_rejects_omega_below_one(tmp_path, capsys, omega):
     edges = _generate_edges(tmp_path)
     dump = tmp_path / "h.csv"
@@ -192,7 +192,7 @@ def test_estimate_rejects_omega_below_one(tmp_path, capsys, omega):
         assert main(["estimate", "--estimator", name, "--omega", omega, "--sample", str(dump)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: the code space size omega must be at least 1, got {omega}\n"
+        assert captured.err == f"error: the code space size omega must be a finite number of at least 1, got {omega}\n"
 
 
 @pytest.mark.parametrize("name", ["n1", "n2", "n3"])
@@ -204,6 +204,16 @@ def test_estimate_plaintext_rejects_a_dump_with_duplicate_subject_codes(tmp_path
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: duplicate subject ids; hashed dumps cannot be read as plaintext\n"
+
+
+def test_estimate_reports_a_failure_and_exits_0_on_a_dump_with_no_matches(tmp_path, capsys):
+    dump = tmp_path / "unmatched.csv"
+    write_sample_dump(Sample(codes=(1, 2), degrees=(2, 2), alter_codes=(5, 6), alter_offsets=(0, 1, 2),
+                             components=(0, 1)), dump)
+    assert main(["estimate", "--estimator", "n2", "--sample", str(dump)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == "estimator=n2 estimate= failed=true cause=ZeroMatches"
 
 
 @pytest.mark.parametrize("name", ["n1", "n2", "n3"])

@@ -31,6 +31,14 @@ def test_n1_two_of_three():
     assert estimate_n1(as_sample_view(K3, [0, 1])).value == 4.0
 
 
+@pytest.mark.parametrize("estimate", [estimate_n1, estimate_n2, lambda sample: estimate_n2_hashed(sample, 10)],
+                         ids=["n1", "n2", "n2psi"])
+def test_estimators_reject_an_empty_sample(estimate):
+    empty = Sample(codes=(), degrees=(), alter_codes=(), alter_offsets=(0,), components=())
+    with pytest.raises(ValueError, match="^cannot estimate from an empty sample$"):
+        estimate(empty)
+
+
 def test_n1_edgeless_fails():
     g = MultiGraph(4, [])
     res = estimate_n1(as_sample_view(g, [0, 1, 2]))
@@ -471,6 +479,27 @@ def test_the_reference_examples_include_no_root():
     assert estimators._fixed_point(500.0, dead.match_mass, dead, 2000, 10).failure_cause is FailureCause.NO_ROOT
     far = _grouped([1, 3, 9], [1, 2, 3], 2.5)
     assert estimators._fixed_point(1e15, far.match_mass, far, 2000, 2).failure_cause is FailureCause.NO_ROOT
+
+
+def test_no_root_when_the_expected_true_mass_is_zero_at_the_upper_bracket_end():
+    # d~ near the float maximum: (n' - 1) / omega * d~ overflows at n' = 10, so every match's probability is 0 there
+    counts = _grouped([2], [1], 1e308)
+    assert estimators._true_mass_of(counts, counts.match_mass, 1)(10.0) == 0.0
+    assert estimators._solve_fixed_point(lambda x: 100.0 if x < 10.0 else math.inf, 1) is None
+    assert estimators._fixed_point(100.0, counts.match_mass, counts, 1, 1).failure_cause is FailureCause.NO_ROOT
+
+
+def test_the_solver_takes_the_midpoint_when_the_secant_point_lands_on_a_bracket_end():
+    # f(10) - 10 is exactly 0.0, so the first secant point is the upper end itself
+    points = []
+
+    def f(x):
+        points.append(x)
+        return 10.0
+
+    root = estimators._solve_fixed_point(f, 1)
+    assert points[:3] == [1.0, 10.0, 5.5]
+    assert abs(root - 10.0) <= estimators.ROOT_RTOL * 10.0
 
 
 @settings(max_examples=150, deadline=None)

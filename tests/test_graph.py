@@ -18,6 +18,7 @@ from netsize.graph import (
     cross_seed_matches,
     free_ends,
     free_neighborhood,
+    harmonic_mean,
     harmonic_mean_degree,
     matches,
     mean_degree,
@@ -163,6 +164,18 @@ def test_edge_endpoints_must_be_integers():
         assert g.edge_array.dtype == np.int64 and g.edge_array.tolist() == [[0, 1], [1, 2]]
 
 
+@pytest.mark.parametrize("n, edges, message", [
+    (-1, [], "vertex count must be non-negative"),
+    (3, [(0, 1, 2)], "edges must be (u, v) pairs"),
+    (3, [0, 1], "edges must be (u, v) pairs"),
+    (3, [(0, 1), (2, 3)], "edge endpoint out of range for n=3"),
+    (3, [(-1, 0)], "edge endpoint out of range for n=3"),
+])
+def test_a_multigraph_rejects_a_bad_vertex_count_or_edge_list(n, edges, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MultiGraph(n, edges)
+
+
 @pytest.mark.parametrize("edges", [[(0, True)], [(np.True_, 2)], ((1, 2), (False, 0)), iter([(0, 1), (True, 2)])])
 def test_a_multigraph_rejects_a_bool_endpoint_next_to_ints(edges):
     with pytest.raises(ValueError, match="^edge endpoints must be integers, got bool values$"):
@@ -211,6 +224,8 @@ def test_harmonic_mean_degree():
     lonely = MultiGraph(2, [(0, 0)])
     with pytest.raises(ValueError):
         harmonic_mean_degree(lonely, [0, 1])
+    with pytest.raises(ValueError, match="^harmonic mean of an empty collection is undefined$"):
+        harmonic_mean([])
 
 
 FOREST3 = ((0, 1), (0, 3), (1, 2))  # referral edges of the forced single-seed trace

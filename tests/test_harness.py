@@ -41,6 +41,11 @@ def test_summarize_tukey_hinges():
     assert row.failure_rate == 0.0
 
 
+def test_summarize_rejects_an_empty_cell():
+    with pytest.raises(ValueError, match="^cannot summarize an empty cell$"):
+        summarize([])
+
+
 def test_summarize_single_value():
     row = summarize([OK(7.0)])
     assert row.median == row.q1 == row.q3 == 7.0
@@ -520,6 +525,7 @@ _VALID_PLAN = "families = er\nlambdas = 3\nsizes = 100\nr = 10\nestimators = n1\
     ("omegas = -5", "plan line 6: omegas: hash space must contain at least one code, got -5"),
     ("omegas = 99999999999999999999",
      "plan line 6: omegas: hash space must contain at most 2**63 codes, got 99999999999999999999"),
+    ("estimators =", "plan line 6: estimators: at least one estimator is required"),
     ("estimators = n9", "plan line 6: estimators: unknown estimator 'n9'"),
     ("estimators = n2, n2", "plan line 6: estimators: 'n2' is listed more than once"),
     ("estimators = n2psi", "plan line 6: estimators: hashed estimators need at least one code-space size"),

@@ -234,7 +234,7 @@ def test_n2_hashed_closed_form_root():
 def test_hashed_estimators_reject_omega_below_one(omega):
     hs = _single_match_sample()
     for solve in (estimate_n2_hashed, estimate_n3_hashed):
-        with pytest.raises(ValueError, match=f"omega must be at least 1, got {omega}"):
+        with pytest.raises(ValueError, match=f"omega must be a finite number of at least 1, got {omega}"):
             solve(hs, omega)
 
 
@@ -248,11 +248,12 @@ def test_public_omega_functions_reject_omega_below_one(omega):
         lambda: collision_prob(10.0, omega, 2.0, np.array([1, 3])),
     )
     for call in calls:
-        with pytest.raises(ValueError, match=f"omega must be at least 1, got {omega}"):
+        with pytest.raises(ValueError, match=f"omega must be a finite number of at least 1, got {omega}"):
             call()
 
 
-@pytest.mark.parametrize("n_prime", [-1.0, 0.5, 0.0, math.nan, -math.inf])
+@pytest.mark.parametrize("n_prime", [-1.0, 0.5, 0.0, 0, math.nan, -math.inf, pytest.param(10**400, id="10**400"),
+                                     math.inf, True, "5"])
 def test_public_psi_functions_reject_n_prime_below_one(n_prime):
     hs = _single_match_sample()
     calls = (
@@ -261,18 +262,20 @@ def test_public_psi_functions_reject_n_prime_below_one(n_prime):
         lambda: collision_prob(n_prime, 10, 2.0, 3),
         lambda: collision_prob(n_prime, 1, 1.0, np.array([2, 3])),
     )
+    message = f"n_prime must be a finite number of at least 1, got {n_prime!r}"
     for call in calls:
-        with pytest.raises(ValueError, match=f"^n_prime must be at least 1, got {n_prime!r}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
 
 
-@pytest.mark.parametrize("d_tilde", [-2.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("d_tilde", [-2.0, 0.0, math.nan, math.inf, pytest.param(10**400, id="10**400")])
 def test_collision_prob_rejects_a_harmonic_degree_that_is_not_positive_and_finite(d_tilde):
     with pytest.raises(ValueError, match=f"^d_tilde_s must be positive and finite, got {d_tilde!r}$"):
         collision_prob(10.0, 10, d_tilde, 3)
 
 
-@pytest.mark.parametrize("omega", [True, False, np.True_, math.nan, math.inf, None, "5"])
+@pytest.mark.parametrize("omega", [True, False, np.True_, math.nan, math.inf, pytest.param(10**400, id="10**400"),
+                                   None, "5"])
 def test_omega_must_be_a_finite_number_and_not_a_bool(omega):
     hs = _single_match_sample()
     calls = (
@@ -283,11 +286,12 @@ def test_omega_must_be_a_finite_number_and_not_a_bool(omega):
         lambda: collision_prob(10.0, omega, 2.0, 3),
     )
     for call in calls:
-        with pytest.raises(ValueError, match=re.escape(f"omega must be a finite number, got {omega!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"omega must be a finite number of at least 1, got {omega!r}")):
             call()
 
 
-@pytest.mark.parametrize("d_w", [math.nan, math.inf, -3, -0.5, [3, math.nan, math.inf], np.array([[2, -1]])])
+@pytest.mark.parametrize("d_w", [math.nan, math.inf, -3, -0.5, [3, math.nan, math.inf], np.array([[2, -1]]),
+                                 pytest.param([10**400], id="[10**400]")])
 def test_collision_prob_rejects_a_subject_degree_that_is_not_finite_and_non_negative(d_w):
     with pytest.raises(ValueError, match="^d_w must be finite and non-negative, got "):
         collision_prob(10, 10, 2.0, d_w)
@@ -300,6 +304,14 @@ def test_x_hat_takes_only_an_int_component_label(label):
     with pytest.raises(ValueError, match=f"^a component label must be an integer, got {re.escape(repr(label))}$"):
         x_hat(hs, label, 10.0, 100)
     assert x_hat(hs, np.int64(1), 10.0, 100) == x_hat(hs, 1, 10.0, 100) > 0
+
+
+@pytest.mark.parametrize("label", [2, -1])
+def test_x_hat_rejects_a_label_of_no_component(label):
+    hs = HashedSample(codes=(1, 2, 3, 4), degrees=(2, 2, 2, 2),
+                      alter_codes=(3, 1, 1, 3), alter_offsets=(0, 1, 2, 3, 4), components=(0, 0, 1, 1))
+    with pytest.raises(ValueError, match=f"^no referral component labelled {label}$"):
+        x_hat(hs, label, 10.0, 100)
 
 
 def test_an_all_degree_one_sample_with_a_match_has_degenerate_degrees():
@@ -401,8 +413,7 @@ def test_hashed_estimators_check_omega_before_anything_else(omega):
     empty = Sample(codes=(), degrees=(), alter_codes=(), alter_offsets=(0,), components=())
     zero_degree = Sample(codes=(0, 1), degrees=(0, 2), alter_codes=(0,), alter_offsets=(0, 0, 1), components=(0, 1))
     one_component = Sample(codes=(0, 1), degrees=(2, 2), alter_codes=(1, 0), alter_offsets=(0, 1, 2), components=(0, 0))
-    message = "a finite number, got None" if omega is None else f"at least 1, got {omega}"
     for sample in (empty, zero_degree, one_component):
         for solve in (estimate_n2_hashed, estimate_n3_hashed):
-            with pytest.raises(ValueError, match=f"omega must be {message}"):
+            with pytest.raises(ValueError, match=f"omega must be a finite number of at least 1, got {omega}"):
                 solve(sample, omega)

@@ -574,6 +574,26 @@ def test_the_relabel_maps_ids_at_both_int64_ends_in_sorted_order(tmp_path, lines
 WRITERS = ["sample dump", "csv", "edge list", "id map"]
 
 
+@pytest.mark.parametrize("owner, name", [(ingest.os, "fstat"), (ingest, "open")], ids=["fstat", "open"])
+def test_open_written_closes_its_descriptor_when_setting_up_the_file_fails(tmp_path, owner, name):
+    opened, real_open = [], os.open
+
+    def spied_open(*args):
+        opened.append(real_open(*args))
+        return opened[-1]
+
+    with mock.patch.object(ingest.os, "open", spied_open), \
+            mock.patch.object(ingest.os, "close", wraps=os.close) as close, \
+            mock.patch.object(owner, name, side_effect=OSError(errno.EIO, "injected"), create=True):
+        with pytest.raises(OSError, match="injected"):
+            with ingest.open_written(tmp_path / "out.txt"):
+                pass
+    close.assert_called_once_with(opened[0])
+    with pytest.raises(OSError) as caught:
+        os.fstat(opened[0])
+    assert caught.value.errno == errno.EBADF
+
+
 @pytest.fixture(scope="module")
 def writers(tmp_path_factory):
     """Each writer as (the module whose ``open_written`` it calls, a call that writes ``path``)."""

@@ -67,6 +67,16 @@ def test_only_graph_words_the_integer_rule():
     assert wording == {"graph"}
 
 
+def test_one_function_words_the_size_rule_of_the_psi_math():
+    # omega and n' share estimators' one rule; n' once had a check of its own
+    wording = [(path.stem, function.name) for path in SOURCES for function in ast.walk(ast.parse(path.read_text()))
+               if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+               for node in ast.walk(function) if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and "must be a finite number of at least 1" in node.value]
+    assert len(wording) == 1 and wording[0][0] == "estimators"
+    assert not hasattr(estimators, "_check_n_prime")
+
+
 def test_only_graph_imports_counter():
     # Counter is the type of graph's reference definitions; a Sample's columns are flat int arrays
     importers = {path.stem for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))

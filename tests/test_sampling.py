@@ -177,6 +177,29 @@ def test_rds_config_checks_explicit_seeds_at_construction(num_seeds, seeds, mess
         RdsConfig(target_size=5, num_seeds=num_seeds, seeds=seeds)
 
 
+_TWO_SUBJECTS = dict(codes=(0, 1), degrees=(1, 1), alter_codes=(), alter_offsets=(0, 0, 0))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RdsConfig(target_size=0), "target size must be >= 1"),
+    (lambda: RdsConfig(target_size=5, num_seeds=1, recruit_law=()), "recruit law must have at least one outcome"),
+    (lambda: Sample(**_TWO_SUBJECTS, components=(0,)), "per-subject columns must have equal length"),
+    (lambda: Sample(**_TWO_SUBJECTS, components=(0, 0), recruiters=(1, -1)),
+     "a recruiter must be an earlier subject of the same component"),
+    (lambda: Sample(**_TWO_SUBJECTS, components=(0, 1), recruiters=(-1, 0)),
+     "a recruiter must be an earlier subject of the same component"),
+    (lambda: Sample(**_TWO_SUBJECTS, components=(0, 0), recruiters=(-2, 0)),
+     "a recruiter must be an earlier subject of the same component"),
+    (lambda: as_sample_view(CYCLE4, [0, 0]), "subjects must be distinct"),
+    (lambda: as_sample_view(CYCLE4, [CYCLE4.n]), "vertex out of range for n=4"),
+], ids=["target-size-0", "no-recruit-outcome", "unequal-columns", "later-recruiter", "other-component-recruiter",
+        "recruiter-minus-2", "repeated-subject", "subject-past-the-graph"])
+def test_a_capture_or_sample_rejects_arguments_its_rules_forbid(build, message):
+    assert Sample(**_TWO_SUBJECTS, components=(0, 0), recruiters=(-1, 0)).size == 2  # the rows themselves are valid
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_rds_capture_rejects_an_explicit_seed_past_the_population():
     cfg = RdsConfig(target_size=4, num_seeds=2, seeds=(1, 4))
     with pytest.raises(ValueError, match="^seed 4 out of range$"):
@@ -596,6 +619,15 @@ def test_dump_reader_rejects_malformed_rows(tmp_path, body, message):
     path.write_text(DUMP_HEADER + body)
     bad_line = 4 if body.startswith("5,SEED") else 3
     with pytest.raises(ValueError, match=f"{path}:{bad_line}: .*{message}"):
+        read_sample_dump(path)
+
+
+@pytest.mark.parametrize("text", ["", "# comment\n", "# comment", "# one\n# two"])
+def test_a_dump_of_only_comments_is_an_empty_sample_dump(tmp_path, text):
+    # "# comment" with no final newline leaves the fast parse at its last comment line
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: empty sample dump$"):
         read_sample_dump(path)
 
 
