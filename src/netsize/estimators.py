@@ -41,7 +41,7 @@ class FailureCause(Enum):
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """Either a finite positive estimate or an explicit failure."""
+    """Either a finite positive estimate or an explicit failure (a ``FailureCause`` or its value, as ``"NoRoot"``)."""
 
     value: Optional[float] = None
     failure_cause: Optional[FailureCause] = None
@@ -49,6 +49,8 @@ class EstimateResult:
     def __post_init__(self):
         if (self.value is None) == (self.failure_cause is None):
             raise ValueError("exactly one of value / failure_cause must be set")
+        if self.failed:
+            object.__setattr__(self, "failure_cause", FailureCause(self.failure_cause))
 
     @property
     def failed(self) -> bool:

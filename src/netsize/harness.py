@@ -29,7 +29,7 @@ from .estimators import estimate_n1 as estimate_n1_from_view
 from .generators import Family, check_family, check_size, sample_graph
 from .graph import check_int, is_int
 from .hashing import HashSpace, assign_hashes, hashed_view
-from .ingest import open_text, open_written
+from .ingest import open_written, read_lines, split_lines
 from .sampling import RdsConfig, as_sample_view, rds_capture, uniform_sample
 
 # name -> (its function's name in this module, the sample it reads: "uniform",
@@ -360,7 +360,7 @@ def parse_plan(text: str) -> ExperimentPlan:
     """
     fields: dict[str, str] = {}
     line_of: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -389,5 +389,7 @@ def parse_plan(text: str) -> ExperimentPlan:
 
 
 def load_plan(path) -> ExperimentPlan:
-    with open_text(path, "plan line {line}") as fh:
-        return parse_plan(fh.read())
+    """The plan in the file at ``path``; a byte that is not UTF-8 fails with its plan line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return parse_plan("\n".join(read_lines(data, path, "plan line {line}")))

@@ -51,18 +51,21 @@ class IngestReport:
         )
 
 
-@contextmanager
-def open_text(path, where: str = "{path}:{line}") -> Iterator[TextIO]:
-    """``path`` opened to read UTF-8 text, without a leading byte-order mark.  A
-    byte that is not UTF-8 fails with a ``ValueError`` located by ``where``,
-    filled in with the path and its line number."""
+def split_lines(text: str) -> list[str]:
+    r"""``text``'s lines, ended at ``\r\n``, ``\r`` or ``\n``: the one line-end rule of every reader."""
+    return re.split(r"\r\n|\r|\n", text)
+
+
+def read_lines(data: bytes, path, where: str = "{path}:{line}") -> list[str]:
+    """The lines of ``data``, the bytes read from ``path``, decoded as UTF-8
+    without a leading byte-order mark.  A byte that is not UTF-8 fails with a
+    ``ValueError`` located by ``where``, filled in with the path and its line
+    number."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            yield fh
+        return split_lines(data.decode("utf-8-sig"))
     except UnicodeDecodeError as exc:
-        # the lines as read, with each bad byte escaped to a lone surrogate U+DC80..U+DCFF
-        with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
-            line = next(i for i, text in enumerate(fh, start=1) if re.search("[\udc80-\udcff]", text))
+        # the decoder stops at the first bad byte, so every byte before it is UTF-8
+        line = len(split_lines(exc.object[:exc.start].decode("utf-8")))
         raise ValueError(f"{where.format(path=path, line=line)}: byte {exc.object[exc.start]:#04x} "
                          f"is not UTF-8 ({exc.reason})") from None
 
@@ -134,37 +137,37 @@ def _read_filter(path: str | Path) -> np.ndarray:
     """The node ids of a filter file, one per line.  An id outside int64
     matches no endpoint, so it is dropped."""
     keep: list[int] = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                keep.append(int(line))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad node id {line!r}") from exc
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for lineno, line in enumerate(read_lines(data, path), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            keep.append(int(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad node id {line!r}") from exc
     return np.array([i for i in keep if INT64_MIN <= i <= INT64_MAX], dtype=np.int64)
 
 
-def _scan_edge_list(path: str | Path) -> np.ndarray:
-    """The line-by-line reader of an edge list's int64 ``(lines, 2)`` endpoints:
-    the reference for ``_parse_edges`` and the source of every error message."""
+def _scan_edge_list(data: bytes, path: str | Path) -> np.ndarray:
+    """The line-by-line reader of the int64 ``(lines, 2)`` endpoints in ``data``, read from
+    ``path``: the reference for ``_parse_edges`` and the source of every error message."""
     ends: list[int] = []
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            tokens = stripped.split()
-            if len(tokens) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'u v', got {stripped!r}")
-            try:
-                u, v = int(tokens[0]), int(tokens[1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-integer endpoint in {stripped!r}") from exc
-            if not (INT64_MIN <= u <= INT64_MAX and INT64_MIN <= v <= INT64_MAX):
-                raise ValueError(f"{path}:{lineno}: endpoint out of the 64-bit range in {stripped!r}")
-            ends += (u, v)
+    for lineno, line in enumerate(read_lines(data, path), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        tokens = stripped.split()
+        if len(tokens) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'u v', got {stripped!r}")
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: non-integer endpoint in {stripped!r}") from exc
+        if not (INT64_MIN <= u <= INT64_MAX and INT64_MIN <= v <= INT64_MAX):
+            raise ValueError(f"{path}:{lineno}: endpoint out of the 64-bit range in {stripped!r}")
+        ends += (u, v)
     return np.array(ends, dtype=np.int64).reshape(-1, 2)
 
 
@@ -180,9 +183,10 @@ def load_edge_list(spec: EdgeListSpec) -> tuple[MultiGraph, dict[int, int], Inge
     """
     keep = _read_filter(spec.node_filter) if spec.node_filter is not None else None
     with open(spec.path, "rb") as fh:
-        pairs = _parse_edges(fh.read())
+        data = fh.read()
+    pairs = _parse_edges(data)
     if pairs is None:
-        pairs = _scan_edge_list(spec.path)
+        pairs = _scan_edge_list(data, spec.path)
     lines_read = len(pairs)
     if keep is not None:
         pairs = pairs[np.isin(pairs, keep).all(axis=1)]
@@ -225,7 +229,7 @@ def writable(text: str, encoding: str = "utf-8") -> str:
 
 def comment_lines(text: str) -> list[str]:
     r"""``writable(text)`` as ``# `` lines, one per line of it, ended at ``\r\n``, ``\r`` or ``\n``."""
-    return [f"# {line}" for line in re.split(r"\r\n|\r|\n", writable(text))]
+    return [f"# {line}" for line in split_lines(writable(text))]
 
 
 def write_edge_list(g: MultiGraph, path: str | Path, comments: list[str] | None = None) -> None:

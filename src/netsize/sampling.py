@@ -26,7 +26,7 @@ import numpy as np
 
 from .graph import (INT64_MAX, INT64_MIN, Edge, MultiGraph, check_int, degree_sums_fit, flat_ids, is_int,
                     lookup, pick, uniforms, unique_inverse)
-from .ingest import comment_lines, open_text, open_written
+from .ingest import comment_lines, open_written, read_lines
 
 DEFAULT_RECRUIT_LAW = ((2, 0.9), (1, 0.1))
 
@@ -511,8 +511,9 @@ def read_sample_dump(path) -> Sample:
     malformed row go through the line scan.
     """
     with open(path, "rb") as fh:
-        sample = _parse_dump(fh.read())
-    return _scan_sample_dump(path) if sample is None else sample
+        data = fh.read()
+    sample = _parse_dump(data)
+    return _scan_sample_dump(data, path) if sample is None else sample
 
 
 _HEADER = ",".join(DUMP_COLUMNS).encode()
@@ -622,53 +623,52 @@ def _link_recruiters(codes, components, recruiter_codes, recruited) -> np.ndarra
     return recruiters
 
 
-def _scan_sample_dump(path) -> Sample:
-    """The line-by-line reader: the reference for ``_parse_dump`` and the
-    source of every error message."""
+def _scan_sample_dump(data: bytes, path) -> Sample:
+    """The line-by-line reader of the sample in ``data``, read from ``path``:
+    the reference for ``_parse_dump`` and the source of every error message."""
     codes, recruiters, components, degrees, alters, offsets = [], [], [], [], [], [0]
     total = 0  # of the reported degrees so far
     row_of: dict[tuple[int, int], int] = {}  # (component, code) -> latest row
     header = None
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.startswith("#") or not line.strip():
-                continue
-            record = line.rstrip("\r\n").split(",")
-            if header is None:
-                header = record
-                if [c.strip() for c in header] != list(DUMP_COLUMNS):
-                    raise ValueError(f"{path}: unexpected dump columns {header}")
-                continue
-            where = f"{path}:{lineno}"
-            if len(record) != len(DUMP_COLUMNS):
-                raise ValueError(f"{where}: expected {len(DUMP_COLUMNS)} fields")
-            try:
-                code, comp, degree = int(record[0]), int(record[2]), int(record[3])
-                recruiter = None if record[1] == SEED_MARK else int(record[1])
-                bag = [int(tok) for tok in record[4].split(";") if tok != ""]
-            except ValueError:
-                raise ValueError(f"{where}: non-integer field in {line.strip()!r}") from None
-            fields = [("subject code", code), ("component id", comp), ("reported degree", degree)]
-            for name, value in fields + [("alter code", c) for c in bag]:
-                if not INT64_MIN <= value <= INT64_MAX:
-                    raise ValueError(f"{where}: {name} {value} out of the 64-bit range")
-            if degree < 0:
-                raise ValueError(f"{where}: negative reported degree {degree}")
-            if len(bag) > degree:
-                raise ValueError(f"{where}: {len(bag)} alter codes exceed the reported degree {degree}")
-            total += degree
-            if total > INT64_MAX:
-                raise ValueError(f"{where}: the reported degrees sum past the 64-bit range")
-            if recruiter is not None and (comp, recruiter) not in row_of:
-                raise ValueError(f"{where}: recruiter {recruiter} is not an earlier subject "
-                                 f"of component {comp}")
-            recruiters.append(-1 if recruiter is None else row_of[comp, recruiter])
-            row_of[comp, code] = len(codes)
-            codes.append(code)
-            components.append(comp)
-            degrees.append(degree)
-            alters.extend(bag)
-            offsets.append(len(alters))
+    for lineno, line in enumerate(read_lines(data, path), start=1):
+        if line.startswith("#") or not line.strip():
+            continue
+        record = line.split(",")
+        if header is None:
+            header = record
+            if [c.strip() for c in header] != list(DUMP_COLUMNS):
+                raise ValueError(f"{path}: unexpected dump columns {header}")
+            continue
+        where = f"{path}:{lineno}"
+        if len(record) != len(DUMP_COLUMNS):
+            raise ValueError(f"{where}: expected {len(DUMP_COLUMNS)} fields")
+        try:
+            code, comp, degree = int(record[0]), int(record[2]), int(record[3])
+            recruiter = None if record[1] == SEED_MARK else int(record[1])
+            bag = [int(tok) for tok in record[4].split(";") if tok != ""]
+        except ValueError:
+            raise ValueError(f"{where}: non-integer field in {line.strip()!r}") from None
+        fields = [("subject code", code), ("component id", comp), ("reported degree", degree)]
+        for name, value in fields + [("alter code", c) for c in bag]:
+            if not INT64_MIN <= value <= INT64_MAX:
+                raise ValueError(f"{where}: {name} {value} out of the 64-bit range")
+        if degree < 0:
+            raise ValueError(f"{where}: negative reported degree {degree}")
+        if len(bag) > degree:
+            raise ValueError(f"{where}: {len(bag)} alter codes exceed the reported degree {degree}")
+        total += degree
+        if total > INT64_MAX:
+            raise ValueError(f"{where}: the reported degrees sum past the 64-bit range")
+        if recruiter is not None and (comp, recruiter) not in row_of:
+            raise ValueError(f"{where}: recruiter {recruiter} is not an earlier subject "
+                             f"of component {comp}")
+        recruiters.append(-1 if recruiter is None else row_of[comp, recruiter])
+        row_of[comp, code] = len(codes)
+        codes.append(code)
+        components.append(comp)
+        degrees.append(degree)
+        alters.extend(bag)
+        offsets.append(len(alters))
     if header is None:
         raise ValueError(f"{path}: empty sample dump")
     return Sample(codes=codes, degrees=degrees, alter_codes=alters, components=components,

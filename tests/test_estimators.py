@@ -137,6 +137,10 @@ def test_estimate_result_exclusivity():
         EstimateResult(value=2.0, failure_cause=FailureCause.NO_ROOT)
     with pytest.raises(ValueError):
         EstimateResult()
+    # a cause may be given by its value, as the CSV writes it, and only by a value the enum has
+    assert EstimateResult(failure_cause="ZeroMatches").failure_cause is FailureCause.ZERO_MATCHES
+    with pytest.raises(ValueError, match="'Zero' is not a valid FailureCause"):
+        EstimateResult(failure_cause="Zero")
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])

@@ -562,6 +562,14 @@ def test_parse_plan_names_the_later_line_of_a_repeated_key(lines, message):
         parse_plan(_VALID_PLAN + lines)
 
 
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_a_plan_ends_lines_only_at_cr_and_lf(char):
+    # as every other input: str.splitlines() would also break lines at each of these
+    text = _VALID_PLAN.replace("lambdas = 3\n", f"lambdas = 3{char}\n") + "num_seeds = x\n"
+    with pytest.raises(ValueError, match="^plan line 6: num_seeds: "):
+        parse_plan(text)
+
+
 @pytest.mark.parametrize("text, message", [
     (_VALID_PLAN.replace("n1", "n2") + "num_seeds = 0",
      "plan line 6: num_seeds: need between 1 and 10 seeds for 10 subjects, got 0"),

@@ -143,7 +143,7 @@ def _reference_load(spec: EdgeListSpec):
     keep = None
     if spec.node_filter is not None:
         keep = set()
-        with ingest.open_text(spec.node_filter) as fh:
+        with open(spec.node_filter, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
                 if line:
@@ -152,7 +152,7 @@ def _reference_load(spec: EdgeListSpec):
                     except ValueError:
                         raise ValueError(f"{spec.node_filter}:{lineno}: bad node id {line!r}") from None
     pairs, lines_read, loops, filtered = [], 0, 0, 0
-    with ingest.open_text(spec.path) as fh:
+    with open(spec.path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -258,7 +258,7 @@ def test_edge_list_reader_matches_the_line_scan(text, dedupe, drop_loops, keep):
 def test_a_file_in_the_fast_grammar_skips_the_line_scan(tmp_path, monkeypatch):
     edges = _write(tmp_path, f"# c\n#\n 5\t-3 \n\n007  -0\n-3 5\n5 5\n{10**17} 5", "edges.txt")
     monkeypatch.setattr(ingest, "_scan_edge_list", mock.Mock(side_effect=AssertionError("scanned")))
-    monkeypatch.setattr(ingest, "open_text", mock.Mock(side_effect=AssertionError("read as text")))
+    monkeypatch.setattr(ingest, "read_lines", mock.Mock(side_effect=AssertionError("read as text")))
     g, id_map, report = load_edge_list(EdgeListSpec(edges, dedupe=True))
     assert g.edge_array.tolist() == [[0, 2], [1, 3], [2, 2], [2, 4]]
     assert id_map == {-3: 0, 0: 1, 5: 2, 7: 3, 10**17: 4}
@@ -504,6 +504,112 @@ def test_a_comment_that_is_not_utf8_fails_with_its_line(tmp_path):
     assert ingest._parse_edges(path.read_bytes()) is None
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: byte 0xe9 is not UTF-8"):
         load_edge_list(EdgeListSpec(path))
+
+
+@pytest.mark.parametrize("bad_line", [5, 2000])
+def test_a_byte_that_is_not_utf8_fails_before_an_earlier_malformed_row(tmp_path, bad_line):
+    # the file is decoded before any row is read, however far in the byte is
+    lines = [f"{i} {i + 1}".encode() for i in range(3000)]
+    lines[1] = b"1 2 3"
+    lines[bad_line - 1] += b" \xff"
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert bad_line == 5 or len(b"\n".join(lines[:bad_line - 1])) > 8192  # past a text reader's first chunk
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{bad_line}: byte 0xff is not UTF-8"):
+        load_edge_list(EdgeListSpec(path))
+
+
+# ---------------------------------------------------------------------------
+# every input is read once, so a pipe reads as a regular file does
+
+def _dump_columns(path):
+    sample = sampling.read_sample_dump(path)
+    return [getattr(sample, name).tolist()
+            for name in ("codes", "recruiters", "components", "degrees", "alter_codes", "alter_offsets")]
+
+
+def _filtered(path, tmp_path):
+    edges = tmp_path / "filtered-edges.txt"
+    edges.write_text("0 1\n1 2\n2 0\n")
+    return load_edge_list(EdgeListSpec(edges, node_filter=path))[1:]
+
+
+# each input's reader as (a call on the input's path, how it locates a line,
+# a valid text outside the fast grammar, the same with a malformed line 3, the same with a bad byte on line 3)
+_DUMP = ",".join(sampling.DUMP_COLUMNS).encode()
+INPUTS = {
+    "edge list": (lambda path, tmp_path: load_edge_list(EdgeListSpec(path))[1:], "{path}:{line}",
+                  b"0 1\r\n1 2\r\n2 0\r\n", b"0 1\r\n1 2\r\n2 x\r\n", b"0 1\r\n1 2\r\n# \xff\r\n2 0\r\n"),
+    "node filter": (_filtered, "{path}:{line}",
+                    b"0\r\n  # c\r\n1\r\n", b"0\r\n1\r\nx\r\n", b"0\r\n1\r\n# \xff\r\n"),
+    "sample dump": (lambda path, tmp_path: _dump_columns(path), "{path}:{line}",
+                    _DUMP + b"\r\n5,SEED,0,2,7\r\n7,5,0,1,5\r\n", _DUMP + b"\r\n5,SEED,0,2,7\r\n7,9,0,1,5\r\n",
+                    _DUMP + b"\r\n5,SEED,0,2,7\r\n# \xff\r\n7,5,0,1,5\r\n"),
+    "plan": (lambda path, tmp_path: harness.load_plan(path), "plan line {line}",
+             b"families = er\r\nlambdas = 3\r\nsizes = 100\r\nr = 10\r\nestimators = n1\r\n",
+             b"families = er\r\nlambdas = 3\r\nsizes = x\r\nr = 10\r\nestimators = n1\r\n",
+             b"families = er\r\nlambdas = 3\r\n# \xff\r\nsizes = 100\r\nr = 10\r\nestimators = n1\r\n"),
+}
+KINDS = ("valid", "malformed", "bad byte")
+
+
+def _input(name, kind):
+    read, where, *texts = INPUTS[name]
+    return read, where, texts[KINDS.index(kind)]
+
+
+def _input_outcome(read, path, tmp_path):
+    try:
+        return read(path, tmp_path)
+    except ValueError as exc:
+        return str(exc).replace(str(path), "{path}")
+
+
+@pytest.fixture
+def piped():
+    """``piped(data)``: a path that reads ``data`` through a pipe, as ``/dev/stdin`` reads a
+    shell pipe.  Opened a second time, it reads nothing more."""
+    ends = []
+
+    def pipe(data: bytes) -> str:
+        read_end, write_end = os.pipe()
+        ends.append(read_end)
+        os.write(write_end, data)  # well within a pipe's buffer, so the write does not block
+        os.close(write_end)
+        return f"/dev/fd/{read_end}"
+
+    yield pipe
+    for end in ends:
+        os.close(end)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", INPUTS)
+def test_an_input_reads_through_a_pipe_as_from_a_file(tmp_path, piped, name, kind):
+    read, where, data = _input(name, kind)
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    from_file = _input_outcome(read, path, tmp_path)
+    assert _input_outcome(read, piped(data), tmp_path) == from_file
+    if kind == "valid":
+        assert not isinstance(from_file, str), from_file
+    else:
+        assert from_file.startswith(where.format(path="{path}", line=3) + ": "), from_file
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", INPUTS)
+def test_each_reader_opens_its_input_once(tmp_path, monkeypatch, name, kind):
+    read, _, data = _input(name, kind)
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    opened = []
+    real_open = open
+    monkeypatch.setattr("builtins.open", lambda file, *args, **kwargs:
+                        opened.append(file) or real_open(file, *args, **kwargs))
+    _input_outcome(read, path, tmp_path)
+    assert opened.count(path) == 1
 
 
 # ---------------------------------------------------------------------------

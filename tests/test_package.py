@@ -91,8 +91,22 @@ def test_only_ingest_sets_a_line_end_rule():
     setters = {path.stem for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, ast.Call) and any(kw.arg == "newline" for kw in node.keywords)}
     assert setters <= {"ingest"}
-    for helper in (ingest.open_text, ingest.open_written):
+    for helper in (ingest.read_lines, ingest.open_written):
         assert "newline" not in inspect.signature(helper).parameters
+
+
+def _opens_bytes(call):
+    return (len(call.args) == 2 and not call.keywords
+            and isinstance(call.args[1], ast.Constant) and call.args[1].value == "rb")
+
+
+def test_only_ingest_decodes_input_text():
+    # every other reader opens its input once, in binary, and hands the bytes to ingest.read_lines
+    opens = [(path.stem, node) for path in SOURCES if path.stem != "ingest"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"]
+    assert opens
+    assert [f"{stem}:{node.lineno}" for stem, node in opens if not _opens_bytes(node)] == []
 
 
 def test_hashing_imports_no_private_name_of_estimators():
